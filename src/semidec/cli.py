@@ -29,7 +29,10 @@ def _env_limit() -> int:
 
 
 def _dump(payload, path: str | None):
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+
+
+def _write_text(text: str, path: str | None):
     if path:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -55,7 +58,6 @@ def cmd_analyze(args) -> int:
     monoid = monoid_from_json(_load(args.monoid))
     selected = args.report.split(",") if args.report else ["greens", "depth"]
     payload: dict = {"label": monoid.label, "order": len(monoid)}
-    rep = None
     if "greens" in selected:
         g = greens(monoid)
         payload["greens"] = {
@@ -67,12 +69,10 @@ def cmd_analyze(args) -> int:
             "idempotents": len(g.idempotents),
         }
     if "depth" in selected:
-        rep = depth_report(monoid)
-        payload["depth"] = rep.to_json()
+        payload["depth"] = depth_report(monoid).to_json()
     _dump(payload, args.out)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot_j_order(monoid, rep))
+        _write_text(dot_j_order(payload.get("depth") or depth_report(monoid).to_json()), args.dot)
     for key in ("greens", "depth"):
         if key in payload:
             summary = payload[key] if key == "greens" else {"depth": payload[key]["depth"]}
@@ -154,39 +154,13 @@ def cmd_export(args) -> int:
         else:
             for key in sorted(payload):
                 lines.append(f"{key}={json.dumps(payload[key], sort_keys=True)}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text("\n".join(lines) + "\n", args.out)
         return 0
     if args.format == "dot":
         depth = payload.get("depth")
         if depth is None:
             raise UnsupportedFormat("dot export needs an analyze report with a depth section")
-        essential = set(depth["essential"])
-        sizes = depth["class_sizes"]
-        above: dict[int, set[int]] = {c: set() for c in range(depth["j_class_count"])}
-        for a, b in depth["order_pairs"]:
-            above[b].add(a)
-        lines = ["digraph jorder {", '  rankdir="BT";']
-        for c in range(depth["j_class_count"]):
-            attrs = f'label="J{c} (size {sizes[c]})"'
-            if c in essential:
-                attrs += ', style="bold", peripheries=2'
-            lines.append(f"  J{c} [{attrs}];")
-        for a, b in depth["order_pairs"]:
-            if any(a in above[mid] for mid in above[b] if mid != a):
-                continue
-            lines.append(f"  J{b} -> J{a};")
-        lines.append("}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text(dot_j_order(depth), args.out)
         return 0
     raise UnsupportedFormat(f"unknown format {args.format!r}")
 

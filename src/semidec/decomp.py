@@ -178,6 +178,27 @@ class _ChainLevel:
     inner: "_ChainLevel | None"
 
 
+def _traced_left(mid: Monoid, top: Monoid, base: Monoid, label: str) -> Monoid:
+    """Left components of a traced image of pairs, a monoid inside top wr base.
+
+    Its descriptor lists every element as a generator, so a rebuild keeps
+    the first-seen order.
+    """
+    left_elements = list(dict.fromkeys(left for left, _right in mid.elements))
+    ident = mid.elements[mid.identity][0]
+    ctx = WreathContext(top, base)
+    return from_elements(
+        left_elements, ctx.mul_value, ident, label=label,
+        provenance={
+            "kind": "close",
+            "carrier": ctx.descriptor(),
+            "generators": [value_json(v) for v in left_elements],
+            "identity": value_json(ident),
+            "label": label,
+        },
+    )
+
+
 def _chain_witness(n: int, ring: SemiringTable, limit: int,
                    steps_out: list[DivisionWitness]) -> tuple[DivisionWitness, _ChainLevel]:
     t_1 = family("T", 1, ring, limit)
@@ -198,27 +219,8 @@ def _chain_witness(n: int, ring: SemiringTable, limit: int,
     steps_out.append(w_lem)
     mid1 = w_lem.image_submonoid()
 
-    # left components of the traced image form a monoid inside AS wr T_(n-1)
-    left_elements = []
-    seen = set()
-    for (left, _right) in mid1.elements:
-        if left not in seen:
-            seen.add(left)
-            left_elements.append(left)
-    left_ctx = WreathContext(as_top, family("T", n - 1, ring, limit))
-    left_monoid = from_elements(
-        left_elements,
-        left_ctx.mul_value,
-        mid1.elements[mid1.identity][0],
-        label=f"traced left of {mid1.label}",
-        provenance={
-            "kind": "close",
-            "carrier": left_ctx.descriptor(),
-            "generators": [value_json(v) for v in left_elements],
-            "identity": value_json(mid1.elements[mid1.identity][0]),
-            "label": f"traced left of {mid1.label}",
-        },
-    )
+    left_monoid = _traced_left(mid1, as_top, family("T", n - 1, ring, limit),
+                               f"traced left of {mid1.label}")
     w_lift = lift_left(w_prev, as_top, source=left_monoid, limit=limit)
     steps_out.append(w_lift)
     w_step = product_witness(w_lift, identity_witness(t_1, limit), source=mid1, limit=limit)
@@ -407,27 +409,9 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT,
 
     # lift the top-level replacement into its chain position, on the traced part
     w_lem = induction_step(n, ring, limit)
-    mid = w_lem.image_submonoid()
-    left_elements = []
-    seen: set = set()
-    for (left, _right) in mid.elements:
-        if left not in seen:
-            seen.add(left)
-            left_elements.append(left)
     t_prev = family("T", n - 1, ring, limit)
-    as_top = family("AS", n - 1, ring, limit)
-    left_ctx = WreathContext(as_top, t_prev)
-    left_monoid = from_elements(
-        left_elements, left_ctx.mul_value, mid.elements[mid.identity][0],
-        label="traced top level",
-        provenance={
-            "kind": "close",
-            "carrier": left_ctx.descriptor(),
-            "generators": [value_json(v) for v in left_elements],
-            "identity": value_json(mid.elements[mid.identity][0]),
-            "label": "traced top level",
-        },
-    )
+    left_monoid = _traced_left(w_lem.image_submonoid(), family("AS", n - 1, ring, limit), t_prev,
+                               "traced top level")
     w_top_lift = lift_right(aug_witnesses[n - 1], t_prev, source=left_monoid, limit=limit)
     steps.append(w_top_lift)
 

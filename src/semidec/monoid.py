@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from semidec.errors import NotCentral, NotIdempotent, SizeLimitExceeded
+from semidec.errors import NotCentral, NotFunctional, NotIdempotent, SizeLimitExceeded
 from semidec.keys import key_hex, value_json
 
 DEFAULT_LIMIT = 100_000
@@ -115,6 +115,56 @@ class Monoid:
         return out
 
 
+def right_closure(gens, mul, limit: int, what: str, key=None):
+    """Semigroup generated by ``gens``, enumerated along its right Cayley graph.
+
+    This is the enumeration of Froidure and Pin ("Algorithms for computing
+    finite semigroups", 1997): the distinct generators in input order, then
+    each element, in discovery order, times each generator in order.  It
+    evaluates one product per (element, generator) pair.
+
+    Returns ``(elements, lookup, edges)``: ``lookup`` maps the key of each
+    element to its index, and ``edges[i]`` is ``(parent, generator)`` with
+    ``elements[i] == mul(elements[parent], generators[generator])``, or
+    ``None`` for a generator.  With ``key``, elements sharing a key must be
+    equal; a product that breaks this raises ``NotFunctional(key, old,
+    new)``.  By induction on word length, every product of generators is
+    checked against the element stored under its key.  Raises
+    ``SizeLimitExceeded`` past ``limit`` elements.
+    """
+    elements: list = []
+    lookup: dict = {}
+    for g in gens:
+        k = g if key is None else key(g)
+        found = lookup.get(k)
+        if found is None:
+            lookup[k] = len(elements)
+            elements.append(g)
+        elif key is not None and elements[found] != g:
+            raise NotFunctional(k, elements[found], g)
+    if len(elements) > limit:
+        raise SizeLimitExceeded(limit, what)
+    generators = list(elements)
+    edges: list = [None] * len(elements)
+    i = 0
+    while i < len(elements):
+        x = elements[i]
+        for j, g in enumerate(generators):
+            value = mul(x, g)
+            k = value if key is None else key(value)
+            found = lookup.get(k)
+            if found is None:
+                lookup[k] = len(elements)
+                elements.append(value)
+                edges.append((i, j))
+                if len(elements) > limit:
+                    raise SizeLimitExceeded(limit, what)
+            elif key is not None and elements[found] != value:
+                raise NotFunctional(k, elements[found], value)
+        i += 1
+    return elements, lookup, edges
+
+
 def close_generators(
     gens,
     mul_fn,
@@ -124,66 +174,26 @@ def close_generators(
     provenance: dict | None = None,
     table_bound: int = TABLE_BOUND,
 ) -> Monoid:
-    """Breadth-first multiplicative closure of ``gens`` under ``mul_fn``.
+    """Multiplicative closure of ``gens`` under ``mul_fn``.
 
-    Canonical order is discovery order: the generators in input order, then
-    products round by round, scanning (left, right) factor indices in
-    ascending order.  The identity is appended at the end if the closure
-    never produces it.  Deterministic for fixed inputs.
+    Canonical order is ``right_closure`` discovery order: the distinct
+    generators in input order, then each element times each generator.
+    The identity is appended at the end if the closure never produces it.
+    Deterministic for fixed inputs.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    elements = []
-    seen = set()
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            elements.append(g)
-    products: dict[tuple[int, int], int] = {}
-    lookup = {v: i for i, v in enumerate(elements)}
-    frontier_start = 0
-    while True:
-        n = len(elements)
-        new = []
-        for i in range(n):
-            for j in range(n):
-                if i < frontier_start and j < frontier_start:
-                    continue
-                value = mul_fn(elements[i], elements[j])
-                k = lookup.get(value)
-                if k is None:
-                    k = len(elements) + len(new)
-                    lookup[value] = k
-                    new.append(value)
-                    if n + len(new) > limit:
-                        raise SizeLimitExceeded(limit, f"closure of {label or 'generators'}")
-                products[(i, j)] = k
-        if not new:
-            break
-        elements.extend(new)
-        frontier_start = n
+    elements, lookup, _ = right_closure(gens, mul_fn, limit, f"closure of {label or 'generators'}")
     if identity_value not in lookup:
-        lookup[identity_value] = len(elements)
         elements.append(identity_value)
         if len(elements) > limit:
             raise SizeLimitExceeded(limit, "closure plus identity")
     prov = provenance or {"kind": "close", "generators": [value_json(g) for g in gens]}
-    table = None
-    if len(elements) <= table_bound:
-        n = len(elements)
-        table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            for j in range(n):
-                k = products.get((i, j))
-                if k is None:
-                    k = lookup[mul_fn(elements[i], elements[j])]
-                table[i, j] = k
     return Monoid(
         elements,
         identity_value,
         mul_fn=mul_fn,
-        table=table,
         label=label,
         provenance=prov,
         table_bound=table_bound,
@@ -573,17 +583,8 @@ def find_generators(m: Monoid) -> list[int]:
         if x in closure:
             continue
         gens.append(x)
-        frontier = [x]
-        closure.add(x)
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in list(closure):
-                    for w in (m.mul(u, v), m.mul(v, u)):
-                        if w not in closure:
-                            closure.add(w)
-                            nxt.append(w)
-            frontier = nxt
+        elements, _, _ = right_closure(gens, m.mul, len(m), "generating set")
+        closure = set(elements) | {m.identity}
         if len(closure) == len(m):
             break
     return gens
@@ -605,24 +606,9 @@ def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
         return False
 
     gens = find_generators(m)
-    # derive every element as identity, a generator, or a product of two
-    # previously derived elements
-    derivation: dict[int, tuple] = {m.identity: ("e",)}
-    order: list[int] = [m.identity]
-    for g in gens:
-        if g not in derivation:
-            derivation[g] = ("g", gens.index(g))
-            order.append(g)
-    while len(order) < len(m):
-        added = False
-        for i in list(order):
-            for j in list(order):
-                p = m.mul(i, j)
-                if p not in derivation:
-                    derivation[p] = ("p", i, j)
-                    order.append(p)
-                    added = True
-        assert added, "generators fail to generate"
+    # every element is the identity, a generator, or a derived element times
+    # a generator
+    derived, _, edges = right_closure(gens, m.mul, len(m), "isomorphism search")
 
     candidates = [
         [y for y in range(len(n)) if prof_n[y] == prof_m[g]] for g in gens
@@ -634,10 +620,10 @@ def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
         for g, y in zip(gens, assignment):
             if img.setdefault(g, y) != y:
                 return False
-        for x in order:
-            tag = derivation[x]
-            if tag[0] == "p":
-                y = n.mul(img[tag[1]], img[tag[2]])
+        for x, edge in zip(derived, edges):
+            if edge is not None:
+                parent, g = edge
+                y = n.mul(img[derived[parent]], assignment[g])
                 if img.setdefault(x, y) != y:
                     return False
         if len(set(img.values())) != size:
@@ -704,22 +690,25 @@ def from_json(obj: dict) -> Monoid:
     )
 
 
-def dot_j_order(m: Monoid, report: DepthReport | None = None) -> str:
-    """GraphViz rendering of the J-order with essential classes highlighted."""
-    rep = report or depth_report(m)
-    above: dict[int, set[int]] = {c: set() for c in range(rep.j_class_count)}
-    for a, b in rep.order_pairs:
+def dot_j_order(depth: dict) -> str:
+    """GraphViz rendering of the J-order with essential classes highlighted.
+
+    ``depth`` is the JSON form of a depth report (``DepthReport.to_json()``).
+    """
+    count = depth["j_class_count"]
+    sizes = depth["class_sizes"]
+    essential = set(depth["essential"])
+    above: dict[int, set[int]] = {c: set() for c in range(count)}
+    for a, b in depth["order_pairs"]:
         above[b].add(a)
     lines = ["digraph jorder {", '  rankdir="BT";']
-    essential = set(rep.essential)
-    for c in range(rep.j_class_count):
-        size = len(rep.class_members[c])
-        attrs = f'label="J{c} (size {size})"'
+    for c in range(count):
+        attrs = f'label="J{c} (size {sizes[c]})"'
         if c in essential:
             attrs += ', style="bold", peripheries=2'
         lines.append(f"  J{c} [{attrs}];")
     # Hasse covers only: drop order pairs implied by transitivity
-    for a, b in rep.order_pairs:
+    for a, b in depth["order_pairs"]:
         if any(a in above[mid] for mid in above[b] if mid != a):
             continue
         lines.append(f"  J{b} -> J{a};")

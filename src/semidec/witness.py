@@ -13,6 +13,7 @@ closure, so a serialized witness is independently re-checkable.
 from __future__ import annotations
 
 from itertools import product as iter_product
+from operator import itemgetter
 
 from semidec.carriers import ProductCarrier, build_carrier, build_monoid
 from semidec.errors import (
@@ -24,7 +25,7 @@ from semidec.errors import (
     WitnessError,
 )
 from semidec.keys import value_from_json, value_json
-from semidec.monoid import DEFAULT_LIMIT, Monoid, direct_product, from_elements
+from semidec.monoid import DEFAULT_LIMIT, Monoid, direct_product, from_elements, right_closure
 from semidec.semiring import SemiringTable, units
 from semidec.wreath import WreathContext, constant_table
 
@@ -72,9 +73,11 @@ class DivisionWitness:
     def image_submonoid(self, label: str = "") -> Monoid:
         """The closure's target elements as a restricted monoid.
 
-        Canonical order is closure discovery order.  The closure must
-        contain an element acting as a two-sided identity on it (always the
-        case when the witness pairs the identities, as the pipelines do).
+        Canonical order is closure discovery order.  ``close_generators``
+        runs the same kernel on the same generators, so rebuilding from
+        the "close" descriptor keeps that order.  The closure must contain
+        an element acting as a two-sided identity on it (always the case
+        when the witness pairs the identities, as the pipelines do).
         """
         assert self._closure is not None, "witness has not been verified"
         values = [t for t, _ in self._closure]
@@ -104,94 +107,38 @@ class DivisionWitness:
 def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """Close the pairs and check functionality and surjectivity.
 
-    Closure is breadth-first in rounds, scanning (left, right) pair indices
-    in ascending order, so discovery order is deterministic.
+    The closure is ``right_closure`` over the (target, source) pairs keyed
+    by target value: the distinct generator pairs in input order, then each
+    pair times each generator pair, in discovery order.  A target value
+    reached again with another source element raises ``NotFunctional``.
     """
-    mapping: dict = {}
-    order: list = []
-    srcs: list[int] = []
     source, target = w.source, w.target
     mul_t, mul_s = target.mul_value, source.mul
+
+    def mul(x, y):
+        return (mul_t(x[0], y[0]), mul_s(x[1], y[1]))
+
+    gens = [(t, s) for t, s in w.pairs]
     try:
-        for t, s in w.pairs:
-            prev = mapping.get(t)
-            if prev is None:
-                mapping[t] = s
-                order.append(t)
-                srcs.append(s)
-            elif prev != s:
-                raise NotFunctional(t, source.elements[prev], source.elements[s])
-        frontier_start = 0
-        while True:
-            n = len(order)
-            grew = False
-            for i in range(n):
-                ti, si = order[i], srcs[i]
-                j_start = 0 if i >= frontier_start else frontier_start
-                for j in range(j_start, n):
-                    t = mul_t(ti, order[j])
-                    s = mul_s(si, srcs[j])
-                    prev = mapping.get(t)
-                    if prev is None:
-                        mapping[t] = s
-                        order.append(t)
-                        srcs.append(s)
-                        grew = True
-                        if len(order) > limit:
-                            raise SizeLimitExceeded(limit, "witness closure")
-                    elif prev != s:
-                        raise NotFunctional(t, source.elements[prev], source.elements[s])
-            if not grew:
-                break
-            frontier_start = n
+        try:
+            closure, _, _ = right_closure(gens, mul, limit, "witness closure", key=itemgetter(0))
+        except NotFunctional as exc:
+            (t, a), (_, b) = exc.sources
+            raise NotFunctional(t, source.elements[a], source.elements[b]) from None
+        mapping = dict(closure)
         covered = set(mapping.values())
         missing = [i for i in range(len(source)) if i not in covered]
         if missing:
             raise NotSurjective([source.elements[i] for i in missing])
-        # The first-coordinate projection of the closure equals the
-        # multiplicative closure of the target generators: the loop above
-        # keys on target values and enumerates exactly the same products.
-        # Recompute it independently while that is cheap.
-        if len(order) <= 1024:
-            t_closure = _target_closure([t for t, _ in w.pairs], target, limit)
-            assert t_closure == set(order), "closure projection mismatch"
     except (NotFunctional, NotSurjective, SizeLimitExceeded) as exc:
         w.status = "failed"
         w.failure = str(exc)
         raise
     w.status = "verified"
-    w.closure_size = len(order)
-    w._closure = [(t, mapping[t]) for t in order]
+    w.closure_size = len(closure)
+    w._closure = closure
     w._mapping = mapping
     return w
-
-
-def _target_closure(gens, target, limit) -> set:
-    seen = set()
-    order = []
-    for g in gens:
-        if g not in seen:
-            seen.add(g)
-            order.append(g)
-    frontier_start = 0
-    while True:
-        n = len(order)
-        grew = False
-        for i in range(n):
-            for j in range(n):
-                if i < frontier_start and j < frontier_start:
-                    continue
-                t = target.mul_value(order[i], order[j])
-                if t not in seen:
-                    seen.add(t)
-                    order.append(t)
-                    grew = True
-                    if len(order) > limit:
-                        raise SizeLimitExceeded(limit, "target generator closure")
-        if not grew:
-            break
-        frontier_start = n
-    return seen
 
 
 def mapped_witness(source: Monoid, value_map, target, steps=None, label="",
@@ -447,7 +394,7 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12,
     seen_subs: set[frozenset] = set()
     for mask in range(1, 1 << n):
         gens = [i for i in range(n) if mask >> i & 1]
-        closure = _index_closure(target, gens)
+        closure, _, _ = right_closure(gens, target.mul, n, "search subsemigroup")
         key = frozenset(closure)
         if key in seen_subs:
             continue
@@ -467,28 +414,6 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12,
             except (NotFunctional, NotSurjective, SizeLimitExceeded):
                 continue
     return None
-
-
-def _index_closure(m: Monoid, gens: list[int]) -> list[int]:
-    out = list(gens)
-    seen = set(gens)
-    frontier_start = 0
-    while True:
-        k = len(out)
-        grew = False
-        for i in range(k):
-            for j in range(k):
-                if i < frontier_start and j < frontier_start:
-                    continue
-                p = m.mul(out[i], out[j])
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-                    grew = True
-        if not grew:
-            break
-        frontier_start = k
-    return out
 
 
 # -- serialization -------------------------------------------------------------

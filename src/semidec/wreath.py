@@ -77,14 +77,6 @@ class WreathContext:
         return {"kind": "wreath_ctx", "top": self.top.descriptor(), "base": self.base.descriptor()}
 
 
-def wreath_mul(ctx: WreathContext, x, y):
-    return ctx.mul_value(x, y)
-
-
-def wreath_identity(ctx: WreathContext):
-    return ctx.identity_value
-
-
 def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
     """The full wreath product as a Monoid; requires |top|^|base| * |base| <= limit."""
     top = ctx.top
@@ -106,16 +98,6 @@ def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
         label=ctx.label,
         provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": ctx.base.descriptor()},
     )
-
-
-def iterated_context(monoids: list[Monoid], limit: int = DEFAULT_LIMIT) -> WreathContext:
-    """Right-nested chain: [A, B, C] gives A wr (B wr C)."""
-    if len(monoids) < 2:
-        raise ValueError("need at least two terms")
-    base = monoids[-1]
-    for top in reversed(monoids[1:-1]):
-        base = enumerate_wreath(WreathContext(top, base), limit)
-    return WreathContext(monoids[0], base)
 
 
 def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]:
@@ -142,12 +124,6 @@ def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]
         "base_to": sub.descriptor(),
     }
     return WreathContext(ctx.top, sub), step
-
-
-def restrict_element(value, from_base: Monoid, to_base: Monoid):
-    """Project (f, b) in top wr from_base to top wr to_base."""
-    table, base_val = value
-    return (tuple(table[from_base.index[v]] for v in to_base.elements), base_val)
 
 
 def constant_table(ctx: WreathContext, top_value):

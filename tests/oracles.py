@@ -2,8 +2,8 @@
 
 Everything here recomputes results by definition-level brute force,
 independently of the package's algorithms: Green's relations by pairwise
-ideal comparison, pair closures by plain dict loops, spans by enumerating
-all linear combinations.
+ideal comparison, pair and target closures by plain dict and set loops,
+spans by enumerating all linear combinations.
 """
 
 from itertools import product
@@ -48,6 +48,21 @@ def pair_closure(pairs, mul_target, mul_source):
                 else:
                     closure[t] = s
                     changed = True
+    return closure
+
+
+def target_closure(gens, mul):
+    """Set of all products of ``gens``, closed two-sided frontier by frontier."""
+    closure = set(gens)
+    frontier = set(gens)
+    while frontier:
+        new = set()
+        for a in frontier:
+            for b in closure:
+                new.add(mul(a, b))
+                new.add(mul(b, a))
+        frontier = new - closure
+        closure |= frontier
     return closure
 
 

@@ -135,3 +135,16 @@ def test_analyze_highlights_all_essential_classes(tmp_path, capsys):
     run(["analyze", str(mon), "--dot", str(dot)], capsys)
     # units class plus the two rank-one classes with non-trivial subgroups
     assert dot.read_text().count("peripheries=2") == 3
+
+
+def test_dot_from_analyze_matches_export(tmp_path, capsys):
+    mon = tmp_path / "m.json"
+    run(["family", "--kind", "T", "--n", "2", "--ring", "zp:3", "--out", str(mon)], capsys)
+    rep = tmp_path / "rep.json"
+    dot = tmp_path / "j.dot"
+    run(["analyze", str(mon), "--out", str(rep), "--dot", str(dot)], capsys)
+    exported = tmp_path / "export.dot"
+    code, _, _ = run(["export", str(rep), "--format", "dot", "--out", str(exported)], capsys)
+    assert code == 0
+    assert exported.read_bytes() == dot.read_bytes()
+    assert dot.read_text().count("peripheries=2") == 3

@@ -217,7 +217,7 @@ def test_json_round_trip(fam):
 
 
 def test_dot_export(fam):
-    dot = dot_j_order(fam("T", 2, "3"))
+    dot = dot_j_order(depth_report(fam("T", 2, "3")).to_json())
     assert dot.startswith("digraph")
     assert "peripheries=2" in dot  # essential classes highlighted
 

@@ -9,9 +9,7 @@ from semidec.wreath import (
     WreathContext,
     constant_table,
     enumerate_wreath,
-    iterated_context,
     restrict_base,
-    wreath_mul,
 )
 
 
@@ -22,8 +20,8 @@ def test_identity_law():
         table = (tab_bits & 1, tab_bits >> 1)
         for base in (0, 1):
             x = (table, base)
-            assert wreath_mul(ctx, e, x) == x
-            assert wreath_mul(ctx, x, e) == x
+            assert ctx.mul_value(e, x) == x
+            assert ctx.mul_value(x, e) == x
 
 
 def test_mul_shifts_right_argument(fam):
@@ -33,7 +31,7 @@ def test_mul_shifts_right_argument(fam):
     ident_map = as1.identity_value
     x = (constant_table(ctx, ident_map), ((1,),))
     y = (constant_table(ctx, ident_map), ((0,),))
-    table, base = wreath_mul(ctx, x, y)
+    table, base = ctx.mul_value(x, y)
     assert base == ((0,),)
     assert table == constant_table(ctx, ident_map)
 
@@ -41,7 +39,7 @@ def test_mul_shifts_right_argument(fam):
 def test_mul_context_mismatch():
     ctx = WreathContext(u1(), u1())
     with pytest.raises(ContextMismatch):
-        wreath_mul(ctx, ((0,), 0), ((0, 0), 0))
+        ctx.mul_value(((0,), 0), ((0, 0), 0))
 
 
 def test_enumerate_counts(fam):
@@ -58,17 +56,6 @@ def test_enumerate_limit(fam):
     base = direct_product(direct_product(t1, t1), t1)
     with pytest.raises(SizeLimitExceeded):
         enumerate_wreath(WreathContext(as1, base), limit=100_000)  # 4^8 * 8
-
-
-def test_iterated_right_nested():
-    a, b, c = u1(), u1(), u1()
-    ctx = iterated_context([a, b])
-    assert ctx.top is a and ctx.base is b
-    ctx = iterated_context([a, b, c])
-    assert ctx.top is a
-    assert len(ctx.base) == 8  # b wr c enumerated as the base
-    with pytest.raises(ValueError):
-        iterated_context([a])
 
 
 def test_restrict_base_identity_and_trivial():
@@ -159,4 +146,4 @@ def test_constant_tables_multiply_to_constants():
     one, e = 0, 1
     x = (constant_table(ctx, one), one)
     y = (constant_table(ctx, e), e)
-    assert wreath_mul(ctx, x, y) == (constant_table(ctx, e), e)
+    assert ctx.mul_value(x, y) == (constant_table(ctx, e), e)
