@@ -24,10 +24,6 @@ from semidec.semiring import parse_ring_spec
 from semidec.witness import search_division, verify, witness_from_json, witness_to_json
 
 
-def _env_limit() -> int:
-    return int(os.environ.get("SEMIDEC_LIMIT", DEFAULT_LIMIT))
-
-
 def _dump(payload, path: str | None):
     _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
 
@@ -171,13 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="triangular matrix monoids: structure reports and certified wreath decompositions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse runs a string default, such as the environment's, through type=int
+    limit = os.environ.get("SEMIDEC_LIMIT", DEFAULT_LIMIT)
 
     p = sub.add_parser("family", help="build a named monoid family and write it as JSON")
     p.add_argument("--kind", required=True, choices=FAMILY_KINDS)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--ring", required=True, help="zp:<p> | bool | table:<path>")
     p.add_argument("--out", help="output path (stdout if omitted)")
-    p.add_argument("--limit", type=int, default=_env_limit())
+    p.add_argument("--limit", type=int, default=limit)
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("analyze", help="Green's relations and depth reports for a monoid file")
@@ -193,12 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ring", required=True)
     p.add_argument("--plan", help="plan JSON output path")
     p.add_argument("--cert", help="certificate bundle output path")
-    p.add_argument("--limit", type=int, default=_env_limit())
+    p.add_argument("--limit", type=int, default=limit)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("verify", help="re-verify a certificate file")
     p.add_argument("cert")
-    p.add_argument("--limit", type=int, default=_env_limit())
+    p.add_argument("--limit", type=int, default=limit)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("search", help="exhaustive division search between two monoid files")
@@ -226,6 +224,9 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except json.JSONDecodeError as exc:
+        print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field as dc_field
 from semidec.carriers import ProductCarrier
 from semidec.errors import CensusMismatch, FieldRequired
 from semidec.families import (
-    augmented_monoid,
     constants_monoid,
     family,
     point_index,
@@ -398,17 +397,17 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT,
     aug_witnesses: dict[int, DivisionWitness] = {}
     for i in range(1, n):
         as_i = family("AS", i, ring, limit)
-        star = family("AS*", i, ring, limit)
-        assert set(augmented_monoid(star, limit=limit).elements) == set(as_i.elements), (
+        w_aug = augmentation(family("AS*", i, ring, limit), limit)
+        assert set(w_aug.source.elements) == set(as_i.elements), (
             "scaling monoid must be its unit group plus constants"
         )
-        w_aug = augmentation(star, limit)
-        assert set(w_aug.source.elements) == set(as_i.elements)
         aug_witnesses[i] = w_aug
         steps.append(w_aug)
 
-    # lift the top-level replacement into its chain position, on the traced part
-    w_lem = induction_step(n, ring, limit)
+    # lift the top-level replacement into its chain position, on the traced
+    # part of the ring chain's degree-n split
+    split = [{"kind": "induction_step", "n": n, "ring": ring.descriptor()}]
+    w_lem = next(w for w in ring_plan.witnesses if w.steps == split)
     t_prev = family("T", n - 1, ring, limit)
     left_monoid = _traced_left(w_lem.image_submonoid(), family("AS", n - 1, ring, limit), t_prev,
                                "traced top level")

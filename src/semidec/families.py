@@ -19,7 +19,6 @@ from semidec.monoid import (
     DEFAULT_LIMIT,
     Monoid,
     from_elements,
-    is_aperiodic,
     maximal_subgroup,
     quotient_by_central_units,
 )
@@ -130,12 +129,10 @@ def _matrix_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
         return mul_entries(ring, a, b)
 
     table = None
-    if ring.label.startswith("Z_") and len(elements) > 64:
+    if ring.descriptor().get("builtin") == "zp" and len(elements) > 64:
         table = _zp_matrix_table(ring.size, elements)
-    if table is not None:
-        return Monoid(elements, ident, mul_fn=mul, table=table,
-                      label=spec.label(), provenance=spec.descriptor())
-    return from_elements(elements, mul, ident, label=spec.label(), provenance=spec.descriptor())
+    return Monoid(elements, ident, mul_fn=mul, table=table,
+                  label=spec.label(), provenance=spec.descriptor())
 
 
 # -- affine families ----------------------------------------------------------
@@ -243,15 +240,13 @@ def constants_monoid(point_count: int, label: str = "", provenance: dict | None 
     if point_count < 1:
         raise ValueError("need a non-empty point set")
     elements = [CONSTANTS_IDENTITY] + [constant_at(x) for x in range(point_count)]
-    m = from_elements(
+    return from_elements(
         elements,
         constants_mul,
         CONSTANTS_IDENTITY,
         label=label or f"~{point_count}",
         provenance=provenance or {"kind": "family", "family": "constants", "points": point_count},
     )
-    assert is_aperiodic(m)
-    return m
 
 
 def augmented_monoid(acting: Monoid, action: list[tuple[int, ...]] | None = None,
@@ -291,7 +286,22 @@ def augmented_monoid(acting: Monoid, action: list[tuple[int, ...]] | None = None
 # -- dispatcher ---------------------------------------------------------------
 
 
+_FAMILIES: dict[tuple[FamilySpec, int], Monoid] = {}
+
+
 def build_family(spec: FamilySpec, limit: int = DEFAULT_LIMIT) -> Monoid:
+    """The monoid ``spec`` names, built once per (spec, limit) and shared.
+
+    Every later call returns the same object, so callers must not mutate it.
+    """
+    key = (spec, limit)
+    m = _FAMILIES.get(key)
+    if m is None:
+        m = _FAMILIES[key] = _build(spec, limit)
+    return m
+
+
+def _build(spec: FamilySpec, limit: int) -> Monoid:
     kind, n, ring = spec.kind, spec.n, spec.ring
     if kind == "U1":
         return u1()
@@ -302,7 +312,7 @@ def build_family(spec: FamilySpec, limit: int = DEFAULT_LIMIT) -> Monoid:
     if kind in ("T", "UT", "T*", "UT*"):
         return _matrix_monoid(kind, n, ring, limit)
     if kind in ("PT", "PT*"):
-        base = _matrix_monoid("T" if kind == "PT" else "T*", n, ring, limit)
+        base = build_family(FamilySpec(kind[1:], n, ring), limit)
         scalars = _scalar_unit_indices(base, ring)
         quotient, _ = quotient_by_central_units(base, scalars)
         quotient.label = spec.label()
@@ -311,7 +321,7 @@ def build_family(spec: FamilySpec, limit: int = DEFAULT_LIMIT) -> Monoid:
     if kind in ("A", "AT", "AS"):
         return _affine_monoid(kind, n, ring, limit)
     if kind in ("A*", "AT*", "AS*"):
-        base = _affine_monoid(kind[:-1], n, ring, limit)
+        base = build_family(FamilySpec(kind[:-1], n, ring), limit)
         group = maximal_subgroup(base, base.identity)
         group.label = spec.label()
         group.provenance = spec.descriptor()

@@ -17,7 +17,6 @@ def _ring(spec: str):
     return make_prime_field(int(spec))
 
 
-@lru_cache(maxsize=None)
 def cached_family(kind: str, n: int, ring_spec: str):
     return build_family(FamilySpec(kind, n, _ring(ring_spec)))
 

@@ -1,12 +1,14 @@
-"""Structure cross-checks run exhaustively on small matrix families.
+"""Structure cross-checks run exhaustively on small monoids.
 
 Each check compares an independent characterization against the library's
 Green's-relation machinery, element by element, and returns the number of
-violations (expected to be zero everywhere).
+violations (expected to be zero everywhere).  The library computes each
+answer one way; the second ways live here.
 """
 
 from oracles import columns, rows, span_membership
-from semidec.monoid import greens, quotient_by_central_units
+from semidec.families import constants_monoid
+from semidec.monoid import greens, is_aperiodic, is_group, maximal_subgroup, quotient_by_central_units
 from semidec.trimat import classify, matrix
 
 
@@ -109,4 +111,54 @@ def projective_quotient_respects_structure(t_monoid, scalar_indices) -> int:
                 down = getattr(rep_q, kind)
                 if (up[x] == up[y]) != (down[proj[x]] == down[proj[y]]):
                     bad += 1
+    return bad
+
+
+def greens_refinement_and_regularity(m) -> int:
+    """H refines L and R, L and R refine J, and x is regular iff x in xSx."""
+    rep = greens(m)
+    table = m.table_array()
+    bad = 0
+    for finer, coarser in (("h", "l"), ("h", "r"), ("l", "j"), ("r", "j")):
+        seen: dict[int, int] = {}
+        fine, coarse = getattr(rep, finer), getattr(rep, coarser)
+        for x in range(len(m)):
+            if seen.setdefault(fine[x], coarse[x]) != coarse[x]:
+                bad += 1
+    for x in range(len(m)):
+        if rep.regular[x] != any(table[table[x, y], x] == x for y in range(len(m))):
+            bad += 1
+    return bad
+
+
+def aperiodic_by_h_classes(m) -> int:
+    """Aperiodic iff the H-class of every idempotent is trivial."""
+    rep = greens(m)
+    h_sizes: dict[int, int] = {}
+    for h in rep.h:
+        h_sizes[h] = h_sizes.get(h, 0) + 1
+    by_subgroups = all(h_sizes[rep.h[e]] == 1 for e in rep.idempotents)
+    return int(is_aperiodic(m) != by_subgroups)
+
+
+def maximal_subgroups_not_groups(m) -> int:
+    """The H-class of each idempotent, as a monoid, must be a group."""
+    return sum(not is_group(maximal_subgroup(m, e)) for e in greens(m).idempotents)
+
+
+def projection_not_homomorphic(m, scalar_indices) -> int:
+    """Pairs on which the quotient projection fails to be multiplicative."""
+    quotient, proj = quotient_by_central_units(m, scalar_indices)
+    n = len(m)
+    return sum(
+        proj[m.mul(x, y)] != quotient.mul(proj[x], proj[y]) for x in range(n) for y in range(n)
+    )
+
+
+def constants_monoids_not_aperiodic(point_counts) -> int:
+    """Constants monoids are aperiodic, by both criteria."""
+    bad = 0
+    for k in point_counts:
+        m = constants_monoid(k)
+        bad += (not is_aperiodic(m)) + aperiodic_by_h_classes(m)
     return bad

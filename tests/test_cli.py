@@ -109,6 +109,29 @@ def test_env_limit(tmp_path, capsys, monkeypatch):
     assert "SizeLimitExceeded" in stderr
 
 
+def test_env_limit_not_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SEMIDEC_LIMIT", "abc")
+    with pytest.raises(SystemExit) as err:
+        main(["verify", str(tmp_path / "cert.json")])
+    assert err.value.code == 2
+    stderr = capsys.readouterr().err
+    assert [line for line in stderr.splitlines() if "error:" in line] == [
+        "semidec verify: error: argument --limit: invalid int value: 'abc'"
+    ]
+    assert "Traceback" not in stderr
+
+
+def test_verify_truncated_json(tmp_path, capsys):
+    cert = tmp_path / "cert.json"
+    run(["decompose", "--pipeline", "ring", "--n", "2", "--ring", "zp:2", "--cert", str(cert)], capsys)
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text(cert.read_text()[:100])
+    code, stdout, stderr = run(["verify", str(truncated)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: invalid JSON:")
+
+
 def test_fresh_process_decompose_then_verify(tmp_path):
     import subprocess
     import sys

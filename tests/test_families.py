@@ -15,6 +15,7 @@ from semidec.families import (
     u1,
 )
 from semidec.monoid import is_aperiodic, is_group, isomorphic, maximal_subgroup
+from semidec.semiring import make_from_tables
 from semidec.trimat import AffineMap, affine_to_matrix, identity_entries, mul_entries
 
 
@@ -201,8 +202,6 @@ def test_diagonal_subgroup(fam, ring_spec, n):
 
 
 def test_user_table_field_gf4():
-    from semidec.semiring import make_from_tables
-
     add = [[i ^ j for j in range(4)] for i in range(4)]
     mul = [[0, 0, 0, 0], [0, 1, 2, 3], [0, 2, 3, 1], [0, 3, 1, 2]]
     gf4 = make_from_tables(add, mul, 0, 1, label="GF_4")
@@ -210,3 +209,45 @@ def test_user_table_field_gf4():
     assert len(family("T", 2, gf4)) == 64
     assert len(family("AS*", 1, gf4)) == 12
     assert is_group(family("AS*", 1, gf4))
+
+
+def test_family_built_once(z3):
+    assert family("T", 2, z3) is family("T", 2, z3)
+    assert build_family(FamilySpec("AS*", 1, z3)) is family("AS*", 1, z3)
+
+
+def test_projective_family_reuses_cached_base(monkeypatch):
+    import semidec.families as families
+    from semidec.semiring import make_prime_field
+
+    # a ring no other test uses, so neither family is cached yet
+    std = make_prime_field(3)
+    ring = make_from_tables(std.add, std.mul, 0, 1, label="Z_3 reuse")
+    calls = []
+    original = families._matrix_monoid
+
+    def counting(kind, *args):
+        calls.append(kind)
+        return original(kind, *args)
+
+    monkeypatch.setattr(families, "_matrix_monoid", counting)
+    pt = build_family(FamilySpec("PT", 2, ring))
+    t2 = family("T", 2, ring)
+    assert calls == ["T"]
+    assert len(pt) == 14 and len(t2) == 27
+
+
+def test_bulk_table_needs_standard_zp_tables(fam):
+    from semidec.monoid import depth_report
+
+    # Z_3 with element i stored at index (i + 1) % 3, still labelled Z_3
+    at = {i: (i + 1) % 3 for i in range(3)}
+    value = {j: i for i, j in at.items()}
+    add = [[at[(value[a] + value[b]) % 3] for b in range(3)] for a in range(3)]
+    mul = [[at[(value[a] * value[b]) % 3] for b in range(3)] for a in range(3)]
+    permuted = make_from_tables(add, mul, at[0], at[1], label="Z_3")
+    ut3 = family("UT", 3, permuted)
+    standard = fam("UT", 3, "3")
+    assert len(ut3) == len(standard) == 216
+    assert depth_report(ut3).census == depth_report(standard).census
+    assert depth_report(ut3).depth == depth_report(standard).depth

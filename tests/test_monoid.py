@@ -75,6 +75,11 @@ def test_greens_t2z2_against_oracle(fam, z2):
         assert rep.regular[x] == is_regular(t2.elements[x], list(t2.elements), mul)
 
 
+def test_greens_computed_once(fam):
+    t2 = fam("T", 2, "3")
+    assert greens(t2) is greens(t2)
+
+
 def test_greens_group_single_class(fam):
     g = fam("AS*", 1, "3")
     rep = greens(g)

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,21 @@ from semidec.wreath import (
     enumerate_wreath,
     restrict_base,
 )
+
+
+def wreath_elements(ctx):
+    """The element list of top wr base in enumerate_wreath's order, without its table."""
+    top = ctx.top.elements
+    return [
+        (tuple(top[i] for i in tab), base_val)
+        for tab in product(range(len(top)), repeat=len(ctx.base))
+        for base_val in ctx.base.elements
+    ]
+
+
+def test_wreath_elements_in_enumeration_order(fam):
+    for ctx in (WreathContext(u1(), u1()), WreathContext(fam("AS", 1, "2"), fam("T", 1, "2"))):
+        assert wreath_elements(ctx) == enumerate_wreath(ctx).elements
 
 
 def test_identity_law():
@@ -121,9 +137,9 @@ def test_associativity_random_triples(fam):
     t1 = fam("T", 1, "2")
     base = direct_product(t1, t1)
     ctx = WreathContext(as1, base)
-    w = enumerate_wreath(ctx)
+    els = wreath_elements(ctx)
+    assert len(els) == 1024
     rng = random.Random(7)
-    els = w.elements
     for _ in range(10_000):
         x, y, z = (els[rng.randrange(len(els))] for _ in range(3))
         assert ctx.mul_value(ctx.mul_value(x, y), z) == ctx.mul_value(x, ctx.mul_value(y, z))
@@ -134,9 +150,10 @@ def test_identity_two_sided_full_small_base(fam):
     t1 = fam("T", 1, "2")
     base = direct_product(t1, t1)
     ctx = WreathContext(as1, base)
-    w = enumerate_wreath(ctx)
+    els = wreath_elements(ctx)
+    assert len(els) == 1024
     e = ctx.identity_value
-    for x in w.elements:
+    for x in els:
         assert ctx.mul_value(e, x) == x
         assert ctx.mul_value(x, e) == x
 
