@@ -4,7 +4,8 @@ Subcommands: family (build and export a monoid), analyze (structure
 reports), decompose (run a pipeline and write certificates), verify
 (re-check certificates from file), search (exhaustive division search),
 export (render a report in another format).  Exit codes: 0 success,
-1 verification failure or negative search, 2 usage error.
+1 verification failure or negative search, 2 usage error or a monoid file
+whose table is not a monoid.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import os
 import sys
 
 from semidec.decomp import DecompositionPlan, field_pipeline, ring_pipeline
-from semidec.errors import SemidecError, UnsupportedFormat
+from semidec.errors import InvalidMonoid, SemidecError, UnsupportedFormat
 from semidec.families import FAMILY_KINDS, FamilySpec, build_family
 from semidec.monoid import DEFAULT_LIMIT, depth_report, dot_j_order, greens
 from semidec.monoid import from_json as monoid_from_json
@@ -221,7 +222,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SemidecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidMonoid) else 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

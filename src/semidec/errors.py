@@ -58,6 +58,13 @@ class NotIdempotent(SemidecError):
     pass
 
 
+class InvalidMonoid(SemidecError):
+    """A multiplication table that does not define a monoid on its elements."""
+
+    def __init__(self, label, detail):
+        super().__init__(f"{label or 'monoid'}: {detail}")
+
+
 class NotCentral(SemidecError):
     """Carries a witness pair (z, x) with zx != xz."""
 
@@ -77,7 +84,19 @@ class ContextMismatch(SemidecError):
 
 
 class NotClosed(SemidecError):
-    pass
+    """A product is not in the element list; ``pair`` holds the factors' indices when known."""
+
+    def __init__(self, message, pair=None):
+        self.pair = pair
+        super().__init__(message)
+
+    @classmethod
+    def product(cls, what, i, j, elements):
+        return cls(
+            f"{what or 'monoid'}: the product of elements {i} and {j} "
+            f"({elements[i]!r} * {elements[j]!r}) is not in the element list",
+            (i, j),
+        )
 
 
 # -- division witnesses --

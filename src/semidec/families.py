@@ -10,13 +10,15 @@ the same element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
 
-from semidec.errors import ActionNotFaithful, FieldRequired, SizeLimitExceeded
+from semidec.errors import ActionNotFaithful, FieldRequired, NotClosed, SizeLimitExceeded
 from semidec.monoid import (
     DEFAULT_LIMIT,
+    TABLE_BOUND,
     Monoid,
     from_elements,
     maximal_subgroup,
@@ -103,17 +105,54 @@ def _matrix_elements(kind: str, n: int, ring: SemiringTable) -> list[tuple]:
     return out
 
 
-def _zp_matrix_table(p: int, elements: list[tuple]) -> np.ndarray:
-    """Multiplication table for Z_p matrix entry patterns, in bulk."""
-    m = len(elements)
-    n = len(elements[0])
-    stack = np.array(elements, dtype=np.int64)
-    lookup = {e: i for i, e in enumerate(elements)}
+_BLOCK_CELLS = 8192  # products per block of table rows; bounds the kernel's working memory
+
+
+def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "") -> np.ndarray:
+    """Multiplication table of distinct upper triangular entry patterns.
+
+    Entry (i, j) of a product folds ``ring.add`` over ``ring.mul[a[i][k]][b[k][j]]``
+    for k = 0..n-1, starting from ``ring.zero``, in the order of
+    ``trimat.mul_entries``, so every semiring table gives the per-pair
+    products.  Row i of a product depends only on row i of its left factor,
+    so the fold runs once per distinct row and right factor.  A product is
+    then the sum of its rows' base-``ring.size`` codes over the upper
+    triangle, found by binary search among the element codes, in fixed-size
+    blocks of table rows.  Raises ``NotClosed`` at the first product, in
+    row-major order, that is not in ``elements``.
+    """
+    size, m, n = ring.size, len(elements), len(elements[0])
+    ent = np.array(elements, dtype=np.int64)
+    add = np.array(ring.add, dtype=np.int64).ravel()
+    mul = np.array(ring.mul, dtype=np.int64).ravel()
+    upper = np.triu(np.ones((n, n), dtype=bool))
+    weights = np.zeros((n, n), dtype=np.int64)
+    weights[upper] = size ** np.arange(int(upper.sum()), dtype=np.int64)
+    # added once per row with a non-zero entry below the diagonal, so such a
+    # product's code exceeds every element code
+    outside = size ** int(upper.sum())
+    codes = (ent * weights).sum(axis=(1, 2))
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    row_codes, row_ids = [], []
+    for i in range(n):
+        rows, ids = np.unique(ent[:, i, :], axis=0, return_inverse=True)
+        acc = np.full((len(rows), m, n), ring.zero, dtype=np.int64)
+        for k in range(n):
+            acc = add[acc * size + mul[rows[:, None, k, None] * size + ent[None, :, k, :]]]
+        row_codes.append(acc @ weights[i] + outside * (acc[:, :, :i] != ring.zero).any(axis=2))
+        row_ids.append(ids.ravel())
     table = np.empty((m, m), dtype=np.int32)
-    for i in range(m):
-        prods = np.einsum("jk,mkl->mjl", stack[i], stack) % p
-        for j in range(m):
-            table[i, j] = lookup[tuple(map(tuple, prods[j]))]
+    step = max(1, _BLOCK_CELLS // m)
+    for start in range(0, m, step):
+        block = slice(start, start + step)
+        prod = sum(row_codes[i][row_ids[i][block]] for i in range(n))
+        pos = np.minimum(np.searchsorted(sorted_codes, prod), m - 1)
+        missing = sorted_codes[pos] != prod
+        if missing.any():
+            a, b = (int(x) for x in np.argwhere(missing)[0])
+            raise NotClosed.product(what, start + a, b, elements)
+        table[block] = order[pos]
     return table
 
 
@@ -122,17 +161,11 @@ def _matrix_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
     if ring.size ** count_positions > limit:
         raise SizeLimitExceeded(limit, f"{kind}_{n}({ring.label}) enumeration")
     elements = _matrix_elements(kind, n, ring)
-    ident = identity_entries(ring, n)
     spec = FamilySpec(kind, n, ring)
-
-    def mul(a, b):
-        return mul_entries(ring, a, b)
-
-    table = None
-    if ring.descriptor().get("builtin") == "zp" and len(elements) > 64:
-        table = _zp_matrix_table(ring.size, elements)
-    return Monoid(elements, ident, mul_fn=mul, table=table,
-                  label=spec.label(), provenance=spec.descriptor())
+    # past the table bound, products come from the memoized per-pair oracle
+    table = triangular_table(ring, elements, spec.label()) if len(elements) <= TABLE_BOUND else None
+    return Monoid(elements, identity_entries(ring, n), mul_fn=partial(mul_entries, ring),
+                  table=table, label=spec.label(), provenance=spec.descriptor())
 
 
 # -- affine families ----------------------------------------------------------

@@ -15,7 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from semidec.errors import NotCentral, NotFunctional, NotIdempotent, SizeLimitExceeded
+from semidec.errors import (
+    InvalidMonoid,
+    NotCentral,
+    NotClosed,
+    NotFunctional,
+    NotIdempotent,
+    SizeLimitExceeded,
+)
 from semidec.keys import key_hex, value_json
 
 DEFAULT_LIMIT = 100_000
@@ -58,21 +65,29 @@ class Monoid:
     def _build_table(self):
         n = len(self.elements)
         table = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(self.elements):
+        for i in range(n):
             row = table[i]
-            for j, b in enumerate(self.elements):
-                row[j] = self.index[self._mul_fn(a, b)]
+            for j in range(n):
+                row[j] = self._product_index(i, j)
         return table
+
+    def _product_index(self, i: int, j: int) -> int:
+        out = self.index.get(self._mul_fn(self.elements[i], self.elements[j]))
+        if out is None:
+            raise NotClosed.product(self.label, i, j, self.elements)
+        return out
 
     def _spot_check(self):
         n = len(self.elements)
         e = self.identity
         for i in range(n):
-            assert self.mul(e, i) == i and self.mul(i, e) == i, "identity is not two-sided"
+            if self.mul(e, i) != i or self.mul(i, e) != i:
+                raise InvalidMonoid(self.label, f"identity is not two-sided at element {i}")
         rng = random.Random(0x5EED)
         for _ in range(min(_SPOT_TRIPLES, n * n)):
             a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            assert self.mul(self.mul(a, b), c) == self.mul(a, self.mul(b, c)), "product not associative"
+            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
+                raise InvalidMonoid(self.label, f"product not associative at {(a, b, c)}")
 
     def __len__(self):
         return len(self.elements)
@@ -86,8 +101,7 @@ class Monoid:
         key = (i, j)
         out = self._memo.get(key)
         if out is None:
-            value = self._mul_fn(self.elements[i], self.elements[j])
-            out = self.index[value]
+            out = self._product_index(i, j)
             if len(self._memo) < 4 * DEFAULT_LIMIT:
                 self._memo[key] = out
         return out
@@ -100,6 +114,13 @@ class Monoid:
     @property
     def identity_value(self):
         return self.elements[self.identity]
+
+    def products(self, rows, cols) -> np.ndarray:
+        """Block of product indices ``rows[i] * cols[j]``, sliced from the table if there is one."""
+        if self._table is not None:
+            return self._table[np.ix_(rows, cols)]
+        block = [[self.mul(i, j) for j in cols] for i in rows]
+        return np.array(block, dtype=np.int32).reshape(len(rows), len(cols))
 
     def table_array(self) -> np.ndarray:
         if self._table is None:
@@ -221,7 +242,10 @@ def from_elements(
 
 
 def check_associativity(m: Monoid, full_limit: int = 512, samples: int = 10_000, seed: int = 0xA550C) -> None:
-    """Full check up to ``full_limit`` elements, seeded random triples beyond."""
+    """Full check up to ``full_limit`` elements, seeded random triples beyond.
+
+    Raises ``InvalidMonoid`` naming the first failing triple found.
+    """
     n = len(m)
     if n <= full_limit:
         table = m.table_array()
@@ -230,13 +254,16 @@ def check_associativity(m: Monoid, full_limit: int = 512, samples: int = 10_000,
             block = table[start : start + step]  # rows for x in this chunk
             left = table[block, :]  # left[i,j,k] = (x_i x_j) x_k
             right = np.take(block, table, axis=1)  # right[i,j,k] = x_i (x_j x_k)
-            if not np.array_equal(left, right):
-                raise AssertionError("associativity failed on full check")
+            bad = np.argwhere(left != right)
+            if len(bad):
+                a, b, c = (int(x) for x in bad[0])
+                raise InvalidMonoid(m.label, f"product not associative at {(start + a, b, c)}")
         return
     rng = random.Random(seed)
     for _ in range(samples):
         a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        assert m.mul(m.mul(a, b), c) == m.mul(a, m.mul(b, c))
+        if m.mul(m.mul(a, b), c) != m.mul(a, m.mul(b, c)):
+            raise InvalidMonoid(m.label, f"product not associative at {(a, b, c)}")
 
 
 # -- Green's relations -------------------------------------------------------
@@ -331,11 +358,19 @@ def maximal_subgroup(m: Monoid, e: int) -> Monoid:
         raise NotIdempotent(f"element {e} is not idempotent")
     rep = greens(m)
     members = [x for x in range(len(m)) if rep.h[x] == rep.h[e]]
-    return from_elements(
-        [m.elements[i] for i in members],
-        m.mul_value,
+    values = [m.elements[x] for x in members]
+    position = np.full(len(m), -1, dtype=np.int32)
+    position[members] = np.arange(len(members), dtype=np.int32)
+    table = position[m.products(members, members)]
+    label = f"H({m.label}, {e})"
+    if (table < 0).any():
+        a, b = (int(x) for x in np.argwhere(table < 0)[0])
+        raise NotClosed.product(label, a, b, values)
+    return Monoid(
+        values,
         m.elements[e],
-        label=f"H({m.label}, {e})",
+        table=table,
+        label=label,
         provenance={
             "kind": "h_class_group",
             "base": m.descriptor(),
@@ -473,34 +508,31 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
         for b in z:
             if m.mul(a, b) not in zset:
                 raise ValueError("subgroup not closed under multiplication")
-        if not any(m.mul(a, b) == e and m.mul(b, a) == e and b in zset for b in range(len(m))):
+        if not any(m.mul(a, b) == e and m.mul(b, a) == e for b in z):
             raise ValueError("subgroup element without inverse in subgroup")
-    for a in z:
-        for x in range(len(m)):
-            if m.mul(a, x) != m.mul(x, a):
-                raise NotCentral((m.elements[a], m.elements[x]))
+    everything = range(len(m))
+    times_z = m.products(everything, z)  # times_z[x, i] = x z_i
+    clash = np.argwhere(m.products(z, everything) != times_z.T)
+    if len(clash):
+        a, x = (int(v) for v in clash[0])
+        raise NotCentral((m.elements[z[a]], m.elements[x]))
 
     orbit_of: dict[int, int] = {}
     orbits: list[tuple[int, ...]] = []
     for x in range(len(m)):
         if x in orbit_of:
             continue
-        members = sorted({m.mul(x, a) for a in z})
+        members = sorted({int(y) for y in times_z[x]})
         oid = len(orbits)
         orbits.append(tuple(members))
         for y in members:
             orbit_of[y] = oid
     projection = [orbit_of[x] for x in range(len(m))]
     reps = [orbit[0] for orbit in orbits]
-    orbit_to_id = {orbit: i for i, orbit in enumerate(orbits)}
-
-    def qmul(a, b):
-        return orbits[orbit_of[m.mul(reps[orbit_to_id[a]], reps[orbit_to_id[b]])]]
-
-    quotient = from_elements(
+    quotient = Monoid(
         orbits,
-        qmul,
         orbits[orbit_of[e]],
+        table=np.asarray(projection, dtype=np.int32)[m.products(reps, reps)],
         label=f"{m.label}/central" if m.label else "quotient",
         provenance={
             "kind": "quotient_central",
@@ -652,19 +684,29 @@ def to_json(m: Monoid, include_table: bool = True) -> dict:
 
 
 def from_json(obj: dict) -> Monoid:
+    """Rebuild a monoid from its JSON form, checking the untrusted table in full.
+
+    The table must be a square array of element indices with the stated
+    identity on both sides, and associative; otherwise ``InvalidMonoid``.
+    """
     from semidec.keys import decode_key
 
     elements = [decode_key(bytes.fromhex(k)) for k in obj["elements"]]
-    table = obj.get("table")
-    if table is None:
-        raise ValueError("monoid JSON without a table cannot be rebuilt directly")
-    return Monoid(
-        elements,
-        elements[obj["identity"]],
-        table=table,
-        label=obj.get("label", ""),
-        provenance=obj.get("provenance"),
-    )
+    label, n, e = obj.get("label", ""), len(elements), obj["identity"]
+    try:
+        table = np.array(obj.get("table"))
+    except ValueError:  # ragged rows
+        table = None
+    if table is None or table.shape != (n, n) or table.dtype.kind not in "iu":
+        raise InvalidMonoid(label, f"table is not a {n} x {n} array of element indices")
+    if table.min() < 0 or table.max() >= n:
+        raise InvalidMonoid(label, f"table entry out of range 0..{n - 1}")
+    if not isinstance(e, int) or not 0 <= e < n:
+        raise InvalidMonoid(label, f"identity index {e!r} out of range")
+    # the constructor checks the identity on both sides of every element
+    m = Monoid(elements, elements[e], table=table, label=label, provenance=obj.get("provenance"))
+    check_associativity(m, full_limit=n)
+    return m
 
 
 def dot_j_order(depth: dict) -> str:

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from functools import lru_cache
 from pathlib import Path
@@ -8,6 +10,18 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from semidec.families import FamilySpec, build_family
 from semidec.semiring import make_boolean_semiring, make_prime_field
+
+
+SRC = str(Path(__file__).parent.parent / "src")
+
+
+def run_cli(args, optimize: bool = False) -> subprocess.CompletedProcess:
+    """Run ``semidec`` in a fresh interpreter; ``optimize`` adds ``-O``, which strips asserts."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *(["-O"] if optimize else []), "-m", "semidec.cli", *args],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 @lru_cache(maxsize=None)

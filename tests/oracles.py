@@ -3,7 +3,8 @@
 Everything here recomputes results by definition-level brute force,
 independently of the package's algorithms: Green's relations by pairwise
 ideal comparison, pair and target closures by plain dict and set loops,
-spans by enumerating all linear combinations.
+matrix tables by one product per pair, spans by enumerating all linear
+combinations.
 """
 
 from itertools import product
@@ -64,6 +65,27 @@ def target_closure(gens, mul):
         frontier = new - closure
         closure |= frontier
     return closure
+
+
+def matrix_product(ring, a, b):
+    """Entry (i, j) folds ring.add over ring.mul[a[i][k]][b[k][j]], k ascending, from zero."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            total = ring.zero
+            for k in range(n):
+                total = ring.add[total][ring.mul[a[i][k]][b[k][j]]]
+            row.append(total)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def pairwise_matrix_table(ring, elements):
+    """Multiplication table of matrix entry patterns: one product and one dict lookup per pair."""
+    index = {v: i for i, v in enumerate(elements)}
+    return [[index[matrix_product(ring, a, b)] for b in elements] for a in elements]
 
 
 def span_membership(ring, vectors, target):

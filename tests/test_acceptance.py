@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from conftest import cached_family, cached_field_plan, cached_ring_plan, _ring
+from conftest import cached_family, cached_field_plan, cached_ring_plan, _ring, run_cli
 from propchecks import (
     greens_vs_multiplication_orbits,
     projective_quotient_respects_structure,
@@ -171,6 +171,19 @@ def test_criterion_7_negative_controls():
     assert err.value.law == "multiplicative-associativity"
     assert len(err.value.counterexample) == 3
     _report("7 negative controls", "tampered certificate, impossible division, bad table")
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_criterion_7_tampered_bundle_fails_in_fresh_process(tmp_path, optimize):
+    # the verdict must not rest on asserts, which python -O strips
+    blob = witness_to_json(induction_step(2, make_prime_field(2)))
+    blob["pairs"][0][1], blob["pairs"][1][1] = blob["pairs"][1][1], blob["pairs"][0][1]
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps({"certificates": [blob]}))
+    proc = run_cli(["verify", str(path)], optimize)
+    assert proc.returncode == 1, proc.stderr
+    assert "FAILED NotFunctional" in proc.stdout
+    assert "Traceback" not in proc.stderr
 
 
 def test_criterion_8_deterministic_certificates(tmp_path):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from conftest import run_cli
 from semidec.cli import main
 
 
@@ -65,6 +66,73 @@ def test_verify_bundle_ok_and_corrupted(tmp_path, capsys):
     code, stdout, _ = run(["verify", str(bad)], capsys)
     assert code == 1
     assert "NotFunctional" in stdout
+
+
+def _t2_file(tmp_path, capsys):
+    mon = tmp_path / "m.json"
+    run(["family", "--kind", "T", "--n", "2", "--ring", "zp:2", "--out", str(mon)], capsys)
+    return mon, json.loads(mon.read_text())
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_analyze_rejects_non_associative_table(tmp_path, capsys, optimize):
+    mon, payload = _t2_file(tmp_path, capsys)
+    table, e = payload["table"], payload["identity"]
+    x, y = [v for v in range(len(table)) if v != e][:2]
+    table[x][y] = (table[x][y] + 1) % len(table)
+    mon.write_text(json.dumps(payload))
+    proc = run_cli(["analyze", str(mon)], optimize)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: InvalidMonoid:") and "not associative" in proc.stderr
+
+
+def _entry_out_of_range(payload):
+    payload["table"][1][2] = len(payload["table"])
+
+
+def _float_entry(payload):
+    payload["table"][1][2] = 1.5
+
+
+def _row_missing(payload):
+    payload["table"].pop()
+
+
+def _identity_row_reversed(payload):
+    payload["table"][payload["identity"]].reverse()
+
+
+def _identity_index_out_of_range(payload):
+    payload["identity"] = 99
+
+
+def _no_table(payload):
+    del payload["table"]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_entry_out_of_range, "out of range"),
+        (_float_entry, "array of element indices"),
+        (_row_missing, "array of element indices"),
+        (_identity_row_reversed, "identity is not two-sided"),
+        (_identity_index_out_of_range, "identity index 99"),
+        (_no_table, "array of element indices"),
+    ],
+    ids=["range", "entry type", "shape", "identity", "identity index", "no table"],
+)
+def test_monoid_file_checked_before_analysis(tmp_path, capsys, corrupt, message):
+    mon, payload = _t2_file(tmp_path, capsys)
+    corrupt(payload)
+    mon.write_text(json.dumps(payload))
+    for argv in (["analyze", str(mon)], ["search", "--source", str(mon), "--target", str(mon)]):
+        code, stdout, stderr = run(argv, capsys)
+        assert code == 2
+        assert stdout == ""
+        assert stderr.startswith("error: InvalidMonoid:") and message in stderr
 
 
 def test_search_not_found(tmp_path, capsys):

@@ -251,3 +251,48 @@ def test_bulk_table_needs_standard_zp_tables(fam):
     assert len(ut3) == len(standard) == 216
     assert depth_report(ut3).census == depth_report(standard).census
     assert depth_report(ut3).depth == depth_report(standard).depth
+
+
+def _permuted_z3():
+    # Z_3 with element i stored at index (i + 1) % 3, still labelled Z_3
+    at = {i: (i + 1) % 3 for i in range(3)}
+    value = {j: i for i, j in at.items()}
+    add = [[at[(value[a] + value[b]) % 3] for b in range(3)] for a in range(3)]
+    mul = [[at[(value[a] * value[b]) % 3] for b in range(3)] for a in range(3)]
+    return make_from_tables(add, mul, at[0], at[1], label="Z_3")
+
+
+@pytest.mark.parametrize("ring_name", ["2", "3", "bool", "permuted Z_3"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["T", "UT", "T*", "UT*"])
+def test_triangular_table_matches_pairwise_oracle(kind, n, ring_name, request):
+    from oracles import pairwise_matrix_table
+
+    if ring_name == "permuted Z_3":
+        ring = _permuted_z3()
+    else:
+        ring = request.getfixturevalue({"2": "z2", "3": "z3", "bool": "boolean"}[ring_name])
+    m = family(kind, n, ring)
+    assert m.table_array().tolist() == pairwise_matrix_table(ring, m.elements)
+
+
+@pytest.mark.parametrize("build", ["kernel", "monoid"])
+def test_table_of_non_closed_elements_names_the_pair(build, z3):
+    from semidec.errors import NotClosed
+    from semidec.families import triangular_table
+    from semidec.monoid import Monoid
+
+    elements = list(family("T", 2, z3).elements)
+    dropped = elements.pop(5)
+    with pytest.raises(NotClosed) as err:
+        if build == "kernel":
+            triangular_table(z3, elements, "T_2(Z_3) minus one")
+        else:
+            Monoid(elements, identity_entries(z3, 2), mul_fn=lambda a, b: mul_entries(z3, a, b))
+    i, j = err.value.pair
+    assert mul_entries(z3, elements[i], elements[j]) == dropped
+    # the first missing product in row-major order, as a per-pair loop meets it
+    assert all(
+        mul_entries(z3, elements[a], elements[b]) in elements
+        for a in range(i + 1) for b in range(len(elements) if a < i else j)
+    )

@@ -4,9 +4,10 @@ from itertools import product
 import pytest
 
 from oracles import greens_j_classes, is_regular
-from semidec.errors import NotCentral, NotIdempotent, SizeLimitExceeded
+from semidec.errors import InvalidMonoid, NotCentral, NotIdempotent, SizeLimitExceeded
 from semidec.families import compose_tables, family, transformation_closure, u1
 from semidec.monoid import (
+    Monoid,
     check_associativity,
     close_generators,
     depth_report,
@@ -169,6 +170,17 @@ def test_quotient_t2z3_scalars(fam):
     assert set(proj) == set(range(14))
 
 
+def test_quotient_of_oracle_monoid_leaves_it_without_table(fam, z3):
+    t2 = fam("T", 2, "3")
+    oracle = Monoid(t2.elements, t2.identity_value, mul_fn=matrix_mul(z3), table_bound=0)
+    scalars = [t2.identity, t2.index[((2, 0), (0, 2))]]
+    q, proj = quotient_by_central_units(oracle, scalars)
+    expected, expected_proj = quotient_by_central_units(t2, scalars)
+    assert oracle._table is None
+    assert q.elements == expected.elements and proj == expected_proj
+    assert (q.table_array() == expected.table_array()).all()
+
+
 def test_quotient_trivial_subgroup(fam):
     t2 = fam("T", 2, "3")
     q, proj = quotient_by_central_units(t2, [t2.identity])
@@ -181,6 +193,49 @@ def test_quotient_rejects_non_central(fam):
     z = [t2.identity, t2.index[((1, 0), (0, 2))]]
     with pytest.raises(NotCentral):
         quotient_by_central_units(t2, z)
+
+
+def test_projective_quotient_table_matches_value_products(fam, z3):
+    from oracles import matrix_product
+
+    base, pt3 = fam("T", 3, "3"), fam("PT", 3, "3")
+    assert len(pt3) == 365
+    table = pt3.table_array()
+    for i, a in enumerate(pt3.elements):
+        for j, b in enumerate(pt3.elements):
+            # any member of an orbit represents it; the quotient slices from the first
+            value = matrix_product(z3, base.elements[a[-1]], base.elements[b[-1]])
+            assert base.index[value] in pt3.elements[table[i, j]]
+
+
+def test_h_class_tables_match_value_products(fam, z3):
+    from oracles import matrix_product
+
+    t3 = fam("T", 3, "3")
+    for e in greens(t3).idempotents:
+        h = maximal_subgroup(t3, e)
+        table = h.table_array()
+        for i, x in enumerate(h.elements):
+            for j, y in enumerate(h.elements):
+                assert h.elements[table[i, j]] == matrix_product(z3, x, y)
+
+
+def test_h_class_table_outside_the_class_raises(fam):
+    from dataclasses import replace
+
+    from semidec.errors import NotClosed
+
+    t2 = fam("T", 2, "3")
+    m = Monoid(t2.elements, t2.identity_value, table=t2.table_array())
+    nilpotent = m.index[((0, 1), (0, 0))]
+    rep = greens(m)
+    # a tampered H-partition that puts a nilpotent into the group of units
+    m._greens = replace(rep, h=tuple(rep.h[m.identity] if x == nilpotent else h for x, h in enumerate(rep.h)))
+    with pytest.raises(NotClosed) as err:
+        maximal_subgroup(m, m.identity)
+    members = [x for x, h in enumerate(m._greens.h) if h == m._greens.h[m.identity]]
+    a, b = err.value.pair
+    assert m.mul(members[a], members[b]) not in members
 
 
 def test_direct_product_counts():
@@ -210,6 +265,29 @@ def test_isomorphic_limit(fam):
 def test_associativity_checks(fam):
     check_associativity(fam("T", 2, "3"))
     check_associativity(fam("T", 3, "2"))
+
+
+def _corrupted(m, i, j):
+    table = m.table_array().copy()
+    table[i, j] = (table[i, j] + 1) % len(m)
+    return table
+
+
+def test_associativity_failures_are_typed(fam):
+    t2 = fam("T", 2, "2")
+    x, y = [v for v in range(len(t2)) if v != t2.identity][:2]
+    m = Monoid(t2.elements, t2.identity_value, table=t2.table_array())
+    m._table = _corrupted(t2, x, y)
+    with pytest.raises(InvalidMonoid, match="not associative"):
+        check_associativity(m)
+    with pytest.raises(InvalidMonoid, match="not associative"):
+        check_associativity(m, full_limit=0)
+
+
+def test_identity_failure_is_typed(fam):
+    t2 = fam("T", 2, "2")
+    with pytest.raises(InvalidMonoid, match="identity"):
+        Monoid(t2.elements, t2.identity_value, table=_corrupted(t2, t2.identity, 0))
 
 
 def test_json_round_trip(fam):
