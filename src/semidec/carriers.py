@@ -1,8 +1,9 @@
 """Multiplication carriers and their serializable descriptors.
 
 A carrier is anything a division witness can multiply target values in:
-an enumerated Monoid, a direct product of carriers, or a WreathContext.
-All three expose mul_value / identity_value / label / descriptor().
+an enumerated Monoid, a direct product of carriers, or a WreathContext,
+whose top and base are both enumerated Monoids with tables.  All three
+expose mul_value / identity_value / label / descriptor().
 Descriptors are plain dicts from which ``build_carrier`` reconstructs an
 equivalent carrier in a fresh process, which is what makes certificates
 re-checkable from their serialized form.
@@ -92,14 +93,14 @@ def build_monoid(desc: dict) -> Monoid:
     if kind == "wreath_enum":
         from semidec.wreath import enumerate_wreath
 
-        return enumerate_wreath(WreathContext(build_carrier(desc["top"]), build_monoid(desc["base"])))
+        return enumerate_wreath(WreathContext(build_monoid(desc["top"]), build_monoid(desc["base"])))
     raise ValueError(f"cannot rebuild monoid from descriptor kind {kind!r}")
 
 
 def build_carrier(desc: dict):
     kind = desc["kind"]
     if kind == "wreath_ctx":
-        return WreathContext(build_carrier(desc["top"]), build_monoid(desc["base"]))
+        return WreathContext(build_monoid(desc["top"]), build_monoid(desc["base"]))
     if kind == "product_carrier":
         return ProductCarrier(build_carrier(desc["left"]), build_carrier(desc["right"]))
     return build_monoid(desc)

@@ -4,8 +4,8 @@ Subcommands: family (build and export a monoid), analyze (structure
 reports), decompose (run a pipeline and write certificates), verify
 (re-check certificates from file), search (exhaustive division search),
 export (render a report in another format).  Exit codes: 0 success,
-1 verification failure or negative search, 2 usage error or a monoid file
-whose table is not a monoid.
+1 verification failure or negative search, 2 usage error, a monoid file
+whose table is not a monoid, or a malformed certificate.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import json
 import os
 import sys
 
-from semidec.decomp import DecompositionPlan, field_pipeline, ring_pipeline
-from semidec.errors import InvalidMonoid, SemidecError, UnsupportedFormat
+from semidec.decomp import field_pipeline, ring_pipeline
+from semidec.errors import InvalidCertificate, InvalidMonoid, SemidecError, UnsupportedFormat
 from semidec.families import FAMILY_KINDS, FamilySpec, build_family
 from semidec.monoid import DEFAULT_LIMIT, depth_report, dot_j_order, greens
 from semidec.monoid import from_json as monoid_from_json
@@ -77,27 +77,22 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _plan_payloads(plan: DecompositionPlan) -> tuple[dict, dict]:
-    cert = {
-        "plan": plan.summary(),
-        "certificates": [witness_to_json(w) for w in plan.witnesses],
-    }
-    if plan.composite is not None:
-        cert["composite"] = witness_to_json(plan.composite)
-    return plan.to_json(), cert
-
-
 def cmd_decompose(args) -> int:
     ring = parse_ring_spec(args.ring)
     if args.pipeline == "field":
         plan = field_pipeline(args.n, ring, limit=args.limit)
     else:
         plan = ring_pipeline(args.n, ring, limit=args.limit)
-    plan_json, cert_json = _plan_payloads(plan)
     if args.plan:
-        _dump(plan_json, args.plan)
+        _dump(plan.summary(), args.plan)
     if args.cert:
-        _dump(cert_json, args.cert)
+        cert = {
+            "plan": plan.summary(),
+            "certificates": [witness_to_json(w) for w in plan.witnesses],
+        }
+        if plan.composite is not None:
+            cert["composite"] = witness_to_json(plan.composite)
+        _dump(cert, args.cert)
     gl = plan.group_length if plan.group_length is not None else "n/a"
     print(f"group_length={gl}")
     print(f"composite_verified={bool(plan.composite and plan.composite.verified)}")
@@ -106,14 +101,17 @@ def cmd_decompose(args) -> int:
 
 def cmd_verify(args) -> int:
     payload = _load(args.cert)
-    if "certificates" in payload:
+    if isinstance(payload, dict) and isinstance(payload.get("certificates"), list):
         bundle = list(payload["certificates"])
         if "composite" in payload:
             bundle.append(payload["composite"])
     else:
         bundle = [payload]
     for i, obj in enumerate(bundle):
-        witness = witness_from_json(obj)
+        try:
+            witness = witness_from_json(obj)
+        except InvalidCertificate as exc:
+            raise InvalidCertificate(f"certificate {i}: {exc}") from None
         try:
             verify(witness, limit=args.limit)
         except SemidecError as exc:
@@ -222,7 +220,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SemidecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, InvalidMonoid) else 1
+        return 2 if isinstance(exc, (InvalidMonoid, InvalidCertificate)) else 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

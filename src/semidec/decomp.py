@@ -59,7 +59,6 @@ from semidec.witness import (
     mapped_witness,
     product_witness,
     times_to_wreath,
-    witness_to_json,
 )
 from semidec.wreath import WreathContext
 
@@ -158,13 +157,6 @@ class DecompositionPlan:
             "step_count": len(self.witnesses),
             "notes": self.notes,
         }
-
-    def to_json(self) -> dict:
-        out = self.summary()
-        out["witnesses"] = [witness_to_json(w) for w in self.witnesses]
-        if self.composite is not None:
-            out["composite"] = witness_to_json(self.composite)
-        return out
 
 
 @dataclass

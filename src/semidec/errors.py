@@ -124,6 +124,10 @@ class PreimageMissing(WitnessError):
     pass
 
 
+class InvalidCertificate(SemidecError):
+    """A certificate whose carriers cannot be rebuilt or whose pairs are not carrier values."""
+
+
 # -- reports --
 
 class CensusMismatch(SemidecError):

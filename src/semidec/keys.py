@@ -59,4 +59,6 @@ def value_json(value: Value):
 def value_from_json(obj) -> Value:
     if isinstance(obj, int):
         return obj
+    if not isinstance(obj, list):
+        raise ValueError(f"not an element value: {obj!r}")
     return tuple(value_from_json(v) for v in obj)

@@ -17,7 +17,9 @@ from operator import itemgetter
 
 from semidec.carriers import ProductCarrier, build_carrier, build_monoid
 from semidec.errors import (
+    ContextMismatch,
     FieldRequired,
+    InvalidCertificate,
     NotFunctional,
     NotSurjective,
     PreimageMissing,
@@ -42,6 +44,7 @@ class DivisionWitness:
         self.failure: str | None = None
         self._closure: list[tuple] | None = None
         self._mapping: dict | None = None
+        self._image: Monoid | None = None
 
     def __repr__(self):
         return f"DivisionWitness({self.label or 'anonymous'}, {self.status})"
@@ -70,7 +73,7 @@ class DivisionWitness:
                 out[s] = t
         return out
 
-    def image_submonoid(self, label: str = "") -> Monoid:
+    def image_submonoid(self) -> Monoid:
         """The closure's target elements as a restricted monoid.
 
         Canonical order is closure discovery order.  ``close_generators``
@@ -78,8 +81,11 @@ class DivisionWitness:
         the "close" descriptor keeps that order.  The closure must contain
         an element acting as a two-sided identity on it (always the case
         when the witness pairs the identities, as the pipelines do).
+        Built once and kept until the witness is verified again.
         """
         assert self._closure is not None, "witness has not been verified"
+        if self._image is not None:
+            return self._image
         values = [t for t, _ in self._closure]
         mul = self.target.mul_value
         ident = None
@@ -89,19 +95,21 @@ class DivisionWitness:
                 break
         if ident is None:
             raise WitnessError("closure has no two-sided identity; cannot form a base monoid")
-        return from_elements(
+        label = f"im({self.label})"
+        self._image = from_elements(
             values,
             self.target.mul_value,
             ident,
-            label=label or f"im({self.label})",
+            label=label,
             provenance={
                 "kind": "close",
                 "carrier": self.target.descriptor(),
                 "generators": [value_json(t) for t, _ in self.pairs],
                 "identity": value_json(ident),
-                "label": label or f"im({self.label})",
+                "label": label,
             },
         )
+        return self._image
 
 
 def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
@@ -114,6 +122,7 @@ def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """
     source, target = w.source, w.target
     mul_t, mul_s = target.mul_value, source.mul
+    w._image = None
 
     def mul(x, y):
         return (mul_t(x[0], y[0]), mul_s(x[1], y[1]))
@@ -239,11 +248,16 @@ def lift_left(w: DivisionWitness, top, source: Monoid | None = None,
 
 def lift_right(w: DivisionWitness, base: Monoid, source: Monoid | None = None,
                limit: int = DEFAULT_LIMIT) -> DivisionWitness:
-    """From A div B derive (A wr C) div (B wr C): apply preimages pointwise."""
+    """From A div B derive (A wr C) div (B' wr C), B' the traced image of w in B.
+
+    Preimages apply pointwise.  B' wr C is a subsemigroup of B wr C; the
+    restriction step records the top's inclusion.
+    """
     assert w.verified, "lift_right needs a verified witness"
     from semidec.wreath import enumerate_wreath
 
-    ctx = WreathContext(w.target, base)
+    sub = w.image_submonoid()
+    ctx = WreathContext(sub, base)
     if source is None:
         source = enumerate_wreath(WreathContext(w.source, base), limit)
     preim = w.preimage_table()
@@ -253,7 +267,9 @@ def lift_right(w: DivisionWitness, base: Monoid, source: Monoid | None = None,
         table, cval = value
         return (tuple(preim[a_index[x]] for x in table), cval)
 
-    steps = list(w.steps) + [{"kind": "lift_right", "base": base.descriptor(), "witness": w.label}]
+    restrict = {"top_from": w.target.descriptor(), "top_to": sub.descriptor()}
+    steps = list(w.steps) + [{"kind": "lift_right", "base": base.descriptor(),
+                              "witness": w.label, "restrict": restrict}]
     return mapped_witness(source, embed, ctx, steps=steps,
                           label=f"lift_right({w.label})", limit=limit)
 
@@ -436,11 +452,26 @@ def witness_to_json(w: DivisionWitness) -> dict:
 
 
 def witness_from_json(obj: dict) -> DivisionWitness:
-    source = build_monoid(obj["source"])
-    target = build_carrier(obj["target"])
-    pairs = []
-    for t_json, s_json in obj["pairs"]:
-        sval = value_from_json(s_json)
-        pairs.append((value_from_json(t_json), source.index[sval]))
+    """Rebuild a witness from its JSON form, unverified.
+
+    Each pair's source value must be a source element, and its target value
+    must multiply in the target carrier, which fixes it on the right by the
+    identity.  Anything malformed raises ``InvalidCertificate``.
+    """
+    where = ""
+    try:
+        source = build_monoid(obj["source"])
+        target = build_carrier(obj["target"])
+        pairs = []
+        for k, (t_json, s_json) in enumerate(obj["pairs"]):
+            where = f"pair {k}: "
+            sval, tval = value_from_json(s_json), value_from_json(t_json)
+            if sval not in source.index:
+                raise InvalidCertificate(f"{where}{s_json!r} is not an element of {source.label}")
+            if target.mul_value(tval, target.identity_value) != tval:
+                raise InvalidCertificate(f"{where}{t_json!r} is not a value of {target.label}")
+            pairs.append((tval, source.index[sval]))
+    except (KeyError, IndexError, TypeError, ValueError, ContextMismatch) as exc:
+        raise InvalidCertificate(f"{where}{type(exc).__name__}: {exc}") from None
     return DivisionWitness(source, target, pairs, steps=obj.get("steps", []),
                            label=obj.get("label", ""))

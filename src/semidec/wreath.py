@@ -1,9 +1,10 @@
 """Wreath products with lazy multiplication over enumerated bases.
 
-An element of ``top wr base`` is a pair ``(table, b)`` where ``table`` is a
-dense tuple of top values indexed by the base monoid's canonical order and
-``b`` is a base value.  The product shifts the right table's argument by
-the left base part:
+Both sides of ``top wr base`` are enumerated monoids with tables.  An
+element is a pair ``(table, b)`` where ``table`` is a dense tuple of top
+values indexed by the base monoid's canonical order and ``b`` is a base
+value.  The product shifts the right table's argument by the left base
+part, computed as one gather from the two tables on top indices:
 
     (f, a) (g, b) = (t -> f[t] * g[t a],  a b)
 
@@ -26,17 +27,17 @@ from semidec.monoid import DEFAULT_LIMIT, Monoid, from_elements
 class WreathContext:
     """Multiplication context for top wr base.
 
-    ``top`` is anything with mul_value / identity_value / label /
-    descriptor (a Monoid, a ProductCarrier, or another WreathContext);
-    ``base`` must be an enumerated Monoid since tables index into it.
+    ``top`` and ``base`` must be Monoids with materialized tables (at most
+    ``TABLE_BOUND`` elements); anything else raises ``ContextMismatch``.
     """
 
-    def __init__(self, top, base: Monoid):
+    def __init__(self, top: Monoid, base: Monoid):
+        for side, m in (("top", top), ("base", base)):
+            if not isinstance(m, Monoid) or m._table is None:
+                raise ContextMismatch(f"wreath {side} {m.label} is not a monoid with a table")
         self.top = top
         self.base = base
         self.label = f"({top.label} wr {base.label})"
-        # index-space fast path when both sides carry materialized tables
-        self._fast = isinstance(top, Monoid) and top._table is not None and base._table is not None
         self._enc: dict[tuple, object] = {}
 
     @property
@@ -55,22 +56,14 @@ class WreathContext:
     def mul_value(self, x, y):
         ftab, fbase = x
         gtab, gbase = y
-        base = self.base
+        base, top = self.base, self.top
         if len(ftab) != len(base) or len(gtab) != len(base):
             raise ContextMismatch("table length does not match base order")
         a = base.index[fbase]
-        top = self.top
-        if self._fast:
-            fi = self._encode(ftab)
-            gi = self._encode(gtab)
-            out = top._table[fi, gi[base._table[:, a]]]
-            elements = top.elements
-            table = tuple(elements[k] for k in out)
-            self._enc.setdefault(table, out)
-        else:
-            table = tuple(
-                top.mul_value(ftab[t], gtab[base.mul(t, a)]) for t in range(len(base))
-            )
+        out = top._table[self._encode(ftab), self._encode(gtab)[base._table[:, a]]]
+        elements = top.elements
+        table = tuple(elements[k] for k in out)
+        self._enc.setdefault(table, out)
         return (table, base.elements[base.mul(a, base.index[gbase])])
 
     def descriptor(self) -> dict:
@@ -80,8 +73,6 @@ class WreathContext:
 def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
     """The full wreath product as a Monoid; requires |top|^|base| * |base| <= limit."""
     top = ctx.top
-    if not isinstance(top, Monoid):
-        raise ContextMismatch("full enumeration needs an enumerated top monoid")
     b = len(ctx.base)
     total = len(top) ** b * b
     if total > limit:

@@ -239,3 +239,93 @@ def test_dot_from_analyze_matches_export(tmp_path, capsys):
     assert code == 0
     assert exported.read_bytes() == dot.read_bytes()
     assert dot.read_text().count("peripheries=2") == 3
+
+
+@pytest.fixture(scope="module")
+def split_certificate():
+    """The degree-2 split over Z_2: a product carrier over a wreath context."""
+    from semidec.decomp import induction_step
+    from semidec.semiring import make_prime_field
+    from semidec.witness import witness_to_json
+
+    return witness_to_json(induction_step(2, make_prime_field(2)))
+
+
+def _foreign_source_value(cert):
+    cert["pairs"][0][1] = [[5, 5], [5, 5]]
+
+
+def _string_value(cert):
+    cert["pairs"][0][1] = "x"
+
+
+def _unknown_descriptor_kind(cert):
+    cert["source"]["kind"] = "bogus"
+
+
+def _unknown_builtin_ring(cert):
+    cert["source"]["ring"]["builtin"] = "bogus"
+
+
+def _no_pairs(cert):
+    del cert["pairs"]
+
+
+def _foreign_top_value(cert):
+    cert["pairs"][0][0][0][0][0] = [7, 7]
+
+
+def _foreign_base_value(cert):
+    cert["pairs"][0][0][0][1] = [[7]]
+
+
+def _short_wreath_table(cert):
+    cert["pairs"][0][0][0][0].pop()
+
+
+def _extra_component(cert):
+    cert["pairs"][0][0].append([[0]])
+
+
+def _wreath_top(cert):
+    cert["target"]["left"]["top"] = json.loads(json.dumps(cert["target"]["left"]))
+
+
+def _product_top(cert):
+    cert["target"]["left"]["top"] = json.loads(json.dumps(cert["target"]))
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [_foreign_source_value, _string_value, _unknown_descriptor_kind, _unknown_builtin_ring, _no_pairs,
+     _foreign_top_value, _foreign_base_value, _short_wreath_table, _extra_component,
+     _wreath_top, _product_top],
+    ids=["source value", "string value", "descriptor kind", "builtin ring", "no pairs", "top value",
+         "base value", "table length", "extra component", "wreath top", "product top"],
+)
+def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, optimize):
+    bad = json.loads(json.dumps(split_certificate))
+    corrupt(bad)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"certificates": [split_certificate, bad]}))
+    proc = run_cli(["verify", str(path)], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.startswith("certificate 0 (") and len(proc.stdout.splitlines()) == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: InvalidCertificate: certificate 1: ")
+
+
+def test_optimized_round_trip_is_byte_identical(tmp_path):
+    outputs = {}
+    for optimize in (False, True):
+        plan, cert = tmp_path / f"plan-{optimize}.json", tmp_path / f"cert-{optimize}.json"
+        proc = run_cli(["decompose", "--pipeline", "field", "--n", "2", "--ring", "zp:2",
+                        "--plan", str(plan), "--cert", str(cert)], optimize)
+        assert proc.returncode == 0, proc.stderr
+        outputs[optimize] = (plan.read_bytes(), cert.read_bytes())
+    assert outputs[True] == outputs[False]
+    proc = run_cli(["verify", str(tmp_path / "cert-True.json")], optimize=True)
+    assert proc.returncode == 0, proc.stderr
+    count = len(json.loads(outputs[True][1])["certificates"]) + 1
+    assert proc.stdout.count(": verified closure=") == count

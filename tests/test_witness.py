@@ -136,6 +136,32 @@ def test_lift_right_examples(c2):
     assert w.verified and w.closure_size >= 2
 
 
+def test_lift_right_top_is_the_traced_image(field_plan, fam):
+    # AS_2 div ~4 wr AS*_2, lifted over T_2 with its top restricted to the
+    # witness's traced image; the closure is the same as over the whole top
+    plan = field_plan(3, "2")
+    (w,) = [w for w in plan.witnesses if w.steps[-1]["kind"] == "lift_right"]
+    acting = fam("AS*", 2, "2").descriptor()
+    (aug,) = [v for v in plan.witnesses if v.steps == [{"kind": "augmentation", "acting": acting}]]
+    image = aug.image_submonoid()
+    assert w.target.top is image
+    assert w.target.base.descriptor() == fam("T", 2, "2").descriptor()
+    assert w.closure_size == 160
+    assert w.steps[-1]["restrict"] == {"top_from": aug.target.descriptor(), "top_to": image.descriptor()}
+    restored = verify(witness_from_json(json.loads(json.dumps(witness_to_json(w)))))
+    assert restored.target.top.elements == image.elements
+    assert restored.closure_size == 160
+
+
+def test_image_submonoid_kept_until_verified_again(fam):
+    w = augmentation(fam("AS*", 1, "2"))
+    image = w.image_submonoid()
+    assert w.image_submonoid() is image
+    verify(w)
+    rebuilt = w.image_submonoid()
+    assert rebuilt is not image and rebuilt.elements == image.elements
+
+
 def test_augmentation_closure_exact(fam):
     w = augmentation(fam("AS*", 1, "2"))
     assert w.verified

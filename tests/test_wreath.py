@@ -3,9 +3,10 @@ from itertools import product
 
 import pytest
 
+from semidec.carriers import ProductCarrier
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
 from semidec.families import family, transformation_closure, u1
-from semidec.monoid import direct_product, from_elements, is_aperiodic, is_group
+from semidec.monoid import TABLE_BOUND, direct_product, from_elements, is_aperiodic, is_group
 from semidec.wreath import (
     WreathContext,
     constant_table,
@@ -56,6 +57,23 @@ def test_mul_context_mismatch():
     ctx = WreathContext(u1(), u1())
     with pytest.raises(ContextMismatch):
         ctx.mul_value(((0,), 0), ((0, 0), 0))
+
+
+def test_sides_must_be_monoids_with_tables(fam):
+    t1 = fam("T", 1, "2")
+    for top in (WreathContext(u1(), t1), ProductCarrier(t1, u1())):
+        with pytest.raises(ContextMismatch, match="wreath top"):
+            WreathContext(top, t1)
+    untabled = from_elements([0, 1], lambda a, b: a | b, 0, label="U", table_bound=0)
+    with pytest.raises(ContextMismatch, match="wreath top U"):
+        WreathContext(untabled, t1)
+    with pytest.raises(ContextMismatch, match="wreath base U"):
+        WreathContext(t1, untabled)
+    order = TABLE_BOUND + 1
+    cyclic = from_elements(range(order), lambda a, b: (a + b) % order, 0, label="Z_4097")
+    assert cyclic._table is None
+    with pytest.raises(ContextMismatch, match="wreath base Z_4097"):
+        WreathContext(u1(), cyclic)
 
 
 def test_enumerate_counts(fam):
