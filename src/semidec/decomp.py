@@ -23,30 +23,33 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from semidec.carriers import ProductCarrier
-from semidec.errors import CensusMismatch, FieldRequired
+from semidec.errors import CensusMismatch, FieldRequired, PipelineCheckFailed
 from semidec.families import (
     constants_monoid,
     family,
     point_index,
     points,
+    transformation_of_affine,
     u1,
 )
 from semidec.keys import value_json
 from semidec.monoid import (
     DEFAULT_LIMIT,
+    TABLE_BOUND,
     Monoid,
     depth_report,
     direct_product,
-    from_elements,
     greens,
     is_aperiodic,
     is_group,
     isomorphic,
     maximal_subgroup,
 )
-from semidec.semiring import SemiringTable
-from semidec.trimat import identity_entries, mul_entries, scaling_map
+from semidec.semiring import SemiringTable, units
+from semidec.trimat import affine_to_matrix, identity_entries, mul_entries, scaling_map
 from semidec.witness import (
     DivisionWitness,
     absorb,
@@ -61,6 +64,12 @@ from semidec.witness import (
     times_to_wreath,
 )
 from semidec.wreath import WreathContext
+
+
+def _require(ok: bool, check: str) -> None:
+    """Raise ``PipelineCheckFailed`` naming ``check`` unless it holds, also under ``python -O``."""
+    if not ok:
+        raise PipelineCheckFailed(check)
 
 
 # -- the inductive splitting step ---------------------------------------------
@@ -92,7 +101,7 @@ def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
         if out is None:
             f = scaling_map(ring, m, lam, shift)
             out = tuple(pidx[f.apply(p)] for p in pts)
-            assert out in as_prev.index
+            _require(out in as_prev.index, f"induction_step: scaling table in {as_prev.label}")
             scaling_cache[key] = out
         return out
 
@@ -114,7 +123,7 @@ def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
         steps=[{"kind": "induction_step", "n": n, "ring": ring.descriptor()}],
         label=f"{t_n.label} split at degree {m}", limit=limit,
     )
-    assert w.closure_size == len(t_n), "splitting map must be injective"
+    _require(w.closure_size == len(t_n), "induction_step: splitting map is injective")
     return w
 
 
@@ -172,14 +181,21 @@ class _ChainLevel:
 def _traced_left(mid: Monoid, top: Monoid, base: Monoid, label: str) -> Monoid:
     """Left components of a traced image of pairs, a monoid inside top wr base.
 
-    Its descriptor lists every element as a generator, so a rebuild keeps
-    the first-seen order.
+    The left projection of a product carrier is a homomorphism, so the table
+    maps the first representatives' block through the left ids, as
+    ``quotient_by_central_units`` does.  Its descriptor lists every element
+    as a generator, so a rebuild keeps the first-seen order.
     """
-    left_elements = list(dict.fromkeys(left for left, _right in mid.elements))
+    lefts = [left for left, _right in mid.elements]
+    left_elements = list(dict.fromkeys(lefts))
+    position = {v: i for i, v in enumerate(left_elements)}
+    ids = np.array([position[v] for v in lefts], dtype=np.int32)
+    reps = np.unique(ids, return_index=True)[1]
     ident = mid.elements[mid.identity][0]
     ctx = WreathContext(top, base)
-    return from_elements(
-        left_elements, ctx.mul_value, ident, label=label,
+    table = ids[mid.products(reps, reps)] if len(reps) <= TABLE_BOUND else None
+    return Monoid(
+        left_elements, ident, mul_fn=ctx.mul_value, table=table, label=label,
         provenance={
             "kind": "close",
             "carrier": ctx.descriptor(),
@@ -288,7 +304,8 @@ def ring_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> De
     name = f"{t_1.label}^{n}"
     terms.append(Term(name, _tag(scalars), len(scalars), scalars.descriptor()))
     skeleton.append(name)
-    assert composite.verified and composite.closure_size == len(family("T", n, ring, limit))
+    _require(composite.verified and composite.closure_size == len(family("T", n, ring, limit)),
+             "ring_pipeline: composite closure is all of T_n")
     return DecompositionPlan(
         pipeline="ring",
         n=n,
@@ -307,56 +324,35 @@ def _regroup(source: Monoid, value_map, target, label: str, limit: int) -> Divis
                           steps=[{"kind": "regroup", "label": label}], label=label, limit=limit)
 
 
-def _scaling_pair_of_table(ring: SemiringTable, m: int, table: tuple) -> tuple[int, tuple]:
-    """Recover (lambda, shift) of an extensional scaling map over a field."""
-    pidx = point_index(ring, m)
-    pts = points(ring, m)
-    zero_vec = tuple(ring.zero for _ in range(m))
-    c = pts[table[pidx[zero_vec]]]
-    e1 = (ring.one,) + tuple(ring.zero for _ in range(m - 1))
-    y = pts[table[pidx[e1]]]
-    lam = next(t for t in range(ring.size) if ring.add[c[0]][t] == y[0])
-    f = scaling_map(ring, m, lam, c)
-    assert tuple(pidx[f.apply(p)] for p in pts) == table
-    return lam, c
-
-
 def check_scaling_group_embedding(m: int, n: int, ring: SemiringTable,
                                   limit: int = DEFAULT_LIMIT) -> None:
     """Each degree-m scaling group embeds in the degree-n triangular group.
 
-    The corner embedding sends v -> v*lam + c to [[1, c], [0, lam I]],
-    padded with an identity block up to degree n.  Checked injective and
-    multiplicative exhaustively.
+    The presentations v -> v*lam + c (lam a unit, c a point) must give
+    exactly AS*_m; their corner embeddings ``trimat.affine_to_matrix``, padded
+    with an identity block to degree n, are checked injective into T*_n and
+    multiplicative, exhaustively, else ``PipelineCheckFailed``.
     """
     assert 1 <= m <= n - 1 and ring.is_field
     star = family("AS*", m, ring, limit)
     t_star = family("T*", n, ring, limit)
     pad = identity_entries(ring, n)
 
-    def embed(table):
-        lam, c = _scaling_pair_of_table(ring, m, table)
-        block = [[ring.one] + list(c)] + [
-            [ring.zero] * (1 + i) + [lam] + [ring.zero] * (m - 1 - i) for i in range(m)
-        ]
-        rows = [list(r) for r in pad]
-        for i in range(m + 1):
-            for j in range(m + 1):
-                rows[i][j] = block[i][j]
-        return tuple(tuple(r) for r in rows)
+    def embed(f):
+        block = affine_to_matrix(f).entries
+        return tuple(
+            tuple(block[i][j] if i <= m and j <= m else pad[i][j] for j in range(n)) for i in range(n)
+        )
 
-    images = {}
-    for v in star.elements:
-        img = embed(v)
-        assert img in t_star.index, "embedded matrix must have unit diagonal"
-        assert img not in images, "embedding must be injective"
-        images[v] = img
-    for a in star.elements:
-        for b in star.elements:
-            prod = star.mul_value(a, b)
-            assert mul_entries(ring, images[a], images[b]) == images[prod], (
-                "embedding must be multiplicative"
-            )
+    maps = [scaling_map(ring, m, lam, c) for lam in sorted(units(ring)) for c in points(ring, m)]
+    images = {transformation_of_affine(f): embed(f) for f in maps}
+    _require(len(images) == len(maps) and set(images) == set(star.elements),
+             f"scaling embedding: presentations cover {star.label} exactly")
+    _require(len(set(images.values())) == len(maps) and all(v in t_star.index for v in images.values()),
+             f"scaling embedding: injective into {t_star.label}")
+    _require(all(mul_entries(ring, images[a], images[b]) == images[star.mul_value(a, b)]
+                 for a in star.elements for b in star.elements),
+             "scaling embedding: multiplicative")
 
 
 def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT,
@@ -390,9 +386,8 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT,
     for i in range(1, n):
         as_i = family("AS", i, ring, limit)
         w_aug = augmentation(family("AS*", i, ring, limit), limit)
-        assert set(w_aug.source.elements) == set(as_i.elements), (
-            "scaling monoid must be its unit group plus constants"
-        )
+        _require(set(w_aug.source.elements) == set(as_i.elements),
+                 f"augmentation: {as_i.label} is its unit group plus constants")
         aug_witnesses[i] = w_aug
         steps.append(w_aug)
 
@@ -478,7 +473,7 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT,
         steps.append(w_s5)
         w_inner = compose(w_run, w_s5, limit)
         steps.append(w_inner)
-        assert w_inner.verified and w_inner.closure_size is not None
+        _require(w_inner.verified and w_inner.closure_size is not None, "field_pipeline: inner composite verified")
         notes.append("innermost assembly composed end to end")
     else:
         notes.append(
@@ -491,25 +486,25 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT,
     for i in range(n - 1, 0, -1):
         const = constants_monoid(ring.size**i, label=f"({ring.label}^{i})~")
         star = family("AS*", i, ring, limit)
-        assert is_aperiodic(const)
-        assert is_group(star)
+        _require(is_aperiodic(const), f"term tag: {const.label} is aperiodic")
+        _require(is_group(star), f"term tag: {star.label} is a group")
         if i > 1:
             terms.append(Term(const.label, "aperiodic", len(const), const.descriptor()))
             terms.append(Term(star.label, "group", len(star), star.descriptor()))
         else:
             terms.append(Term(const.label, "aperiodic", len(const), const.descriptor()))
-            assert is_group(inner_group)
+            _require(is_group(inner_group), f"term tag: {inner_group.label} is a group")
             terms.append(Term(
                 f"{star.label} x {t_1s.label}^{n}", "group", len(inner_group),
                 inner_group.descriptor(),
             ))
-    assert is_aperiodic(u1_n)
+    _require(is_aperiodic(u1_n), f"term tag: {u1_n.label} is aperiodic")
     terms.append(Term(f"U_1^{n}", "aperiodic", len(u1_n), u1_n.descriptor()))
 
     group_length = sum(1 for t in terms if t.tag == "group")
-    assert group_length == n - 1, "group length must be one less than the degree"
+    _require(group_length == n - 1, "field_pipeline: group length is n-1")
     tags = [t.tag for t in terms]
-    assert all(a != b for a, b in zip(tags, tags[1:])), "terms must alternate"
+    _require(all(a != b for a, b in zip(tags, tags[1:])), "field_pipeline: terms alternate")
 
     for m in range(1, n):
         check_scaling_group_embedding(m, n, ring, limit)

@@ -128,7 +128,11 @@ class InvalidCertificate(SemidecError):
     """A certificate whose carriers cannot be rebuilt or whose pairs are not carrier values."""
 
 
-# -- reports --
+# -- pipelines and reports --
+
+class PipelineCheckFailed(SemidecError):
+    """A pipeline's check of its own result failed; the message names the check."""
+
 
 class CensusMismatch(SemidecError):
     pass

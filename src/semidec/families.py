@@ -20,7 +20,6 @@ from semidec.monoid import (
     DEFAULT_LIMIT,
     TABLE_BOUND,
     Monoid,
-    from_elements,
     maximal_subgroup,
     quotient_by_central_units,
 )
@@ -211,13 +210,7 @@ def _affine_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
     elements = list(seen)
     ident = tuple(range(len(pts)))
     spec = FamilySpec(kind, n, ring)
-    return from_elements(
-        elements,
-        compose_tables,
-        ident,
-        label=spec.label(),
-        provenance=spec.descriptor(),
-    )
+    return Monoid(elements, ident, mul_fn=compose_tables, label=spec.label(), provenance=spec.descriptor())
 
 
 # -- simple families ----------------------------------------------------------
@@ -225,7 +218,7 @@ def _affine_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
 
 def u1() -> Monoid:
     """The two-element semilattice {1, e} with e^2 = e."""
-    return from_elements([0, 1], lambda a, b: a | b, 0, label="U_1", provenance={"kind": "family", "family": "U1"})
+    return Monoid([0, 1], 0, mul_fn=lambda a, b: a | b, label="U_1", provenance={"kind": "family", "family": "U1"})
 
 
 def transformation_closure(gens: list[tuple[int, ...]], label: str = "",
@@ -273,13 +266,8 @@ def constants_monoid(point_count: int, label: str = "", provenance: dict | None 
     if point_count < 1:
         raise ValueError("need a non-empty point set")
     elements = [CONSTANTS_IDENTITY] + [constant_at(x) for x in range(point_count)]
-    return from_elements(
-        elements,
-        constants_mul,
-        CONSTANTS_IDENTITY,
-        label=label or f"~{point_count}",
-        provenance=provenance or {"kind": "family", "family": "constants", "points": point_count},
-    )
+    return Monoid(elements, CONSTANTS_IDENTITY, mul_fn=constants_mul, label=label or f"~{point_count}",
+                  provenance=provenance or {"kind": "family", "family": "constants", "points": point_count})
 
 
 def augmented_monoid(acting: Monoid, action: list[tuple[int, ...]] | None = None,

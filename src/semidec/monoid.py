@@ -3,7 +3,8 @@
 A Monoid is an immutable list of opaque element values (nested int tuples)
 in a deterministic canonical order, an identity index, and a total product.
 Multiplication tables are materialized up to a size bound; larger monoids
-fall back to a memoized value-level oracle.  All structure analyses
+fall back to a memoized value-level oracle.  Monoids derived from others
+(closures, products) take their tables from tables, not value products.  All structure analyses
 (Green's relations, regularity, subgroups, depth, quotients, products,
 isomorphism search) work on indices against that product.
 """
@@ -11,6 +12,7 @@ isomorphism search) work on indices against that product.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,7 +41,6 @@ class Monoid:
         table=None,
         label: str = "",
         provenance: dict | None = None,
-        table_bound: int = TABLE_BOUND,
     ):
         self.elements = list(elements)
         self.index = {v: i for i, v in enumerate(self.elements)}
@@ -56,7 +57,7 @@ class Monoid:
         self._greens = None
         if table is not None:
             self._table = np.asarray(table, dtype=np.int32)
-        elif mul_fn is not None and len(self.elements) <= table_bound:
+        elif mul_fn is not None and len(self.elements) <= TABLE_BOUND:
             self._table = self._build_table()
         if self._table is None and mul_fn is None:
             raise ValueError("need a multiplication table or oracle")
@@ -107,9 +108,7 @@ class Monoid:
         return out
 
     def mul_value(self, a, b):
-        if self._table is not None:
-            return self.elements[self._table[self.index[a], self.index[b]]]
-        return self._mul_fn(a, b)
+        return self.elements[self.mul(self.index[a], self.index[b])]
 
     @property
     def identity_value(self):
@@ -130,12 +129,6 @@ class Monoid:
     def descriptor(self) -> dict:
         return self.provenance
 
-    def power(self, i: int, k: int) -> int:
-        out = self.identity
-        for _ in range(k):
-            out = self.mul(out, i)
-        return out
-
 
 def right_closure(gens, mul, limit: int, what: str, key=None):
     """Semigroup generated by ``gens``, enumerated along its right Cayley graph.
@@ -145,14 +138,17 @@ def right_closure(gens, mul, limit: int, what: str, key=None):
     each element, in discovery order, times each generator in order.  It
     evaluates one product per (element, generator) pair.
 
-    Returns ``(elements, lookup, edges)``: ``lookup`` maps the key of each
-    element to its index, and ``edges[i]`` is ``(parent, generator)`` with
+    Returns ``(elements, lookup, edges, right)``: ``lookup`` maps the key of
+    each element to its index, ``edges[i]`` is ``(parent, generator)`` with
     ``elements[i] == mul(elements[parent], generators[generator])``, or
-    ``None`` for a generator.  With ``key``, elements sharing a key must be
-    equal; a product that breaks this raises ``NotFunctional(key, old,
-    new)``.  By induction on word length, every product of generators is
-    checked against the element stored under its key.  Raises
-    ``SizeLimitExceeded`` past ``limit`` elements.
+    ``None`` for a generator, and ``right`` is the right Cayley graph, an
+    int32 array with ``right[i, j]`` the index of ``elements[i]`` times
+    generator ``j``.  The distinct generators are elements ``0..g-1``.
+    With ``key``, elements sharing a key must be equal; a product that
+    breaks this raises ``NotFunctional(key, old, new)``.  By induction on
+    word length, every product of generators is checked against the
+    element stored under its key.  Raises ``SizeLimitExceeded`` past
+    ``limit`` elements.
     """
     elements: list = []
     lookup: dict = {}
@@ -168,6 +164,7 @@ def right_closure(gens, mul, limit: int, what: str, key=None):
         raise SizeLimitExceeded(limit, what)
     generators = list(elements)
     edges: list = [None] * len(elements)
+    right = array("i")
     i = 0
     while i < len(elements):
         x = elements[i]
@@ -176,15 +173,37 @@ def right_closure(gens, mul, limit: int, what: str, key=None):
             k = value if key is None else key(value)
             found = lookup.get(k)
             if found is None:
-                lookup[k] = len(elements)
+                found = lookup[k] = len(elements)
                 elements.append(value)
                 edges.append((i, j))
                 if len(elements) > limit:
                     raise SizeLimitExceeded(limit, what)
             elif key is not None and elements[found] != value:
                 raise NotFunctional(k, elements[found], value)
+            right.append(found)
         i += 1
-    return elements, lookup, edges
+    graph = np.frombuffer(right, dtype=np.int32).reshape(len(elements), len(generators))
+    return elements, lookup, edges, graph
+
+
+def cayley_table(edges, right) -> np.ndarray:
+    """Multiplication table of a closure from its right Cayley graph.
+
+    The word-tracing multiplication of Froidure and Pin: a generator's
+    column is its column of ``right``, and the column of ``y = p * g`` is
+    ``right[table[:, p], g]``, since ``x y = (x p) g``.  Parents precede
+    their children, so the columns fill in discovery order with one gather
+    each and no carrier products.
+    """
+    n = len(edges)
+    columns = np.empty((n, n), dtype=np.int32)  # columns[y] is column y of the table
+    for y, edge in enumerate(edges):
+        if edge is None:
+            columns[y] = right[:, y]
+        else:
+            parent, g = edge
+            columns[y] = right[columns[parent], g]
+    return columns.T.copy()
 
 
 def close_generators(
@@ -194,51 +213,35 @@ def close_generators(
     limit: int = DEFAULT_LIMIT,
     label: str = "",
     provenance: dict | None = None,
-    table_bound: int = TABLE_BOUND,
 ) -> Monoid:
-    """Multiplicative closure of ``gens`` under ``mul_fn``.
+    """Multiplicative closure of ``gens`` under ``mul_fn``, in ``right_closure`` order.
 
-    Canonical order is ``right_closure`` discovery order: the distinct
-    generators in input order, then each element times each generator.
-    The identity is appended at the end if the closure never produces it.
-    Deterministic for fixed inputs.
+    The table is the closure's ``cayley_table``, so the closure's products
+    are the only carrier products; past ``TABLE_BOUND`` elements ``mul_fn``
+    is a memoized per-pair oracle instead.  An identity the closure never
+    produces is appended at the end once it fixes itself and every
+    generator on both sides, by value; otherwise ``InvalidMonoid``.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    elements, lookup, _ = right_closure(gens, mul_fn, limit, f"closure of {label or 'generators'}")
+    elements, lookup, edges, right = right_closure(gens, mul_fn, limit, f"closure of {label or 'generators'}")
+    size = len(elements)
     if identity_value not in lookup:
-        elements.append(identity_value)
+        e = identity_value
+        if mul_fn(e, e) != e or any(mul_fn(e, g) != g or mul_fn(g, e) != g for g in elements[: right.shape[1]]):
+            raise InvalidMonoid(label, "identity outside the closure does not fix itself and every generator")
+        elements.append(e)
         if len(elements) > limit:
             raise SizeLimitExceeded(limit, "closure plus identity")
+    table = None
+    if len(elements) <= TABLE_BOUND:
+        table = cayley_table(edges, right)
+        if size < len(elements):  # the appended identity's row and column
+            table = np.pad(table, (0, 1))
+            table[size] = table[:, size] = np.arange(size + 1)
     prov = provenance or {"kind": "close", "generators": [value_json(g) for g in gens]}
-    return Monoid(
-        elements,
-        identity_value,
-        mul_fn=mul_fn,
-        label=label,
-        provenance=prov,
-        table_bound=table_bound,
-    )
-
-
-def from_elements(
-    elements,
-    mul_fn,
-    identity_value,
-    label: str = "",
-    provenance: dict | None = None,
-    table_bound: int = TABLE_BOUND,
-) -> Monoid:
-    """Monoid on an explicitly enumerated, multiplication-closed element list."""
-    return Monoid(
-        list(elements),
-        identity_value,
-        mul_fn=mul_fn,
-        label=label,
-        provenance=provenance,
-        table_bound=table_bound,
-    )
+    return Monoid(elements, identity_value, mul_fn=mul_fn, table=table, label=label, provenance=prov)
 
 
 def check_associativity(m: Monoid, full_limit: int = 512, samples: int = 10_000, seed: int = 0xA550C) -> None:
@@ -387,20 +390,9 @@ def is_group(m: Monoid) -> bool:
     return True
 
 
-def _eventual_period_one(m: Monoid, x: int) -> bool:
-    seen = {x: 0}
-    cur, k = x, 0
-    while True:
-        cur = m.mul(cur, x)
-        k += 1
-        if cur in seen:
-            return k - seen[cur] == 1
-        seen[cur] = k
-
-
 def is_aperiodic(m: Monoid) -> bool:
     """No non-trivial subgroups; equivalently x^k = x^(k+1) eventually."""
-    return all(_eventual_period_one(m, x) for x in range(len(m)))
+    return all(_cyclic_profile(m, x)[1] == 1 for x in range(len(m)))
 
 
 # -- depth -------------------------------------------------------------------
@@ -543,20 +535,21 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
     return quotient, projection
 
 
-def direct_product(a: Monoid, b: Monoid, table_bound: int = TABLE_BOUND) -> Monoid:
+def direct_product(a: Monoid, b: Monoid) -> Monoid:
+    """``a x b`` in row-major order; its table broadcasts the factors' tables,
+    ``ta[x1, x2] * |b| + tb[y1, y2]``, up to ``TABLE_BOUND`` elements."""
     elements = [(x, y) for x in a.elements for y in b.elements]
 
     def mul(p, q):
         return (a.mul_value(p[0], q[0]), b.mul_value(p[1], q[1]))
 
-    return from_elements(
-        elements,
-        mul,
-        (a.identity_value, b.identity_value),
-        label=f"({a.label} x {b.label})",
-        provenance={"kind": "product", "left": a.descriptor(), "right": b.descriptor()},
-        table_bound=table_bound,
-    )
+    table = None
+    if len(elements) <= TABLE_BOUND:
+        ta, tb = a.table_array(), b.table_array()
+        table = (ta[:, None, :, None] * len(b) + tb[None, :, None, :]).reshape(len(elements), -1)
+    return Monoid(elements, (a.identity_value, b.identity_value), mul_fn=mul, table=table,
+                  label=f"({a.label} x {b.label})",
+                  provenance={"kind": "product", "left": a.descriptor(), "right": b.descriptor()})
 
 
 # -- isomorphism search -------------------------------------------------------
@@ -592,7 +585,7 @@ def find_generators(m: Monoid) -> list[int]:
         if x in closure:
             continue
         gens.append(x)
-        elements, _, _ = right_closure(gens, m.mul, len(m), "generating set")
+        elements, _, _, _ = right_closure(gens, m.mul, len(m), "generating set")
         closure = set(elements) | {m.identity}
         if len(closure) == len(m):
             break
@@ -617,7 +610,7 @@ def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
     gens = find_generators(m)
     # every element is the identity, a generator, or a derived element times
     # a generator
-    derived, _, edges = right_closure(gens, m.mul, len(m), "isomorphism search")
+    derived, _, edges, _ = right_closure(gens, m.mul, len(m), "isomorphism search")
 
     candidates = [
         [y for y in range(len(n)) if prof_n[y] == prof_m[g]] for g in gens

@@ -27,12 +27,6 @@ class SemiringTable:
     label: str
     is_field: bool = field(default=False, compare=False)
 
-    def add_of(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
-    def mul_of(self, a: int, b: int) -> int:
-        return self.mul[a][b]
-
     def sum_of(self, items) -> int:
         total = self.zero
         for x in items:

@@ -15,11 +15,14 @@ from __future__ import annotations
 from itertools import product as iter_product
 from operator import itemgetter
 
+import numpy as np
+
 from semidec.carriers import ProductCarrier, build_carrier, build_monoid
 from semidec.errors import (
     ContextMismatch,
     FieldRequired,
     InvalidCertificate,
+    InvalidMonoid,
     NotFunctional,
     NotSurjective,
     PreimageMissing,
@@ -27,7 +30,7 @@ from semidec.errors import (
     WitnessError,
 )
 from semidec.keys import value_from_json, value_json
-from semidec.monoid import DEFAULT_LIMIT, Monoid, direct_product, from_elements, right_closure
+from semidec.monoid import DEFAULT_LIMIT, TABLE_BOUND, Monoid, cayley_table, direct_product, right_closure
 from semidec.semiring import SemiringTable, units
 from semidec.wreath import WreathContext, constant_table
 
@@ -44,6 +47,7 @@ class DivisionWitness:
         self.failure: str | None = None
         self._closure: list[tuple] | None = None
         self._mapping: dict | None = None
+        self._graph: tuple | None = None  # the closure's (edges, right Cayley graph)
         self._image: Monoid | None = None
 
     def __repr__(self):
@@ -76,31 +80,36 @@ class DivisionWitness:
     def image_submonoid(self) -> Monoid:
         """The closure's target elements as a restricted monoid.
 
-        Canonical order is closure discovery order.  ``close_generators``
-        runs the same kernel on the same generators, so rebuilding from
-        the "close" descriptor keeps that order.  The closure must contain
-        an element acting as a two-sided identity on it (always the case
-        when the witness pairs the identities, as the pipelines do).
-        Built once and kept until the witness is verified again.
+        Canonical order is closure discovery order, which a rebuild from
+        the "close" descriptor keeps.  The closure is keyed by target value,
+        so the table is the ``cayley_table`` of ``verify``'s graph, with no
+        target products, and the identity is the element whose row and
+        column are ``arange(N)`` (present when the witness pairs the
+        identities, as the pipelines do).  Past ``TABLE_BOUND`` elements the
+        target's product is a memoized oracle.  Built once, dropping the
+        graph, and kept until the witness is verified again.
         """
         assert self._closure is not None, "witness has not been verified"
         if self._image is not None:
             return self._image
         values = [t for t, _ in self._closure]
+        edges, right = self._graph
         mul = self.target.mul_value
-        ident = None
-        for v in values:
-            if all(mul(v, u) == u and mul(u, v) == u for u in values):
-                ident = v
-                break
-        if ident is None:
+        table = None
+        if len(values) <= TABLE_BOUND:
+            table = cayley_table(edges, right)
+            ids = np.arange(len(values))
+            found = np.flatnonzero((table == ids).all(axis=1) & (table == ids[:, None]).all(axis=0))
+        else:  # left identities on the generators, then by value on the right
+            gens = range(right.shape[1])
+            found = [c for c in np.flatnonzero((right == np.arange(len(gens))).all(axis=1))
+                     if all(mul(values[g], values[c]) == values[g] for g in gens)]
+        if not len(found):
             raise WitnessError("closure has no two-sided identity; cannot form a base monoid")
+        ident = values[found[0]]
         label = f"im({self.label})"
-        self._image = from_elements(
-            values,
-            self.target.mul_value,
-            ident,
-            label=label,
+        self._image = Monoid(
+            values, ident, mul_fn=mul, table=table, label=label,
             provenance={
                 "kind": "close",
                 "carrier": self.target.descriptor(),
@@ -109,6 +118,7 @@ class DivisionWitness:
                 "label": label,
             },
         )
+        self._graph = None
         return self._image
 
 
@@ -122,7 +132,7 @@ def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """
     source, target = w.source, w.target
     mul_t, mul_s = target.mul_value, source.mul
-    w._image = None
+    w._image = w._graph = None
 
     def mul(x, y):
         return (mul_t(x[0], y[0]), mul_s(x[1], y[1]))
@@ -130,7 +140,7 @@ def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     gens = [(t, s) for t, s in w.pairs]
     try:
         try:
-            closure, _, _ = right_closure(gens, mul, limit, "witness closure", key=itemgetter(0))
+            closure, _, edges, right = right_closure(gens, mul, limit, "witness closure", key=itemgetter(0))
         except NotFunctional as exc:
             (t, a), (_, b) = exc.sources
             raise NotFunctional(t, source.elements[a], source.elements[b]) from None
@@ -146,6 +156,7 @@ def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     w.status = "verified"
     w.closure_size = len(closure)
     w._closure = closure
+    w._graph = (edges, right)
     w._mapping = mapping
     return w
 
@@ -410,7 +421,7 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12,
     seen_subs: set[frozenset] = set()
     for mask in range(1, 1 << n):
         gens = [i for i in range(n) if mask >> i & 1]
-        closure, _, _ = right_closure(gens, target.mul, n, "search subsemigroup")
+        closure, _, _, _ = right_closure(gens, target.mul, n, "search subsemigroup")
         key = frozenset(closure)
         if key in seen_subs:
             continue
@@ -456,7 +467,9 @@ def witness_from_json(obj: dict) -> DivisionWitness:
 
     Each pair's source value must be a source element, and its target value
     must multiply in the target carrier, which fixes it on the right by the
-    identity.  Anything malformed raises ``InvalidCertificate``.
+    identity; a monoid carrier multiplies only its own elements.  Anything
+    malformed, including a descriptor that rebuilds to no monoid, raises
+    ``InvalidCertificate``.
     """
     where = ""
     try:
@@ -471,7 +484,7 @@ def witness_from_json(obj: dict) -> DivisionWitness:
             if target.mul_value(tval, target.identity_value) != tval:
                 raise InvalidCertificate(f"{where}{t_json!r} is not a value of {target.label}")
             pairs.append((tval, source.index[sval]))
-    except (KeyError, IndexError, TypeError, ValueError, ContextMismatch) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ContextMismatch, InvalidMonoid) as exc:
         raise InvalidCertificate(f"{where}{type(exc).__name__}: {exc}") from None
     return DivisionWitness(source, target, pairs, steps=obj.get("steps", []),
                            label=obj.get("label", ""))

@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
-from semidec.monoid import DEFAULT_LIMIT, Monoid, from_elements
+from semidec.monoid import DEFAULT_LIMIT, Monoid
 
 
 class WreathContext:
@@ -82,13 +82,8 @@ def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
         for tab in product(range(len(top)), repeat=b)
         for base_val in ctx.base.elements
     ]
-    return from_elements(
-        elements,
-        ctx.mul_value,
-        ctx.identity_value,
-        label=ctx.label,
-        provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": ctx.base.descriptor()},
-    )
+    return Monoid(elements, ctx.identity_value, mul_fn=ctx.mul_value, label=ctx.label,
+                  provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": ctx.base.descriptor()})
 
 
 def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]:

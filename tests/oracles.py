@@ -3,8 +3,8 @@
 Everything here recomputes results by definition-level brute force,
 independently of the package's algorithms: Green's relations by pairwise
 ideal comparison, pair and target closures by plain dict and set loops,
-matrix tables by one product per pair, spans by enumerating all linear
-combinations.
+matrix and carrier tables by one product per pair, spans by enumerating
+all linear combinations.
 """
 
 from itertools import product
@@ -86,6 +86,13 @@ def pairwise_matrix_table(ring, elements):
     """Multiplication table of matrix entry patterns: one product and one dict lookup per pair."""
     index = {v: i for i, v in enumerate(elements)}
     return [[index[matrix_product(ring, a, b)] for b in elements] for a in elements]
+
+
+def value_product_table(elements, mul):
+    """Multiplication table of a carrier's elements: one value product and one
+    dict lookup per pair, the fill derived monoids once did themselves."""
+    index = {v: i for i, v in enumerate(elements)}
+    return [[index[mul(a, b)] for b in elements] for a in elements]
 
 
 def span_membership(ring, vectors, target):

@@ -295,14 +295,31 @@ def _product_top(cert):
     cert["target"]["left"]["top"] = json.loads(json.dumps(cert["target"]))
 
 
+def _close_source(cert, generators, identity):
+    cert["source"] = {"kind": "close", "carrier": cert["source"], "generators": generators,
+                      "identity": identity, "label": "closed source"}
+
+
+def _close_identity_not_two_sided(cert):
+    # all of T_2(Z_2), with its zero matrix named as the identity
+    _close_source(cert, [pair[1] for pair in cert["pairs"]], [[0, 0], [0, 0]])
+
+
+def _close_identity_outside(cert):
+    # the closure of one idempotent, with a unitriangular matrix that moves
+    # it named as the identity
+    _close_source(cert, [[[0, 1], [0, 1]]], [[1, 1], [0, 1]])
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
 @pytest.mark.parametrize(
     "corrupt",
     [_foreign_source_value, _string_value, _unknown_descriptor_kind, _unknown_builtin_ring, _no_pairs,
      _foreign_top_value, _foreign_base_value, _short_wreath_table, _extra_component,
-     _wreath_top, _product_top],
+     _wreath_top, _product_top, _close_identity_not_two_sided, _close_identity_outside],
     ids=["source value", "string value", "descriptor kind", "builtin ring", "no pairs", "top value",
-         "base value", "table length", "extra component", "wreath top", "product top"],
+         "base value", "table length", "extra component", "wreath top", "product top",
+         "close identity inside", "close identity outside"],
 )
 def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, optimize):
     bad = json.loads(json.dumps(split_certificate))
@@ -314,6 +331,30 @@ def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, opti
     assert proc.stdout.startswith("certificate 0 (") and len(proc.stdout.splitlines()) == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: InvalidCertificate: certificate 1: ")
+    if corrupt in (_close_identity_not_two_sided, _close_identity_outside):
+        assert "identity" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("value", [[[1, 0, 0], [1, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]]],
+                         ids=["lower triangular", "degree two"])
+def test_tableless_target_rejects_foreign_values(tmp_path, value, optimize):
+    # T_3(Z_5) has 15,625 elements, past the table bound; a value that is not
+    # one of them is not a value of the target, even where the per-pair
+    # product would fix it
+    ring = {"builtin": "zp", "p": 5}
+    cert = {
+        "label": "foreign target value",
+        "source": {"kind": "family", "family": "T", "n": 1, "ring": ring},
+        "target": {"kind": "family", "family": "T", "n": 3, "ring": ring},
+        "pairs": [[value, [[1]]]],
+        "steps": [],
+    }
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(cert))
+    proc = run_cli(["verify", str(path)], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: InvalidCertificate: certificate 0: pair 0: KeyError"), proc.stderr
 
 
 def test_optimized_round_trip_is_byte_identical(tmp_path):

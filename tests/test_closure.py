@@ -1,9 +1,11 @@
 """The closure kernel and the verifier built on it.
 
-Checks the kernel's discovery order and edges, the verifier's verdicts
-against the brute-force pair closure, the certificates of the field
-pipeline against the brute-force target closure, and that a closed image
-rebuilt from its descriptor keeps the verifier's element order.
+Checks the kernel's discovery order, edges and Cayley graph, the
+verifier's verdicts against the brute-force pair closure, the certificates
+of the field pipeline against the brute-force target closure, that a
+closed image rebuilt from its descriptor keeps the verifier's element
+order, and that every table derived from a Cayley graph or from other
+tables equals the per-pair value products.
 """
 
 import numpy as np
@@ -12,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_family
-from oracles import pair_closure, target_closure
-from semidec.carriers import build_monoid
-from semidec.errors import NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
-from semidec.families import transformation_closure, u1
-from semidec.monoid import Monoid, direct_product, find_generators, isomorphic, right_closure
-from semidec.witness import DivisionWitness, verify
+from oracles import pair_closure, target_closure, value_product_table
+from semidec.carriers import ProductCarrier, build_carrier, build_monoid
+from semidec.decomp import induction_step
+from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
+from semidec.families import compose_tables, transformation_closure, u1
+from semidec.monoid import Monoid, close_generators, direct_product, find_generators, isomorphic, right_closure
+from semidec.witness import DivisionWitness, augmentation, group_with_zero, identity_witness, verify
+from semidec.wreath import WreathContext
 
 
 def c2():
@@ -43,7 +47,7 @@ def test_right_closure_order_and_edges():
         return a * b % 7
 
     gens = [3, 3, 2]
-    elements, lookup, edges = right_closure(gens, mul, 10, "units mod 7")
+    elements, lookup, edges, right = right_closure(gens, mul, 10, "units mod 7")
     # generators first, then each element times each generator
     assert elements == [3, 2, 6, 4, 5, 1]
     assert lookup == {v: i for i, v in enumerate(elements)}
@@ -52,6 +56,10 @@ def test_right_closure_order_and_edges():
         parent, g = edge
         assert parent < i
         assert elements[i] == mul(elements[parent], [3, 2][g])
+    assert right.dtype == np.int32 and right.shape == (len(elements), 2)
+    for i in range(len(elements)):
+        for j, g in enumerate([3, 2]):
+            assert right[i, j] == lookup[mul(elements[i], g)]
 
 
 def test_right_closure_limit():
@@ -65,8 +73,10 @@ def test_right_closure_key_clash():
 
     with pytest.raises(NotFunctional):
         right_closure([(2, 1), (2, 3)], mul, 100, "clash", key=lambda v: v[0])
-    elements, _, _ = right_closure([(2, 3)], mul, 100, "no clash", key=lambda v: v[0])
+    elements, lookup, _, right = right_closure([(2, 3)], mul, 100, "no clash", key=lambda v: v[0])
     assert elements == [(2, 3), (1, 1)]
+    # the graph holds the index stored under the key of each product
+    assert right.tolist() == [[lookup[mul(x, (2, 3))[0]]] for x in elements] == [[1], [0]]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -92,6 +102,103 @@ def test_image_submonoid_rebuilds_in_discovery_order(field_plan):
         assert build_monoid(sub.descriptor()).elements == sub.elements, w.label
         checked += 1
     assert checked > 0
+
+
+def _carrier_of(m: Monoid):
+    """The carrier whose value products define a derived monoid, rebuilt from its descriptor."""
+    desc = m.descriptor()
+    if desc["kind"] == "product":
+        return ProductCarrier(build_monoid(desc["left"]), build_monoid(desc["right"]))
+    return build_carrier(desc["carrier"])
+
+
+def _monoids_of(carrier):
+    """Every Monoid inside a witness carrier, the carrier first."""
+    if isinstance(carrier, Monoid):
+        return [carrier]
+    left, right = (carrier.top, carrier.base) if isinstance(carrier, WreathContext) else (carrier.left, carrier.right)
+    return _monoids_of(left) + _monoids_of(right)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_derived_tables_match_value_products(field_plan, n):
+    # images, their "close" rebuilds, traced-left sources and direct
+    # products all take their tables from tables; each must equal the
+    # table the per-pair value products give
+    plan = field_plan(n, "2")
+    derived = {}
+    for w in plan.witnesses + [plan.composite]:
+        try:
+            image = w.image_submonoid()
+        except WitnessError:
+            continue
+        derived[id(image)] = image
+        rebuilt = build_monoid(image.descriptor())
+        derived[id(rebuilt)] = rebuilt
+        for m in _monoids_of(w.source) + _monoids_of(w.target):
+            kind = m.descriptor()["kind"]
+            if kind == "product" or (kind == "close" and m.label.startswith("traced ")):
+                derived[id(m)] = m
+    labels = [m.label for m in derived.values()]
+    assert sum(label.startswith("traced ") for label in labels) == n - 1, labels
+    assert any(m.descriptor()["kind"] == "product" for m in derived.values())
+    for m in derived.values():
+        expected = value_product_table(m.elements, _carrier_of(m).mul_value)
+        assert m.table_array().tolist() == expected, m.label
+
+
+def _count_products(monkeypatch, obj):
+    calls = []
+    original = obj.mul_value
+
+    def counted(x, y):
+        calls.append(1)
+        return original(x, y)
+
+    monkeypatch.setattr(obj, "mul_value", counted)
+    return calls
+
+
+def test_image_submonoid_evaluates_no_target_products(monkeypatch, z2):
+    witnesses = [
+        induction_step(3, z2),
+        augmentation(cached_family("AS*", 2, "2")),
+        group_with_zero(z2),
+        identity_witness(cached_family("T", 2, "3")),
+    ]
+    for w in witnesses:
+        calls = _count_products(monkeypatch, w.target)
+        image = w.image_submonoid()
+        assert calls == [], w.label
+        assert image.elements == [t for t, _ in w.closure_pairs()]
+        assert image.identity_value == w.target.identity_value
+        assert w._graph is None
+
+
+def test_close_generators_evaluates_only_the_closure_products():
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return compose_tables(a, b)
+
+    # a 3-cycle: closure 3 elements, the identity among them
+    m = close_generators([(1, 2, 0)], mul, (0, 1, 2))
+    assert len(m) == 3 and len(calls) == 3 * 1
+    assert m.table_array().tolist() == value_product_table(m.elements, compose_tables)
+    # two constants: the identity is appended after 2g + 1 checks by value
+    calls.clear()
+    m = close_generators([(0, 0, 0), (1, 1, 1)], mul, (0, 1, 2))
+    assert m.elements[-1] == (0, 1, 2) and m.identity == 2
+    assert len(calls) == 2 * 2 + 2 * 2 + 1
+    assert m.table_array().tolist() == value_product_table(m.elements, compose_tables)
+
+
+def test_close_generators_rejects_an_identity_that_does_not_fix_the_generators():
+    with pytest.raises(InvalidMonoid, match="identity"):
+        close_generators([(0, 0, 0)], compose_tables, (1, 1, 1))  # outside the closure
+    with pytest.raises(InvalidMonoid, match="identity"):
+        close_generators([(1, 2, 0), (0, 0, 0)], compose_tables, (0, 0, 0))  # inside it
 
 
 def _expected_verdict(pairs, target, source):

@@ -1,15 +1,19 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import semidec.decomp as decomp
+from conftest import SRC
 from semidec.decomp import (
     check_scaling_group_embedding,
     depth_analysis,
     induction_step,
     verify_census,
 )
-from semidec.errors import CensusMismatch, FieldRequired
+from semidec.errors import CensusMismatch, FieldRequired, PipelineCheckFailed
 from semidec.families import family
 from semidec.monoid import is_aperiodic, is_group
 from semidec.witness import verify, witness_from_json, witness_to_json
@@ -104,6 +108,37 @@ def test_field_requires_field(boolean):
 def test_scaling_group_embeddings(m, n, ring_spec, request):
     ring = request.getfixturevalue({"2": "z2", "3": "z3"}[ring_spec])
     check_scaling_group_embedding(m, n, ring)
+
+
+def test_scaling_group_embedding_failure_is_typed(z2, monkeypatch):
+    monkeypatch.setattr(decomp, "mul_entries", lambda ring, a, b: a)
+    with pytest.raises(PipelineCheckFailed, match="multiplicative"):
+        check_scaling_group_embedding(1, 2, z2)
+
+
+_FAKE_NON_GROUP = """
+import sys
+import semidec.decomp
+from semidec.cli import main
+semidec.decomp.is_group = lambda m: False
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_term_tag_check_survives_optimize(tmp_path):
+    # with asserts stripped, a term whose tag predicate fails still stops
+    # the pipeline with a typed error instead of writing a plan
+    plan = tmp_path / "plan.json"
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FAKE_NON_GROUP,
+         "decompose", "--pipeline", "field", "--n", "2", "--ring", "zp:2", "--plan", str(plan)],
+        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: PipelineCheckFailed: term tag: "), proc.stderr
+    assert "is a group" in proc.stderr
+    assert not plan.exists() and proc.stdout == ""
 
 
 def test_witnesses_reverify_from_json(field_plan):

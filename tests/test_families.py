@@ -100,11 +100,11 @@ def test_augmented_as1(fam, z2):
 
 def test_augmented_trivial_action():
     trivial = constants_monoid(2)  # take only its identity as the acting monoid
-    from semidec.monoid import from_elements
+    from semidec.monoid import Monoid
     from semidec.families import compose_tables
 
     ident = (0, 1)
-    acting = from_elements([ident], compose_tables, ident, label="1")
+    acting = Monoid([ident], ident, mul_fn=compose_tables, label="1")
     aug = augmented_monoid(acting)
     assert len(aug) == 3  # identity plus two constants
     del trivial
@@ -116,9 +116,9 @@ def test_augmented_as1_z3(fam):
 
 
 def test_augmented_rejects_unfaithful():
-    from semidec.monoid import from_elements
+    from semidec.monoid import Monoid
 
-    m = from_elements([0, 1], lambda a, b: a | b, 0, label="U_1 abstract")
+    m = Monoid([0, 1], 0, mul_fn=lambda a, b: a | b, label="U_1 abstract")
     with pytest.raises(ActionNotFaithful):
         augmented_monoid(m, action=[(0, 1), (0, 1)])
 

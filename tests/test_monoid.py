@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import semidec.monoid
 from oracles import greens_j_classes, is_regular
 from semidec.errors import InvalidMonoid, NotCentral, NotIdempotent, SizeLimitExceeded
 from semidec.families import compose_tables, family, transformation_closure, u1
@@ -170,9 +171,11 @@ def test_quotient_t2z3_scalars(fam):
     assert set(proj) == set(range(14))
 
 
-def test_quotient_of_oracle_monoid_leaves_it_without_table(fam, z3):
+def test_quotient_of_oracle_monoid_leaves_it_without_table(fam, z3, monkeypatch):
     t2 = fam("T", 2, "3")
-    oracle = Monoid(t2.elements, t2.identity_value, mul_fn=matrix_mul(z3), table_bound=0)
+    with monkeypatch.context() as patch:
+        patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+        oracle = Monoid(t2.elements, t2.identity_value, mul_fn=matrix_mul(z3))
     scalars = [t2.identity, t2.index[((2, 0), (0, 2))]]
     q, proj = quotient_by_central_units(oracle, scalars)
     expected, expected_proj = quotient_by_central_units(t2, scalars)
@@ -322,9 +325,10 @@ def test_associativity_sampled_beyond_full_bound(fam):
     check_associativity(big)
 
 
-def test_oracle_mode_without_table(z2):
+def test_oracle_mode_without_table(z2, monkeypatch):
     gen = ((1, 1), (0, 1))
-    m = close_generators([gen], matrix_mul(z2), identity_entries(z2, 2), table_bound=1)
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 1)
+    m = close_generators([gen], matrix_mul(z2), identity_entries(z2, 2))
     assert m._table is None
     assert m.mul(0, 0) == m.index[identity_entries(z2, 2)]
     assert len(m._memo) > 0
