@@ -38,7 +38,6 @@ from semidec.families import (
 from semidec.keys import value_json
 from semidec.monoid import (
     DEFAULT_LIMIT,
-    TABLE_BOUND,
     Monoid,
     depth_report,
     direct_product,
@@ -47,6 +46,7 @@ from semidec.monoid import (
     is_group,
     isomorphic,
     maximal_subgroup,
+    within_table_bound,
 )
 from semidec.semiring import SemiringTable, units
 from semidec.trimat import affine_to_matrix, identity_entries, mul_entries, scaling_map
@@ -193,7 +193,7 @@ def _traced_left(mid: Monoid, top: Monoid, base: Monoid, label: str) -> Monoid:
     reps = np.unique(ids, return_index=True)[1]
     ident = mid.elements[mid.identity][0]
     ctx = WreathContext(top, base)
-    table = ids[mid.products(reps, reps)] if len(reps) <= TABLE_BOUND else None
+    table = ids[mid.products(reps, reps)] if within_table_bound(len(reps)) else None
     return Monoid(
         left_elements, ident, mul_fn=ctx.mul_value, table=table, label=label,
         provenance={

@@ -18,10 +18,10 @@ import numpy as np
 from semidec.errors import ActionNotFaithful, FieldRequired, NotClosed, SizeLimitExceeded
 from semidec.monoid import (
     DEFAULT_LIMIT,
-    TABLE_BOUND,
     Monoid,
     maximal_subgroup,
     quotient_by_central_units,
+    within_table_bound,
 )
 from semidec.semiring import SemiringTable, units
 from semidec.trimat import AffineMap, identity_entries, mul_entries
@@ -162,7 +162,7 @@ def _matrix_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
     elements = _matrix_elements(kind, n, ring)
     spec = FamilySpec(kind, n, ring)
     # past the table bound, products come from the memoized per-pair oracle
-    table = triangular_table(ring, elements, spec.label()) if len(elements) <= TABLE_BOUND else None
+    table = triangular_table(ring, elements, spec.label()) if within_table_bound(len(elements)) else None
     return Monoid(elements, identity_entries(ring, n), mul_fn=partial(mul_entries, ring),
                   table=table, label=spec.label(), provenance=spec.descriptor())
 

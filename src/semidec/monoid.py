@@ -32,6 +32,11 @@ TABLE_BOUND = 4096
 _SPOT_TRIPLES = 64
 
 
+def within_table_bound(size: int) -> bool:
+    """Whether a monoid of ``size`` elements gets a table; reads ``TABLE_BOUND`` at call time."""
+    return size <= TABLE_BOUND
+
+
 class Monoid:
     def __init__(
         self,
@@ -57,7 +62,7 @@ class Monoid:
         self._greens = None
         if table is not None:
             self._table = np.asarray(table, dtype=np.int32)
-        elif mul_fn is not None and len(self.elements) <= TABLE_BOUND:
+        elif mul_fn is not None and within_table_bound(len(self.elements)):
             self._table = self._build_table()
         if self._table is None and mul_fn is None:
             raise ValueError("need a multiplication table or oracle")
@@ -108,7 +113,13 @@ class Monoid:
         return out
 
     def mul_value(self, a, b):
-        return self.elements[self.mul(self.index[a], self.index[b])]
+        """Product of two element values; anything else raises ``KeyError``.
+
+        Value products are not memoized: a closure over a monoid without a
+        table asks each product about once, and a memo would only hold them.
+        """
+        i, j = self.index[a], self.index[b]
+        return self.elements[self._table[i, j] if self._table is not None else self._product_index(i, j)]
 
     @property
     def identity_value(self):
@@ -235,7 +246,7 @@ def close_generators(
         if len(elements) > limit:
             raise SizeLimitExceeded(limit, "closure plus identity")
     table = None
-    if len(elements) <= TABLE_BOUND:
+    if within_table_bound(len(elements)):
         table = cayley_table(edges, right)
         if size < len(elements):  # the appended identity's row and column
             table = np.pad(table, (0, 1))
@@ -544,7 +555,7 @@ def direct_product(a: Monoid, b: Monoid) -> Monoid:
         return (a.mul_value(p[0], q[0]), b.mul_value(p[1], q[1]))
 
     table = None
-    if len(elements) <= TABLE_BOUND:
+    if within_table_bound(len(elements)):
         ta, tb = a.table_array(), b.table_array()
         table = (ta[:, None, :, None] * len(b) + tb[None, :, None, :]).reshape(len(elements), -1)
     return Monoid(elements, (a.identity_value, b.identity_value), mul_fn=mul, table=table,
@@ -671,7 +682,7 @@ def to_json(m: Monoid, include_table: bool = True) -> dict:
         "elements": [key_hex(v) for v in m.elements],
         "provenance": m.descriptor(),
     }
-    if include_table and len(m) <= TABLE_BOUND:
+    if include_table and within_table_bound(len(m)):
         out["table"] = [[int(x) for x in row] for row in m.table_array()]
     return out
 

@@ -30,7 +30,7 @@ from semidec.errors import (
     WitnessError,
 )
 from semidec.keys import value_from_json, value_json
-from semidec.monoid import DEFAULT_LIMIT, TABLE_BOUND, Monoid, cayley_table, direct_product, right_closure
+from semidec.monoid import DEFAULT_LIMIT, Monoid, cayley_table, direct_product, right_closure, within_table_bound
 from semidec.semiring import SemiringTable, units
 from semidec.wreath import WreathContext, constant_table
 
@@ -83,41 +83,38 @@ class DivisionWitness:
         Canonical order is closure discovery order, which a rebuild from
         the "close" descriptor keeps.  The closure is keyed by target value,
         so the table is the ``cayley_table`` of ``verify``'s graph, with no
-        target products, and the identity is the element whose row and
-        column are ``arange(N)`` (present when the witness pairs the
-        identities, as the pipelines do).  Past ``TABLE_BOUND`` elements the
-        target's product is a memoized oracle.  Built once, dropping the
-        graph, and kept until the witness is verified again.
+        target products; past ``TABLE_BOUND`` elements the target's product
+        is a memoized oracle.  The identity is the left identity of the
+        generators, read off the graph's rows: a two-sided identity is the
+        only one, and the ``Monoid`` check that it is two-sided on every
+        element decides whether there is one (there is when the witness
+        pairs the identities, as the pipelines do).  Built once, dropping
+        the graph, and kept until the witness is verified again.
         """
         assert self._closure is not None, "witness has not been verified"
         if self._image is not None:
             return self._image
         values = [t for t, _ in self._closure]
         edges, right = self._graph
-        mul = self.target.mul_value
-        table = None
-        if len(values) <= TABLE_BOUND:
-            table = cayley_table(edges, right)
-            ids = np.arange(len(values))
-            found = np.flatnonzero((table == ids).all(axis=1) & (table == ids[:, None]).all(axis=0))
-        else:  # left identities on the generators, then by value on the right
-            gens = range(right.shape[1])
-            found = [c for c in np.flatnonzero((right == np.arange(len(gens))).all(axis=1))
-                     if all(mul(values[g], values[c]) == values[g] for g in gens)]
+        found = np.flatnonzero((right == np.arange(right.shape[1])).all(axis=1))
         if not len(found):
             raise WitnessError("closure has no two-sided identity; cannot form a base monoid")
         ident = values[found[0]]
+        table = cayley_table(edges, right) if within_table_bound(len(values)) else None
         label = f"im({self.label})"
-        self._image = Monoid(
-            values, ident, mul_fn=mul, table=table, label=label,
-            provenance={
-                "kind": "close",
-                "carrier": self.target.descriptor(),
-                "generators": [value_json(t) for t, _ in self.pairs],
-                "identity": value_json(ident),
-                "label": label,
-            },
-        )
+        try:
+            self._image = Monoid(
+                values, ident, mul_fn=self.target.mul_value, table=table, label=label,
+                provenance={
+                    "kind": "close",
+                    "carrier": self.target.descriptor(),
+                    "generators": [value_json(t) for t, _ in self.pairs],
+                    "identity": value_json(ident),
+                    "label": label,
+                },
+            )
+        except InvalidMonoid as exc:
+            raise WitnessError(f"closure has no two-sided identity; cannot form a base monoid: {exc}") from exc
         self._graph = None
         return self._image
 

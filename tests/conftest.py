@@ -15,11 +15,17 @@ from semidec.semiring import make_boolean_semiring, make_prime_field
 SRC = str(Path(__file__).parent.parent / "src")
 
 
-def run_cli(args, optimize: bool = False) -> subprocess.CompletedProcess:
-    """Run ``semidec`` in a fresh interpreter; ``optimize`` adds ``-O``, which strips asserts."""
+def run_cli(args, optimize: bool = False, prelude: str = "") -> subprocess.CompletedProcess:
+    """Run ``semidec`` in a fresh interpreter; ``optimize`` adds ``-O``, which strips asserts.
+
+    A ``prelude`` is Python source run in that interpreter before the CLI's
+    ``main``, for example to patch a module the command uses.
+    """
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    entry = ["-c", f"{prelude}\nimport sys\nfrom semidec.cli import main\nsys.exit(main(sys.argv[1:]))"] \
+        if prelude else ["-m", "semidec.cli"]
     return subprocess.run(
-        [sys.executable, *(["-O"] if optimize else []), "-m", "semidec.cli", *args],
+        [sys.executable, *(["-O"] if optimize else []), *entry, *args],
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
     )
 

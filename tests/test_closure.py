@@ -10,13 +10,14 @@ tables equals the per-pair value products.
 
 import numpy as np
 import pytest
+import semidec.monoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cached_family
 from oracles import pair_closure, target_closure, value_product_table
 from semidec.carriers import ProductCarrier, build_carrier, build_monoid
-from semidec.decomp import induction_step
+from semidec.decomp import _traced_left, induction_step
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
 from semidec.families import compose_tables, transformation_closure, u1
 from semidec.monoid import Monoid, close_generators, direct_product, find_generators, isomorphic, right_closure
@@ -173,6 +174,48 @@ def test_image_submonoid_evaluates_no_target_products(monkeypatch, z2):
         assert image.elements == [t for t, _ in w.closure_pairs()]
         assert image.identity_value == w.target.identity_value
         assert w._graph is None
+
+
+def test_derived_monoids_past_the_table_bound_use_the_oracle(monkeypatch, z2):
+    # past TABLE_BOUND an image and a traced-left monoid keep no table; their
+    # oracle products are the tables derived below the bound
+    w = induction_step(3, z2)
+    top, base = cached_family("AS", 2, "2"), cached_family("T", 2, "2")
+    mid = w.image_submonoid()
+    tabled = [mid, _traced_left(mid, top, base, "traced left")]
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+    verify(w)
+    mid = w.image_submonoid()
+    oracle = [mid, _traced_left(mid, top, base, "traced left")]
+    for m, expected in zip(oracle, tabled):
+        assert m._table is None, m.label
+        assert m.elements == expected.elements and m.identity == expected.identity
+        size = range(len(m))
+        assert [[m.mul(i, j) for j in size] for i in size] == expected.table_array().tolist(), m.label
+
+
+def _zero_semigroup_with_identity(left: bool) -> Monoid:
+    """{0, 1} with xy = x (left zero) or xy = y (right zero), plus an identity 2."""
+    def mul(a, b):
+        if 2 in (a, b):
+            return b if a == 2 else a
+        return a if left else b
+
+    return Monoid([0, 1, 2], 2, mul_fn=mul, label="left zero" if left else "right zero")
+
+
+@pytest.mark.parametrize("bound", [None, 0])
+@pytest.mark.parametrize("left", [True, False])
+def test_image_without_two_sided_identity_is_rejected(monkeypatch, bound, left):
+    # a left-zero closure has no left identity; in a right-zero one both
+    # elements are left identities and neither is two-sided
+    trivial = Monoid([0], 0, mul_fn=lambda a, b: 0, label="1")
+    w = verify(DivisionWitness(trivial, _zero_semigroup_with_identity(left), [(0, 0), (1, 0)]))
+    assert w.verified and w.closure_size == 2
+    if bound is not None:
+        monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", bound)
+    with pytest.raises(WitnessError, match="no two-sided identity"):
+        w.image_submonoid()
 
 
 def test_close_generators_evaluates_only_the_closure_products():

@@ -1,12 +1,9 @@
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 import semidec.decomp as decomp
-from conftest import SRC
+from conftest import run_cli
 from semidec.decomp import (
     check_scaling_group_embedding,
     depth_analysis,
@@ -116,25 +113,12 @@ def test_scaling_group_embedding_failure_is_typed(z2, monkeypatch):
         check_scaling_group_embedding(1, 2, z2)
 
 
-_FAKE_NON_GROUP = """
-import sys
-import semidec.decomp
-from semidec.cli import main
-semidec.decomp.is_group = lambda m: False
-sys.exit(main(sys.argv[1:]))
-"""
-
-
 def test_term_tag_check_survives_optimize(tmp_path):
     # with asserts stripped, a term whose tag predicate fails still stops
     # the pipeline with a typed error instead of writing a plan
     plan = tmp_path / "plan.json"
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FAKE_NON_GROUP,
-         "decompose", "--pipeline", "field", "--n", "2", "--ring", "zp:2", "--plan", str(plan)],
-        capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
-    )
+    proc = run_cli(["decompose", "--pipeline", "field", "--n", "2", "--ring", "zp:2", "--plan", str(plan)],
+                   optimize=True, prelude="import semidec.decomp\nsemidec.decomp.is_group = lambda m: False")
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.startswith("error: PipelineCheckFailed: term tag: "), proc.stderr
     assert "is a group" in proc.stderr
