@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from semidec.carriers import ProductCarrier
 from semidec.errors import CensusMismatch, FieldRequired, PipelineCheckFailed
 from semidec.families import (
@@ -39,14 +37,15 @@ from semidec.keys import value_json
 from semidec.monoid import (
     DEFAULT_LIMIT,
     Monoid,
+    close_generators,
     depth_report,
     direct_product,
+    generating_set,
     greens,
     is_aperiodic,
     is_group,
     isomorphic,
     maximal_subgroup,
-    within_table_bound,
 )
 from semidec.semiring import SemiringTable, units
 from semidec.trimat import affine_to_matrix, identity_entries, mul_entries, scaling_map
@@ -80,8 +79,9 @@ def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
 
     Each matrix s with blocks (M, v, c) maps to ((f, M), c) where the table
     f sends X in T_(n-1) to the scaling map w -> (X v)^T + w c.  The witness
-    carries one pair per matrix; verification confirms the map is a
-    homomorphism with closure exactly |T_n|.
+    pairs the identity and a generating set of T_n with their splits;
+    verification confirms they generate a homomorphism, and closure exactly
+    |T_n| makes it injective.
     """
     assert n >= 2
     m = n - 1
@@ -181,26 +181,21 @@ class _ChainLevel:
 def _traced_left(mid: Monoid, top: Monoid, base: Monoid, label: str) -> Monoid:
     """Left components of a traced image of pairs, a monoid inside top wr base.
 
-    The left projection of a product carrier is a homomorphism, so the table
-    maps the first representatives' block through the left ids, as
-    ``quotient_by_central_units`` does.  Its descriptor lists every element
-    as a generator, so a rebuild keeps the first-seen order.
+    The left projection of a product carrier is a homomorphism, so the left
+    components of ``mid``'s identity and ``generating_set(mid)`` generate
+    it.  The monoid is their ``close_generators`` closure, and its ``"close"``
+    descriptor lists them, so build and rebuild are one call with one
+    element order.
     """
-    lefts = [left for left, _right in mid.elements]
-    left_elements = list(dict.fromkeys(lefts))
-    position = {v: i for i, v in enumerate(left_elements)}
-    ids = np.array([position[v] for v in lefts], dtype=np.int32)
-    reps = np.unique(ids, return_index=True)[1]
-    ident = mid.elements[mid.identity][0]
     ctx = WreathContext(top, base)
-    table = ids[mid.products(reps, reps)] if within_table_bound(len(reps)) else None
-    return Monoid(
-        left_elements, ident, mul_fn=ctx.mul_value, table=table, label=label,
+    gens = list(dict.fromkeys(mid.elements[x][0] for x in [mid.identity] + generating_set(mid)))
+    return close_generators(
+        gens, ctx.mul_value, gens[0], label=label,
         provenance={
             "kind": "close",
             "carrier": ctx.descriptor(),
-            "generators": [value_json(v) for v in left_elements],
-            "identity": value_json(ident),
+            "generators": [value_json(v) for v in gens],
+            "identity": value_json(gens[0]),
             "label": label,
         },
     )
@@ -355,15 +350,14 @@ def check_scaling_group_embedding(m: int, n: int, ring: SemiringTable,
              "scaling embedding: multiplicative")
 
 
-def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT,
-                   inner_budget: int = 600) -> DecompositionPlan:
+def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> DecompositionPlan:
     """Alternating decomposition over a finite field, group length n-1.
 
     Builds on the ring chain: each scaling monoid divides constants wr its
     unit group (augmentation), each scalar factor divides units x U_1, and
-    the innermost product assembles into [AS*_1 x D^n] wr U_1^n.  All
-    replacement witnesses are verified; the ring composite certifies the
-    chain they refine.
+    the innermost product assembles into [AS*_1 x D^n] wr U_1^n, composed
+    end to end into one verified witness.  All replacement witnesses are
+    verified; the ring composite certifies the chain they refine.
     """
     if not ring.is_field:
         raise FieldRequired(f"{ring.label} is not a field")
@@ -439,47 +433,38 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT,
     w_t2w = times_to_wreath(inner_group, u1_n, limit=limit)
     steps.append(w_t2w)
 
-    # composing the pieces across the semilattice factor multiplies their
-    # closures, so assemble end to end only within budget
-    if w_core.closure_size * len(u1_n) <= inner_budget:
-        scalars_n = _fold_product([t_1] * n)
-        inner_source = direct_product(as_1, scalars_n)
-        w_s1 = product_witness(identity_witness(as_1, limit), w_scalars,
-                               source=inner_source, limit=limit)
-        steps.append(w_s1)
+    scalars_n = _fold_product([t_1] * n)
+    inner_source = direct_product(as_1, scalars_n)
+    w_s1 = product_witness(identity_witness(as_1, limit), w_scalars,
+                           source=inner_source, limit=limit)
+    steps.append(w_s1)
 
-        def shuffle(value):
-            a, (g, u) = value
-            return ((a, g), u)
+    def shuffle(value):
+        a, (g, u) = value
+        return ((a, g), u)
 
-        mid_s1 = w_s1.image_submonoid()
-        w_s2 = _regroup(
-            mid_s1, shuffle,
-            ProductCarrier(ProductCarrier(as_1, units_n), u1_n),
-            label="regroup A x (D x U) as (A x D) x U", limit=limit,
-        )
-        steps.append(w_s2)
-        w_full = product_witness(w_core, identity_witness(u1_n, limit), limit=limit)
-        steps.append(w_full)
-        w_run = compose(compose(w_s1, w_s2, limit), w_full, limit)
+    mid_s1 = w_s1.image_submonoid()
+    w_s2 = _regroup(
+        mid_s1, shuffle,
+        ProductCarrier(ProductCarrier(as_1, units_n), u1_n),
+        label="regroup A x (D x U) as (A x D) x U", limit=limit,
+    )
+    steps.append(w_s2)
+    w_full = product_witness(w_core, identity_witness(u1_n, limit), limit=limit)
+    steps.append(w_full)
+    w_run = compose(compose(w_s1, w_s2, limit), w_full, limit)
 
-        mid_run = w_run.image_submonoid()
-        w_s4 = absorb(const_k, inner_group, u1_n, source=mid_run, limit=limit)
-        steps.append(w_s4)
-        w_run = compose(w_run, w_s4, limit)
+    mid_run = w_run.image_submonoid()
+    w_s4 = absorb(const_k, inner_group, u1_n, source=mid_run, limit=limit)
+    steps.append(w_s4)
+    w_run = compose(w_run, w_s4, limit)
 
-        mid_run2 = w_run.image_submonoid()
-        w_s5 = lift_left(w_t2w, const_k, source=mid_run2, limit=limit)
-        steps.append(w_s5)
-        w_inner = compose(w_run, w_s5, limit)
-        steps.append(w_inner)
-        _require(w_inner.verified and w_inner.closure_size is not None, "field_pipeline: inner composite verified")
-        notes.append("innermost assembly composed end to end")
-    else:
-        notes.append(
-            "innermost assembly certified piecewise; end-to-end composition skipped "
-            f"(estimated closure {w_core.closure_size * len(u1_n)} exceeds budget {inner_budget})"
-        )
+    mid_run2 = w_run.image_submonoid()
+    w_s5 = lift_left(w_t2w, const_k, source=mid_run2, limit=limit)
+    steps.append(w_s5)
+    w_inner = compose(w_run, w_s5, limit)
+    steps.append(w_inner)
+    _require(w_inner.verified and w_inner.closure_size is not None, "field_pipeline: inner composite verified")
 
     # term list, outermost first, with tags checked by the predicates
     terms: list[Term] = []
@@ -547,10 +532,10 @@ def _inner_kabsorb(ring: SemiringTable, w_aug: DivisionWitness, star_1: Monoid,
 # -- depth analysis and census -------------------------------------------------
 
 
-def depth_analysis(m: Monoid, limit: int = DEFAULT_LIMIT,
-                   compare_pipeline: bool | None = None) -> dict:
+def depth_analysis(m: Monoid, limit: int = DEFAULT_LIMIT) -> dict:
     """Depth report plus the per-depth group terms of the depth decomposition,
-    and, for field families, a comparison with the certified group length."""
+    and, for field families whose T_n has at most 1000 elements, a comparison
+    with the certified group length."""
     rep = depth_report(m)
     out: dict = {"depth_report": rep, "k_terms": []}
     for depth, class_ids in enumerate(rep.k_terms):
@@ -568,10 +553,7 @@ def depth_analysis(m: Monoid, limit: int = DEFAULT_LIMIT,
         from semidec.carriers import build_ring
 
         ring = build_ring(prov["ring"])
-        feasible = ring.is_field and n >= 2 and ring.size ** (n * (n + 1) // 2) <= 1000
-        if compare_pipeline is None:
-            compare_pipeline = feasible
-        if compare_pipeline:
+        if ring.is_field and n >= 2 and ring.size ** (n * (n + 1) // 2) <= 1000:
             plan = field_pipeline(n, ring, limit)
             out["comparison"] = {
                 "depth_decomposition_group_length": rep.depth,
@@ -582,10 +564,11 @@ def depth_analysis(m: Monoid, limit: int = DEFAULT_LIMIT,
 
 
 _CENSUS_STARS = {"T": "T*", "UT": "UT*", "PT": "PT*"}
+_ISO_LIMIT = 512  # largest maximal subgroup the census matches by isomorphism search
 
 
 def verify_census(n: int, ring: SemiringTable, kinds=("T", "UT", "PT"),
-                  limit: int = DEFAULT_LIMIT, iso_limit: int = 512) -> dict:
+                  limit: int = DEFAULT_LIMIT) -> dict:
     """Check essential-class counts, depths, and maximal subgroup types.
 
     For each family: the essential classes at depth i number (n choose i);
@@ -618,7 +601,7 @@ def verify_census(n: int, ring: SemiringTable, kinds=("T", "UT", "PT"),
             star = family(_CENSUS_STARS[kind], n - depth, ring, limit)
             for c in class_ids:
                 sub = maximal_subgroup(monoid, idem_by_class[c])
-                if len(sub) != len(star) or not isomorphic(sub, star, iso_limit):
+                if len(sub) != len(star) or not isomorphic(sub, star, _ISO_LIMIT):
                     raise CensusMismatch(
                         f"{monoid.label}: class {c} at depth {depth} has maximal subgroup "
                         f"of order {len(sub)}, expected {star.label} of order {len(star)}"

@@ -588,11 +588,17 @@ def _element_profiles(m: Monoid) -> list[tuple]:
     return out
 
 
-def find_generators(m: Monoid) -> list[int]:
-    """Greedy generating set, scanning the canonical order."""
+def generating_set(m: Monoid) -> list[int]:
+    """Greedy generating set of ``m`` with its identity (Froidure and Pin, 1997).
+
+    Scans elements by row-image size, largest first, then by index, adding
+    each one the closure so far misses.  Rows come from ``products``, so a
+    monoid past ``TABLE_BOUND`` gets no table."""
+    everything = range(len(m))
+    sizes = [len(np.unique(m.products([x], everything))) for x in everything]
     gens: list[int] = []
     closure = {m.identity}
-    for x in range(len(m)):
+    for x in sorted(everything, key=lambda x: (-sizes[x], x)):
         if x in closure:
             continue
         gens.append(x)
@@ -618,7 +624,7 @@ def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
     if sorted(prof_m) != sorted(prof_n):
         return False
 
-    gens = find_generators(m)
+    gens = generating_set(m)
     # every element is the identity, a generator, or a derived element times
     # a generator
     derived, _, edges, _ = right_closure(gens, m.mul, len(m), "isomorphism search")

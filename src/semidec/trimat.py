@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from semidec.errors import DimensionMismatch, DimensionTooSmall, IllegalDirection, RingMismatch
+from semidec.errors import DimensionMismatch
 from semidec.semiring import SemiringTable
 
 Entries = tuple[tuple[int, ...], ...]
@@ -36,24 +36,10 @@ class TriMatrix:
         return self.entries[i][j]
 
 
-def matrix(ring: SemiringTable, rows) -> TriMatrix:
-    entries = tuple(tuple(int(x) for x in row) for row in rows)
-    return TriMatrix(len(entries), entries, ring)
-
-
 def identity_entries(ring: SemiringTable, n: int) -> Entries:
     return tuple(
         tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)
     )
-
-
-def identity(ring: SemiringTable, n: int) -> TriMatrix:
-    return TriMatrix(n, identity_entries(ring, n), ring)
-
-
-def zero_matrix(ring: SemiringTable, n: int) -> TriMatrix:
-    z = ring.zero
-    return TriMatrix(n, tuple(tuple(z for _ in range(n)) for _ in range(n)), ring)
 
 
 def mul_entries(ring: SemiringTable, a: Entries, b: Entries) -> Entries:
@@ -63,116 +49,6 @@ def mul_entries(ring: SemiringTable, a: Entries, b: Entries) -> Entries:
         tuple(s(mul[a[i][k]][b[k][j]] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def mat_mul(a: TriMatrix, b: TriMatrix) -> TriMatrix:
-    if a.ring is not b.ring and a.ring != b.ring:
-        raise RingMismatch(f"{a.ring.label} vs {b.ring.label}")
-    if a.n != b.n:
-        raise DimensionMismatch(f"{a.n} vs {b.n}")
-    entries = mul_entries(a.ring, a.entries, b.entries)
-    assert is_triangular_entries(a.ring, entries)
-    return TriMatrix(a.n, entries, a.ring)
-
-
-def classify(m: TriMatrix) -> dict:
-    """Flags: triangular (always), unitriangular, subidentity."""
-    ring = m.ring
-    unitri = all(m.entries[i][i] in (ring.zero, ring.one) for i in range(m.n))
-    subid = unitri and all(
-        m.entries[i][j] == ring.zero for i in range(m.n) for j in range(m.n) if i != j
-    )
-    return {"triangular": True, "unitriangular": unitri, "subidentity": subid}
-
-
-@dataclass(frozen=True)
-class ElementaryOp:
-    """``add``: add scalar * (row/column ``source``) to row/column ``target``.
-    ``scale``: multiply row/column ``target`` by scalar."""
-
-    kind: str  # "add" | "scale"
-    target: int
-    scalar: int
-    source: int | None = None
-
-
-def _elementary_matrix(ring: SemiringTable, n: int, op: ElementaryOp, rows: bool) -> TriMatrix:
-    ent = [list(row) for row in identity_entries(ring, n)]
-    if op.kind == "scale":
-        ent[op.target][op.target] = op.scalar
-    elif op.kind == "add":
-        if rows:
-            # row target += scalar * row source; as left multiplication the
-            # factor has `scalar` at (target, source), triangular iff target < source
-            if not op.target < op.source:
-                raise IllegalDirection("rows may only receive multiples of rows below them")
-            ent[op.target][op.source] = op.scalar
-        else:
-            if not op.target > op.source:
-                raise IllegalDirection("columns may only receive multiples of columns to their left")
-            ent[op.source][op.target] = op.scalar
-    else:
-        raise ValueError(f"unknown op kind {op.kind!r}")
-    return TriMatrix(n, tuple(tuple(r) for r in ent), ring)
-
-
-def apply_row_op(m: TriMatrix, op: ElementaryOp) -> TriMatrix:
-    """Apply a row operation; equals left multiplication by a triangular matrix."""
-    left = _elementary_matrix(m.ring, m.n, op, rows=True)
-    out = mat_mul(left, m)
-    ent = [list(row) for row in m.entries]
-    if op.kind == "scale":
-        ent[op.target] = [m.ring.mul[op.scalar][x] for x in ent[op.target]]
-    else:
-        ent[op.target] = [
-            m.ring.add[ent[op.target][j]][m.ring.mul[op.scalar][ent[op.source][j]]]
-            for j in range(m.n)
-        ]
-    assert out.entries == tuple(tuple(r) for r in ent)
-    return out
-
-
-def apply_col_op(m: TriMatrix, op: ElementaryOp) -> TriMatrix:
-    """Apply a column operation; equals right multiplication by a triangular matrix."""
-    right = _elementary_matrix(m.ring, m.n, op, rows=False)
-    out = mat_mul(m, right)
-    ent = [list(row) for row in m.entries]
-    if op.kind == "scale":
-        for i in range(m.n):
-            ent[i][op.target] = m.ring.mul[ent[i][op.target]][op.scalar]
-    else:
-        for i in range(m.n):
-            ent[i][op.target] = m.ring.add[ent[i][op.target]][
-                m.ring.mul[ent[i][op.source]][op.scalar]
-            ]
-    assert out.entries == tuple(tuple(r) for r in ent)
-    return out
-
-
-@dataclass(frozen=True)
-class BlockParts:
-    """Top-left block, top-right column, bottom-right scalar of a matrix."""
-
-    M: TriMatrix
-    v: tuple[int, ...]
-    c: int
-
-    def reassemble(self) -> TriMatrix:
-        ring, m = self.M.ring, self.M.n
-        rows = [tuple(self.M.entries[i]) + (self.v[i],) for i in range(m)]
-        rows.append(tuple(ring.zero for _ in range(m)) + (self.c,))
-        return TriMatrix(m + 1, tuple(rows), ring)
-
-
-def block_decompose(s: TriMatrix) -> BlockParts:
-    if s.n < 2:
-        raise DimensionTooSmall("block decomposition needs dimension >= 2")
-    m = s.n - 1
-    top = TriMatrix(m, tuple(tuple(s.entries[i][:m]) for i in range(m)), s.ring)
-    v = tuple(s.entries[i][m] for i in range(m))
-    parts = BlockParts(top, v, s.entries[m][m])
-    assert parts.reassemble().entries == s.entries
-    return parts
 
 
 # -- affine maps -------------------------------------------------------------
@@ -236,10 +112,6 @@ class AffineMap:
 
 def scaling_map(ring: SemiringTable, dim: int, lam: int, shift: Vector) -> AffineMap:
     return AffineMap(dim, ring, tuple(shift), scaling=lam)
-
-
-def identity_affine(ring: SemiringTable, dim: int) -> AffineMap:
-    return scaling_map(ring, dim, ring.one, tuple(ring.zero for _ in range(dim)))
 
 
 def affine_to_matrix(f: AffineMap) -> TriMatrix:

@@ -30,7 +30,8 @@ from semidec.errors import (
     WitnessError,
 )
 from semidec.keys import value_from_json, value_json
-from semidec.monoid import DEFAULT_LIMIT, Monoid, cayley_table, direct_product, right_closure, within_table_bound
+from semidec.monoid import (DEFAULT_LIMIT, Monoid, cayley_table, direct_product, generating_set, right_closure,
+                            within_table_bound)
 from semidec.semiring import SemiringTable, units
 from semidec.wreath import WreathContext, constant_table
 
@@ -160,8 +161,10 @@ def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
 
 def mapped_witness(source: Monoid, value_map, target, steps=None, label="",
                    limit: int = DEFAULT_LIMIT) -> DivisionWitness:
-    """Witness with one pair per source element, then verified."""
-    pairs = [(value_map(source.elements[i]), i) for i in range(len(source))]
+    """Witness pairing the source identity and ``generating_set(source)`` with
+    their ``value_map`` images, then verified: it proves the homomorphism these
+    pairs generate, which is ``value_map`` wherever that is one."""
+    pairs = [(value_map(source.elements[i]), i) for i in [source.identity] + generating_set(source)]
     w = DivisionWitness(source, target, pairs, steps=steps, label=label)
     return verify(w, limit)
 

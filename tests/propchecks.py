@@ -6,10 +6,10 @@ violations (expected to be zero everywhere).  The library computes each
 answer one way; the second ways live here.
 """
 
-from oracles import columns, rows, span_membership
+from oracles import ElementaryOp, classify, columns, elementary_matrix, matrix, rows, span_membership
 from semidec.families import constants_monoid
 from semidec.monoid import greens, is_aperiodic, is_group, maximal_subgroup, quotient_by_central_units
-from semidec.trimat import classify, matrix
+from semidec.trimat import identity_entries, mul_entries
 
 
 def greens_vs_multiplication_orbits(m) -> int:
@@ -45,20 +45,17 @@ def elementary_row_orbits_match_l_classes(m, ring) -> int:
     row by any ring element (diagonal left factor).
     """
     from semidec.monoid import close_generators
-    from semidec.trimat import ElementaryOp, _elementary_matrix, identity_entries
 
     n = len(m.elements[0])
     gens = []
     for target in range(n):
         for scalar in range(ring.size):
-            gens.append(_elementary_matrix(ring, n, ElementaryOp("scale", target, scalar), True).entries)
+            gens.append(elementary_matrix(ring, n, ElementaryOp("scale", target, scalar), True).entries)
         for source in range(target + 1, n):
             for scalar in range(ring.size):
                 gens.append(
-                    _elementary_matrix(ring, n, ElementaryOp("add", target, scalar, source), True).entries
+                    elementary_matrix(ring, n, ElementaryOp("add", target, scalar, source), True).entries
                 )
-    from semidec.trimat import mul_entries
-
     ops = close_generators(gens, lambda a, b: mul_entries(ring, a, b), identity_entries(ring, n))
     rep = greens(m)
     size = len(m)

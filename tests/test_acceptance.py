@@ -17,7 +17,8 @@ from propchecks import (
     projective_quotient_respects_structure,
     regularity_three_ways,
 )
-from semidec.decomp import check_scaling_group_embedding, induction_step, verify_census
+from semidec.decomp import (check_scaling_group_embedding, field_pipeline, induction_step, ring_pipeline,
+                             verify_census)
 from semidec.errors import AxiomViolation, NotFunctional
 from semidec.families import family, transformation_closure, u1
 from semidec.monoid import direct_product, is_aperiodic, is_group
@@ -92,6 +93,23 @@ def test_criterion_3_field_chain_group_length():
             check_scaling_group_embedding(m, n, ring)
         details.append(f"n={n} {ring.label}: length {plan.group_length}")
     _report("3 field chain optimal length", "; ".join(details))
+
+
+def test_reach_end_to_end_over_z3():
+    start = time.monotonic()
+    plan = field_pipeline(2, _ring("3"))
+    field_s = time.monotonic() - start
+    inner = plan.witnesses[-1]  # the innermost assembly, composed end to end
+    assert inner.verified and inner.steps[-1] == {"kind": "compose"}
+    assert inner.source.label == "(AS_1(Z_3) x (T_1(Z_3) x T_1(Z_3)))"
+    assert len(plan.notes) == 1
+    start = time.monotonic()
+    ring_plan = ring_pipeline(3, _ring("3"))
+    ring_s = time.monotonic() - start
+    assert ring_plan.composite.verified and ring_plan.composite.closure_size == 729
+    assert field_s < 15.0 and ring_s < 15.0
+    _report("reach over Z_3", f"field n=2 inner closure {inner.closure_size} in {field_s:.1f}s; "
+            f"ring n=3 composite 729 in {ring_s:.1f}s")
 
 
 def _term_monoid(term, n, spec):

@@ -358,15 +358,17 @@ def test_tableless_target_rejects_foreign_values(tmp_path, value, optimize):
 
 
 def test_optimized_round_trip_is_byte_identical(tmp_path):
-    outputs = {}
-    for optimize in (False, True):
-        plan, cert = tmp_path / f"plan-{optimize}.json", tmp_path / f"cert-{optimize}.json"
-        proc = run_cli(["decompose", "--pipeline", "field", "--n", "2", "--ring", "zp:2",
-                        "--plan", str(plan), "--cert", str(cert)], optimize)
+    # over Z_3 the field pipeline composes its innermost assembly end to end too
+    for ring in ("zp:2", "zp:3"):
+        outputs = {}
+        for optimize in (False, True):
+            plan, cert = tmp_path / f"plan-{ring}-{optimize}.json", tmp_path / f"cert-{ring}-{optimize}.json"
+            proc = run_cli(["decompose", "--pipeline", "field", "--n", "2", "--ring", ring,
+                            "--plan", str(plan), "--cert", str(cert)], optimize)
+            assert proc.returncode == 0, proc.stderr
+            outputs[optimize] = (plan.read_bytes(), cert.read_bytes())
+        assert outputs[True] == outputs[False], ring
+        proc = run_cli(["verify", str(tmp_path / f"cert-{ring}-True.json")], optimize=True)
         assert proc.returncode == 0, proc.stderr
-        outputs[optimize] = (plan.read_bytes(), cert.read_bytes())
-    assert outputs[True] == outputs[False]
-    proc = run_cli(["verify", str(tmp_path / "cert-True.json")], optimize=True)
-    assert proc.returncode == 0, proc.stderr
-    count = len(json.loads(outputs[True][1])["certificates"]) + 1
-    assert proc.stdout.count(": verified closure=") == count
+        count = len(json.loads(outputs[True][1])["certificates"]) + 1
+        assert proc.stdout.count(": verified closure=") == count, ring

@@ -4,8 +4,10 @@ Checks the kernel's discovery order, edges and Cayley graph, the
 verifier's verdicts against the brute-force pair closure, the certificates
 of the field pipeline against the brute-force target closure, that a
 closed image rebuilt from its descriptor keeps the verifier's element
-order, and that every table derived from a Cayley graph or from other
-tables equals the per-pair value products.
+order, that every table derived from a Cayley graph or from other
+tables equals the per-pair value products, that generating sets are small
+and generate, and that the pipelines' mapped steps also verify when they
+pair every source element.
 """
 
 import numpy as np
@@ -14,13 +16,13 @@ import semidec.monoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cached_family
-from oracles import pair_closure, target_closure, value_product_table
+from conftest import _ring, cached_family
+from oracles import every_element_pairing, pair_closure, target_closure, value_product_table
 from semidec.carriers import ProductCarrier, build_carrier, build_monoid
-from semidec.decomp import _traced_left, induction_step
+from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
 from semidec.families import compose_tables, transformation_closure, u1
-from semidec.monoid import Monoid, close_generators, direct_product, find_generators, isomorphic, right_closure
+from semidec.monoid import Monoid, close_generators, direct_product, generating_set, isomorphic, right_closure
 from semidec.witness import DivisionWitness, augmentation, group_with_zero, identity_witness, verify
 from semidec.wreath import WreathContext
 
@@ -318,8 +320,37 @@ def _relabel(m: Monoid, perm: list[int]) -> Monoid:
 @given(st.data())
 def test_generators_generate_and_relabelled_copy_is_isomorphic(data):
     m = SMALL[data.draw(st.sampled_from(sorted(SMALL)))]()
-    gens = find_generators(m)
+    gens = generating_set(m)
     generated = target_closure([m.elements[g] for g in gens] + [m.identity_value], m.mul_value)
     assert generated == set(m.elements)
     perm = data.draw(st.permutations(range(len(m))))
     assert isomorphic(m, _relabel(m, perm))
+
+
+@pytest.mark.parametrize("kind,n,spec,at_most", [("T", 3, "3", 10), ("T", 4, "2", 11)])
+def test_generating_set_is_small(kind, n, spec, at_most):
+    m = cached_family(kind, n, spec)
+    gens = generating_set(m)
+    assert len(gens) <= at_most
+    closure, _, _, _ = right_closure(gens, m.mul, len(m), "test")
+    assert set(closure) | {m.identity} == set(range(len(m)))
+
+
+def test_generating_set_builds_no_table(monkeypatch):
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+    m = Monoid(list(range(12)), 0, mul_fn=lambda a, b: (a + b) % 12, label="Z_12")
+    assert m._table is None
+    gens = generating_set(m)
+    assert m._table is None
+    assert set(right_closure(gens, m.mul, len(m), "test")[0]) | {m.identity} == set(range(12))
+
+
+@pytest.mark.parametrize("pipeline,n,spec", [("field", 2, "2"), ("field", 3, "2"), ("ring", 2, "3")])
+def test_every_element_pairing_verifies(monkeypatch, pipeline, n, spec):
+    # with every source element paired, each mapped step must still verify;
+    # pairing a generating set does not check the value maps off that set
+    every_element_pairing(monkeypatch)
+    plan = {"field": field_pipeline, "ring": ring_pipeline}[pipeline](n, _ring(spec))
+    mapped = [w for w in plan.witnesses if len(w.pairs) == len(w.source)]
+    assert mapped and all(w.verified for w in plan.witnesses)
+    assert plan.composite.verified and plan.composite.closure_size == len(cached_family("T", n, spec))

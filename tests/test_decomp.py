@@ -20,7 +20,7 @@ def test_induction_example_values(z2, fam):
     w = induction_step(2, z2)
     t2 = fam("T", 2, "2")
     s = ((1, 1), (0, 1))
-    target = dict((i, t) for t, i in w.pairs)[t2.index[s]]
+    target = w.preimage_of(t2.index[s])
     (table, top_block), scalar = target
     assert top_block == ((1,),)
     assert scalar == ((1,),)
@@ -147,9 +147,14 @@ def test_depth_analysis_comparisons(fam):
 
 
 def test_depth_analysis_ut3(fam):
-    out = depth_analysis(fam("UT", 3, "2"), compare_pipeline=False)
+    out = depth_analysis(fam("UT", 3, "2"))
     rep = out["depth_report"]
     assert rep.depth == 2
+    assert out["comparison"] == {
+        "depth_decomposition_group_length": 2,
+        "pipeline_group_length": 2,
+        "depth_suboptimal": False,
+    }
     assert rep.census == (1, 3)
     assert out["k_terms"][0]["subgroup_orders"] == [8]
     assert out["k_terms"][1]["subgroup_orders"] == [2, 2, 2]

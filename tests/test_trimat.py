@@ -2,12 +2,9 @@ from itertools import product
 
 import pytest
 
-from semidec.errors import DimensionMismatch, DimensionTooSmall, IllegalDirection, RingMismatch
-from semidec.trimat import (
-    AffineMap,
+from oracles import (
     BlockParts,
     ElementaryOp,
-    affine_to_matrix,
     apply_col_op,
     apply_row_op,
     block_decompose,
@@ -16,9 +13,10 @@ from semidec.trimat import (
     identity_affine,
     mat_mul,
     matrix,
-    scaling_map,
     zero_matrix,
 )
+from semidec.errors import DimensionMismatch, DimensionTooSmall, IllegalDirection, RingMismatch
+from semidec.trimat import AffineMap, affine_to_matrix, scaling_map
 
 
 def all_triangular(ring, n):
