@@ -4,8 +4,9 @@ Subcommands: family (build and export a monoid), analyze (structure
 reports), decompose (run a pipeline and write certificates), verify
 (re-check certificates from file), search (exhaustive division search),
 export (render a report in another format).  Exit codes: 0 success,
-1 verification failure or negative search, 2 usage error, a monoid file
-whose table is not a monoid, or a malformed certificate.
+1 verification failure or negative search, 2 usage error (a ring, family
+or degree that names nothing to build), a monoid file whose table is not
+a monoid, or a malformed certificate.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 
 from semidec.decomp import field_pipeline, ring_pipeline
-from semidec.errors import InvalidCertificate, InvalidMonoid, SemidecError, UnsupportedFormat
+from semidec.errors import InvalidCertificate, InvalidMonoid, InvalidSpec, SemidecError, UnsupportedFormat
 from semidec.families import FAMILY_KINDS, FamilySpec, build_family
 from semidec.monoid import DEFAULT_LIMIT, depth_report, dot_j_order, greens
 from semidec.monoid import from_json as monoid_from_json
@@ -220,7 +221,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SemidecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (InvalidMonoid, InvalidCertificate)) else 1
+        return 2 if isinstance(exc, (InvalidSpec, InvalidMonoid, InvalidCertificate)) else 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

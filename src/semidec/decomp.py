@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 from semidec.carriers import ProductCarrier
-from semidec.errors import CensusMismatch, FieldRequired, PipelineCheckFailed
+from semidec.errors import CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, PipelineCheckFailed
 from semidec.families import (
     constants_monoid,
     family,
@@ -71,6 +71,12 @@ def _require(ok: bool, check: str) -> None:
         raise PipelineCheckFailed(check)
 
 
+def _require_degree(n: int, what: str) -> None:
+    """Raise ``DimensionTooSmall`` unless ``n >= 2``, also under ``python -O``."""
+    if n < 2:
+        raise DimensionTooSmall(f"{what} needs degree >= 2, got {n}")
+
+
 # -- the inductive splitting step ---------------------------------------------
 
 
@@ -83,7 +89,7 @@ def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     verification confirms they generate a homomorphism, and closure exactly
     |T_n| makes it injective.
     """
-    assert n >= 2
+    _require_degree(n, "induction_step")
     m = n - 1
     t_n = family("T", n, ring, limit)
     t_prev = family("T", m, ring, limit)
@@ -284,8 +290,7 @@ def ring_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> De
     steps that push each trailing scalar factor to the innermost level;
     the composite witness covers all of T_n.
     """
-    if n < 2:
-        raise ValueError("pipeline needs degree >= 2")
+    _require_degree(n, "pipeline")
     steps: list[DivisionWitness] = []
     composite, _info = _chain_witness(n, ring, limit, steps)
     t_1 = family("T", 1, ring, limit)
@@ -328,7 +333,10 @@ def check_scaling_group_embedding(m: int, n: int, ring: SemiringTable,
     with an identity block to degree n, are checked injective into T*_n and
     multiplicative, exhaustively, else ``PipelineCheckFailed``.
     """
-    assert 1 <= m <= n - 1 and ring.is_field
+    if not ring.is_field:
+        raise FieldRequired(f"{ring.label} is not a field")
+    if not 1 <= m <= n - 1:
+        raise DimensionMismatch(f"scaling degree {m} is not in 1..{n - 1}")
     star = family("AS*", m, ring, limit)
     t_star = family("T*", n, ring, limit)
     pad = identity_entries(ring, n)
@@ -361,8 +369,7 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     """
     if not ring.is_field:
         raise FieldRequired(f"{ring.label} is not a field")
-    if n < 2:
-        raise ValueError("pipeline needs degree >= 2")
+    _require_degree(n, "pipeline")
     ring_plan = ring_pipeline(n, ring, limit)
     steps = list(ring_plan.witnesses)
     notes = [

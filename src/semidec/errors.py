@@ -5,13 +5,17 @@ class SemidecError(Exception):
     pass
 
 
+class InvalidSpec(SemidecError):
+    """A ring spec, family spec or degree that names nothing the package builds; the CLI exits 2."""
+
+
 # -- semiring construction --
 
-class NotPrime(SemidecError):
+class NotPrime(InvalidSpec):
     pass
 
 
-class BoundExceeded(SemidecError):
+class BoundExceeded(InvalidSpec):
     pass
 
 
@@ -42,7 +46,7 @@ class IllegalDirection(SemidecError):
     pass
 
 
-class DimensionTooSmall(SemidecError):
+class DimensionTooSmall(InvalidSpec):
     pass
 
 

@@ -15,7 +15,14 @@ from itertools import product
 
 import numpy as np
 
-from semidec.errors import ActionNotFaithful, FieldRequired, NotClosed, SizeLimitExceeded
+from semidec.errors import (
+    ActionNotFaithful,
+    DimensionTooSmall,
+    FieldRequired,
+    InvalidSpec,
+    NotClosed,
+    SizeLimitExceeded,
+)
 from semidec.monoid import (
     DEFAULT_LIMIT,
     Monoid,
@@ -41,11 +48,11 @@ class FamilySpec:
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
+            raise InvalidSpec(f"unknown family kind {self.kind!r}")
         if self.kind in ("PT", "PT*") and not self.ring.is_field:
             raise FieldRequired(f"{self.kind} needs a field, got {self.ring.label}")
         if self.n < 1 and self.kind not in ("U1",):
-            raise ValueError("degree must be >= 1")
+            raise DimensionTooSmall(f"{self.kind} needs degree >= 1, got {self.n}")
 
     def label(self) -> str:
         if self.kind == "U1":

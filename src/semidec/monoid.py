@@ -304,11 +304,17 @@ class GreensReport:
         return max(self.j) + 1
 
 
-def _mask(values) -> int:
-    out = 0
-    for v in values:
-        out |= 1 << int(v)
-    return out
+def _images(table) -> np.ndarray:
+    """Packed image bitsets of a square table: bit ``v`` of row ``x`` is set iff ``v`` occurs in row ``x``."""
+    n = len(table)
+    bits = np.zeros((n, n), dtype=bool)
+    bits[np.arange(n)[:, None], table] = True
+    return np.packbits(bits, axis=1, bitorder="little")
+
+
+def _bitset(packed) -> int:
+    """A packed bitset row as an int with bit ``v`` at ``1 << v``."""
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def _partition_ids(keys) -> list[int]:
@@ -324,15 +330,19 @@ def _partition_ids(keys) -> list[int]:
 def greens(m: Monoid) -> GreensReport:
     """L/R/J/H partitions via principal ideal equality, plus regularity.
 
-    Computed once per monoid and kept on it, like its table.  An element is
-    regular iff its J-class holds an idempotent.
+    The principal ideals are bitsets from one image matrix per side: ``xS``
+    is the set of row ``x`` of the table, ``Sx`` that of column ``x``, and
+    ``SxS`` is the union of ``yS`` over ``y`` in ``Sx``.  Computed once per
+    monoid and kept on it, like its table.  An element is regular iff its
+    J-class holds an idempotent.
     """
     if m._greens is not None:
         return m._greens
     table = m.table_array()
     n = len(m)
-    r_keys = [_mask(np.unique(table[x, :])) for x in range(n)]
-    l_keys = [_mask(np.unique(table[:, x])) for x in range(n)]
+    right = _images(table)  # right[x] is xS
+    r_keys = [_bitset(row) for row in right]
+    l_keys = [_bitset(row) for row in _images(table.T)]  # Sx
     l_ids = _partition_ids(l_keys)
     r_ids = _partition_ids(r_keys)
     # the two-sided ideal S x S is constant on L-classes, so compute one per L-class
@@ -342,9 +352,7 @@ def greens(m: Monoid) -> GreensReport:
         lc = l_ids[x]
         mask = j_of_lclass.get(lc)
         if mask is None:
-            left = np.unique(table[:, x])
-            mask = _mask(np.unique(table[left, :]))
-            j_of_lclass[lc] = mask
+            mask = j_of_lclass[lc] = _bitset(np.bitwise_or.reduce(right[table[:, x]], axis=0))
         j_keys.append(mask)
     j_ids = _partition_ids(j_keys)
     h_ids = _partition_ids(list(zip(l_ids, r_ids)))
@@ -453,8 +461,9 @@ def depth_report(m: Monoid) -> DepthReport:
         h_sizes[rep.h[x]] = h_sizes.get(rep.h[x], 0) + 1
     essential = []
     subgroup_orders: dict[int, int] = {}
+    idempotents = set(rep.idempotents)
     for c, members in enumerate(classes):
-        sizes = [h_sizes[rep.h[e]] for e in members if e in set(rep.idempotents)]
+        sizes = [h_sizes[rep.h[e]] for e in members if e in idempotents]
         # a class contains a non-trivial subgroup iff some idempotent's H-class is non-trivial
         best = max(sizes) if sizes else 0
         if best > 1:

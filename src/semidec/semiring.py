@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from semidec.errors import AxiomViolation, BoundExceeded, NotPrime
+from semidec.errors import AxiomViolation, BoundExceeded, InvalidSpec, NotPrime
 
 PRIME_FIELD_BOUND = 13
 
@@ -173,14 +173,21 @@ def from_json(obj: dict) -> SemiringTable:
 
 
 def parse_ring_spec(spec: str) -> SemiringTable:
-    """Ring grammar used by the CLI: ``zp:<p>`` | ``bool`` | ``table:<path>``."""
+    """Ring grammar used by the CLI: ``zp:<p>`` | ``bool`` | ``table:<path>``.
+
+    A spec outside the grammar raises ``InvalidSpec``; ``zp:<p>`` with ``p``
+    not a prime, ``NotPrime``."""
     if spec == "bool":
         return make_boolean_semiring()
     if spec.startswith("zp:"):
-        return make_prime_field(int(spec[3:]))
+        try:
+            p = int(spec[3:])
+        except ValueError:
+            raise InvalidSpec(f"ring spec {spec!r}: {spec[3:]!r} is not an integer") from None
+        return make_prime_field(p)
     if spec.startswith("table:"):
         import json
 
         with open(spec[6:], encoding="utf-8") as handle:
             return from_json(json.load(handle))
-    raise ValueError(f"unknown ring spec {spec!r} (expected zp:<p>, bool, or table:<path>)")
+    raise InvalidSpec(f"unknown ring spec {spec!r} (expected zp:<p>, bool, or table:<path>)")

@@ -23,6 +23,7 @@ from semidec.errors import (
     FieldRequired,
     InvalidCertificate,
     InvalidMonoid,
+    InvalidSpec,
     NotFunctional,
     NotSurjective,
     PreimageMissing,
@@ -59,19 +60,19 @@ class DivisionWitness:
         return self.status == "verified"
 
     def closure_pairs(self) -> list[tuple]:
-        assert self._closure is not None, "witness has not been verified"
+        _require_verified(self)
         return self._closure
 
     def preimage_of(self, source_index: int):
         """Canonically-least target value mapping to a source element."""
-        assert self._closure is not None, "witness has not been verified"
+        _require_verified(self)
         for t, s in self._closure:
             if s == source_index:
                 return t
         raise PreimageMissing(f"no preimage for source index {source_index}")
 
     def preimage_table(self) -> list:
-        assert self._closure is not None
+        _require_verified(self)
         out: list = [None] * len(self.source)
         for t, s in self._closure:
             if out[s] is None:
@@ -92,7 +93,7 @@ class DivisionWitness:
         pairs the identities, as the pipelines do).  Built once, dropping
         the graph, and kept until the witness is verified again.
         """
-        assert self._closure is not None, "witness has not been verified"
+        _require_verified(self)
         if self._image is not None:
             return self._image
         values = [t for t, _ in self._closure]
@@ -118,6 +119,13 @@ class DivisionWitness:
             raise WitnessError(f"closure has no two-sided identity; cannot form a base monoid: {exc}") from exc
         self._graph = None
         return self._image
+
+
+def _require_verified(*witnesses: DivisionWitness) -> None:
+    """Raise ``WitnessError`` unless every witness is verified, also under ``python -O``."""
+    for w in witnesses:
+        if not w.verified:
+            raise WitnessError(f"witness {w.label or 'anonymous'} has not been verified")
 
 
 def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
@@ -232,7 +240,7 @@ def lift_left(w: DivisionWitness, top, source: Monoid | None = None,
     they are built as g-compose-phi over the restricted base B'; the
     restriction step records the formal inclusion into top wr B.
     """
-    assert w.verified, "lift_left needs a verified witness"
+    _require_verified(w)
     from semidec.wreath import enumerate_wreath
 
     sub = w.image_submonoid()
@@ -264,7 +272,7 @@ def lift_right(w: DivisionWitness, base: Monoid, source: Monoid | None = None,
     Preimages apply pointwise.  B' wr C is a subsemigroup of B wr C; the
     restriction step records the top's inclusion.
     """
-    assert w.verified, "lift_right needs a verified witness"
+    _require_verified(w)
     from semidec.wreath import enumerate_wreath
 
     sub = w.image_submonoid()
@@ -366,7 +374,7 @@ def group_with_zero(ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> Division
 def product_witness(w1: DivisionWitness, w2: DivisionWitness,
                     source: Monoid | None = None, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """Componentwise product: A div B and C div D give A x C div B x D."""
-    assert w1.verified and w2.verified
+    _require_verified(w1, w2)
     target = ProductCarrier(w1.target, w2.target)
     src = source or direct_product(w1.source, w2.source)
     pre1, pre2 = w1.preimage_table(), w2.preimage_table()
@@ -387,7 +395,7 @@ def compose(w1: DivisionWitness, w2: DivisionWitness,
     Each generator pair (t, s) of the first witness is replaced by
     (least preimage of t under the second witness, s).
     """
-    assert w1.verified and w2.verified, "compose needs verified witnesses"
+    _require_verified(w1, w2)
     pairs = []
     for t, s in w1.pairs:
         idx = w2.source.index.get(t)
@@ -484,7 +492,7 @@ def witness_from_json(obj: dict) -> DivisionWitness:
             if target.mul_value(tval, target.identity_value) != tval:
                 raise InvalidCertificate(f"{where}{t_json!r} is not a value of {target.label}")
             pairs.append((tval, source.index[sval]))
-    except (KeyError, IndexError, TypeError, ValueError, ContextMismatch, InvalidMonoid) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, ContextMismatch, InvalidMonoid, InvalidSpec) as exc:
         raise InvalidCertificate(f"{where}{type(exc).__name__}: {exc}") from None
     return DivisionWitness(source, target, pairs, steps=obj.get("steps", []),
                            label=obj.get("label", ""))

@@ -21,7 +21,7 @@ from itertools import product
 import numpy as np
 
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
-from semidec.monoid import DEFAULT_LIMIT, Monoid
+from semidec.monoid import DEFAULT_LIMIT, Monoid, within_table_bound
 
 
 class WreathContext:
@@ -71,7 +71,11 @@ class WreathContext:
 
 
 def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
-    """The full wreath product as a Monoid; requires |top|^|base| * |base| <= limit."""
+    """The full wreath product as a Monoid; requires |top|^|base| * |base| <= limit.
+
+    Up to ``TABLE_BOUND`` elements its table is ``wreath_table``, with no
+    value products; past it ``ctx.mul_value`` is a memoized oracle.
+    """
     top = ctx.top
     b = len(ctx.base)
     total = len(top) ** b * b
@@ -82,8 +86,30 @@ def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
         for tab in product(range(len(top)), repeat=b)
         for base_val in ctx.base.elements
     ]
-    return Monoid(elements, ctx.identity_value, mul_fn=ctx.mul_value, label=ctx.label,
+    table = wreath_table(ctx) if within_table_bound(total) else None
+    return Monoid(elements, ctx.identity_value, mul_fn=ctx.mul_value, table=table, label=ctx.label,
                   provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": ctx.base.descriptor()})
+
+
+def wreath_table(ctx: WreathContext) -> np.ndarray:
+    """Table of the full wreath product in ``enumerate_wreath`` order, by index arithmetic.
+
+    Element ``(f, a)`` has index ``code(f) * |B| + a``, where ``code`` reads
+    a table of top indices as base-|top| digits, first entry most
+    significant.  Row ``(f, a)`` holds ``code(t -> top[f[t], g[t a]]) * |B|
+    + a c`` at column ``(g, c)``; the rows of one ``f`` fill as one block.
+    """
+    top, base = ctx.top._table, ctx.base._table
+    k, b = len(top), len(base)
+    weights = k ** np.arange(b - 1, -1, -1)
+    digits = np.arange(k**b)[:, None] // weights % k  # digits[code] is the table with that code
+    shifted = digits[:, base.T]  # shifted[g, a, t] = g[t a]
+    n = len(digits) * b
+    table = np.empty((n, n), dtype=np.int32)
+    for code, f in enumerate(digits):
+        codes = top[f, shifted] @ weights  # codes[g, a] = code(t -> f[t] g[t a])
+        table[code * b : (code + 1) * b] = (codes.T[:, :, None] * b + base[:, None, :]).reshape(b, n)
+    return table
 
 
 def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]:

@@ -2,9 +2,9 @@
 
 Everything here recomputes results by definition-level brute force,
 independently of the package's algorithms: Green's relations by pairwise
-ideal comparison, pair and target closures by plain dict and set loops,
-matrix and carrier tables by one product per pair, spans by enumerating
-all linear combinations.  The triangular-matrix helpers below (explicit
+ideal comparison and by one ideal mask per row and column, pair and
+target closures by plain dict and set loops, matrix and carrier tables by
+one product per pair, spans by enumerating all linear combinations.  The triangular-matrix helpers below (explicit
 matrices, row and column operations, block decomposition) serve only the
 tests; the library works on entry tuples.  ``every_element_pairing``
 makes certificates pair every source element, not a generating set.
@@ -13,7 +13,10 @@ makes certificates pair every source element, not a generating set.
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from semidec.errors import DimensionMismatch, DimensionTooSmall, IllegalDirection, RingMismatch
+from semidec.monoid import GreensReport
 from semidec.semiring import SemiringTable
 from semidec.trimat import AffineMap, TriMatrix, identity_entries, is_triangular_entries, mul_entries, scaling_map
 
@@ -32,6 +35,48 @@ def greens_j_classes(elements, mul):
     for x in elements:
         ideals.setdefault(ideal(x), []).append(x)
     return list(ideals.values())
+
+
+def _mask(values) -> int:
+    out = 0
+    for v in values:
+        out |= 1 << int(v)
+    return out
+
+
+def _partition_ids(keys) -> list[int]:
+    ids: dict = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
+
+
+def greens_by_rows(m) -> GreensReport:
+    """Green's relations as ``monoid.greens`` once computed them: the ideals
+    of each row and column through ``np.unique``, masks set bit by bit."""
+    table = m.table_array()
+    n = len(m)
+    r_ids = _partition_ids(_mask(np.unique(table[x, :])) for x in range(n))
+    l_ids = _partition_ids(_mask(np.unique(table[:, x])) for x in range(n))
+    j_of_lclass: dict[int, int] = {}  # S x S is constant on L-classes
+    j_keys = []
+    for x in range(n):
+        if l_ids[x] not in j_of_lclass:
+            j_of_lclass[l_ids[x]] = _mask(np.unique(table[np.unique(table[:, x]), :]))
+        j_keys.append(j_of_lclass[l_ids[x]])
+    j_ids = _partition_ids(j_keys)
+    idempotents = tuple(x for x in range(n) if table[x, x] == x)
+    j_has_idem = {j_ids[e] for e in idempotents}
+    masks = [0] * (max(j_ids) + 1)
+    for x in range(n):
+        masks[j_ids[x]] = j_keys[x]
+    return GreensReport(
+        tuple(l_ids),
+        tuple(r_ids),
+        tuple(j_ids),
+        tuple(_partition_ids(zip(l_ids, r_ids))),
+        tuple(j in j_has_idem for j in j_ids),
+        idempotents,
+        tuple(masks),
+    )
 
 
 def is_regular(x, elements, mul):

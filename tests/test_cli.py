@@ -88,6 +88,28 @@ def test_analyze_rejects_non_associative_table(tmp_path, capsys, optimize):
     assert proc.stderr.startswith("error: InvalidMonoid:") and "not associative" in proc.stderr
 
 
+USAGE_ERRORS = {
+    "ring pipeline degree 1": (["decompose", "--pipeline", "ring", "--n", "1", "--ring", "zp:2"], "DimensionTooSmall"),
+    "field pipeline degree 1": (["decompose", "--pipeline", "field", "--n", "1", "--ring", "zp:2"],
+                                "DimensionTooSmall"),
+    "family degree 0": (["family", "--kind", "T", "--n", "0", "--ring", "zp:2"], "DimensionTooSmall"),
+    "unknown ring": (["family", "--kind", "T", "--n", "2", "--ring", "foo"], "InvalidSpec"),
+    "prime not an integer": (["family", "--kind", "T", "--n", "2", "--ring", "zp:x"], "InvalidSpec"),
+    "prime not prime": (["decompose", "--pipeline", "ring", "--n", "2", "--ring", "zp:4"], "NotPrime"),
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_errors_exit_2(case, optimize):
+    argv, error = USAGE_ERRORS[case]
+    proc = run_cli(argv, optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {error}: "), proc.stderr
+
+
 def _entry_out_of_range(payload):
     payload["table"][1][2] = len(payload["table"])
 
@@ -267,6 +289,10 @@ def _unknown_builtin_ring(cert):
     cert["source"]["ring"]["builtin"] = "bogus"
 
 
+def _non_prime_ring(cert):
+    cert["source"]["ring"]["p"] = 4
+
+
 def _no_pairs(cert):
     del cert["pairs"]
 
@@ -314,11 +340,11 @@ def _close_identity_outside(cert):
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
 @pytest.mark.parametrize(
     "corrupt",
-    [_foreign_source_value, _string_value, _unknown_descriptor_kind, _unknown_builtin_ring, _no_pairs,
-     _foreign_top_value, _foreign_base_value, _short_wreath_table, _extra_component,
+    [_foreign_source_value, _string_value, _unknown_descriptor_kind, _unknown_builtin_ring, _non_prime_ring,
+     _no_pairs, _foreign_top_value, _foreign_base_value, _short_wreath_table, _extra_component,
      _wreath_top, _product_top, _close_identity_not_two_sided, _close_identity_outside],
-    ids=["source value", "string value", "descriptor kind", "builtin ring", "no pairs", "top value",
-         "base value", "table length", "extra component", "wreath top", "product top",
+    ids=["source value", "string value", "descriptor kind", "builtin ring", "ring not prime", "no pairs",
+         "top value", "base value", "table length", "extra component", "wreath top", "product top",
          "close identity inside", "close identity outside"],
 )
 def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, optimize):

@@ -10,7 +10,7 @@ from semidec.decomp import (
     induction_step,
     verify_census,
 )
-from semidec.errors import CensusMismatch, FieldRequired, PipelineCheckFailed
+from semidec.errors import CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, PipelineCheckFailed
 from semidec.families import family
 from semidec.monoid import is_aperiodic, is_group
 from semidec.witness import verify, witness_from_json, witness_to_json
@@ -105,6 +105,19 @@ def test_field_requires_field(boolean):
 def test_scaling_group_embeddings(m, n, ring_spec, request):
     ring = request.getfixturevalue({"2": "z2", "3": "z3"}[ring_spec])
     check_scaling_group_embedding(m, n, ring)
+
+
+def test_argument_checks_are_typed(z2, boolean):
+    # typed errors, not asserts, which python -O strips
+    with pytest.raises(DimensionTooSmall, match="induction_step needs degree >= 2"):
+        induction_step(1, z2)
+    for pipeline in (decomp.ring_pipeline, decomp.field_pipeline):
+        with pytest.raises(DimensionTooSmall, match="pipeline needs degree >= 2"):
+            pipeline(1, z2)
+    with pytest.raises(DimensionMismatch):
+        check_scaling_group_embedding(2, 2, z2)
+    with pytest.raises(FieldRequired):
+        check_scaling_group_embedding(1, 2, boolean)
 
 
 def test_scaling_group_embedding_failure_is_typed(z2, monkeypatch):

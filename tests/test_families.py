@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from semidec.errors import ActionNotFaithful, FieldRequired, SizeLimitExceeded
+from semidec.errors import ActionNotFaithful, DimensionTooSmall, FieldRequired, InvalidSpec, SizeLimitExceeded
 from semidec.families import (
     FamilySpec,
     augmented_monoid,
@@ -58,6 +58,13 @@ def test_pt1_z3(fam):
 def test_pt_requires_field(boolean):
     with pytest.raises(FieldRequired):
         FamilySpec("PT", 2, boolean)
+
+
+def test_family_spec_checks_are_typed(z2):
+    with pytest.raises(InvalidSpec, match="unknown family kind"):
+        FamilySpec("Q", 2, z2)
+    with pytest.raises(DimensionTooSmall):
+        FamilySpec("T", 0, z2)
 
 
 def test_family_limit(z3):

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import semidec.monoid
-from oracles import greens_j_classes, is_regular
+from oracles import greens_by_rows, greens_j_classes, is_regular
 from semidec.errors import InvalidMonoid, NotCentral, NotIdempotent, SizeLimitExceeded
 from semidec.families import compose_tables, family, transformation_closure, u1
 from semidec.monoid import (
@@ -75,6 +75,28 @@ def test_greens_t2z2_against_oracle(fam, z2):
     assert len(regular_classes) == 4
     for x in range(len(t2)):
         assert rep.regular[x] == is_regular(t2.elements[x], list(t2.elements), mul)
+
+
+GREENS_CASES = [
+    (kind, n, ring)
+    for kind in ("T", "UT", "PT", "T*", "UT*")
+    for ring in ("2", "3", "bool")
+    for n in (1, 2, 3)
+    if not (kind == "PT" and ring == "bool")  # projective families need a field
+] + [("T", 4, "2")]
+
+
+@pytest.mark.parametrize("kind,n,ring", GREENS_CASES, ids=[f"{k}_{n}({r})" for k, n, r in GREENS_CASES])
+def test_greens_matches_row_mask_reference(fam, kind, n, ring):
+    m = fam(kind, n, ring)
+    assert greens(m) == greens_by_rows(m)
+
+
+def test_greens_of_transformation_closure_matches_row_mask_reference():
+    m = transformation_closure([(1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)], label="T_4")
+    rep = greens(m)
+    assert len(m) == 256 and rep.j_class_count() == 4
+    assert rep == greens_by_rows(m)
 
 
 def test_greens_computed_once(fam):

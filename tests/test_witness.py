@@ -1,10 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+from conftest import SRC
 from oracles import pair_closure
 from semidec.carriers import ProductCarrier
-from semidec.errors import FieldRequired, NotFunctional, NotSurjective, PreimageMissing, SizeLimitExceeded
+from semidec.errors import (
+    FieldRequired,
+    NotFunctional,
+    NotSurjective,
+    PreimageMissing,
+    SizeLimitExceeded,
+    WitnessError,
+)
 from semidec.families import constants_monoid, family, transformation_closure, u1
 from semidec.monoid import Monoid, direct_product
 from semidec.witness import (
@@ -62,8 +73,46 @@ def test_compose_identity(fam):
 def test_compose_requires_verified(fam):
     t1 = fam("T", 1, "3")
     unverified = DivisionWitness(t1, t1, [(v, i) for i, v in enumerate(t1.elements)])
-    with pytest.raises(AssertionError):
+    with pytest.raises(WitnessError, match="has not been verified"):
         compose(identity_witness(t1), unverified)
+
+
+UNVERIFIED_USES = {
+    "closure_pairs": lambda w, t1, u: w.closure_pairs(),
+    "preimage_of": lambda w, t1, u: w.preimage_of(0),
+    "preimage_table": lambda w, t1, u: w.preimage_table(),
+    "image_submonoid": lambda w, t1, u: w.image_submonoid(),
+    "lift_left": lambda w, t1, u: lift_left(w, u),
+    "lift_right": lambda w, t1, u: lift_right(w, u),
+    "product_witness": lambda w, t1, u: product_witness(identity_witness(t1), w),
+}  # compose: test_compose_requires_verified
+
+
+@pytest.mark.parametrize("use", list(UNVERIFIED_USES))
+def test_unverified_witness_is_a_typed_error(fam, use):
+    # a typed error, not an assert, which python -O strips
+    t1 = fam("T", 1, "2")
+    unverified = DivisionWitness(t1, t1, [(v, i) for i, v in enumerate(t1.elements)], label="unchecked")
+    with pytest.raises(WitnessError, match="unchecked has not been verified"):
+        UNVERIFIED_USES[use](unverified, t1, u1())
+
+
+def test_unverified_witness_is_a_typed_error_under_optimize():
+    script = (
+        "from semidec.errors import WitnessError\n"
+        "from semidec.families import family\n"
+        "from semidec.semiring import make_prime_field\n"
+        "from semidec.witness import DivisionWitness\n"
+        "t1 = family('T', 1, make_prime_field(2))\n"
+        "w = DivisionWitness(t1, t1, [(v, i) for i, v in enumerate(t1.elements)])\n"
+        "try:\n"
+        "    w.preimage_table()\n"
+        "except WitnessError:\n"
+        "    print('WitnessError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "WitnessError\n", proc.stderr
 
 
 def test_compose_preimage_missing(fam, c2):

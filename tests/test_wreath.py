@@ -7,6 +7,7 @@ from semidec.carriers import ProductCarrier
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
 from semidec.families import family, transformation_closure, u1
 import semidec.monoid
+from oracles import value_product_table
 from semidec.monoid import TABLE_BOUND, Monoid, direct_product, is_aperiodic, is_group
 from semidec.wreath import (
     WreathContext,
@@ -85,6 +86,34 @@ def test_enumerate_counts(fam):
     as1 = fam("AS", 1, "2")
     t1 = fam("T", 1, "2")
     assert len(enumerate_wreath(WreathContext(as1, t1))) == 32
+
+
+def test_wreath_table_matches_value_products():
+    c2 = transformation_closure([(1, 0)], label="C_2")
+    for ctx in (WreathContext(c2, c2), WreathContext(u1(), u1())):
+        w = enumerate_wreath(ctx)
+        assert w.table_array().tolist() == value_product_table(w.elements, ctx.mul_value)
+
+
+def test_wreath_past_table_bound_multiplies_by_value(monkeypatch):
+    c2 = transformation_closure([(1, 0)], label="C_2")
+    ctx = WreathContext(c2, c2)
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 4)
+    w = enumerate_wreath(ctx)
+    assert w._table is None
+    assert [[w.mul(x, y) for y in range(len(w))] for x in range(len(w))] == \
+        value_product_table(w.elements, ctx.mul_value)
+
+
+def test_wreath_table_matches_sampled_value_products(fam):
+    t1 = fam("T", 1, "2")
+    ctx = WreathContext(fam("AS", 1, "2"), direct_product(t1, t1))
+    w = enumerate_wreath(ctx)
+    assert len(w) == 1024
+    rng = random.Random(0x3EA7)
+    for _ in range(2000):
+        x, y = rng.randrange(len(w)), rng.randrange(len(w))
+        assert w.elements[w.mul(x, y)] == ctx.mul_value(w.elements[x], w.elements[y])
 
 
 def test_enumerate_limit(fam):
