@@ -11,6 +11,9 @@ re-checkable from their serialized form.
 
 from __future__ import annotations
 
+import json
+
+from semidec import monoid
 from semidec.monoid import Monoid
 from semidec.wreath import WreathContext
 
@@ -48,7 +51,24 @@ def build_ring(desc: dict):
     return from_json(desc["table"])
 
 
+_MONOIDS: dict[tuple[str, int], Monoid] = {}
+
+
 def build_monoid(desc: dict) -> Monoid:
+    """The monoid ``desc`` names, built once per canonical descriptor and
+    ``TABLE_BOUND`` and shared, like ``build_family``: callers must not mutate it.
+
+    A ``"close"`` descriptor's generators and identity must each be fixed on
+    the right by the carrier's identity, else ``ValueError``.
+    """
+    key = (json.dumps(desc, sort_keys=True), monoid.TABLE_BOUND)
+    m = _MONOIDS.get(key)
+    if m is None:
+        m = _MONOIDS[key] = _build_monoid(desc)
+    return m
+
+
+def _build_monoid(desc: dict) -> Monoid:
     from semidec.families import FamilySpec, augmented_monoid, build_family, constants_monoid, u1
     from semidec.keys import value_from_json
     from semidec.monoid import close_generators, direct_product, maximal_subgroup, quotient_by_central_units
@@ -65,6 +85,9 @@ def build_monoid(desc: dict) -> Monoid:
         carrier = build_carrier(desc["carrier"])
         gens = [value_from_json(g) for g in desc["generators"]]
         ident = value_from_json(desc["identity"]) if "identity" in desc else carrier.identity_value
+        for v in gens + [ident]:
+            if carrier.mul_value(v, carrier.identity_value) != v:
+                raise ValueError(f"{v!r} is not a value of {carrier.label}")
         return close_generators(
             gens,
             carrier.mul_value,

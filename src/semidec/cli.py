@@ -5,8 +5,10 @@ reports), decompose (run a pipeline and write certificates), verify
 (re-check certificates from file), search (exhaustive division search),
 export (render a report in another format).  Exit codes: 0 success,
 1 verification failure or negative search, 2 usage error (a ring, family
-or degree that names nothing to build), a monoid file whose table is not
-a monoid, or a malformed certificate.
+or degree that names nothing to build, a ring file that is not a
+semiring, a field-only command over a non-field), a monoid file whose
+table is not a monoid or, for ``search --out``, whose provenance does not
+rebuild it, or a malformed certificate.  JSON output is compact.
 """
 
 from __future__ import annotations
@@ -16,10 +18,13 @@ import json
 import os
 import sys
 
+import numpy as np
+
+from semidec.carriers import build_monoid
 from semidec.decomp import field_pipeline, ring_pipeline
 from semidec.errors import InvalidCertificate, InvalidMonoid, InvalidSpec, SemidecError, UnsupportedFormat
 from semidec.families import FAMILY_KINDS, FamilySpec, build_family
-from semidec.monoid import DEFAULT_LIMIT, depth_report, dot_j_order, greens
+from semidec.monoid import DEFAULT_LIMIT, Monoid, depth_report, dot_j_order, greens
 from semidec.monoid import from_json as monoid_from_json
 from semidec.monoid import to_json as monoid_to_json
 from semidec.semiring import parse_ring_spec
@@ -27,7 +32,7 @@ from semidec.witness import search_division, verify, witness_from_json, witness_
 
 
 def _dump(payload, path: str | None):
-    _write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", path)
+    _write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", path)
 
 
 def _write_text(text: str, path: str | None):
@@ -122,9 +127,22 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _require_rebuilds(m: Monoid) -> None:
+    """Raise ``InvalidMonoid`` unless ``m``'s provenance rebuilds to ``m``, as ``verify`` rebuilds it."""
+    try:
+        rebuilt = build_monoid(m.descriptor())
+    except (LookupError, TypeError, ValueError, OverflowError, SemidecError) as exc:
+        raise InvalidMonoid(m.label, f"provenance does not rebuild: {type(exc).__name__}: {exc}") from None
+    if rebuilt.elements != m.elements or not np.array_equal(rebuilt.table_array(), m.table_array()):
+        raise InvalidMonoid(m.label, "provenance rebuilds to another monoid")
+
+
 def cmd_search(args) -> int:
     source = monoid_from_json(_load(args.source))
     target = monoid_from_json(_load(args.target))
+    if args.out:  # a certificate names its monoids by provenance
+        for m in (source, target):
+            _require_rebuilds(m)
     found = search_division(source, target, target_limit=args.limit)
     if found is None:
         print("result=NotFound")

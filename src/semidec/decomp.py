@@ -83,8 +83,8 @@ def _require_degree(n: int, what: str) -> None:
 def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """Split T_n as [AS_(n-1) wr T_(n-1)] x T_1, injectively.
 
-    Each matrix s with blocks (M, v, c) maps to ((f, M), c) where the table
-    f sends X in T_(n-1) to the scaling map w -> (X v)^T + w c.  The witness
+    Each matrix s with blocks (M, v, c) maps to ((f, M), c), f and M as wreath
+    indices, where f sends X to the scaling map w -> (X v)^T + w c.  The witness
     pairs the identity and a generating set of T_n with their splits;
     verification confirms they generate a homomorphism, and closure exactly
     |T_n| makes it injective.
@@ -99,15 +99,15 @@ def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     target = ProductCarrier(ctx, t_1)
     pidx = point_index(ring, m)
     pts = points(ring, m)
-    scaling_cache: dict[tuple, tuple] = {}
+    scaling_cache: dict[tuple, int] = {}
 
-    def scaling_table(lam: int, shift: tuple) -> tuple:
+    def scaling_index(lam: int, shift: tuple) -> int:
         key = (lam, shift)
         out = scaling_cache.get(key)
         if out is None:
             f = scaling_map(ring, m, lam, shift)
-            out = tuple(pidx[f.apply(p)] for p in pts)
-            _require(out in as_prev.index, f"induction_step: scaling table in {as_prev.label}")
+            out = as_prev.index.get(tuple(pidx[f.apply(p)] for p in pts))
+            _require(out is not None, f"induction_step: scaling table in {as_prev.label}")
             scaling_cache[key] = out
         return out
 
@@ -116,13 +116,13 @@ def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
         v = tuple(entries[i][m] for i in range(m))
         c = entries[m][m]
         table = tuple(
-            scaling_table(
+            scaling_index(
                 c,
                 tuple(ring.sum_of(ring.mul[x[i][j]][v[j]] for j in range(m)) for i in range(m)),
             )
             for x in t_prev.elements
         )
-        return ((table, top), ((c,),))
+        return ((table, t_prev.index[top]), ((c,),))
 
     w = mapped_witness(
         t_n, split, target,
@@ -397,9 +397,9 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     split = [{"kind": "induction_step", "n": n, "ring": ring.descriptor()}]
     w_lem = next(w for w in ring_plan.witnesses if w.steps == split)
     t_prev = family("T", n - 1, ring, limit)
-    left_monoid = _traced_left(w_lem.image_submonoid(), family("AS", n - 1, ring, limit), t_prev,
-                               "traced top level")
-    w_top_lift = lift_right(aug_witnesses[n - 1], t_prev, source=left_monoid, limit=limit)
+    as_top = family("AS", n - 1, ring, limit)
+    left_monoid = _traced_left(w_lem.image_submonoid(), as_top, t_prev, "traced top level")
+    w_top_lift = lift_right(aug_witnesses[n - 1], t_prev, source=left_monoid, source_top=as_top, limit=limit)
     steps.append(w_top_lift)
 
     # scalar factors: T_1^n divides D^n x U_1^n via the group-with-zero split

@@ -19,7 +19,7 @@ class BoundExceeded(InvalidSpec):
     pass
 
 
-class AxiomViolation(SemidecError):
+class AxiomViolation(InvalidSpec):
     """A semiring law failed; carries the law name and a counterexample."""
 
     def __init__(self, law, counterexample):
@@ -28,8 +28,8 @@ class AxiomViolation(SemidecError):
         super().__init__(f"axiom violated: {law} at {counterexample}")
 
 
-class FieldRequired(SemidecError):
-    pass
+class FieldRequired(InvalidSpec):
+    """A field-only construction asked of a semiring that is not a field."""
 
 
 # -- matrices and affine maps --

@@ -150,13 +150,6 @@ def units(ring: SemiringTable) -> set[int]:
     return out
 
 
-def inverse(ring: SemiringTable, a: int) -> int:
-    for b in range(ring.size):
-        if ring.mul[a][b] == ring.one and ring.mul[b][a] == ring.one:
-            return b
-    raise ValueError(f"element {a} of {ring.label} is not a unit")
-
-
 def to_json(ring: SemiringTable) -> dict:
     return {
         "size": ring.size,
@@ -176,7 +169,8 @@ def parse_ring_spec(spec: str) -> SemiringTable:
     """Ring grammar used by the CLI: ``zp:<p>`` | ``bool`` | ``table:<path>``.
 
     A spec outside the grammar raises ``InvalidSpec``; ``zp:<p>`` with ``p``
-    not a prime, ``NotPrime``."""
+    not a prime, ``NotPrime``; a ring file that is not a semiring table,
+    ``InvalidSpec`` or ``AxiomViolation``."""
     if spec == "bool":
         return make_boolean_semiring()
     if spec.startswith("zp:"):
@@ -189,5 +183,9 @@ def parse_ring_spec(spec: str) -> SemiringTable:
         import json
 
         with open(spec[6:], encoding="utf-8") as handle:
-            return from_json(json.load(handle))
+            obj = json.load(handle)
+        try:
+            return from_json(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InvalidSpec(f"ring file {spec[6:]!r}: {type(exc).__name__}: {exc}") from None
     raise InvalidSpec(f"unknown ring spec {spec!r} (expected zp:<p>, bool, or table:<path>)")

@@ -192,7 +192,7 @@ def times_to_wreath(a: Monoid, b: Monoid, source: Monoid | None = None,
     src = source or direct_product(a, b)
 
     def embed(value):
-        return (constant_table(ctx, value[0]), value[1])
+        return (constant_table(ctx, a.index[value[0]]), b.index[value[1]])
 
     return mapped_witness(
         src, embed, ctx,
@@ -205,9 +205,10 @@ def absorb(top, b: Monoid, c: Monoid, source: Monoid | None = None,
            limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """(top wr B) x C embeds in top wr (B x C).
 
-    The embedded table ignores the C coordinate of its argument.  ``source``
-    may be a restricted monoid of ((table, b), c) values; by default the full
-    product is enumerated under the limit.
+    The embedded table ignores the C coordinate of its argument, and base
+    indices of B x C are row-major.  ``source`` may be a restricted monoid of
+    ((table, b), c) values; by default the full product is enumerated under
+    the limit.
     """
     from semidec.wreath import enumerate_wreath
 
@@ -218,9 +219,8 @@ def absorb(top, b: Monoid, c: Monoid, source: Monoid | None = None,
     csize = len(c)
 
     def embed(value):
-        (table, bval), cval = value
-        new_table = tuple(table[k // csize] for k in range(len(base)))
-        return (new_table, (bval, cval))
+        (table, b_index), cval = value
+        return (tuple(x for x in table for _ in range(csize)), b_index * csize + c.index[cval])
 
     return mapped_witness(
         source, embed, ctx,
@@ -247,13 +247,12 @@ def lift_left(w: DivisionWitness, top, source: Monoid | None = None,
     ctx = WreathContext(top, sub)
     if source is None:
         source = enumerate_wreath(WreathContext(top, w.source), limit)
-    phi = [w._mapping[v] for v in sub.elements]  # base element -> source index of w
-    preim = w.preimage_table()
-    a_index = w.source.index
+    phi = [w._mapping[v] for v in sub.elements]  # base index -> source index of w
+    preim = [sub.index[t] for t in w.preimage_table()]  # source index of w -> base index
 
     def embed(value):
-        table, aval = value
-        return (tuple(table[phi[k]] for k in range(len(sub))), preim[a_index[aval]])
+        table, x = value
+        return (tuple(table[k] for k in phi), preim[x])
 
     steps = list(w.steps) + [{
         "kind": "lift_left",
@@ -266,10 +265,12 @@ def lift_left(w: DivisionWitness, top, source: Monoid | None = None,
 
 
 def lift_right(w: DivisionWitness, base: Monoid, source: Monoid | None = None,
-               limit: int = DEFAULT_LIMIT) -> DivisionWitness:
+               source_top: Monoid | None = None, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """From A div B derive (A wr C) div (B' wr C), B' the traced image of w in B.
 
-    Preimages apply pointwise.  B' wr C is a subsemigroup of B wr C; the
+    Preimages apply pointwise.  The source's tables hold indices of
+    ``source_top``, by default ``w.source``; another order of A's elements
+    may be named there.  B' wr C is a subsemigroup of B wr C; the
     restriction step records the top's inclusion.
     """
     _require_verified(w)
@@ -277,14 +278,15 @@ def lift_right(w: DivisionWitness, base: Monoid, source: Monoid | None = None,
 
     sub = w.image_submonoid()
     ctx = WreathContext(sub, base)
+    source_top = source_top or w.source
     if source is None:
-        source = enumerate_wreath(WreathContext(w.source, base), limit)
-    preim = w.preimage_table()
-    a_index = w.source.index
+        source = enumerate_wreath(WreathContext(source_top, base), limit)
+    least = w.preimage_table()
+    preim = [sub.index[least[w.source.index[v]]] for v in source_top.elements]  # source top index -> top index
 
     def embed(value):
-        table, cval = value
-        return (tuple(preim[a_index[x]] for x in table), cval)
+        table, c = value
+        return (tuple(preim[x] for x in table), c)
 
     restrict = {"top_from": w.target.descriptor(), "top_to": sub.descriptor()}
     steps = list(w.steps) + [{"kind": "lift_right", "base": base.descriptor(),
@@ -295,7 +297,7 @@ def lift_right(w: DivisionWitness, base: Monoid, source: Monoid | None = None,
 
 def interchange(a: Monoid, b: Monoid, c: Monoid, d: Monoid,
                 limit: int = DEFAULT_LIMIT) -> DivisionWitness:
-    """(A wr B) x (C wr D) divides (A x C) wr (B x D)."""
+    """(A wr B) x (C wr D) divides (A x C) wr (B x D); product indices are row-major."""
     from semidec.wreath import enumerate_wreath
 
     w1 = enumerate_wreath(WreathContext(a, b), limit)
@@ -304,12 +306,11 @@ def interchange(a: Monoid, b: Monoid, c: Monoid, d: Monoid,
     top = direct_product(a, c)
     base = direct_product(b, d)
     ctx = WreathContext(top, base)
-    dsize = len(d)
+    csize, dsize = len(c), len(d)
 
     def embed(value):
-        (f, bval), (g, dval) = value
-        table = tuple((f[k // dsize], g[k % dsize]) for k in range(len(base)))
-        return (table, (bval, dval))
+        (f, b_index), (g, d_index) = value
+        return (tuple(x * csize + y for x in f for y in g), b_index * dsize + d_index)
 
     return mapped_witness(
         source, embed, ctx,
@@ -326,7 +327,7 @@ def augmentation(acting: Monoid, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     The construction is checked by the verifier, never assumed; a failure is
     surfaced as the verifier's error.
     """
-    from semidec.families import CONSTANTS_IDENTITY, augmented_monoid, constant_at, constants_monoid
+    from semidec.families import augmented_monoid, constant_at, constants_monoid
 
     tables = list(acting.elements)
     point_count = len(tables[0])
@@ -334,12 +335,12 @@ def augmentation(acting: Monoid, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     xt = constants_monoid(point_count)
     ctx = WreathContext(xt, acting)
     pairs = []
-    for aval in acting.elements:
-        pairs.append(((constant_table(ctx, CONSTANTS_IDENTITY), aval), source.index[aval]))
+    for i, aval in enumerate(acting.elements):
+        pairs.append(((constant_table(ctx, xt.identity), i), source.index[aval]))
     for x in range(point_count):
-        h_x = tuple(constant_at(bval[x]) for bval in acting.elements)
+        h_x = tuple(xt.index[constant_at(bval[x])] for bval in acting.elements)
         const_x = tuple(x for _ in range(point_count))
-        pairs.append(((h_x, acting.identity_value), source.index[const_x]))
+        pairs.append(((h_x, acting.identity), source.index[const_x]))
     w = DivisionWitness(
         source, ctx, pairs,
         steps=[{"kind": "augmentation", "acting": acting.descriptor()}],
@@ -475,9 +476,10 @@ def witness_from_json(obj: dict) -> DivisionWitness:
 
     Each pair's source value must be a source element, and its target value
     must multiply in the target carrier, which fixes it on the right by the
-    identity; a monoid carrier multiplies only its own elements.  Anything
-    malformed, including a descriptor that rebuilds to no monoid, raises
-    ``InvalidCertificate``.
+    identity; a monoid carrier multiplies only its own elements, and no
+    wreath value with an index outside its top or base is fixed, not even a
+    negative one that numpy wraps.  Anything malformed, including a
+    descriptor that rebuilds to no monoid, raises ``InvalidCertificate``.
     """
     where = ""
     try:
@@ -492,7 +494,8 @@ def witness_from_json(obj: dict) -> DivisionWitness:
             if target.mul_value(tval, target.identity_value) != tval:
                 raise InvalidCertificate(f"{where}{t_json!r} is not a value of {target.label}")
             pairs.append((tval, source.index[sval]))
-    except (KeyError, IndexError, TypeError, ValueError, ContextMismatch, InvalidMonoid, InvalidSpec) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, ContextMismatch, InvalidMonoid,
+            InvalidSpec) as exc:
         raise InvalidCertificate(f"{where}{type(exc).__name__}: {exc}") from None
     return DivisionWitness(source, target, pairs, steps=obj.get("steps", []),
                            label=obj.get("label", ""))

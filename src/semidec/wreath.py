@@ -1,10 +1,11 @@
 """Wreath products with lazy multiplication over enumerated bases.
 
 Both sides of ``top wr base`` are enumerated monoids with tables.  An
-element is a pair ``(table, b)`` where ``table`` is a dense tuple of top
-values indexed by the base monoid's canonical order and ``b`` is a base
-value.  The product shifts the right table's argument by the left base
-part, computed as one gather from the two tables on top indices:
+element is a pair ``(f, a)`` of indices: ``f`` is a dense tuple of top
+indices indexed by the base monoid's canonical order, and ``a`` is a base
+index; in JSON it is ``[[f_0, ..., f_{|B|-1}], a]``.  The product shifts
+the right table's argument by the left base part, one gather on the two
+tables:
 
     (f, a) (g, b) = (t -> f[t] * g[t a],  a b)
 
@@ -38,33 +39,19 @@ class WreathContext:
         self.top = top
         self.base = base
         self.label = f"({top.label} wr {base.label})"
-        self._enc: dict[tuple, object] = {}
 
     @property
     def identity_value(self):
-        e = self.top.identity_value
-        return (tuple(e for _ in range(len(self.base))), self.base.identity_value)
-
-    def _encode(self, table: tuple):
-        enc = self._enc.get(table)
-        if enc is None:
-            idx = self.top.index
-            enc = np.fromiter((idx[v] for v in table), dtype=np.int32, count=len(table))
-            self._enc[table] = enc
-        return enc
+        return ((self.top.identity,) * len(self.base), self.base.identity)
 
     def mul_value(self, x, y):
-        ftab, fbase = x
-        gtab, gbase = y
-        base, top = self.base, self.top
-        if len(ftab) != len(base) or len(gtab) != len(base):
+        (f, a), (g, b) = x, y
+        base = self.base._table
+        if len(f) != len(base) or len(g) != len(base):
             raise ContextMismatch("table length does not match base order")
-        a = base.index[fbase]
-        out = top._table[self._encode(ftab), self._encode(gtab)[base._table[:, a]]]
-        elements = top.elements
-        table = tuple(elements[k] for k in out)
-        self._enc.setdefault(table, out)
-        return (table, base.elements[base.mul(a, base.index[gbase])])
+        f, g = np.asarray(f, dtype=np.intp), np.asarray(g, dtype=np.intp)
+        out = self.top._table[f, g[base[:, a]]]
+        return (tuple(out.tolist()), int(base[a, b]))
 
     def descriptor(self) -> dict:
         return {"kind": "wreath_ctx", "top": self.top.descriptor(), "base": self.base.descriptor()}
@@ -73,19 +60,18 @@ class WreathContext:
 def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
     """The full wreath product as a Monoid; requires |top|^|base| * |base| <= limit.
 
-    Up to ``TABLE_BOUND`` elements its table is ``wreath_table``, with no
-    value products; past it ``ctx.mul_value`` is a memoized oracle.
+    Its elements are the index pairs ``(f, a)``: ``f`` runs over
+    ``wreath_table``'s digit rows, every table of top indices in ``product``
+    order, and ``a`` over the base indices.  Up to ``TABLE_BOUND`` elements
+    its table is ``wreath_table``, with no value products; past it
+    ``ctx.mul_value`` is a memoized oracle.
     """
     top = ctx.top
     b = len(ctx.base)
     total = len(top) ** b * b
     if total > limit:
         raise SizeLimitExceeded(limit, f"wreath enumeration of {ctx.label} ({total} elements)")
-    elements = [
-        (tuple(top.elements[i] for i in tab), base_val)
-        for tab in product(range(len(top)), repeat=b)
-        for base_val in ctx.base.elements
-    ]
+    elements = [(f, a) for f in product(range(len(top)), repeat=b) for a in range(b)]
     table = wreath_table(ctx) if within_table_bound(total) else None
     return Monoid(elements, ctx.identity_value, mul_fn=ctx.mul_value, table=table, label=ctx.label,
                   provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": ctx.base.descriptor()})
@@ -116,8 +102,9 @@ def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]
     """Context over a sub-monoid of the base, plus the formal restriction step.
 
     Sound because mapping (f, b) to (f restricted to the sub-base, b), for b
-    in the sub-base, is a surjective homomorphism from a subsemigroup of the
-    full product onto the restricted product.
+    in the sub-base and indices read in the sub-base's order, is a surjective
+    homomorphism from a subsemigroup of the full product onto the restricted
+    product.
     """
     base = ctx.base
     for v in sub.elements:
@@ -138,5 +125,5 @@ def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]
     return WreathContext(ctx.top, sub), step
 
 
-def constant_table(ctx: WreathContext, top_value):
-    return tuple(top_value for _ in range(len(ctx.base)))
+def constant_table(ctx: WreathContext, top_index: int) -> tuple:
+    return (top_index,) * len(ctx.base)

@@ -4,7 +4,8 @@ Everything here recomputes results by definition-level brute force,
 independently of the package's algorithms: Green's relations by pairwise
 ideal comparison and by one ideal mask per row and column, pair and
 target closures by plain dict and set loops, matrix and carrier tables by
-one product per pair, spans by enumerating all linear combinations.  The triangular-matrix helpers below (explicit
+one product per pair, wreath products on decoded values, spans by
+enumerating all linear combinations.  The triangular-matrix helpers below (explicit
 matrices, row and column operations, block decomposition) serve only the
 tests; the library works on entry tuples.  ``every_element_pairing``
 makes certificates pair every source element, not a generating set.
@@ -146,6 +147,25 @@ def value_product_table(elements, mul):
     dict lookup per pair, the fill derived monoids once did themselves."""
     index = {v: i for i, v in enumerate(elements)}
     return [[index[mul(a, b)] for b in elements] for a in elements]
+
+
+def wreath_decode(ctx, value):
+    """A wreath value ``(top indices, base index)`` as ``(top values, base value)``."""
+    table, a = value
+    return (tuple(ctx.top.elements[i] for i in table), ctx.base.elements[a])
+
+
+def wreath_value_product(ctx, x, y):
+    """``ctx``'s product on ``(top values, base value)`` elements, the way
+    ``WreathContext`` once multiplied them: encode each table as top indices,
+    gather ``f[t] * g[t a]`` from the top table, decode the result."""
+    (ftab, fbase), (gtab, gbase) = x, y
+    top, base = ctx.top, ctx.base
+    f = np.array([top.index[v] for v in ftab])
+    g = np.array([top.index[v] for v in gtab])
+    a = base.index[fbase]
+    out = top.table_array()[f, g[base.table_array()[:, a]]]
+    return (tuple(top.elements[k] for k in out), base.elements[base.mul(a, base.index[gbase])])
 
 
 def span_membership(ring, vectors, target):

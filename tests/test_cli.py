@@ -96,6 +96,9 @@ USAGE_ERRORS = {
     "unknown ring": (["family", "--kind", "T", "--n", "2", "--ring", "foo"], "InvalidSpec"),
     "prime not an integer": (["family", "--kind", "T", "--n", "2", "--ring", "zp:x"], "InvalidSpec"),
     "prime not prime": (["decompose", "--pipeline", "ring", "--n", "2", "--ring", "zp:4"], "NotPrime"),
+    "projective family over bool": (["family", "--kind", "PT", "--n", "2", "--ring", "bool"], "FieldRequired"),
+    "field pipeline over bool": (["decompose", "--pipeline", "field", "--n", "2", "--ring", "bool"],
+                                 "FieldRequired"),
 }
 
 
@@ -104,6 +107,30 @@ USAGE_ERRORS = {
 def test_usage_errors_exit_2(case, optimize):
     argv, error = USAGE_ERRORS[case]
     proc = run_cli(argv, optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: {error}: "), proc.stderr
+
+
+Z2_TABLE = {"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]], "zero": 0, "one": 1}
+
+RING_FILES = {
+    "no mul": ({key: Z2_TABLE[key] for key in ("add", "zero", "one")}, "InvalidSpec"),
+    "ragged": (dict(Z2_TABLE, add=[[0, 1], [1]]), "InvalidSpec"),
+    "entry not an integer": (dict(Z2_TABLE, mul=[[0, 0], [0, "x"]]), "InvalidSpec"),
+    "not an object": ([[0, 1], [1, 0]], "InvalidSpec"),
+    "zero not additive": (dict(Z2_TABLE, zero=1, one=0), "AxiomViolation"),
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("case", list(RING_FILES))
+def test_ring_file_errors_exit_2(tmp_path, case, optimize):
+    table, error = RING_FILES[case]
+    ring = tmp_path / "ring.json"
+    ring.write_text(json.dumps(table))
+    proc = run_cli(["family", "--kind", "T", "--n", "2", "--ring", f"table:{ring}"], optimize)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
@@ -171,6 +198,31 @@ def test_search_not_found(tmp_path, capsys):
     code, stdout, _ = run(["search", "--source", str(c2_file), "--target", str(c2_file)], capsys)
     assert code == 0
     assert "found" in stdout
+
+
+def test_search_out_needs_provenance_that_rebuilds(tmp_path, capsys):
+    u1_file, t1_file = tmp_path / "u1.json", tmp_path / "t1.json"
+    run(["family", "--kind", "U1", "--n", "1", "--ring", "zp:2", "--out", str(u1_file)], capsys)
+    run(["family", "--kind", "T", "--n", "1", "--ring", "zp:2", "--out", str(t1_file)], capsys)
+    found = tmp_path / "found.json"
+    code, stdout, _ = run(["search", "--source", str(u1_file), "--target", str(t1_file), "--out", str(found)],
+                          capsys)
+    assert code == 0 and "found" in stdout
+    code, stdout, _ = run(["verify", str(found)], capsys)
+    assert code == 0 and "verified" in stdout
+
+    payload = json.loads(t1_file.read_text())
+    bare, other = dict(payload), dict(payload)
+    del bare["provenance"]
+    other["provenance"] = {"kind": "family", "family": "U1"}  # same order, other element values
+    for broken, message in ((bare, "provenance does not rebuild"), (other, "rebuilds to another monoid")):
+        t1_file.write_text(json.dumps(broken))
+        out = tmp_path / "not-written.json"
+        code, stdout, stderr = run(["search", "--source", str(u1_file), "--target", str(t1_file),
+                                    "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: InvalidMonoid: ") and message in stderr, stderr
+        assert not out.exists()
 
 
 def test_export_formats(tmp_path, capsys):
@@ -313,6 +365,51 @@ def _extra_component(cert):
     cert["pairs"][0][0].append([[0]])
 
 
+def _ring_axiom_broken(cert):
+    cert["source"]["ring"] = {"table": dict(Z2_TABLE, zero=1, one=0)}
+
+
+# index corruptions of a wreath value [[f_0, f_1], b] of AS_1(Z_2) wr T_1(Z_2),
+# |AS_1(Z_2)| = 4 and |T_1(Z_2)| = 2; numpy would wrap the negative ones
+
+
+def _negative_top_index(value):
+    value[0][0] = -1
+
+
+def _top_index_past_end(value):
+    value[0][0] = 4
+
+
+def _base_index_past_end(value):
+    value[1] = 2
+
+
+def _negative_base_index(value):
+    value[1] = -1
+
+
+def _huge_top_index(value):
+    value[0][0] = 2**70
+
+
+def _value_tuple_entry(value):
+    value[0][0] = [0, 1]  # the identity map of AS_1(Z_2) as a value, not an index
+
+
+INDEX_CORRUPTIONS = [_negative_top_index, _top_index_past_end, _base_index_past_end, _negative_base_index,
+                     _huge_top_index, _value_tuple_entry]
+INDEX_IDS = ["negative top index", "top index past end", "base index past end", "negative base index",
+             "huge top index", "value tuple entry"]
+
+
+def _in_first_pair(corrupt):
+    def apply(cert):
+        corrupt(cert["pairs"][0][0][0])
+
+    return apply
+
+
 def _wreath_top(cert):
     cert["target"]["left"]["top"] = json.loads(json.dumps(cert["target"]["left"]))
 
@@ -342,10 +439,11 @@ def _close_identity_outside(cert):
     "corrupt",
     [_foreign_source_value, _string_value, _unknown_descriptor_kind, _unknown_builtin_ring, _non_prime_ring,
      _no_pairs, _foreign_top_value, _foreign_base_value, _short_wreath_table, _extra_component,
-     _wreath_top, _product_top, _close_identity_not_two_sided, _close_identity_outside],
+     _wreath_top, _product_top, _close_identity_not_two_sided, _close_identity_outside, _ring_axiom_broken,
+     *map(_in_first_pair, INDEX_CORRUPTIONS)],
     ids=["source value", "string value", "descriptor kind", "builtin ring", "ring not prime", "no pairs",
          "top value", "base value", "table length", "extra component", "wreath top", "product top",
-         "close identity inside", "close identity outside"],
+         "close identity inside", "close identity outside", "ring axiom", *INDEX_IDS],
 )
 def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, optimize):
     bad = json.loads(json.dumps(split_certificate))
@@ -359,6 +457,43 @@ def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, opti
     assert proc.stderr.startswith("error: InvalidCertificate: certificate 1: ")
     if corrupt in (_close_identity_not_two_sided, _close_identity_outside):
         assert "identity" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("corrupt", INDEX_CORRUPTIONS, ids=INDEX_IDS)
+def test_malformed_close_generator_exit_2(tmp_path, split_certificate, corrupt, optimize):
+    # the split certificate over the closure of its own target values: with
+    # sound generators it verifies; a generator off the wreath carrier, paired
+    # as it stands, is refused before the closure could multiply it
+    closed = json.loads(json.dumps(split_certificate))
+    closed["target"] = {"kind": "close", "carrier": closed["target"], "label": "closed target",
+                        "generators": json.loads(json.dumps([t for t, _ in closed["pairs"]]))}
+    bad = json.loads(json.dumps(closed))
+    corrupt(bad["pairs"][1][0][0])
+    bad["target"]["generators"][1] = bad["pairs"][1][0]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"certificates": [closed, bad]}))
+    proc = run_cli(["verify", str(path)], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout.startswith("certificate 0 (") and ": verified closure=8" in proc.stdout
+    assert len(proc.stdout.splitlines()) == 1
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: InvalidCertificate: certificate 1: "), proc.stderr
+
+
+@pytest.mark.parametrize("corrupt", INDEX_CORRUPTIONS, ids=INDEX_IDS)
+def test_close_descriptor_refuses_identity_off_the_carrier(split_certificate, corrupt):
+    from semidec.carriers import build_carrier, build_monoid
+    from semidec.keys import value_json
+
+    carrier = split_certificate["target"]["left"]
+    identity = value_json(build_carrier(carrier).identity_value)
+    desc = {"kind": "close", "carrier": carrier, "generators": [identity], "identity": identity}
+    assert len(build_monoid(desc)) == 1
+    bad = json.loads(json.dumps(desc))
+    corrupt(bad["identity"])
+    with pytest.raises((ValueError, IndexError, OverflowError)):
+        build_monoid(bad)
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])

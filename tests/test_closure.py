@@ -10,20 +10,25 @@ and generate, and that the pipelines' mapped steps also verify when they
 pair every source element.
 """
 
+import json
+
 import numpy as np
 import pytest
+import semidec.carriers
 import semidec.monoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import _ring, cached_family
-from oracles import every_element_pairing, pair_closure, target_closure, value_product_table
+from conftest import _ring, cached_family, cached_field_plan, cached_ring_plan
+from oracles import (every_element_pairing, pair_closure, target_closure, value_product_table, wreath_decode,
+                     wreath_value_product)
 from semidec.carriers import ProductCarrier, build_carrier, build_monoid
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
 from semidec.families import compose_tables, transformation_closure, u1
 from semidec.monoid import Monoid, close_generators, direct_product, generating_set, isomorphic, right_closure
-from semidec.witness import DivisionWitness, augmentation, group_with_zero, identity_witness, verify
+from semidec.witness import (DivisionWitness, augmentation, group_with_zero, identity_witness, verify,
+                             witness_from_json, witness_to_json)
 from semidec.wreath import WreathContext
 
 
@@ -90,6 +95,65 @@ def test_certificate_target_closures_match_oracle(field_plan, n):
     for w in plan.witnesses + [plan.composite]:
         closed = {t for t, _ in w.closure_pairs()}
         assert closed == target_closure([t for t, _ in w.pairs], w.target.mul_value), w.label
+
+
+def _wreath_parts(carrier, value):
+    """``(context, component)`` for each wreath context inside a carrier."""
+    if isinstance(carrier, WreathContext):
+        return [(carrier, value)]
+    if isinstance(carrier, ProductCarrier):
+        return _wreath_parts(carrier.left, value[0]) + _wreath_parts(carrier.right, value[1])
+    return []
+
+
+@pytest.mark.parametrize("plan", [("field", 2, "2"), ("field", 3, "2"), ("ring", 2, "3")],
+                         ids=["field 2 Z_2", "field 3 Z_2", "ring 2 Z_3"])
+def test_wreath_products_match_decoding_reference(plan):
+    # every product a verified closure evaluated in a wreath context, element
+    # times generator, decodes to the product of the decoded values
+    kind, n, ring = plan
+    plan = (cached_field_plan if kind == "field" else cached_ring_plan)(n, ring)
+    checked = 0
+    for w in plan.witnesses + [plan.composite]:
+        for t, _ in w.closure_pairs():
+            for g, _ in w.pairs:
+                for (ctx, x), (_, y) in zip(_wreath_parts(w.target, t), _wreath_parts(w.target, g)):
+                    expected = wreath_value_product(ctx, wreath_decode(ctx, x), wreath_decode(ctx, y))
+                    assert wreath_decode(ctx, ctx.mul_value(x, y)) == expected, w.label
+                    checked += 1
+    assert checked > 0
+
+
+def test_bundle_builds_each_descriptor_once(monkeypatch, field_plan):
+    # parsing a bundle constructs one monoid per distinct canonical
+    # descriptor; parsing it again constructs none
+    plan = field_plan(3, "2")
+    bundle = json.loads(json.dumps([witness_to_json(w) for w in plan.witnesses + [plan.composite]]))
+    built = []
+    build = semidec.carriers._build_monoid
+
+    def counted(desc):
+        built.append(json.dumps(desc, sort_keys=True))
+        return build(desc)
+
+    monkeypatch.setattr(semidec.carriers, "_MONOIDS", {})
+    monkeypatch.setattr(semidec.carriers, "_build_monoid", counted)
+    first = [witness_from_json(obj) for obj in bundle]
+    assert len(built) == len(set(built)) > 0
+    count = len(built)
+    second = [witness_from_json(obj) for obj in bundle]
+    assert len(built) == count
+    assert all(a.source is b.source for a, b in zip(first, second))
+
+
+def test_build_monoid_keys_on_the_table_bound(monkeypatch):
+    desc = cached_family("T", 2, "2").descriptor()
+    tabled = build_monoid({"kind": "product", "left": desc, "right": desc})
+    with monkeypatch.context() as patch:
+        patch.setattr(semidec.monoid, "TABLE_BOUND", 16)
+        untabled = build_monoid({"kind": "product", "left": desc, "right": desc})
+    assert untabled is not tabled and untabled._table is None and tabled._table is not None
+    assert build_monoid({"kind": "product", "left": desc, "right": desc}) is tabled
 
 
 def test_image_submonoid_rebuilds_in_discovery_order(field_plan):

@@ -22,9 +22,10 @@ def test_induction_example_values(z2, fam):
     s = ((1, 1), (0, 1))
     target = w.preimage_of(t2.index[s])
     (table, top_block), scalar = target
-    assert top_block == ((1,),)
+    assert top_block == fam("T", 1, "2").index[((1,),)]
     assert scalar == ((1,),)
-    ident_map, shift_map = (0, 1), (1, 0)
+    as1 = fam("AS", 1, "2")
+    ident_map, shift_map = as1.index[(0, 1)], as1.index[(1, 0)]
     assert table == (ident_map, shift_map)  # slot X=0 fixes, slot X=1 translates
 
 

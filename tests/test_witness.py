@@ -218,11 +218,11 @@ def test_augmentation_closure_exact(fam):
     # the six closure pairs, as derived by hand from the generator set
     from semidec.families import CONSTANTS_IDENTITY, constant_at
 
-    star = fam("AS*", 1, "2")
-    ident, shift = star.elements[star.index[(0, 1)]], star.elements[star.index[(1, 0)]]
-    hat1 = (CONSTANTS_IDENTITY, CONSTANTS_IDENTITY)
-    h0 = (constant_at(0), constant_at(1))  # b -> constant at 0.b
-    h1 = (constant_at(1), constant_at(0))
+    star, xt = fam("AS*", 1, "2"), w.target.top
+    ident, shift = star.index[(0, 1)], star.index[(1, 0)]
+    hat1 = (xt.index[CONSTANTS_IDENTITY],) * 2
+    h0 = (xt.index[constant_at(0)], xt.index[constant_at(1)])  # b -> constant at 0.b
+    h1 = (xt.index[constant_at(1)], xt.index[constant_at(0)])
     expected_targets = {
         (hat1, ident), (hat1, shift),
         (h0, ident), (h1, ident), (h0, shift), (h1, shift),

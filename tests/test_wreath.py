@@ -7,7 +7,7 @@ from semidec.carriers import ProductCarrier
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
 from semidec.families import family, transformation_closure, u1
 import semidec.monoid
-from oracles import value_product_table
+from oracles import value_product_table, wreath_decode, wreath_value_product
 from semidec.monoid import TABLE_BOUND, Monoid, direct_product, is_aperiodic, is_group
 from semidec.wreath import (
     WreathContext,
@@ -18,13 +18,10 @@ from semidec.wreath import (
 
 
 def wreath_elements(ctx):
-    """The element list of top wr base in enumerate_wreath's order, without its table."""
-    top = ctx.top.elements
-    return [
-        (tuple(top[i] for i in tab), base_val)
-        for tab in product(range(len(top)), repeat=len(ctx.base))
-        for base_val in ctx.base.elements
-    ]
+    """The element list of top wr base in enumerate_wreath's order, without its table:
+    every table of top indices, first entry most significant, then every base index."""
+    b = len(ctx.base)
+    return [(tab, a) for tab in product(range(len(ctx.top)), repeat=b) for a in range(b)]
 
 
 def test_wreath_elements_in_enumeration_order(fam):
@@ -47,12 +44,24 @@ def test_mul_shifts_right_argument(fam):
     as1 = fam("AS", 1, "2")
     t1 = fam("T", 1, "2")
     ctx = WreathContext(as1, t1)
-    ident_map = as1.identity_value
-    x = (constant_table(ctx, ident_map), ((1,),))
-    y = (constant_table(ctx, ident_map), ((0,),))
+    ident_map = as1.identity
+    x = (constant_table(ctx, ident_map), t1.index[((1,),)])
+    y = (constant_table(ctx, ident_map), t1.index[((0,),)])
     table, base = ctx.mul_value(x, y)
-    assert base == ((0,),)
+    assert base == t1.index[((0,),)]
     assert table == constant_table(ctx, ident_map)
+
+
+def test_mul_matches_decoding_reference(fam):
+    # all pairs of two full products whose base elements act non-trivially,
+    # so the shift g[t a] moves the right table by the left base part
+    c2 = transformation_closure([(1, 0)], label="C_2")
+    for ctx in (WreathContext(fam("AS", 1, "2"), fam("T", 1, "2")), WreathContext(c2, fam("AS", 1, "2"))):
+        els = wreath_elements(ctx)
+        for x in els:
+            for y in els:
+                expected = wreath_value_product(ctx, wreath_decode(ctx, x), wreath_decode(ctx, y))
+                assert wreath_decode(ctx, ctx.mul_value(x, y)) == expected
 
 
 def test_mul_context_mismatch():
