@@ -3,7 +3,10 @@
 A carrier is anything a division witness can multiply target values in:
 an enumerated Monoid, a direct product of carriers, or a WreathContext,
 whose top and base are both enumerated Monoids with tables.  All three
-expose mul_value / identity_value / label / descriptor().
+expose identity_value / label / descriptor(), and the row interface of the
+closure kernel: ``width``, ``to_row`` / ``from_row`` between a value and a
+fixed-width int row, and ``mul_rows``, which multiplies every row of one
+block by every row of another; ``mul_value`` is a one-row ``mul_rows``.
 Descriptors are plain dicts from which ``build_carrier`` reconstructs an
 equivalent carrier in a fresh process, which is what makes certificates
 re-checkable from their serialized form.
@@ -13,23 +16,41 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from semidec import monoid
-from semidec.monoid import Monoid
+from semidec.monoid import Monoid, product_value
 from semidec.wreath import WreathContext
 
 
 class ProductCarrier:
+    """Pairs of values of two carriers; a row is the factors' rows, concatenated."""
+
     def __init__(self, left, right):
         self.left = left
         self.right = right
         self.label = f"({left.label} x {right.label})"
+        self.width = left.width + right.width
 
     @property
     def identity_value(self):
         return (self.left.identity_value, self.right.identity_value)
 
+    def to_row(self, value) -> tuple:
+        x, y = value
+        return self.left.to_row(x) + self.right.to_row(y)
+
+    def from_row(self, row):
+        cut = self.left.width
+        return (self.left.from_row(row[:cut]), self.right.from_row(row[cut:]))
+
+    def mul_rows(self, x, y) -> np.ndarray:
+        cut = self.left.width
+        return np.concatenate([self.left.mul_rows(x[:, :cut], y[:, :cut]),
+                               self.right.mul_rows(x[:, cut:], y[:, cut:])], axis=2)
+
     def mul_value(self, x, y):
-        return (self.left.mul_value(x[0], y[0]), self.right.mul_value(x[1], y[1]))
+        return product_value(self, x, y)
 
     def descriptor(self) -> dict:
         return {
@@ -90,7 +111,7 @@ def _build_monoid(desc: dict) -> Monoid:
                 raise ValueError(f"{v!r} is not a value of {carrier.label}")
         return close_generators(
             gens,
-            carrier.mul_value,
+            carrier,
             ident,
             label=desc.get("label", ""),
             provenance=desc,

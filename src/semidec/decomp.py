@@ -196,7 +196,7 @@ def _traced_left(mid: Monoid, top: Monoid, base: Monoid, label: str) -> Monoid:
     ctx = WreathContext(top, base)
     gens = list(dict.fromkeys(mid.elements[x][0] for x in [mid.identity] + generating_set(mid)))
     return close_generators(
-        gens, ctx.mul_value, gens[0], label=label,
+        gens, ctx, gens[0], label=label,
         provenance={
             "kind": "close",
             "carrier": ctx.descriptor(),

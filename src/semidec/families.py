@@ -27,6 +27,7 @@ from semidec.monoid import (
     DEFAULT_LIMIT,
     Monoid,
     maximal_subgroup,
+    product_value,
     quotient_by_central_units,
     within_table_bound,
 )
@@ -83,6 +84,28 @@ def compose_tables(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(g[x] for x in f)
 
 
+class TransformationCarrier:
+    """Transformation tables on ``points`` points under ``compose_tables``;
+    a table is its own row, and a block product is one gather."""
+
+    def __init__(self, points: int):
+        self.width = points
+
+    def to_row(self, value) -> tuple:
+        if len(value) != self.width:
+            raise ValueError(f"{value!r} is not a table on {self.width} points")
+        return tuple(value)
+
+    def from_row(self, row):
+        return tuple(row)
+
+    def mul_rows(self, x, y) -> np.ndarray:
+        return y[:, x].transpose(1, 0, 2)  # out[i, j, p] = y[j, x[i, p]]
+
+    def mul_value(self, f, g):
+        return product_value(self, f, g)
+
+
 def transformation_of_affine(f: AffineMap) -> tuple[int, ...]:
     idx = point_index(f.ring, f.dim)
     return tuple(idx[f.apply(p)] for p in points(f.ring, f.dim))
@@ -123,9 +146,11 @@ def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "")
     products.  Row i of a product depends only on row i of its left factor,
     so the fold runs once per distinct row and right factor.  A product is
     then the sum of its rows' base-``ring.size`` codes over the upper
-    triangle, found by binary search among the element codes, in fixed-size
-    blocks of table rows.  Raises ``NotClosed`` at the first product, in
-    row-major order, that is not in ``elements``.
+    triangle, looked up in a dense code-to-index array, in fixed-size
+    blocks of table rows.  Codes are below ``ring.size`` to the number of
+    upper-triangle positions, which ``_matrix_monoid`` bounds by its
+    limit.  Raises ``NotClosed`` at the first product, in row-major order,
+    that is not in ``elements``.
     """
     size, m, n = ring.size, len(elements), len(elements[0])
     ent = np.array(elements, dtype=np.int64)
@@ -137,9 +162,10 @@ def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "")
     # added once per row with a non-zero entry below the diagonal, so such a
     # product's code exceeds every element code
     outside = size ** int(upper.sum())
-    codes = (ent * weights).sum(axis=(1, 2))
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
+    # position[code] is the index of the element with that code, -1 for
+    # none; every code at or past ``outside`` shares the last slot
+    position = np.full(outside + 1, -1, dtype=np.int32)
+    position[(ent * weights).sum(axis=(1, 2))] = np.arange(m, dtype=np.int32)
     row_codes, row_ids = [], []
     for i in range(n):
         rows, ids = np.unique(ent[:, i, :], axis=0, return_inverse=True)
@@ -153,12 +179,11 @@ def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "")
     for start in range(0, m, step):
         block = slice(start, start + step)
         prod = sum(row_codes[i][row_ids[i][block]] for i in range(n))
-        pos = np.minimum(np.searchsorted(sorted_codes, prod), m - 1)
-        missing = sorted_codes[pos] != prod
-        if missing.any():
-            a, b = (int(x) for x in np.argwhere(missing)[0])
+        found = position[np.minimum(prod, outside)]
+        if (found < 0).any():
+            a, b = (int(x) for x in np.argwhere(found < 0)[0])
             raise NotClosed.product(what, start + a, b, elements)
-        table[block] = order[pos]
+        table[block] = found
     return table
 
 
@@ -238,7 +263,7 @@ def transformation_closure(gens: list[tuple[int, ...]], label: str = "",
     ident = tuple(range(point_count))
     return close_generators(
         gens,
-        compose_tables,
+        TransformationCarrier(point_count),
         ident,
         limit=limit,
         label=label,
@@ -303,7 +328,7 @@ def augmented_monoid(acting: Monoid, action: list[tuple[int, ...]] | None = None
 
     return close_generators(
         [ident] + tables + constants,
-        compose_tables,
+        TransformationCarrier(point_count),
         ident,
         limit=limit,
         label=f"aug({acting.label})",

@@ -3,10 +3,15 @@
 A Monoid is an immutable list of opaque element values (nested int tuples)
 in a deterministic canonical order, an identity index, and a total product.
 Multiplication tables are materialized up to a size bound; larger monoids
-fall back to a memoized value-level oracle.  Monoids derived from others
-(closures, products) take their tables from tables, not value products.  All structure analyses
-(Green's relations, regularity, subgroups, depth, quotients, products,
-isomorphism search) work on indices against that product.
+fall back to a per-pair index oracle.  Monoids derived from others
+(closures, products) take their tables from tables, not value products.
+Closures run on fixed-width int rows: every carrier (a Monoid, whose row is
+one index column, a wreath context, a product carrier, transformation
+tables) converts values with ``to_row``/``from_row`` and multiplies blocks
+of rows with ``mul_rows``; ``close_rows`` is the one closure kernel.  All
+structure analyses (Green's relations, regularity, subgroups, depth,
+quotients, products, isomorphism search) work on indices against that
+product.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import random
 from array import array
 from dataclasses import dataclass, field
+from operator import ne
 
 import numpy as np
 
@@ -30,6 +36,8 @@ from semidec.keys import key_hex, value_json
 DEFAULT_LIMIT = 100_000
 TABLE_BOUND = 4096
 _SPOT_TRIPLES = 64
+ROW = np.int32  # dtype of carrier rows
+_BLOCK_CELLS = 1 << 16  # cells per block of rows in ``close_rows`` and ``_image_sizes``; bounds their working memory
 
 
 def within_table_bound(size: int) -> bool:
@@ -84,16 +92,31 @@ class Monoid:
         return out
 
     def _spot_check(self):
+        """The identity on both sides of every element, and associativity on
+        seeded triples: one gather each on a table, one product each on the oracle."""
         n = len(self.elements)
         e = self.identity
-        for i in range(n):
-            if self.mul(e, i) != i or self.mul(i, e) != i:
-                raise InvalidMonoid(self.label, f"identity is not two-sided at element {i}")
-        rng = random.Random(0x5EED)
-        for _ in range(min(_SPOT_TRIPLES, n * n)):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise InvalidMonoid(self.label, f"product not associative at {(a, b, c)}")
+        count = min(_SPOT_TRIPLES, n * n)
+        draws = np.frombuffer(random.Random(0x5EED).randbytes(12 * count), dtype=np.uint32) % n
+        triples = draws.reshape(count, 3).astype(np.intp)
+        table = self._table
+        if table is None:
+            for i in range(n):
+                if self.mul(e, i) != i or self.mul(i, e) != i:
+                    raise InvalidMonoid(self.label, f"identity is not two-sided at element {i}")
+            for a, b, c in triples.tolist():
+                if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
+                    raise InvalidMonoid(self.label, f"product not associative at {(a, b, c)}")
+            return
+        everything = np.arange(n)
+        bad = np.flatnonzero((table[e] != everything) | (table[:, e] != everything))
+        if len(bad):
+            raise InvalidMonoid(self.label, f"identity is not two-sided at element {bad[0]}")
+        a, b, c = triples.T
+        bad = np.flatnonzero(table[table[a, b], c] != table[a, table[b, c]])
+        if len(bad):
+            a, b, c = triples[bad[0]].tolist()
+            raise InvalidMonoid(self.label, f"product not associative at {(a, b, c)}")
 
     def __len__(self):
         return len(self.elements)
@@ -113,23 +136,34 @@ class Monoid:
         return out
 
     def mul_value(self, a, b):
-        """Product of two element values; anything else raises ``KeyError``.
-
-        Value products are not memoized: a closure over a monoid without a
-        table asks each product about once, and a memo would only hold them.
-        """
-        i, j = self.index[a], self.index[b]
-        return self.elements[self._table[i, j] if self._table is not None else self._product_index(i, j)]
+        """Product of two element values; anything else raises ``KeyError``."""
+        return product_value(self, a, b)
 
     @property
     def identity_value(self):
         return self.elements[self.identity]
 
+    # a monoid is a carrier whose row is one index column
+    width = 1
+
+    def to_row(self, value) -> tuple:
+        return (self.index[value],)
+
+    def from_row(self, row):
+        return self.elements[row[0]]
+
+    def mul_rows(self, x, y) -> np.ndarray:
+        """Products of index rows, ``out[i, j] = [x[i, 0] * y[j, 0]]``: one
+        table gather, or ``products`` on the oracle."""
+        if self._table is not None:
+            return self._table[x[:, :1], y[:, 0]][:, :, None]
+        return self.products(x[:, 0], y[:, 0])[:, :, None]
+
     def products(self, rows, cols) -> np.ndarray:
         """Block of product indices ``rows[i] * cols[j]``, sliced from the table if there is one."""
         if self._table is not None:
             return self._table[np.ix_(rows, cols)]
-        block = [[self.mul(i, j) for j in cols] for i in rows]
+        block = [[self.mul(int(i), int(j)) for j in cols] for i in rows]
         return np.array(block, dtype=np.int32).reshape(len(rows), len(cols))
 
     def table_array(self) -> np.ndarray:
@@ -141,60 +175,179 @@ class Monoid:
         return self.provenance
 
 
-def right_closure(gens, mul, limit: int, what: str, key=None):
-    """Semigroup generated by ``gens``, enumerated along its right Cayley graph.
+def product_value(carrier, x, y):
+    """``x * y`` in a carrier, as a one-row call of its ``mul_rows``: each
+    carrier's ``mul_value`` is this, so it keeps one product formula."""
+    rows = np.array([carrier.to_row(x), carrier.to_row(y)], dtype=ROW)
+    return carrier.from_row(carrier.mul_rows(rows[:1], rows[1:])[0, 0].tolist())
+
+
+class ValueOracle:
+    """A carrier over a plain product function of values.
+
+    A row interns a value as one id, or as ``[key id, value id]`` with a
+    ``key``, so a keyed closure keys on the first column; ``mul_rows``
+    calls the function once per product.
+    """
+
+    def __init__(self, mul, key=None):
+        self.mul, self.key = mul, key
+        self.width = 1 if key is None else 2
+        self.values: list = []
+        self._ids: dict = {}
+
+    def _intern(self, value) -> int:
+        found = self._ids.get(value)
+        if found is None:
+            found = self._ids[value] = len(self.values)
+            self.values.append(value)
+        return found
+
+    def to_row(self, value) -> tuple:
+        if self.key is None:
+            return (self._intern(value),)
+        return (self._intern(self.key(value)), self._intern(value))
+
+    def from_row(self, row):
+        return self.values[row[-1]]
+
+    def mul_rows(self, x, y) -> np.ndarray:
+        values, mul = self.values, self.mul
+        out = [[self.to_row(mul(values[a], values[b])) for b in y[:, -1].tolist()] for a in x[:, -1].tolist()]
+        return np.array(out, dtype=ROW).reshape(len(x), len(y), self.width)
+
+    def mul_value(self, x, y):
+        return product_value(self, x, y)
+
+
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    """Each row as one bytes object."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _merge(block: np.ndarray, n: int, lookup: dict, key_width: int, tails: list | None, room: int):
+    """Index of each row of ``block`` among the ``n`` elements so far, in row order.
+
+    A row whose key (its first ``key_width`` columns) ``lookup`` lacks
+    becomes element ``n``, ``n + 1``, ...; only ``room`` new elements fit,
+    and the scan stops at the row that would be one too many.  Returns
+    ``(found, fresh, stopped)``: the indices of the scanned rows, the
+    positions of the new ones, and whether the scan stopped early.  With
+    ``tails``, the bytes of each element's columns past the key, extended
+    here, the first scanned row whose tail differs from that of the
+    element under its key raises ``NotFunctional(index, stored row, new
+    row)``, with the rows as int lists.
+    """
+    keys = _row_bytes(block[:, :key_width])
+    rest = None if tails is None else _row_bytes(block[:, key_width:])
+    found = list(map(lookup.get, keys))
+    fresh: list[int] = []
+    stop = len(keys)
+    for p in [p for p, f in enumerate(found) if f is None]:
+        f = lookup.get(keys[p])
+        if f is None:
+            if len(fresh) == room:
+                stop = p
+                break
+            f = lookup[keys[p]] = n + len(fresh)
+            fresh.append(p)
+            if tails is not None:
+                tails.append(rest[p])
+        found[p] = f
+    del found[stop:]
+    if tails is not None:
+        clash = list(map(ne, map(tails.__getitem__, found), rest))
+        if True in clash:
+            q = clash.index(True)
+            new = block[q].tolist()
+            stored = np.frombuffer(tails[found[q]], dtype=block.dtype).tolist()
+            raise NotFunctional(found[q], new[:key_width] + stored, new)
+    return found, fresh, stop < len(keys)
+
+
+def close_rows(gens: np.ndarray, mul_rows, limit: int, what: str, key_width: int | None = None):
+    """Semigroup generated by the int rows ``gens``, enumerated along its right Cayley graph.
 
     This is the enumeration of Froidure and Pin ("Algorithms for computing
     finite semigroups", 1997): the distinct generators in input order, then
     each element, in discovery order, times each generator in order.  It
-    evaluates one product per (element, generator) pair.
+    runs a frontier block at a time: the unexpanded elements are cut into
+    blocks of at most ``_BLOCK_CELLS`` product cells, ``mul_rows(block,
+    generators)`` multiplies a block by every generator at once, and the
+    products are deduped by row bytes in element-major order, which is the
+    discovery order of the one-product-at-a-time scan.
 
-    Returns ``(elements, lookup, edges, right)``: ``lookup`` maps the key of
-    each element to its index, ``edges[i]`` is ``(parent, generator)`` with
-    ``elements[i] == mul(elements[parent], generators[generator])``, or
-    ``None`` for a generator, and ``right`` is the right Cayley graph, an
-    int32 array with ``right[i, j]`` the index of ``elements[i]`` times
-    generator ``j``.  The distinct generators are elements ``0..g-1``.
-    With ``key``, elements sharing a key must be equal; a product that
-    breaks this raises ``NotFunctional(key, old, new)``.  By induction on
-    word length, every product of generators is checked against the
-    element stored under its key.  Raises ``SizeLimitExceeded`` past
-    ``limit`` elements.
+    Returns ``(rows, edges, right)``: ``rows`` is the elements' int array,
+    ``edges[i]`` is ``(parent, generator)`` with ``rows[i]`` the product of
+    ``rows[parent]`` and generator ``generator``, or ``None`` for a
+    generator, and ``right`` is the right Cayley graph, an int32 array with
+    ``right[i, j]`` the index of element ``i`` times generator ``j``.  The
+    distinct generators are elements ``0..g-1``.  With ``key_width``,
+    elements are keyed by their first ``key_width`` columns, and rows
+    sharing a key must be equal: the first product, in scan order, that
+    breaks this raises ``NotFunctional(index, stored row, new row)`` with
+    the rows as int lists.  By induction on word length, every product of
+    generators is checked against the element stored under its key.
+    Raises ``SizeLimitExceeded`` past ``limit`` elements.
     """
-    elements: list = []
+    width = gens.shape[1]
+    tails = None if key_width is None else []
+    key_width = width if key_width is None else key_width
     lookup: dict = {}
-    for g in gens:
-        k = g if key is None else key(g)
-        found = lookup.get(k)
-        if found is None:
-            lookup[k] = len(elements)
-            elements.append(g)
-        elif key is not None and elements[found] != g:
-            raise NotFunctional(k, elements[found], g)
-    if len(elements) > limit:
+    _, distinct, _ = _merge(gens, 0, lookup, key_width, tails, len(gens))
+    if len(distinct) > limit:
         raise SizeLimitExceeded(limit, what)
-    generators = list(elements)
-    edges: list = [None] * len(elements)
+    g = n = len(distinct)
+    generators = gens[distinct]
+    store = np.empty((max(n, 64), width), dtype=ROW)
+    store[:n] = generators
+    edges: list = [None] * n
     right = array("i")
+    step = max(1, _BLOCK_CELLS // max(1, g * width))
     i = 0
-    while i < len(elements):
-        x = elements[i]
-        for j, g in enumerate(generators):
-            value = mul(x, g)
-            k = value if key is None else key(value)
-            found = lookup.get(k)
-            if found is None:
-                found = lookup[k] = len(elements)
-                elements.append(value)
-                edges.append((i, j))
-                if len(elements) > limit:
-                    raise SizeLimitExceeded(limit, what)
-            elif key is not None and elements[found] != value:
-                raise NotFunctional(k, elements[found], value)
-            right.append(found)
-        i += 1
-    graph = np.frombuffer(right, dtype=np.int32).reshape(len(elements), len(generators))
-    return elements, lookup, edges, graph
+    while i < n:
+        end = min(n, i + step)
+        block = mul_rows(store[i:end], generators).reshape(-1, width)
+        found, fresh, stopped = _merge(block, n, lookup, key_width, tails, limit - n)
+        if stopped:
+            raise SizeLimitExceeded(limit, what)
+        right.extend(found)
+        if fresh:
+            if n + len(fresh) > len(store):
+                grown = np.empty((max(n + len(fresh), 2 * len(store)), width), dtype=ROW)
+                grown[:n] = store[:n]
+                store = grown
+            store[n : n + len(fresh)] = block[fresh]
+            edges.extend((i + p // g, p % g) for p in fresh)
+            n += len(fresh)
+        i = end
+    graph = np.frombuffer(right, dtype=np.int32).reshape(n, g)
+    return store[:n], edges, graph
+
+
+def right_closure(gens, mul, limit: int, what: str, key=None):
+    """``close_rows`` on the values ``gens`` of a carrier ``mul``.
+
+    ``mul`` is a carrier (``width``, ``to_row``, ``from_row``, ``mul_rows``)
+    or a plain product function, wrapped in a ``ValueOracle``; ``key``, a
+    function of values, needs a plain product function.  Returns
+    ``(elements, lookup, edges, right)`` with the elements as values and
+    ``lookup`` mapping the key of each element (the element itself without
+    ``key``) to its index.  A key shared by distinct elements raises
+    ``NotFunctional(key, old, new)``.
+    """
+    carrier = mul if key is None and hasattr(mul, "mul_rows") else ValueOracle(mul, key)
+    gens = [carrier.to_row(v) for v in gens]
+    try:
+        rows, edges, right = close_rows(np.array(gens, dtype=ROW).reshape(len(gens), carrier.width),
+                                        carrier.mul_rows, limit, what, None if key is None else 1)
+    except NotFunctional as exc:
+        old, new = (carrier.from_row(r) for r in exc.sources)
+        raise NotFunctional(key(old), old, new) from None
+    elements = [carrier.from_row(row) for row in map(np.ndarray.tolist, rows)]
+    lookup = {v if key is None else key(v): i for i, v in enumerate(elements)}
+    return elements, lookup, edges, right
 
 
 def cayley_table(edges, right) -> np.ndarray:
@@ -219,28 +372,31 @@ def cayley_table(edges, right) -> np.ndarray:
 
 def close_generators(
     gens,
-    mul_fn,
+    mul,
     identity_value,
     limit: int = DEFAULT_LIMIT,
     label: str = "",
     provenance: dict | None = None,
 ) -> Monoid:
-    """Multiplicative closure of ``gens`` under ``mul_fn``, in ``right_closure`` order.
+    """Multiplicative closure of ``gens`` in a carrier ``mul``, in ``right_closure`` order.
 
-    The table is the closure's ``cayley_table``, so the closure's products
-    are the only carrier products; past ``TABLE_BOUND`` elements ``mul_fn``
-    is a memoized per-pair oracle instead.  An identity the closure never
-    produces is appended at the end once it fixes itself and every
-    generator on both sides, by value; otherwise ``InvalidMonoid``.
+    ``mul`` is a carrier or a plain product function (see ``right_closure``);
+    its products on frontier blocks are the only carrier products.  The
+    table is the closure's ``cayley_table``; past ``TABLE_BOUND`` elements
+    the monoid multiplies by a per-pair index oracle on ``mul_value``
+    instead.  An identity the closure never produces is appended at the end
+    once it fixes itself and every generator on both sides, by value;
+    otherwise ``InvalidMonoid``.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    elements, lookup, edges, right = right_closure(gens, mul_fn, limit, f"closure of {label or 'generators'}")
+    carrier = mul if hasattr(mul, "mul_rows") else ValueOracle(mul)
+    elements, lookup, edges, right = right_closure(gens, carrier, limit, f"closure of {label or 'generators'}")
     size = len(elements)
     if identity_value not in lookup:
-        e = identity_value
-        if mul_fn(e, e) != e or any(mul_fn(e, g) != g or mul_fn(g, e) != g for g in elements[: right.shape[1]]):
+        e, product = identity_value, carrier.mul_value
+        if product(e, e) != e or any(product(e, g) != g or product(g, e) != g for g in elements[: right.shape[1]]):
             raise InvalidMonoid(label, "identity outside the closure does not fix itself and every generator")
         elements.append(e)
         if len(elements) > limit:
@@ -252,7 +408,7 @@ def close_generators(
             table = np.pad(table, (0, 1))
             table[size] = table[:, size] = np.arange(size + 1)
     prov = provenance or {"kind": "close", "generators": [value_json(g) for g in gens]}
-    return Monoid(elements, identity_value, mul_fn=mul_fn, table=table, label=label, provenance=prov)
+    return Monoid(elements, identity_value, mul_fn=carrier.mul_value, table=table, label=label, provenance=prov)
 
 
 def check_associativity(m: Monoid, full_limit: int = 512, samples: int = 10_000, seed: int = 0xA550C) -> None:
@@ -304,12 +460,23 @@ class GreensReport:
         return max(self.j) + 1
 
 
+def _image_matrix(rows) -> np.ndarray:
+    """Bool image matrix of rows of a square table: entry ``[x, v]`` is set iff ``v`` occurs in row ``x``."""
+    bits = np.zeros(rows.shape, dtype=bool)
+    bits[np.arange(len(rows))[:, None], rows] = True
+    return bits
+
+
 def _images(table) -> np.ndarray:
     """Packed image bitsets of a square table: bit ``v`` of row ``x`` is set iff ``v`` occurs in row ``x``."""
-    n = len(table)
-    bits = np.zeros((n, n), dtype=bool)
-    bits[np.arange(n)[:, None], table] = True
-    return np.packbits(bits, axis=1, bitorder="little")
+    return np.packbits(_image_matrix(table), axis=1, bitorder="little")
+
+
+def _image_sizes(table) -> list[int]:
+    """Number of distinct entries in each row of a square table, in blocks of rows."""
+    step = max(1, _BLOCK_CELLS // max(1, len(table)))
+    return [int(size) for start in range(0, len(table), step)
+            for size in _image_matrix(table[start : start + step]).sum(axis=1)]
 
 
 def _bitset(packed) -> int:
@@ -588,31 +755,38 @@ def _cyclic_profile(m: Monoid, x: int) -> tuple[int, int]:
 
 def _element_profiles(m: Monoid) -> list[tuple]:
     table = m.table_array()
+    rows, cols = _image_sizes(table), _image_sizes(table.T)
     out = []
     for x in range(len(m)):
         idx, period = _cyclic_profile(m, x)
-        row = len(np.unique(table[x, :]))
-        col = len(np.unique(table[:, x]))
-        out.append((idx, period, int(table[x, x] == x), row, col))
+        out.append((idx, period, int(table[x, x] == x), rows[x], cols[x]))
     return out
+
+
+def index_closure(m: Monoid, gens, what: str):
+    """``close_rows`` of element indices of ``m``: ``(indices, edges, right)``."""
+    rows, edges, right = close_rows(np.array(gens, dtype=ROW).reshape(-1, 1), m.mul_rows, len(m), what)
+    return rows[:, 0].tolist(), edges, right
 
 
 def generating_set(m: Monoid) -> list[int]:
     """Greedy generating set of ``m`` with its identity (Froidure and Pin, 1997).
 
     Scans elements by row-image size, largest first, then by index, adding
-    each one the closure so far misses.  Rows come from ``products``, so a
-    monoid past ``TABLE_BOUND`` gets no table."""
+    each one the closure so far misses.  Without a table, rows come from
+    ``products``, so a monoid past ``TABLE_BOUND`` gets no table."""
     everything = range(len(m))
-    sizes = [len(np.unique(m.products([x], everything))) for x in everything]
+    if m._table is not None:
+        sizes = _image_sizes(m._table)
+    else:
+        sizes = [len(set(m.products([x], everything)[0].tolist())) for x in everything]
     gens: list[int] = []
     closure = {m.identity}
     for x in sorted(everything, key=lambda x: (-sizes[x], x)):
         if x in closure:
             continue
         gens.append(x)
-        elements, _, _, _ = right_closure(gens, m.mul, len(m), "generating set")
-        closure = set(elements) | {m.identity}
+        closure = set(index_closure(m, gens, "generating set")[0]) | {m.identity}
         if len(closure) == len(m):
             break
     return gens
@@ -636,7 +810,7 @@ def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
     gens = generating_set(m)
     # every element is the identity, a generator, or a derived element times
     # a generator
-    derived, _, edges, _ = right_closure(gens, m.mul, len(m), "isomorphism search")
+    derived, edges, _ = index_closure(m, gens, "isomorphism search")
 
     candidates = [
         [y for y in range(len(n)) if prof_n[y] == prof_m[g]] for g in gens

@@ -13,7 +13,6 @@ closure, so a serialized witness is independently re-checkable.
 from __future__ import annotations
 
 from itertools import product as iter_product
-from operator import itemgetter
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from semidec.errors import (
     WitnessError,
 )
 from semidec.keys import value_from_json, value_json
-from semidec.monoid import (DEFAULT_LIMIT, Monoid, cayley_table, direct_product, generating_set, right_closure,
-                            within_table_bound)
+from semidec.monoid import (DEFAULT_LIMIT, ROW, Monoid, cayley_table, close_rows, direct_product, generating_set,
+                            index_closure, within_table_bound)
 from semidec.semiring import SemiringTable, units
 from semidec.wreath import WreathContext, constant_table
 
@@ -85,13 +84,14 @@ class DivisionWitness:
         Canonical order is closure discovery order, which a rebuild from
         the "close" descriptor keeps.  The closure is keyed by target value,
         so the table is the ``cayley_table`` of ``verify``'s graph, with no
-        target products; past ``TABLE_BOUND`` elements the target's product
-        is a memoized oracle.  The identity is the left identity of the
-        generators, read off the graph's rows: a two-sided identity is the
-        only one, and the ``Monoid`` check that it is two-sided on every
-        element decides whether there is one (there is when the witness
-        pairs the identities, as the pipelines do).  Built once, dropping
-        the graph, and kept until the witness is verified again.
+        target products; past ``TABLE_BOUND`` elements the monoid multiplies
+        by a per-pair index oracle on the target's ``mul_value``.  The
+        identity is the left identity of the generators, read off the
+        graph's rows: a two-sided identity is the only one, and the
+        ``Monoid`` check that it is two-sided on every element decides
+        whether there is one (there is when the witness pairs the
+        identities, as the pipelines do).  Built once, dropping the graph,
+        and kept until the witness is verified again.
         """
         _require_verified(self)
         if self._image is not None:
@@ -131,39 +131,38 @@ def _require_verified(*witnesses: DivisionWitness) -> None:
 def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """Close the pairs and check functionality and surjectivity.
 
-    The closure is ``right_closure`` over the (target, source) pairs keyed
-    by target value: the distinct generator pairs in input order, then each
-    pair times each generator pair, in discovery order.  A target value
-    reached again with another source element raises ``NotFunctional``.
+    The closure is ``close_rows`` over rows of (target row, source index),
+    keyed on the target columns: the distinct generator pairs in input
+    order, then each pair times each generator pair, in discovery order, a
+    frontier block at a time.  A target value reached again with another
+    source element raises ``NotFunctional``.
     """
     source, target = w.source, w.target
-    mul_t, mul_s = target.mul_value, source.mul
     w._image = w._graph = None
-
-    def mul(x, y):
-        return (mul_t(x[0], y[0]), mul_s(x[1], y[1]))
-
-    gens = [(t, s) for t, s in w.pairs]
+    width = target.width
     try:
+        gens = np.array([target.to_row(t) + (s,) for t, s in w.pairs], dtype=ROW).reshape(len(w.pairs), width + 1)
         try:
-            closure, _, edges, right = right_closure(gens, mul, limit, "witness closure", key=itemgetter(0))
+            rows, edges, right = close_rows(gens, ProductCarrier(target, source).mul_rows, limit,
+                                            "witness closure", key_width=width)
         except NotFunctional as exc:
-            (t, a), (_, b) = exc.sources
-            raise NotFunctional(t, source.elements[a], source.elements[b]) from None
-        mapping = dict(closure)
-        covered = set(mapping.values())
-        missing = [i for i in range(len(source)) if i not in covered]
-        if missing:
-            raise NotSurjective([source.elements[i] for i in missing])
+            old, new = exc.sources
+            raise NotFunctional(target.from_row(old[:width]), source.elements[old[width]],
+                                source.elements[new[width]]) from None
+        covered = np.zeros(len(source), dtype=bool)
+        covered[rows[:, width]] = True
+        if not covered.all():
+            raise NotSurjective([source.elements[i] for i in np.flatnonzero(~covered).tolist()])
     except (NotFunctional, NotSurjective, SizeLimitExceeded) as exc:
         w.status = "failed"
         w.failure = str(exc)
         raise
+    closure = [(target.from_row(row[:width]), row[width]) for row in map(np.ndarray.tolist, rows)]
     w.status = "verified"
     w.closure_size = len(closure)
     w._closure = closure
     w._graph = (edges, right)
-    w._mapping = mapping
+    w._mapping = dict(closure)
     return w
 
 
@@ -430,7 +429,7 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12,
     seen_subs: set[frozenset] = set()
     for mask in range(1, 1 << n):
         gens = [i for i in range(n) if mask >> i & 1]
-        closure, _, _, _ = right_closure(gens, target.mul, n, "search subsemigroup")
+        closure, _, _ = index_closure(target, gens, "search subsemigroup")
         key = frozenset(closure)
         if key in seen_subs:
             continue

@@ -9,6 +9,9 @@ tables:
 
     (f, a) (g, b) = (t -> f[t] * g[t a],  a b)
 
+In a closure the value is the int row ``[f_0, ..., f_{|B|-1}, a]``, and a
+block of rows times a block of rows is one such gather.
+
 Full enumeration is guarded; the pipelines instead multiply inside wreath
 products over *restricted* bases (sub-monoids holding just the traced
 elements), recording a restriction step that the restricted product is a
@@ -22,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
-from semidec.monoid import DEFAULT_LIMIT, Monoid, within_table_bound
+from semidec.monoid import DEFAULT_LIMIT, Monoid, product_value, within_table_bound
 
 
 class WreathContext:
@@ -40,18 +43,35 @@ class WreathContext:
         self.base = base
         self.label = f"({top.label} wr {base.label})"
 
+        self.width = len(base) + 1
+
     @property
     def identity_value(self):
         return ((self.top.identity,) * len(self.base), self.base.identity)
 
-    def mul_value(self, x, y):
-        (f, a), (g, b) = x, y
-        base = self.base._table
-        if len(f) != len(base) or len(g) != len(base):
+    def to_row(self, value) -> tuple:
+        """The row ``[f_0, ..., f_{|B|-1}, a]`` of a value ``(f, a)``."""
+        f, a = value
+        if len(f) != len(self.base):
             raise ContextMismatch("table length does not match base order")
-        f, g = np.asarray(f, dtype=np.intp), np.asarray(g, dtype=np.intp)
-        out = self.top._table[f, g[base[:, a]]]
-        return (tuple(out.tolist()), int(base[a, b]))
+        return (*f, a)
+
+    def from_row(self, row):
+        return (tuple(row[:-1]), row[-1])
+
+    def mul_rows(self, x, y) -> np.ndarray:
+        """Products of every row of ``x`` with every row of ``y``, ``out[i, j]
+        = x[i] * y[j]``: one gather ``top[f, g[base[:, a]]]`` for the whole block."""
+        base, b = self.base._table, len(self.base)
+        a = x[:, b]
+        shifted = y[:, :b][:, base[:, a].T]  # shifted[j, i, t] = g_j[t a_i]
+        out = np.empty((len(x), len(y), b + 1), dtype=x.dtype)
+        out[:, :, :b] = self.top._table[x[:, None, :b], shifted.transpose(1, 0, 2)]
+        out[:, :, b] = base[a[:, None], y[:, b]]
+        return out
+
+    def mul_value(self, x, y):
+        return product_value(self, x, y)
 
     def descriptor(self) -> dict:
         return {"kind": "wreath_ctx", "top": self.top.descriptor(), "base": self.base.descriptor()}
@@ -63,8 +83,8 @@ def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
     Its elements are the index pairs ``(f, a)``: ``f`` runs over
     ``wreath_table``'s digit rows, every table of top indices in ``product``
     order, and ``a`` over the base indices.  Up to ``TABLE_BOUND`` elements
-    its table is ``wreath_table``, with no value products; past it
-    ``ctx.mul_value`` is a memoized oracle.
+    its table is ``wreath_table``, with no value products; past it the
+    monoid's per-pair index oracle multiplies by ``ctx.mul_value``.
     """
     top = ctx.top
     b = len(ctx.base)

@@ -21,11 +21,16 @@ def run_cli(args, optimize: bool = False, prelude: str = "") -> subprocess.Compl
     A ``prelude`` is Python source run in that interpreter before the CLI's
     ``main``, for example to patch a module the command uses.
     """
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     entry = ["-c", f"{prelude}\nimport sys\nfrom semidec.cli import main\nsys.exit(main(sys.argv[1:]))"] \
         if prelude else ["-m", "semidec.cli"]
+    return run_python([*entry, *args], optimize)
+
+
+def run_python(args, optimize: bool = False) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``args`` with ``src`` on its path."""
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, *(["-O"] if optimize else []), *entry, *args],
+        [sys.executable, *(["-O"] if optimize else []), *args],
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
     )
 

@@ -3,9 +3,10 @@
 Everything here recomputes results by definition-level brute force,
 independently of the package's algorithms: Green's relations by pairwise
 ideal comparison and by one ideal mask per row and column, pair and
-target closures by plain dict and set loops, matrix and carrier tables by
-one product per pair, wreath products on decoded values, spans by
-enumerating all linear combinations.  The triangular-matrix helpers below (explicit
+target closures by plain dict and set loops, the Froidure-Pin closure one
+product at a time, matrix and carrier tables by one product per pair,
+wreath products on decoded values, spans by enumerating all linear
+combinations.  The triangular-matrix helpers below (explicit
 matrices, row and column operations, block decomposition) serve only the
 tests; the library works on entry tuples.  ``every_element_pairing``
 makes certificates pair every source element, not a generating set.
@@ -86,6 +87,18 @@ def is_regular(x, elements, mul):
 
 def pair_closure(pairs, mul_target, mul_source):
     """Close (t, s) pairs under componentwise products; dict-based, no order."""
+    closure, _ = _close_pairs(pairs, mul_target, mul_source)
+    return closure
+
+
+def pair_closure_conflict(pairs, mul_target, mul_source):
+    """The first clash of ``pair_closure``'s scan as ``(target, stored source,
+    new source)``, or ``None`` when the closure is functional."""
+    _, clash = _close_pairs(pairs, mul_target, mul_source)
+    return clash
+
+
+def _close_pairs(pairs, mul_target, mul_source):
     closure = dict(pairs)
     if len(closure) != len(set(pairs)):
         raise AssertionError("ambiguous generator pairs")
@@ -99,11 +112,40 @@ def pair_closure(pairs, mul_target, mul_source):
                 s = mul_source(s1, s2)
                 if t in closure:
                     if closure[t] != s:
-                        return None  # not functional
+                        return None, (t, closure[t], s)  # not functional
                 else:
                     closure[t] = s
                     changed = True
-    return closure
+    return closure, None
+
+
+def scan_closure(gens, mul, key=None):
+    """Froidure-Pin closure one product at a time: the distinct generators in
+    input order, then each element, in discovery order, times each generator
+    in order.  Returns ``(elements, edges, right)`` with ``right`` nested
+    lists; elements sharing a key must be equal, else ``None``."""
+    key = key or (lambda v: v)
+    elements, lookup = [], {}
+    for g in gens:
+        if lookup.setdefault(key(g), len(elements)) == len(elements):
+            elements.append(g)
+        elif elements[lookup[key(g)]] != g:
+            return None
+    generators = list(elements)
+    edges, right = [None] * len(elements), []
+    for i, x in enumerate(elements):  # the list grows while it is scanned
+        row = []
+        for j, g in enumerate(generators):
+            value = mul(x, g)
+            found = lookup.setdefault(key(value), len(elements))
+            if found == len(elements):
+                elements.append(value)
+                edges.append((i, j))
+            elif elements[found] != value:
+                return None
+            row.append(found)
+        right.append(row)
+    return elements, edges, right
 
 
 def target_closure(gens, mul):

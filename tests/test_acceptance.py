@@ -5,8 +5,6 @@ criterion.
 """
 
 import json
-import subprocess
-import sys
 import time
 
 import pytest
@@ -208,11 +206,7 @@ def test_criterion_8_deterministic_certificates(tmp_path):
     outputs = []
     for name in ("a", "b"):
         path = tmp_path / f"{name}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "semidec.cli", "decompose", "--pipeline", "field",
-             "--n", "2", "--ring", "zp:3", "--cert", str(path)],
-            capture_output=True, text=True, timeout=300,
-        )
+        proc = run_cli(["decompose", "--pipeline", "field", "--n", "2", "--ring", "zp:3", "--cert", str(path)])
         assert proc.returncode == 0, proc.stderr
         assert "group_length=1" in proc.stdout
         outputs.append(path.read_bytes())

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import run_cli
+from conftest import run_cli, run_python
 from semidec.cli import main
 
 
@@ -275,22 +275,30 @@ def test_verify_truncated_json(tmp_path, capsys):
 
 
 def test_fresh_process_decompose_then_verify(tmp_path):
-    import subprocess
-    import sys
-
     cert = tmp_path / "cert.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "semidec.cli", "decompose", "--pipeline", "ring",
-         "--n", "2", "--ring", "zp:2", "--cert", str(cert)],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_cli(["decompose", "--pipeline", "ring", "--n", "2", "--ring", "zp:2", "--cert", str(cert)])
     assert proc.returncode == 0, proc.stderr
-    proc = subprocess.run(
-        [sys.executable, "-m", "semidec.cli", "verify", str(cert)],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = run_cli(["verify", str(cert)])
     assert proc.returncode == 0, proc.stderr
     assert "verified" in proc.stdout
+
+
+_LAZY = ("import atexit, sys\n"
+         "atexit.register(lambda: print('loaded', [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules],"
+         " file=sys.stderr))")
+
+
+def test_fresh_process_loads_neither_numpy_ma_nor_numpy_random():
+    # numpy imports both lazily, at a cost in start-up time and memory per
+    # process; neither a decompose nor a census needs them
+    proc = run_cli(["decompose", "--pipeline", "field", "--n", "2", "--ring", "zp:2"], prelude=_LAZY)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["loaded []"]
+    census = ("from semidec.decomp import verify_census\nfrom semidec.semiring import make_prime_field\n"
+              "verify_census(2, make_prime_field(2))")
+    proc = run_python(["-c", f"{_LAZY}\n{census}"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.splitlines() == ["loaded []"]
 
 
 def test_analyze_highlights_all_essential_classes(tmp_path, capsys):

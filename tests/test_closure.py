@@ -1,7 +1,9 @@
 """The closure kernel and the verifier built on it.
 
-Checks the kernel's discovery order, edges and Cayley graph, the
-verifier's verdicts against the brute-force pair closure, the certificates
+Checks the kernel's discovery order, edges and Cayley graph, that it
+makes one ``mul_rows`` call per frontier block and that the block size
+changes nothing, the verifier's verdicts and first clashes against the
+brute-force pair closure, the certificates
 of the field pipeline against the brute-force target closure, that a
 closed image rebuilt from its descriptor keeps the verifier's element
 order, that every table derived from a Cayley graph or from other
@@ -11,6 +13,7 @@ pair every source element.
 """
 
 import json
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -20,16 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _ring, cached_family, cached_field_plan, cached_ring_plan
-from oracles import (every_element_pairing, pair_closure, target_closure, value_product_table, wreath_decode,
-                     wreath_value_product)
+from oracles import (every_element_pairing, pair_closure, pair_closure_conflict, scan_closure, target_closure,
+                     value_product_table, wreath_decode, wreath_value_product)
 from semidec.carriers import ProductCarrier, build_carrier, build_monoid
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
 from semidec.families import compose_tables, transformation_closure, u1
-from semidec.monoid import Monoid, close_generators, direct_product, generating_set, isomorphic, right_closure
+from semidec.monoid import (Monoid, close_generators, close_rows, direct_product, generating_set, isomorphic,
+                            right_closure)
 from semidec.witness import (DivisionWitness, augmentation, group_with_zero, identity_witness, verify,
                              witness_from_json, witness_to_json)
-from semidec.wreath import WreathContext
+from semidec.wreath import WreathContext, enumerate_wreath
 
 
 def c2():
@@ -369,6 +373,123 @@ def test_clash_only_in_a_triple_product():
     w = DivisionWitness(source, target, pairs, label="triple clash")
     with pytest.raises(NotFunctional):
         verify(w)
+
+
+def _single_pair_cases():
+    """Targets (monoids and a wreath context) with their values, and sources, for one-pair witnesses."""
+    ctx = WreathContext(c2(), u1())
+    targets = [(m, m.elements) for m in (c2(), c3(), u1(), cached_family("T", 1, "3"), cached_family("AS*", 1, "3"))]
+    targets.append((ctx, enumerate_wreath(ctx).elements))
+    sources = [c2(), c3(), u1(), cached_family("T", 1, "3"), direct_product(u1(), c2())]
+    return targets, sources
+
+
+def test_not_functional_names_the_pair_closure_oracles_first_clash():
+    # with one generator pair, both scans meet the powers of the pair in the
+    # same order, so verify must name the oracle's first clash: the target
+    # value, the source element stored under it and the new one
+    targets, sources = _single_pair_cases()
+    checked = 0
+    for target, values in targets:
+        for source in sources:
+            for t in values:
+                for s in range(len(source)):
+                    clash = pair_closure_conflict([(t, s)], target.mul_value, source.mul)
+                    if clash is None:
+                        continue
+                    with pytest.raises(NotFunctional) as caught:
+                        verify(DivisionWitness(source, target, [(t, s)], label="one pair"))
+                    expected = (clash[0], source.elements[clash[1]], source.elements[clash[2]])
+                    assert (caught.value.target, *caught.value.sources) == expected, (target.label, t, s)
+                    checked += 1
+    assert checked > 50
+
+
+def _blocks(edges, g: int, step: int) -> list[int]:
+    """Row counts of the frontier blocks a closure with these edges is cut into:
+    a block starts at ``i`` and ends at ``i + step`` or at the last element
+    known then, a generator or a product of an element before ``i``."""
+    known = sorted(0 if edge is None else edge[0] + 1 for edge in edges)  # first block start that knows each element
+    sizes, i = [], 0
+    while i < len(edges):
+        end = min(i + step, bisect_right(known, i))
+        sizes.append(end - i)
+        i = end
+    return sizes
+
+
+@pytest.mark.parametrize("cells", [1, 40, None], ids=["1-row blocks", "small blocks", "default blocks"])
+def test_closure_makes_one_mul_rows_call_per_frontier_block(monkeypatch, z2, cells):
+    if cells is not None:
+        monkeypatch.setattr(semidec.monoid, "_BLOCK_CELLS", cells)
+    m = cached_family("T", 2, "3")
+    calls = []
+
+    def counted(x, y):
+        calls.append(len(x))
+        return m.mul_rows(x, y)
+
+    gens = generating_set(m)
+    rows, edges, right = close_rows(np.array(gens, dtype=np.int32)[:, None], counted, len(m), "counted")
+    g = right.shape[1]
+    assert calls == _blocks(edges, g, max(1, semidec.monoid._BLOCK_CELLS // g))
+    assert sum(calls) == len(rows) and len(calls) < len(rows) * g
+    # the same in a wreath target: verify makes one wreath mul_rows call per block
+    w = induction_step(3, z2)
+    wreath_calls = []
+    original = WreathContext.mul_rows
+
+    def counted_wreath(ctx, x, y):
+        wreath_calls.append(len(x))
+        return original(ctx, x, y)
+
+    monkeypatch.setattr(WreathContext, "mul_rows", counted_wreath)
+    verify(w)
+    edges, right = w._graph
+    g, width = right.shape[1], w.target.width + 1
+    assert wreath_calls == _blocks(edges, g, max(1, semidec.monoid._BLOCK_CELLS // (g * width)))
+    assert len(wreath_calls) < w.closure_size * g
+
+
+def test_one_row_blocks_give_the_one_block_closure(monkeypatch, z2):
+    # cutting the frontier into 1-row blocks or taking it whole changes no
+    # element, edge or Cayley graph entry
+    witnesses = [induction_step(3, z2), augmentation(cached_family("AS*", 2, "2")), group_with_zero(z2),
+                 identity_witness(cached_family("T", 2, "3"))]
+    results = {}
+    for cells in (1, 1 << 40):
+        monkeypatch.setattr(semidec.monoid, "_BLOCK_CELLS", cells)
+        out = []
+        for w in witnesses:
+            verify(w)
+            edges, right = w._graph
+            out.append((w.closure_pairs(), edges, right.tolist()))
+        closed = close_generators([(1, 2, 0, 3), (0, 0, 2, 3), (1, 0, 2, 3)], compose_tables, (0, 1, 2, 3))
+        out.append((closed.elements, closed.table_array().tolist()))
+        results[cells] = out
+    assert results[1] == results[1 << 40]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closures_follow_the_one_product_scan(field_plan, n):
+    # every certificate's closure and every image rebuild has the elements,
+    # edges and Cayley graph of the one-product-at-a-time scan, whose
+    # element-major order fixes the element order of traced images
+    plan = field_plan(n, "2")
+    for w in plan.witnesses + [plan.composite]:
+        fresh = verify(DivisionWitness(w.source, w.target, w.pairs, label=w.label))
+        source, target = fresh.source, fresh.target
+
+        def pair_mul(x, y):
+            return (target.mul_value(x[0], y[0]), source.mul(x[1], y[1]))
+
+        elements, edges, right = scan_closure(fresh.pairs, pair_mul, key=lambda v: v[0])
+        assert fresh.closure_pairs() == elements, w.label
+        assert fresh._graph[0] == edges and fresh._graph[1].tolist() == right, w.label
+        gens = [t for t, _ in fresh.pairs]
+        scan = scan_closure(gens, target.mul_value)[0]
+        closed = close_generators(gens, target, target.identity_value, label="rebuild")
+        assert closed.elements[: len(scan)] == scan == [t for t, _ in elements], w.label
 
 
 def _relabel(m: Monoid, perm: list[int]) -> Monoid:
