@@ -6,7 +6,8 @@ whose top and base are both enumerated Monoids with tables.  All three
 expose identity_value / label / descriptor(), and the row interface of the
 closure kernel: ``width``, ``to_row`` / ``from_row`` between a value and a
 fixed-width int row, and ``mul_rows``, which multiplies every row of one
-block by every row of another; ``mul_value`` is a one-row ``mul_rows``.
+block by every row of another; ``mul_value`` is a one-row ``mul_rows``,
+except on a Monoid, which reads the table its ``mul_rows`` gathers from.
 Descriptors are plain dicts from which ``build_carrier`` reconstructs an
 equivalent carrier in a fresh process, which is what makes certificates
 re-checkable from their serialized form.

@@ -137,6 +137,38 @@ def _matrix_elements(kind: str, n: int, ring: SemiringTable) -> list[tuple]:
 _BLOCK_CELLS = 8192  # products per block of table rows; bounds the kernel's working memory
 
 
+def _code_lookup(ent: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mixed-radix codes of the entry patterns ``ent`` (an ``(m, n, n)`` array).
+
+    Returns ``(digits, position)``.  A code sums ``digits[i, j, v]`` over
+    the entries ``v`` at every ``(i, j)``: the rank of ``v`` among the
+    values the patterns have at ``(i, j)``, times the position's weight,
+    whose radices are the numbers of those values (below the diagonal
+    only the ring's zero, which every triangular pattern has there, so
+    its digit is 0).  The codes of the patterns are thus the integers
+    below ``len(position) - 1``, the product of the radices: ``m`` for
+    every matrix family, whose patterns are all combinations of their
+    position values.  A value no pattern has at a position counts
+    ``len(position) - 1``, so a code that large belongs to no pattern.
+    ``position[code]`` is the index of the pattern with that code, -1 for
+    none; its last slot stands for every code at or past
+    ``len(position) - 1``.
+    """
+    m, n = len(ent), ent.shape[1]
+    cells = np.arange(n)[:, None], np.arange(n)
+    present = np.zeros((n, n, size), dtype=bool)
+    present[(*cells, ent)] = True
+    radix = present.sum(axis=2)
+    weights = np.cumprod(np.concatenate(([1], radix.ravel()[:-1])), dtype=np.int64).reshape(n, n)
+    space = int(np.prod(radix))
+    if space > max(m * m, _BLOCK_CELLS):  # never larger than the table it serves, past one block
+        raise SizeLimitExceeded(max(m * m, _BLOCK_CELLS), f"product codes of {m} entry patterns")
+    digits = np.where(present, (present.cumsum(axis=2) - 1) * weights[:, :, None], space)
+    position = np.full(space + 1, -1, dtype=np.int32)
+    position[digits[(*cells, ent)].sum(axis=(1, 2))] = np.arange(m, dtype=np.int32)
+    return digits, position
+
+
 def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "") -> np.ndarray:
     """Multiplication table of distinct upper triangular entry patterns.
 
@@ -145,34 +177,25 @@ def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "")
     ``trimat.mul_entries``, so every semiring table gives the per-pair
     products.  Row i of a product depends only on row i of its left factor,
     so the fold runs once per distinct row and right factor.  A product is
-    then the sum of its rows' base-``ring.size`` codes over the upper
-    triangle, looked up in a dense code-to-index array, in fixed-size
-    blocks of table rows.  Codes are below ``ring.size`` to the number of
-    upper-triangle positions, which ``_matrix_monoid`` bounds by its
-    limit.  Raises ``NotClosed`` at the first product, in row-major order,
-    that is not in ``elements``.
+    then the sum of its rows' codes (see ``_code_lookup``), looked up in a
+    dense code-to-index array with one slot per code, in fixed-size blocks
+    of table rows.  Raises ``NotClosed`` at the first product, in
+    row-major order, that is not in ``elements``, and ``SizeLimitExceeded``
+    for patterns whose code space exceeds both their table and one block.
     """
     size, m, n = ring.size, len(elements), len(elements[0])
     ent = np.array(elements, dtype=np.int64)
     add = np.array(ring.add, dtype=np.int64).ravel()
     mul = np.array(ring.mul, dtype=np.int64).ravel()
-    upper = np.triu(np.ones((n, n), dtype=bool))
-    weights = np.zeros((n, n), dtype=np.int64)
-    weights[upper] = size ** np.arange(int(upper.sum()), dtype=np.int64)
-    # added once per row with a non-zero entry below the diagonal, so such a
-    # product's code exceeds every element code
-    outside = size ** int(upper.sum())
-    # position[code] is the index of the element with that code, -1 for
-    # none; every code at or past ``outside`` shares the last slot
-    position = np.full(outside + 1, -1, dtype=np.int32)
-    position[(ent * weights).sum(axis=(1, 2))] = np.arange(m, dtype=np.int32)
+    digits, position = _code_lookup(ent, size)
+    outside = len(position) - 1
     row_codes, row_ids = [], []
     for i in range(n):
         rows, ids = np.unique(ent[:, i, :], axis=0, return_inverse=True)
         acc = np.full((len(rows), m, n), ring.zero, dtype=np.int64)
         for k in range(n):
             acc = add[acc * size + mul[rows[:, None, k, None] * size + ent[None, :, k, :]]]
-        row_codes.append(acc @ weights[i] + outside * (acc[:, :, :i] != ring.zero).any(axis=2))
+        row_codes.append(digits[i, np.arange(n), acc].sum(axis=2))
         row_ids.append(ids.ravel())
     table = np.empty((m, m), dtype=np.int32)
     step = max(1, _BLOCK_CELLS // m)

@@ -137,7 +137,7 @@ class Monoid:
 
     def mul_value(self, a, b):
         """Product of two element values; anything else raises ``KeyError``."""
-        return product_value(self, a, b)
+        return self.elements[self.mul(self.index[a], self.index[b])]
 
     @property
     def identity_value(self):
@@ -153,16 +153,13 @@ class Monoid:
         return self.elements[row[0]]
 
     def mul_rows(self, x, y) -> np.ndarray:
-        """Products of index rows, ``out[i, j] = [x[i, 0] * y[j, 0]]``: one
-        table gather, or ``products`` on the oracle."""
-        if self._table is not None:
-            return self._table[x[:, :1], y[:, 0]][:, :, None]
+        """Products of index rows, ``out[i, j] = [x[i, 0] * y[j, 0]]``."""
         return self.products(x[:, 0], y[:, 0])[:, :, None]
 
     def products(self, rows, cols) -> np.ndarray:
         """Block of product indices ``rows[i] * cols[j]``, sliced from the table if there is one."""
         if self._table is not None:
-            return self._table[np.ix_(rows, cols)]
+            return self._table[np.asarray(rows)[:, None], cols]
         block = [[self.mul(int(i), int(j)) for j in cols] for i in rows]
         return np.array(block, dtype=np.int32).reshape(len(rows), len(cols))
 
@@ -176,48 +173,11 @@ class Monoid:
 
 
 def product_value(carrier, x, y):
-    """``x * y`` in a carrier, as a one-row call of its ``mul_rows``: each
-    carrier's ``mul_value`` is this, so it keeps one product formula."""
+    """``x * y`` in a carrier, as a one-row call of its ``mul_rows``: the
+    ``mul_value`` of every carrier but ``Monoid``, whose ``mul_value``
+    reads its own table, so each carrier keeps one product formula."""
     rows = np.array([carrier.to_row(x), carrier.to_row(y)], dtype=ROW)
     return carrier.from_row(carrier.mul_rows(rows[:1], rows[1:])[0, 0].tolist())
-
-
-class ValueOracle:
-    """A carrier over a plain product function of values.
-
-    A row interns a value as one id, or as ``[key id, value id]`` with a
-    ``key``, so a keyed closure keys on the first column; ``mul_rows``
-    calls the function once per product.
-    """
-
-    def __init__(self, mul, key=None):
-        self.mul, self.key = mul, key
-        self.width = 1 if key is None else 2
-        self.values: list = []
-        self._ids: dict = {}
-
-    def _intern(self, value) -> int:
-        found = self._ids.get(value)
-        if found is None:
-            found = self._ids[value] = len(self.values)
-            self.values.append(value)
-        return found
-
-    def to_row(self, value) -> tuple:
-        if self.key is None:
-            return (self._intern(value),)
-        return (self._intern(self.key(value)), self._intern(value))
-
-    def from_row(self, row):
-        return self.values[row[-1]]
-
-    def mul_rows(self, x, y) -> np.ndarray:
-        values, mul = self.values, self.mul
-        out = [[self.to_row(mul(values[a], values[b])) for b in y[:, -1].tolist()] for a in x[:, -1].tolist()]
-        return np.array(out, dtype=ROW).reshape(len(x), len(y), self.width)
-
-    def mul_value(self, x, y):
-        return product_value(self, x, y)
 
 
 def _row_bytes(rows: np.ndarray) -> list[bytes]:
@@ -326,28 +286,17 @@ def close_rows(gens: np.ndarray, mul_rows, limit: int, what: str, key_width: int
     return store[:n], edges, graph
 
 
-def right_closure(gens, mul, limit: int, what: str, key=None):
-    """``close_rows`` on the values ``gens`` of a carrier ``mul``.
+def right_closure(gens, carrier, limit: int, what: str):
+    """``close_rows`` on the values ``gens`` of a carrier (``width``,
+    ``to_row``, ``from_row``, ``mul_rows``).
 
-    ``mul`` is a carrier (``width``, ``to_row``, ``from_row``, ``mul_rows``)
-    or a plain product function, wrapped in a ``ValueOracle``; ``key``, a
-    function of values, needs a plain product function.  Returns
-    ``(elements, lookup, edges, right)`` with the elements as values and
-    ``lookup`` mapping the key of each element (the element itself without
-    ``key``) to its index.  A key shared by distinct elements raises
-    ``NotFunctional(key, old, new)``.
+    Returns ``(elements, lookup, edges, right)`` with the elements as
+    values and ``lookup`` mapping each element to its index.
     """
-    carrier = mul if key is None and hasattr(mul, "mul_rows") else ValueOracle(mul, key)
-    gens = [carrier.to_row(v) for v in gens]
-    try:
-        rows, edges, right = close_rows(np.array(gens, dtype=ROW).reshape(len(gens), carrier.width),
-                                        carrier.mul_rows, limit, what, None if key is None else 1)
-    except NotFunctional as exc:
-        old, new = (carrier.from_row(r) for r in exc.sources)
-        raise NotFunctional(key(old), old, new) from None
-    elements = [carrier.from_row(row) for row in map(np.ndarray.tolist, rows)]
-    lookup = {v if key is None else key(v): i for i, v in enumerate(elements)}
-    return elements, lookup, edges, right
+    rows = np.array([carrier.to_row(v) for v in gens], dtype=ROW).reshape(len(gens), carrier.width)
+    rows, edges, right = close_rows(rows, carrier.mul_rows, limit, what)
+    elements = [carrier.from_row(row) for row in rows.tolist()]
+    return elements, {v: i for i, v in enumerate(elements)}, edges, right
 
 
 def cayley_table(edges, right) -> np.ndarray:
@@ -372,26 +321,24 @@ def cayley_table(edges, right) -> np.ndarray:
 
 def close_generators(
     gens,
-    mul,
+    carrier,
     identity_value,
     limit: int = DEFAULT_LIMIT,
     label: str = "",
     provenance: dict | None = None,
 ) -> Monoid:
-    """Multiplicative closure of ``gens`` in a carrier ``mul``, in ``right_closure`` order.
+    """Multiplicative closure of ``gens`` in a carrier, in ``right_closure`` order.
 
-    ``mul`` is a carrier or a plain product function (see ``right_closure``);
-    its products on frontier blocks are the only carrier products.  The
-    table is the closure's ``cayley_table``; past ``TABLE_BOUND`` elements
-    the monoid multiplies by a per-pair index oracle on ``mul_value``
-    instead.  An identity the closure never produces is appended at the end
-    once it fixes itself and every generator on both sides, by value;
-    otherwise ``InvalidMonoid``.
+    The carrier's ``mul_rows`` on frontier blocks makes the only carrier
+    products.  The table is the closure's ``cayley_table``; past
+    ``TABLE_BOUND`` elements the monoid multiplies by a per-pair index
+    oracle on the carrier's ``mul_value`` instead.  An identity the closure
+    never produces is appended at the end once it fixes itself and every
+    generator on both sides, by value; otherwise ``InvalidMonoid``.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
-    carrier = mul if hasattr(mul, "mul_rows") else ValueOracle(mul)
     elements, lookup, edges, right = right_closure(gens, carrier, limit, f"closure of {label or 'generators'}")
     size = len(elements)
     if identity_value not in lookup:

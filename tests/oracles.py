@@ -5,6 +5,7 @@ independently of the package's algorithms: Green's relations by pairwise
 ideal comparison and by one ideal mask per row and column, pair and
 target closures by plain dict and set loops, the Froidure-Pin closure one
 product at a time, matrix and carrier tables by one product per pair,
+matrix products of whole blocks (``MatrixCarrier``, a closure carrier),
 wreath products on decoded values, spans by enumerating all linear
 combinations.  The triangular-matrix helpers below (explicit
 matrices, row and column operations, block decomposition) serve only the
@@ -21,6 +22,40 @@ from semidec.errors import DimensionMismatch, DimensionTooSmall, IllegalDirectio
 from semidec.monoid import GreensReport
 from semidec.semiring import SemiringTable
 from semidec.trimat import AffineMap, TriMatrix, identity_entries, is_triangular_entries, mul_entries, scaling_map
+
+
+class MatrixCarrier:
+    """Square entry tuples over a semiring as a closure carrier.
+
+    A matrix's row is its n*n entries, row-major; ``mul_rows`` folds
+    ``ring.add`` over k for a whole block, in the order of
+    ``trimat.mul_entries``, which is ``mul_value``.
+    """
+
+    def __init__(self, ring: SemiringTable, n: int):
+        self.ring, self.n, self.width = ring, n, n * n
+        self._add = np.array(ring.add, dtype=np.int32)
+        self._mul = np.array(ring.mul, dtype=np.int32)
+
+    def to_row(self, value) -> tuple:
+        row = tuple(x for entries in value for x in entries)
+        if len(row) != self.width:
+            raise ValueError(f"{value!r} is not a {self.n}x{self.n} matrix")
+        return row
+
+    def from_row(self, row):
+        return tuple(tuple(row[i * self.n : (i + 1) * self.n]) for i in range(self.n))
+
+    def mul_rows(self, x, y) -> np.ndarray:
+        n = self.n
+        a, b = x.reshape(len(x), 1, n, n), y.reshape(1, len(y), n, n)
+        acc = np.full((len(x), len(y), n, n), self.ring.zero, dtype=np.int32)
+        for k in range(n):  # acc[i, j, r, c] += a[i, r, k] * b[j, k, c]
+            acc = self._add[acc, self._mul[a[..., :, k, None], b[..., None, k, :]]]
+        return acc.reshape(len(x), len(y), self.width)
+
+    def mul_value(self, a, b):
+        return mul_entries(self.ring, a, b)
 
 
 def greens_j_classes(elements, mul):

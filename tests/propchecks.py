@@ -6,10 +6,10 @@ violations (expected to be zero everywhere).  The library computes each
 answer one way; the second ways live here.
 """
 
-from oracles import ElementaryOp, classify, columns, elementary_matrix, matrix, rows, span_membership
+from oracles import ElementaryOp, MatrixCarrier, classify, columns, elementary_matrix, matrix, rows, span_membership
 from semidec.families import constants_monoid
 from semidec.monoid import greens, is_aperiodic, is_group, maximal_subgroup, quotient_by_central_units
-from semidec.trimat import identity_entries, mul_entries
+from semidec.trimat import identity_entries
 
 
 def greens_vs_multiplication_orbits(m) -> int:
@@ -56,7 +56,7 @@ def elementary_row_orbits_match_l_classes(m, ring) -> int:
                 gens.append(
                     elementary_matrix(ring, n, ElementaryOp("add", target, scalar, source), True).entries
                 )
-    ops = close_generators(gens, lambda a, b: mul_entries(ring, a, b), identity_entries(ring, n))
+    ops = close_generators(gens, MatrixCarrier(ring, n), identity_entries(ring, n))
     rep = greens(m)
     size = len(m)
     reach = [frozenset(m.index[ops.mul_value(e, m.elements[x])] for e in ops.elements) for x in range(size)]

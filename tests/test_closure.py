@@ -28,9 +28,9 @@ from oracles import (every_element_pairing, pair_closure, pair_closure_conflict,
 from semidec.carriers import ProductCarrier, build_carrier, build_monoid
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
-from semidec.families import compose_tables, transformation_closure, u1
-from semidec.monoid import (Monoid, close_generators, close_rows, direct_product, generating_set, isomorphic,
-                            right_closure)
+from semidec.families import TransformationCarrier, compose_tables, transformation_closure, u1
+from semidec.monoid import (Monoid, close_generators, close_rows, direct_product, generating_set, index_closure,
+                            isomorphic, right_closure)
 from semidec.witness import (DivisionWitness, augmentation, group_with_zero, identity_witness, verify,
                              witness_from_json, witness_to_json)
 from semidec.wreath import WreathContext, enumerate_wreath
@@ -54,12 +54,17 @@ SMALL = {
 }
 
 
+def z7_times():
+    """The integers mod 7 under multiplication, as a closure carrier."""
+    return Monoid(list(range(7)), 1, mul_fn=lambda a, b: a * b % 7, label="Z_7")
+
+
 def test_right_closure_order_and_edges():
     def mul(a, b):
         return a * b % 7
 
     gens = [3, 3, 2]
-    elements, lookup, edges, right = right_closure(gens, mul, 10, "units mod 7")
+    elements, lookup, edges, right = right_closure(gens, z7_times(), 10, "units mod 7")
     # generators first, then each element times each generator
     assert elements == [3, 2, 6, 4, 5, 1]
     assert lookup == {v: i for i, v in enumerate(elements)}
@@ -76,18 +81,28 @@ def test_right_closure_order_and_edges():
 
 def test_right_closure_limit():
     with pytest.raises(SizeLimitExceeded):
-        right_closure([3], lambda a, b: a * b % 7, 5, "units mod 7")
+        right_closure([3], z7_times(), 5, "units mod 7")
 
 
 def test_right_closure_key_clash():
     def mul(a, b):
         return (a[0] * b[0] % 3, a[1] * b[1] % 4)
 
-    with pytest.raises(NotFunctional):
-        right_closure([(2, 1), (2, 3)], mul, 100, "clash", key=lambda v: v[0])
-    elements, lookup, _, right = right_closure([(2, 3)], mul, 100, "no clash", key=lambda v: v[0])
+    def mul_rows(x, y):  # ``mul`` on blocks of rows
+        return x[:, None, :] * y[None, :, :] % np.array([3, 4], dtype=np.int32)
+
+    def rows(values):
+        return np.array(values, dtype=np.int32)
+
+    # keyed on the first column: the two generators share key 2
+    with pytest.raises(NotFunctional) as clash:
+        close_rows(rows([(2, 1), (2, 3)]), mul_rows, 100, "clash", key_width=1)
+    assert clash.value.target == 0 and clash.value.sources == ([2, 1], [2, 3])
+    closed, _, right = close_rows(rows([(2, 3)]), mul_rows, 100, "no clash", key_width=1)
+    elements = [tuple(r) for r in closed.tolist()]
     assert elements == [(2, 3), (1, 1)]
     # the graph holds the index stored under the key of each product
+    lookup = {v[0]: i for i, v in enumerate(elements)}
     assert right.tolist() == [[lookup[mul(x, (2, 3))[0]]] for x in elements] == [[1], [0]]
 
 
@@ -291,27 +306,28 @@ def test_image_without_two_sided_identity_is_rejected(monkeypatch, bound, left):
 def test_close_generators_evaluates_only_the_closure_products():
     calls = []
 
-    def mul(a, b):
-        calls.append(1)
-        return compose_tables(a, b)
+    class Counted(TransformationCarrier):
+        def mul_rows(self, x, y):
+            calls.append(len(x) * len(y))  # products in the block
+            return super().mul_rows(x, y)
 
     # a 3-cycle: closure 3 elements, the identity among them
-    m = close_generators([(1, 2, 0)], mul, (0, 1, 2))
-    assert len(m) == 3 and len(calls) == 3 * 1
+    m = close_generators([(1, 2, 0)], Counted(3), (0, 1, 2))
+    assert len(m) == 3 and sum(calls) == 3 * 1
     assert m.table_array().tolist() == value_product_table(m.elements, compose_tables)
     # two constants: the identity is appended after 2g + 1 checks by value
     calls.clear()
-    m = close_generators([(0, 0, 0), (1, 1, 1)], mul, (0, 1, 2))
+    m = close_generators([(0, 0, 0), (1, 1, 1)], Counted(3), (0, 1, 2))
     assert m.elements[-1] == (0, 1, 2) and m.identity == 2
-    assert len(calls) == 2 * 2 + 2 * 2 + 1
+    assert sum(calls) == 2 * 2 + 2 * 2 + 1
     assert m.table_array().tolist() == value_product_table(m.elements, compose_tables)
 
 
 def test_close_generators_rejects_an_identity_that_does_not_fix_the_generators():
     with pytest.raises(InvalidMonoid, match="identity"):
-        close_generators([(0, 0, 0)], compose_tables, (1, 1, 1))  # outside the closure
+        close_generators([(0, 0, 0)], TransformationCarrier(3), (1, 1, 1))  # outside the closure
     with pytest.raises(InvalidMonoid, match="identity"):
-        close_generators([(1, 2, 0), (0, 0, 0)], compose_tables, (0, 0, 0))  # inside it
+        close_generators([(1, 2, 0), (0, 0, 0)], TransformationCarrier(3), (0, 0, 0))  # inside it
 
 
 def _expected_verdict(pairs, target, source):
@@ -464,7 +480,8 @@ def test_one_row_blocks_give_the_one_block_closure(monkeypatch, z2):
             verify(w)
             edges, right = w._graph
             out.append((w.closure_pairs(), edges, right.tolist()))
-        closed = close_generators([(1, 2, 0, 3), (0, 0, 2, 3), (1, 0, 2, 3)], compose_tables, (0, 1, 2, 3))
+        closed = close_generators([(1, 2, 0, 3), (0, 0, 2, 3), (1, 0, 2, 3)], TransformationCarrier(4),
+                                  (0, 1, 2, 3))
         out.append((closed.elements, closed.table_array().tolist()))
         results[cells] = out
     assert results[1] == results[1 << 40]
@@ -517,7 +534,7 @@ def test_generating_set_is_small(kind, n, spec, at_most):
     m = cached_family(kind, n, spec)
     gens = generating_set(m)
     assert len(gens) <= at_most
-    closure, _, _, _ = right_closure(gens, m.mul, len(m), "test")
+    closure, _, _ = index_closure(m, gens, "test")
     assert set(closure) | {m.identity} == set(range(len(m)))
 
 
@@ -527,7 +544,7 @@ def test_generating_set_builds_no_table(monkeypatch):
     assert m._table is None
     gens = generating_set(m)
     assert m._table is None
-    assert set(right_closure(gens, m.mul, len(m), "test")[0]) | {m.identity} == set(range(12))
+    assert set(index_closure(m, gens, "test")[0]) | {m.identity} == set(range(12))
 
 
 @pytest.mark.parametrize("pipeline,n,spec", [("field", 2, "2"), ("field", 3, "2"), ("ring", 2, "3")])

@@ -303,3 +303,29 @@ def test_table_of_non_closed_elements_names_the_pair(build, z3):
         mul_entries(z3, elements[a], elements[b]) in elements
         for a in range(i + 1) for b in range(len(elements) if a < i else j)
     )
+
+
+@pytest.mark.parametrize("kind,p", [("T", 7), ("T*", 7), ("UT", 61), ("UT*", 61)])
+def test_product_code_lookup_has_one_slot_per_element(kind, p):
+    # the dense code-to-index array is sized by the element count, not by
+    # |R| ** positions: UT_2(Z_61) has 244 elements and 61 ** 3 codes in base |R|
+    import numpy as np
+
+    from semidec.families import _code_lookup, _matrix_elements
+    from semidec.semiring import make_prime_field
+
+    ring = make_prime_field(p, bound=p)
+    elements = _matrix_elements(kind, 2, ring)
+    _, position = _code_lookup(np.array(elements), ring.size)
+    assert len(position) == len(elements) + 1
+    assert sorted(position[:-1].tolist()) == list(range(len(elements)))
+
+
+def test_table_refuses_patterns_with_a_sparse_code_space():
+    # 23 patterns with 23 ** 3 codes: more than their table and one block
+    from semidec.families import triangular_table
+    from semidec.semiring import make_prime_field
+
+    ring = make_prime_field(23, bound=23)
+    with pytest.raises(SizeLimitExceeded):
+        triangular_table(ring, [((a, a), (0, a)) for a in range(23)])

@@ -4,9 +4,9 @@ from itertools import product
 import pytest
 
 import semidec.monoid
-from oracles import greens_by_rows, greens_j_classes, is_regular
+from oracles import MatrixCarrier, greens_by_rows, greens_j_classes, is_regular
 from semidec.errors import InvalidMonoid, NotCentral, NotIdempotent, SizeLimitExceeded
-from semidec.families import compose_tables, family, transformation_closure, u1
+from semidec.families import TransformationCarrier, family, transformation_closure, u1
 from semidec.monoid import (
     Monoid,
     check_associativity,
@@ -32,27 +32,27 @@ def matrix_mul(ring):
 
 def test_close_single_involution(z2):
     gen = ((1, 1), (0, 1))
-    m = close_generators([gen], matrix_mul(z2), identity_entries(z2, 2))
+    m = close_generators([gen], MatrixCarrier(z2, 2), identity_entries(z2, 2))
     assert len(m) == 2
 
 
 def test_close_full_family(z2):
     t2 = family("T", 2, z2)
-    m = close_generators(list(t2.elements), matrix_mul(z2), identity_entries(z2, 2))
+    m = close_generators(list(t2.elements), MatrixCarrier(z2, 2), identity_entries(z2, 2))
     assert len(m) == 8
 
 
 def test_close_cyclic_translation(z3):
     shift = (1, 2, 0)  # v -> v + 1 on three points
-    m = close_generators([shift], compose_tables, (0, 1, 2))
+    m = close_generators([shift], TransformationCarrier(3), (0, 1, 2))
     assert len(m) == 3
     assert is_group(m)
 
 
 def test_close_deterministic_order(z2):
     gens = [((1, 1), (0, 1)), ((0, 0), (0, 1))]
-    m1 = close_generators(gens, matrix_mul(z2), identity_entries(z2, 2))
-    m2 = close_generators(gens, matrix_mul(z2), identity_entries(z2, 2))
+    m1 = close_generators(gens, MatrixCarrier(z2, 2), identity_entries(z2, 2))
+    m2 = close_generators(gens, MatrixCarrier(z2, 2), identity_entries(z2, 2))
     assert m1.elements == m2.elements
 
 
@@ -350,7 +350,7 @@ def test_associativity_sampled_beyond_full_bound(fam):
 def test_oracle_mode_without_table(z2, monkeypatch):
     gen = ((1, 1), (0, 1))
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 1)
-    m = close_generators([gen], matrix_mul(z2), identity_entries(z2, 2))
+    m = close_generators([gen], MatrixCarrier(z2, 2), identity_entries(z2, 2))
     assert m._table is None
     assert m.mul(0, 0) == m.index[identity_entries(z2, 2)]
     assert len(m._memo) > 0
