@@ -7,7 +7,8 @@ expose identity_value / label / descriptor(), and the row interface of the
 closure kernel: ``width``, ``to_row`` / ``from_row`` between a value and a
 fixed-width int row, and ``mul_rows``, which multiplies every row of one
 block by every row of another; ``mul_value`` is a one-row ``mul_rows``,
-except on a Monoid, which reads the table its ``mul_rows`` gathers from.
+except on a Monoid, which multiplies as its ``mul_rows`` does, by its table
+or its own carrier.
 Descriptors are plain dicts from which ``build_carrier`` reconstructs an
 equivalent carrier in a fresh process, which is what makes certificates
 re-checkable from their serialized form.
@@ -20,7 +21,8 @@ import json
 import numpy as np
 
 from semidec import monoid
-from semidec.monoid import Monoid, product_value
+from semidec.errors import ContextMismatch
+from semidec.monoid import ROW, Monoid, product_value
 from semidec.wreath import WreathContext
 
 
@@ -59,6 +61,34 @@ class ProductCarrier:
             "left": self.left.descriptor(),
             "right": self.right.descriptor(),
         }
+
+
+# what ``to_row`` or a product raises on a value that is not the carrier's
+_PRODUCT_ERRORS = (LookupError, TypeError, ValueError, OverflowError, ContextMismatch)
+
+
+def first_foreign(carrier, values: list) -> int | None:
+    """Position of the first of ``values`` that the carrier's identity does not
+    fix on the right, or whose product with it raises; ``None`` if there is none.
+
+    One ``mul_rows`` call checks every value.  Only if it, or a ``to_row``,
+    raises are the values retried one ``mul_value`` at a time, in order, so
+    that ``mul_value`` on the position found raises what a check value by
+    value would have raised first.
+    """
+    e = carrier.identity_value
+    try:
+        rows = np.array([carrier.to_row(v) for v in [e, *values]], dtype=ROW).reshape(len(values) + 1, carrier.width)
+        products = carrier.mul_rows(rows[1:], rows[:1])[:, 0].tolist()
+    except _PRODUCT_ERRORS:
+        for k, v in enumerate(values):
+            try:
+                if carrier.mul_value(v, e) != v:
+                    return k
+            except _PRODUCT_ERRORS:
+                return k
+        raise
+    return next((k for k, (v, row) in enumerate(zip(values, products)) if carrier.from_row(row) != v), None)
 
 
 def build_ring(desc: dict):
@@ -107,9 +137,10 @@ def _build_monoid(desc: dict) -> Monoid:
         carrier = build_carrier(desc["carrier"])
         gens = [value_from_json(g) for g in desc["generators"]]
         ident = value_from_json(desc["identity"]) if "identity" in desc else carrier.identity_value
-        for v in gens + [ident]:
-            if carrier.mul_value(v, carrier.identity_value) != v:
-                raise ValueError(f"{v!r} is not a value of {carrier.label}")
+        values = gens + [ident]
+        bad = first_foreign(carrier, values)
+        if bad is not None and carrier.mul_value(values[bad], carrier.identity_value) != values[bad]:
+            raise ValueError(f"{values[bad]!r} is not a value of {carrier.label}")
         return close_generators(
             gens,
             carrier,

@@ -10,7 +10,6 @@ the same element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
@@ -25,6 +24,7 @@ from semidec.errors import (
 )
 from semidec.monoid import (
     DEFAULT_LIMIT,
+    ROW,
     Monoid,
     maximal_subgroup,
     product_value,
@@ -32,7 +32,7 @@ from semidec.monoid import (
     within_table_bound,
 )
 from semidec.semiring import SemiringTable, units
-from semidec.trimat import AffineMap, identity_entries, mul_entries
+from semidec.trimat import AffineMap, identity_entries
 
 FAMILY_KINDS = (
     "T", "UT", "PT", "T*", "UT*", "PT*",
@@ -79,14 +79,10 @@ def point_index(ring: SemiringTable, n: int) -> dict[tuple[int, ...], int]:
     return {p: i for i, p in enumerate(points(ring, n))}
 
 
-def compose_tables(f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    """Right-action composition: apply f first, then g."""
-    return tuple(g[x] for x in f)
-
-
 class TransformationCarrier:
-    """Transformation tables on ``points`` points under ``compose_tables``;
-    a table is its own row, and a block product is one gather."""
+    """Transformation tables on ``points`` points under right-action
+    composition, ``f`` first, then ``g``; a table is its own row, and a
+    block product is one gather."""
 
     def __init__(self, points: int):
         self.width = points
@@ -112,6 +108,50 @@ def transformation_of_affine(f: AffineMap) -> tuple[int, ...]:
 
 
 # -- matrix families ----------------------------------------------------------
+
+
+def _semiring_dot(add: np.ndarray, mul: np.ndarray, zero: int, rows, mats) -> np.ndarray:
+    """Row vectors times matrices over a semiring's tables, broadcast over blocks of each.
+
+    ``out[..., c]`` folds ``add`` over k ascending, starting from ``zero``,
+    over ``mul[rows[..., k], mats[..., k, c]]``: the order of
+    ``trimat.mul_entries``, so every semiring table gives its per-pair products.
+    """
+    acc = zero
+    for k in range(rows.shape[-1]):
+        acc = add[acc, mul[rows[..., k, None], mats[..., k, :]]]
+    return acc
+
+
+class MatrixCarrier:
+    """Square entry patterns over a semiring as a carrier.
+
+    A matrix's row is its n*n entries, row-major, and a block product is
+    one ``_semiring_dot`` of every left matrix's rows with every right matrix.
+    """
+
+    def __init__(self, ring: SemiringTable, n: int):
+        self.ring, self.n, self.width = ring, n, n * n
+        self._add = np.array(ring.add, dtype=ROW)
+        self._mul = np.array(ring.mul, dtype=ROW)
+
+    def to_row(self, value) -> tuple:
+        row = tuple(x for entries in value for x in entries)
+        if len(row) != self.width:
+            raise ValueError(f"{value!r} is not a {self.n}x{self.n} matrix")
+        return row
+
+    def from_row(self, row):
+        return tuple(tuple(row[i * self.n : (i + 1) * self.n]) for i in range(self.n))
+
+    def mul_rows(self, x, y) -> np.ndarray:
+        n = self.n
+        out = _semiring_dot(self._add, self._mul, self.ring.zero,
+                            x.reshape(len(x), 1, n, n), y.reshape(1, len(y), 1, n, n))
+        return out.reshape(len(x), len(y), self.width)
+
+    def mul_value(self, a, b):
+        return product_value(self, a, b)
 
 
 def _matrix_elements(kind: str, n: int, ring: SemiringTable) -> list[tuple]:
@@ -172,11 +212,9 @@ def _code_lookup(ent: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "") -> np.ndarray:
     """Multiplication table of distinct upper triangular entry patterns.
 
-    Entry (i, j) of a product folds ``ring.add`` over ``ring.mul[a[i][k]][b[k][j]]``
-    for k = 0..n-1, starting from ``ring.zero``, in the order of
-    ``trimat.mul_entries``, so every semiring table gives the per-pair
-    products.  Row i of a product depends only on row i of its left factor,
-    so the fold runs once per distinct row and right factor.  A product is
+    Entry (i, j) of a product is ``_semiring_dot``'s fold, as in
+    ``MatrixCarrier``.  Row i of a product depends only on row i of its left
+    factor, so the fold runs once per distinct row and right factor.  A product is
     then the sum of its rows' codes (see ``_code_lookup``), looked up in a
     dense code-to-index array with one slot per code, in fixed-size blocks
     of table rows.  Raises ``NotClosed`` at the first product, in
@@ -185,16 +223,13 @@ def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "")
     """
     size, m, n = ring.size, len(elements), len(elements[0])
     ent = np.array(elements, dtype=np.int64)
-    add = np.array(ring.add, dtype=np.int64).ravel()
-    mul = np.array(ring.mul, dtype=np.int64).ravel()
+    add, mul = np.array(ring.add, dtype=np.int64), np.array(ring.mul, dtype=np.int64)
     digits, position = _code_lookup(ent, size)
     outside = len(position) - 1
     row_codes, row_ids = [], []
     for i in range(n):
         rows, ids = np.unique(ent[:, i, :], axis=0, return_inverse=True)
-        acc = np.full((len(rows), m, n), ring.zero, dtype=np.int64)
-        for k in range(n):
-            acc = add[acc * size + mul[rows[:, None, k, None] * size + ent[None, :, k, :]]]
+        acc = _semiring_dot(add, mul, ring.zero, rows[:, None, :], ent[None])  # acc[r, b] = row r times b
         row_codes.append(digits[i, np.arange(n), acc].sum(axis=2))
         row_ids.append(ids.ravel())
     table = np.empty((m, m), dtype=np.int32)
@@ -216,9 +251,9 @@ def _matrix_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
         raise SizeLimitExceeded(limit, f"{kind}_{n}({ring.label}) enumeration")
     elements = _matrix_elements(kind, n, ring)
     spec = FamilySpec(kind, n, ring)
-    # past the table bound, products come from the memoized per-pair oracle
+    # past the table bound, products go through the carrier's ``mul_rows``
     table = triangular_table(ring, elements, spec.label()) if within_table_bound(len(elements)) else None
-    return Monoid(elements, identity_entries(ring, n), mul_fn=partial(mul_entries, ring),
+    return Monoid(elements, identity_entries(ring, n), carrier=MatrixCarrier(ring, n),
                   table=table, label=spec.label(), provenance=spec.descriptor())
 
 
@@ -265,7 +300,8 @@ def _affine_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
     elements = list(seen)
     ident = tuple(range(len(pts)))
     spec = FamilySpec(kind, n, ring)
-    return Monoid(elements, ident, mul_fn=compose_tables, label=spec.label(), provenance=spec.descriptor())
+    return Monoid(elements, ident, carrier=TransformationCarrier(len(pts)), label=spec.label(),
+                  provenance=spec.descriptor())
 
 
 # -- simple families ----------------------------------------------------------
@@ -273,7 +309,7 @@ def _affine_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
 
 def u1() -> Monoid:
     """The two-element semilattice {1, e} with e^2 = e."""
-    return Monoid([0, 1], 0, mul_fn=lambda a, b: a | b, label="U_1", provenance={"kind": "family", "family": "U1"})
+    return Monoid([0, 1], 0, table=[[0, 1], [1, 1]], label="U_1", provenance={"kind": "family", "family": "U1"})
 
 
 def transformation_closure(gens: list[tuple[int, ...]], label: str = "",
@@ -306,11 +342,6 @@ def constant_at(x: int) -> tuple[int, int]:
     return (0, x)
 
 
-def constants_mul(a, b):
-    """Right-action composition: a constant on the right wins."""
-    return b if b[0] == 0 else a
-
-
 def constants_monoid(point_count: int, label: str = "", provenance: dict | None = None) -> Monoid:
     """The identity plus one constant per point, as a formal monoid.
 
@@ -321,7 +352,9 @@ def constants_monoid(point_count: int, label: str = "", provenance: dict | None 
     if point_count < 1:
         raise ValueError("need a non-empty point set")
     elements = [CONSTANTS_IDENTITY] + [constant_at(x) for x in range(point_count)]
-    return Monoid(elements, CONSTANTS_IDENTITY, mul_fn=constants_mul, label=label or f"~{point_count}",
+    index = np.arange(len(elements), dtype=np.int32)
+    table = np.where(index > 0, index, index[:, None])  # a constant on the right wins
+    return Monoid(elements, CONSTANTS_IDENTITY, table=table, label=label or f"~{point_count}",
                   provenance=provenance or {"kind": "family", "family": "constants", "points": point_count})
 
 
@@ -338,10 +371,10 @@ def augmented_monoid(acting: Monoid, action: list[tuple[int, ...]] | None = None
         tables = list(action)
         if len(tables) != len(acting):
             raise ValueError("action must give one table per element")
-        for i in range(len(acting)):
-            for j in range(len(acting)):
-                if compose_tables(tables[i], tables[j]) != tables[acting.mul(i, j)]:
-                    raise ValueError("action is not a right action")
+        carrier = TransformationCarrier(len(tables[0]))
+        rows = np.array([carrier.to_row(t) for t in tables], dtype=ROW)
+        if (carrier.mul_rows(rows, rows) != rows[acting.table_array()]).any():
+            raise ValueError("action is not a right action")
     if len(set(tables)) != len(tables):
         raise ActionNotFaithful("distinct elements act identically")
     point_count = len(tables[0])

@@ -3,8 +3,9 @@
 A Monoid is an immutable list of opaque element values (nested int tuples)
 in a deterministic canonical order, an identity index, and a total product.
 Multiplication tables are materialized up to a size bound; larger monoids
-fall back to a per-pair index oracle.  Monoids derived from others
-(closures, products) take their tables from tables, not value products.
+multiply through their carrier's ``mul_rows`` in blocks of rows.  Monoids
+derived from others (closures, products) take their tables from tables,
+not value products.
 Closures run on fixed-width int rows: every carrier (a Monoid, whose row is
 one index column, a wreath context, a product carrier, transformation
 tables) converts values with ``to_row``/``from_row`` and multiplies blocks
@@ -37,7 +38,7 @@ DEFAULT_LIMIT = 100_000
 TABLE_BOUND = 4096
 _SPOT_TRIPLES = 64
 ROW = np.int32  # dtype of carrier rows
-_BLOCK_CELLS = 1 << 16  # cells per block of rows in ``close_rows`` and ``_image_sizes``; bounds their working memory
+_BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows``, carrier products and ``_image_sizes``; bounds their working memory
 
 
 def within_table_bound(size: int) -> bool:
@@ -46,11 +47,21 @@ def within_table_bound(size: int) -> bool:
 
 
 class Monoid:
+    """A finite monoid: element values, an identity, and one way to multiply.
+
+    A monoid multiplies either by gathering from its table or through its
+    ``carrier`` (``width``, ``to_row`` and ``mul_rows`` over the element
+    values) in blocks of rows, mapped back to indices by row bytes.  Given
+    a carrier and no table, a monoid within ``TABLE_BOUND`` elements builds
+    its table that way; past the bound ``products``, ``mul`` and
+    ``table_array`` multiply through the carrier when asked, with no memo.
+    """
+
     def __init__(
         self,
         elements: list,
         identity_value,
-        mul_fn=None,
+        carrier=None,
         table=None,
         label: str = "",
         provenance: dict | None = None,
@@ -64,56 +75,72 @@ class Monoid:
         self.identity = self.index[identity_value]
         self.label = label
         self.provenance = provenance or {"kind": "opaque"}
-        self._mul_fn = mul_fn
-        self._memo: dict[tuple[int, int], int] = {}
+        self._carrier = carrier
+        self._rows = None  # the elements' carrier rows and their row-bytes lookup, built on first use
         self._table = None
         self._greens = None
         if table is not None:
             self._table = np.asarray(table, dtype=np.int32)
-        elif mul_fn is not None and within_table_bound(len(self.elements)):
+        elif carrier is None:
+            raise ValueError("need a multiplication table or carrier")
+        elif within_table_bound(len(self.elements)):
             self._table = self._build_table()
-        if self._table is None and mul_fn is None:
-            raise ValueError("need a multiplication table or oracle")
         self._spot_check()
 
     def _build_table(self):
-        n = len(self.elements)
-        table = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            row = table[i]
-            for j in range(n):
-                row[j] = self._product_index(i, j)
-        return table
+        """The whole table through the carrier: one block product over every row."""
+        everything = np.arange(len(self.elements))
+        return self._carrier_products(everything, everything)
 
-    def _product_index(self, i: int, j: int) -> int:
-        out = self.index.get(self._mul_fn(self.elements[i], self.elements[j]))
-        if out is None:
-            raise NotClosed.product(self.label, i, j, self.elements)
+    def _carrier_products(self, rows, cols) -> np.ndarray:
+        """Product indices ``rows[i] * cols[j]`` through the carrier's ``mul_rows``.
+
+        Each block holds at most ``_BLOCK_CELLS`` row entries: whole rows of
+        the result when they fit, else one row cut into column chunks.
+        The product rows map back to indices by one row-bytes lookup, as in
+        ``_merge``; the first product, in row-major order, that is not an
+        element raises ``NotClosed``.
+        """
+        if self._rows is None:
+            carrier = self._carrier
+            values = np.array([carrier.to_row(v) for v in self.elements], dtype=ROW)
+            values = values.reshape(len(self.elements), carrier.width)
+            self._rows = values, dict(zip(_row_bytes(values), range(len(values))))
+        values, lookup = self._rows
+        rows, cols = np.asarray(rows, dtype=np.intp).ravel(), np.asarray(cols, dtype=np.intp).ravel()
+        cells = max(1, _BLOCK_CELLS // values.shape[1])  # products per block
+        span = max(1, min(len(cols), cells))  # columns per block
+        step = max(1, cells // span)  # rows per block
+        out = np.empty((len(rows), len(cols)), dtype=np.int32)
+        for r in range(0, len(rows), step):
+            x = values[rows[r : r + step]]
+            for c in range(0, len(cols), span):
+                block = self._carrier.mul_rows(x, values[cols[c : c + span]])
+                found = list(map(lookup.get, _row_bytes(block.reshape(-1, values.shape[1]))))
+                if None in found:
+                    p, q = divmod(found.index(None), block.shape[1])
+                    raise NotClosed.product(self.label, int(rows[r + p]), int(cols[c + q]), self.elements)
+                out[r : r + step, c : c + span] = np.fromiter(found, np.int32, len(found)).reshape(block.shape[:2])
         return out
 
     def _spot_check(self):
-        """The identity on both sides of every element, and associativity on
-        seeded triples: one gather each on a table, one product each on the oracle."""
+        """The identity on both sides of every element, then associativity on
+        seeded triples, one ``products`` call for each side of each law."""
         n = len(self.elements)
         e = self.identity
+        everything = np.arange(n)
+        bad = np.flatnonzero((self.products([e], everything)[0] != everything)
+                             | (self.products(everything, [e])[:, 0] != everything))
+        if len(bad):
+            raise InvalidMonoid(self.label, f"identity is not two-sided at element {bad[0]}")
         count = min(_SPOT_TRIPLES, n * n)
         draws = np.frombuffer(random.Random(0x5EED).randbytes(12 * count), dtype=np.uint32) % n
         triples = draws.reshape(count, 3).astype(np.intp)
-        table = self._table
-        if table is None:
-            for i in range(n):
-                if self.mul(e, i) != i or self.mul(i, e) != i:
-                    raise InvalidMonoid(self.label, f"identity is not two-sided at element {i}")
-            for a, b, c in triples.tolist():
-                if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                    raise InvalidMonoid(self.label, f"product not associative at {(a, b, c)}")
-            return
-        everything = np.arange(n)
-        bad = np.flatnonzero((table[e] != everything) | (table[:, e] != everything))
-        if len(bad):
-            raise InvalidMonoid(self.label, f"identity is not two-sided at element {bad[0]}")
         a, b, c = triples.T
-        bad = np.flatnonzero(table[table[a, b], c] != table[a, table[b, c]])
+        # the diagonal of a block of products is the product of each triple's pair
+        left = np.diagonal(self.products(np.diagonal(self.products(a, b)), c))
+        right = np.diagonal(self.products(a, np.diagonal(self.products(b, c))))
+        bad = np.flatnonzero(left != right)
         if len(bad):
             a, b, c = triples[bad[0]].tolist()
             raise InvalidMonoid(self.label, f"product not associative at {(a, b, c)}")
@@ -127,13 +154,7 @@ class Monoid:
     def mul(self, i: int, j: int) -> int:
         if self._table is not None:
             return int(self._table[i, j])
-        key = (i, j)
-        out = self._memo.get(key)
-        if out is None:
-            out = self._product_index(i, j)
-            if len(self._memo) < 4 * DEFAULT_LIMIT:
-                self._memo[key] = out
-        return out
+        return int(self._carrier_products([i], [j])[0, 0])
 
     def mul_value(self, a, b):
         """Product of two element values; anything else raises ``KeyError``."""
@@ -157,11 +178,11 @@ class Monoid:
         return self.products(x[:, 0], y[:, 0])[:, :, None]
 
     def products(self, rows, cols) -> np.ndarray:
-        """Block of product indices ``rows[i] * cols[j]``, sliced from the table if there is one."""
+        """Block of product indices ``rows[i] * cols[j]``, sliced from the table
+        if there is one, else multiplied through the carrier."""
         if self._table is not None:
             return self._table[np.asarray(rows)[:, None], cols]
-        block = [[self.mul(int(i), int(j)) for j in cols] for i in rows]
-        return np.array(block, dtype=np.int32).reshape(len(rows), len(cols))
+        return self._carrier_products(rows, cols)
 
     def table_array(self) -> np.ndarray:
         if self._table is None:
@@ -306,17 +327,18 @@ def cayley_table(edges, right) -> np.ndarray:
     column is its column of ``right``, and the column of ``y = p * g`` is
     ``right[table[:, p], g]``, since ``x y = (x p) g``.  Parents precede
     their children, so the columns fill in discovery order with one gather
-    each and no carrier products.
+    each and no carrier products.  The table is stored column-major, so
+    each column is contiguous and no transposed copy is made.
     """
     n = len(edges)
-    columns = np.empty((n, n), dtype=np.int32)  # columns[y] is column y of the table
+    table = np.empty((n, n), dtype=np.int32, order="F")
     for y, edge in enumerate(edges):
         if edge is None:
-            columns[y] = right[:, y]
+            table[:, y] = right[:, y]
         else:
             parent, g = edge
-            columns[y] = right[columns[parent], g]
-    return columns.T.copy()
+            table[:, y] = right[table[:, parent], g]
+    return table
 
 
 def close_generators(
@@ -331,8 +353,8 @@ def close_generators(
 
     The carrier's ``mul_rows`` on frontier blocks makes the only carrier
     products.  The table is the closure's ``cayley_table``; past
-    ``TABLE_BOUND`` elements the monoid multiplies by a per-pair index
-    oracle on the carrier's ``mul_value`` instead.  An identity the closure
+    ``TABLE_BOUND`` elements the monoid has none and multiplies through
+    the carrier's ``mul_rows`` in blocks instead.  An identity the closure
     never produces is appended at the end once it fixes itself and every
     generator on both sides, by value; otherwise ``InvalidMonoid``.
     """
@@ -355,7 +377,7 @@ def close_generators(
             table = np.pad(table, (0, 1))
             table[size] = table[:, size] = np.arange(size + 1)
     prov = provenance or {"kind": "close", "generators": [value_json(g) for g in gens]}
-    return Monoid(elements, identity_value, mul_fn=carrier.mul_value, table=table, label=label, provenance=prov)
+    return Monoid(elements, identity_value, carrier=carrier, table=table, label=label, provenance=prov)
 
 
 def check_associativity(m: Monoid, full_limit: int = 512, samples: int = 10_000, seed: int = 0xA550C) -> None:
@@ -516,16 +538,13 @@ def maximal_subgroup(m: Monoid, e: int) -> Monoid:
 
 
 def is_group(m: Monoid) -> bool:
-    e = m.identity
-    for x in range(len(m)):
-        if not any(m.mul(x, y) == e and m.mul(y, x) == e for y in range(len(m))):
-            return False
-    return True
+    """A finite monoid is a group iff it is one H-class."""
+    return max(greens(m).h) == 0
 
 
 def is_aperiodic(m: Monoid) -> bool:
-    """No non-trivial subgroups; equivalently x^k = x^(k+1) eventually."""
-    return all(_cyclic_profile(m, x)[1] == 1 for x in range(len(m)))
+    """No non-trivial subgroups: a finite monoid is aperiodic iff every H-class is one element."""
+    return max(greens(m).h) + 1 == len(m)
 
 
 # -- depth -------------------------------------------------------------------
@@ -671,17 +690,16 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
 
 def direct_product(a: Monoid, b: Monoid) -> Monoid:
     """``a x b`` in row-major order; its table broadcasts the factors' tables,
-    ``ta[x1, x2] * |b| + tb[y1, y2]``, up to ``TABLE_BOUND`` elements."""
+    ``ta[x1, x2] * |b| + tb[y1, y2]``, up to ``TABLE_BOUND`` elements.  Past
+    the bound it multiplies through the product carrier of its factors."""
+    from semidec.carriers import ProductCarrier
+
     elements = [(x, y) for x in a.elements for y in b.elements]
-
-    def mul(p, q):
-        return (a.mul_value(p[0], q[0]), b.mul_value(p[1], q[1]))
-
     table = None
     if within_table_bound(len(elements)):
         ta, tb = a.table_array(), b.table_array()
         table = (ta[:, None, :, None] * len(b) + tb[None, :, None, :]).reshape(len(elements), -1)
-    return Monoid(elements, (a.identity_value, b.identity_value), mul_fn=mul, table=table,
+    return Monoid(elements, (a.identity_value, b.identity_value), carrier=ProductCarrier(a, b), table=table,
                   label=f"({a.label} x {b.label})",
                   provenance={"kind": "product", "left": a.descriptor(), "right": b.descriptor()})
 
@@ -720,21 +738,32 @@ def generating_set(m: Monoid) -> list[int]:
     """Greedy generating set of ``m`` with its identity (Froidure and Pin, 1997).
 
     Scans elements by row-image size, largest first, then by index, adding
-    each one the closure so far misses.  Without a table, rows come from
-    ``products``, so a monoid past ``TABLE_BOUND`` gets no table."""
+    each one the closure so far misses.  Adding a generator ``x`` grows the
+    closure: the closure so far times ``x``, then each new element times
+    every generator, until no product is new.  Without a table, rows come
+    from ``products``, so a monoid past ``TABLE_BOUND`` gets no table."""
     everything = range(len(m))
     if m._table is not None:
         sizes = _image_sizes(m._table)
     else:
         sizes = [len(set(m.products([x], everything)[0].tolist())) for x in everything]
     gens: list[int] = []
-    closure = {m.identity}
+    members = [m.identity]  # the closure so far, with the identity
+    inside = np.zeros(len(m), dtype=bool)
+    inside[m.identity] = True
     for x in sorted(everything, key=lambda x: (-sizes[x], x)):
-        if x in closure:
+        if inside[x]:
             continue
         gens.append(x)
-        closure = set(index_closure(m, gens, "generating set")[0]) | {m.identity}
-        if len(closure) == len(m):
+        fresh = m.products(members, [x]).ravel()
+        while True:
+            fresh = list(dict.fromkeys(fresh[~inside[fresh]].tolist()))
+            if not fresh:
+                break
+            inside[fresh] = True
+            members.extend(fresh)
+            fresh = m.products(fresh, gens).ravel()
+        if len(members) == len(m):
             break
     return gens
 

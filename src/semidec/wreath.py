@@ -84,7 +84,7 @@ def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
     ``wreath_table``'s digit rows, every table of top indices in ``product``
     order, and ``a`` over the base indices.  Up to ``TABLE_BOUND`` elements
     its table is ``wreath_table``, with no value products; past it the
-    monoid's per-pair index oracle multiplies by ``ctx.mul_value``.
+    monoid multiplies through ``ctx.mul_rows`` in blocks.
     """
     top = ctx.top
     b = len(ctx.base)
@@ -93,7 +93,7 @@ def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
         raise SizeLimitExceeded(limit, f"wreath enumeration of {ctx.label} ({total} elements)")
     elements = [(f, a) for f in product(range(len(top)), repeat=b) for a in range(b)]
     table = wreath_table(ctx) if within_table_bound(total) else None
-    return Monoid(elements, ctx.identity_value, mul_fn=ctx.mul_value, table=table, label=ctx.label,
+    return Monoid(elements, ctx.identity_value, carrier=ctx, table=table, label=ctx.label,
                   provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": ctx.base.descriptor()})
 
 

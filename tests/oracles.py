@@ -4,10 +4,12 @@ Everything here recomputes results by definition-level brute force,
 independently of the package's algorithms: Green's relations by pairwise
 ideal comparison and by one ideal mask per row and column, pair and
 target closures by plain dict and set loops, the Froidure-Pin closure one
-product at a time, matrix and carrier tables by one product per pair,
-matrix products of whole blocks (``MatrixCarrier``, a closure carrier),
-wreath products on decoded values, spans by enumerating all linear
-combinations.  The triangular-matrix helpers below (explicit
+product at a time, matrix and carrier tables by one product per pair
+(``table_monoid`` builds a monoid from such a table), the group and
+aperiodic predicates by inverses and powers, wreath products on decoded
+values, spans by enumerating all linear combinations.  ``CyclicCarrier``
+is a carrier for cyclic groups too large for a per-pair table.  The
+triangular-matrix helpers below (explicit
 matrices, row and column operations, block decomposition) serve only the
 tests; the library works on entry tuples.  ``every_element_pairing``
 makes certificates pair every source element, not a generating set.
@@ -19,43 +21,55 @@ from itertools import product
 import numpy as np
 
 from semidec.errors import DimensionMismatch, DimensionTooSmall, IllegalDirection, RingMismatch
-from semidec.monoid import GreensReport
+from semidec.monoid import GreensReport, Monoid
 from semidec.semiring import SemiringTable
 from semidec.trimat import AffineMap, TriMatrix, identity_entries, is_triangular_entries, mul_entries, scaling_map
 
 
-class MatrixCarrier:
-    """Square entry tuples over a semiring as a closure carrier.
+def compose_tables(f, g):
+    """Right-action composition of transformation tables: apply f first, then g."""
+    return tuple(g[x] for x in f)
 
-    A matrix's row is its n*n entries, row-major; ``mul_rows`` folds
-    ``ring.add`` over k for a whole block, in the order of
-    ``trimat.mul_entries``, which is ``mul_value``.
-    """
 
-    def __init__(self, ring: SemiringTable, n: int):
-        self.ring, self.n, self.width = ring, n, n * n
-        self._add = np.array(ring.add, dtype=np.int32)
-        self._mul = np.array(ring.mul, dtype=np.int32)
+def table_monoid(elements, identity, mul, label=""):
+    """A monoid whose table is ``value_product_table`` of ``mul``: one value product per pair."""
+    elements = list(elements)
+    return Monoid(elements, identity, table=value_product_table(elements, mul), label=label)
+
+
+class CyclicCarrier:
+    """The integers mod ``order`` under addition as a carrier; a value is its own one-column row."""
+
+    width = 1
+
+    def __init__(self, order: int):
+        self.order = order
 
     def to_row(self, value) -> tuple:
-        row = tuple(x for entries in value for x in entries)
-        if len(row) != self.width:
-            raise ValueError(f"{value!r} is not a {self.n}x{self.n} matrix")
-        return row
+        return (value,)
 
     def from_row(self, row):
-        return tuple(tuple(row[i * self.n : (i + 1) * self.n]) for i in range(self.n))
+        return row[0]
 
-    def mul_rows(self, x, y) -> np.ndarray:
-        n = self.n
-        a, b = x.reshape(len(x), 1, n, n), y.reshape(1, len(y), n, n)
-        acc = np.full((len(x), len(y), n, n), self.ring.zero, dtype=np.int32)
-        for k in range(n):  # acc[i, j, r, c] += a[i, r, k] * b[j, k, c]
-            acc = self._add[acc, self._mul[a[..., :, k, None], b[..., None, k, :]]]
-        return acc.reshape(len(x), len(y), self.width)
+    def mul_rows(self, x, y):
+        return (x[:, None, :] + y[None, :, :]) % self.order
 
-    def mul_value(self, a, b):
-        return mul_entries(self.ring, a, b)
+
+def is_group_by_inverses(m) -> bool:
+    """Every element has a two-sided inverse, pair by pair."""
+    e = m.identity
+    return all(any(m.mul(x, y) == e and m.mul(y, x) == e for y in range(len(m))) for x in range(len(m)))
+
+
+def is_aperiodic_by_powers(m) -> bool:
+    """Every element's powers settle, ``x^k = x^(k+1)``: each cyclic period is 1."""
+    for x in range(len(m)):
+        seen, cur = {x}, x
+        while (cur := m.mul(cur, x)) not in seen:
+            seen.add(cur)
+        if m.mul(cur, x) != cur:
+            return False
+    return True
 
 
 def greens_j_classes(elements, mul):

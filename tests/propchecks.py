@@ -6,8 +6,8 @@ violations (expected to be zero everywhere).  The library computes each
 answer one way; the second ways live here.
 """
 
-from oracles import ElementaryOp, MatrixCarrier, classify, columns, elementary_matrix, matrix, rows, span_membership
-from semidec.families import constants_monoid
+from oracles import ElementaryOp, classify, columns, elementary_matrix, matrix, rows, span_membership
+from semidec.families import MatrixCarrier, constants_monoid
 from semidec.monoid import greens, is_aperiodic, is_group, maximal_subgroup, quotient_by_central_units
 from semidec.trimat import identity_entries
 

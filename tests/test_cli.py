@@ -442,6 +442,53 @@ def _close_identity_outside(cert):
     _close_source(cert, [[[0, 1], [0, 1]]], [[1, 1], [0, 1]])
 
 
+def _pair_by_pair(obj) -> str:
+    """The first bad pair's message, from checking one pair at a time."""
+    from semidec.carriers import build_carrier, build_monoid
+    from semidec.errors import ContextMismatch
+    from semidec.keys import value_from_json
+
+    source, target = build_monoid(obj["source"]), build_carrier(obj["target"])
+    for k, (t_json, s_json) in enumerate(obj["pairs"]):
+        try:
+            sval, tval = value_from_json(s_json), value_from_json(t_json)
+            if sval not in source.index:
+                return f"pair {k}: {s_json!r} is not an element of {source.label}"
+            if target.mul_value(tval, target.identity_value) != tval:
+                return f"pair {k}: {t_json!r} is not a value of {target.label}"
+        except (LookupError, TypeError, ValueError, OverflowError, ContextMismatch) as exc:
+            return f"pair {k}: {type(exc).__name__}: {exc}"
+    raise AssertionError("no bad pair")
+
+
+def _foreign_source(value):
+    value[:] = [[5, 5], [5, 5]]
+
+
+@pytest.mark.parametrize("corruptions", [
+    [(1, _negative_top_index), (2, _top_index_past_end)],
+    [(1, _top_index_past_end), (2, _negative_top_index)],
+    [(2, _negative_base_index), (3, _huge_top_index)],
+    [(3, _value_tuple_entry), (1, _base_index_past_end)],
+    [(2, _top_index_past_end), (1, _foreign_source)],
+    [(1, _negative_top_index), (0, _foreign_source)],
+    [(3, _foreign_source), (2, _huge_top_index)],
+], ids=["wrapped then out of range", "out of range then wrapped", "wrapped base then overflow",
+        "tuple entry after base past end", "source before index", "source first", "overflow before source"])
+def test_batched_target_check_names_the_first_bad_pair(split_certificate, corruptions):
+    # the target values of a certificate are checked in one mul_rows call;
+    # the error names the pair, and the reason, that a check pair by pair meets first
+    from semidec.errors import InvalidCertificate
+    from semidec.witness import witness_from_json
+
+    bad = json.loads(json.dumps(split_certificate))
+    for k, corrupt in corruptions:
+        corrupt(bad["pairs"][k][1] if corrupt is _foreign_source else bad["pairs"][k][0][0])
+    with pytest.raises(InvalidCertificate) as err:
+        witness_from_json(bad)
+    assert str(err.value) == _pair_by_pair(bad)
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
 @pytest.mark.parametrize(
     "corrupt",

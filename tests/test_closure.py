@@ -23,12 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _ring, cached_family, cached_field_plan, cached_ring_plan
-from oracles import (every_element_pairing, pair_closure, pair_closure_conflict, scan_closure, target_closure,
-                     value_product_table, wreath_decode, wreath_value_product)
+from oracles import (compose_tables, every_element_pairing, pair_closure, pair_closure_conflict, scan_closure,
+                     table_monoid, target_closure, value_product_table, wreath_decode, wreath_value_product)
 from semidec.carriers import ProductCarrier, build_carrier, build_monoid
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
-from semidec.families import TransformationCarrier, compose_tables, transformation_closure, u1
+from semidec.families import TransformationCarrier, transformation_closure, u1
 from semidec.monoid import (Monoid, close_generators, close_rows, direct_product, generating_set, index_closure,
                             isomorphic, right_closure)
 from semidec.witness import (DivisionWitness, augmentation, group_with_zero, identity_witness, verify,
@@ -56,7 +56,7 @@ SMALL = {
 
 def z7_times():
     """The integers mod 7 under multiplication, as a closure carrier."""
-    return Monoid(list(range(7)), 1, mul_fn=lambda a, b: a * b % 7, label="Z_7")
+    return table_monoid(range(7), 1, lambda a, b: a * b % 7, label="Z_7")
 
 
 def test_right_closure_order_and_edges():
@@ -173,6 +173,8 @@ def test_build_monoid_keys_on_the_table_bound(monkeypatch):
         untabled = build_monoid({"kind": "product", "left": desc, "right": desc})
     assert untabled is not tabled and untabled._table is None and tabled._table is not None
     assert build_monoid({"kind": "product", "left": desc, "right": desc}) is tabled
+    # past the bound the product multiplies through the product carrier of its factors
+    assert untabled.table_array().tolist() == tabled.table_array().tolist()
 
 
 def test_image_submonoid_rebuilds_in_discovery_order(field_plan):
@@ -286,7 +288,7 @@ def _zero_semigroup_with_identity(left: bool) -> Monoid:
             return b if a == 2 else a
         return a if left else b
 
-    return Monoid([0, 1, 2], 2, mul_fn=mul, label="left zero" if left else "right zero")
+    return table_monoid([0, 1, 2], 2, mul, label="left zero" if left else "right zero")
 
 
 @pytest.mark.parametrize("bound", [None, 0])
@@ -294,7 +296,7 @@ def _zero_semigroup_with_identity(left: bool) -> Monoid:
 def test_image_without_two_sided_identity_is_rejected(monkeypatch, bound, left):
     # a left-zero closure has no left identity; in a right-zero one both
     # elements are left identities and neither is two-sided
-    trivial = Monoid([0], 0, mul_fn=lambda a, b: 0, label="1")
+    trivial = table_monoid([0], 0, lambda a, b: 0, label="1")
     w = verify(DivisionWitness(trivial, _zero_semigroup_with_identity(left), [(0, 0), (1, 0)]))
     assert w.verified and w.closure_size == 2
     if bound is not None:
@@ -540,7 +542,7 @@ def test_generating_set_is_small(kind, n, spec, at_most):
 
 def test_generating_set_builds_no_table(monkeypatch):
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 0)
-    m = Monoid(list(range(12)), 0, mul_fn=lambda a, b: (a + b) % 12, label="Z_12")
+    m = Monoid(list(range(12)), 0, carrier=table_monoid(range(12), 0, lambda a, b: (a + b) % 12), label="Z_12")
     assert m._table is None
     gens = generating_set(m)
     assert m._table is None

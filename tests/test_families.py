@@ -107,11 +107,10 @@ def test_augmented_as1(fam, z2):
 
 def test_augmented_trivial_action():
     trivial = constants_monoid(2)  # take only its identity as the acting monoid
-    from semidec.monoid import Monoid
-    from semidec.families import compose_tables
+    from oracles import compose_tables, table_monoid
 
     ident = (0, 1)
-    acting = Monoid([ident], ident, mul_fn=compose_tables, label="1")
+    acting = table_monoid([ident], ident, compose_tables, label="1")
     aug = augmented_monoid(acting)
     assert len(aug) == 3  # identity plus two constants
     del trivial
@@ -123,11 +122,20 @@ def test_augmented_as1_z3(fam):
 
 
 def test_augmented_rejects_unfaithful():
-    from semidec.monoid import Monoid
+    from oracles import table_monoid
 
-    m = Monoid([0, 1], 0, mul_fn=lambda a, b: a | b, label="U_1 abstract")
+    m = table_monoid([0, 1], 0, lambda a, b: a | b, label="U_1 abstract")
     with pytest.raises(ActionNotFaithful):
         augmented_monoid(m, action=[(0, 1), (0, 1)])
+
+
+def test_augmented_rejects_a_map_that_is_not_an_action():
+    from oracles import table_monoid
+
+    m = table_monoid([0, 1], 0, lambda a, b: a | b, label="U_1 abstract")
+    # e e = e, but the swap composed with itself is the identity
+    with pytest.raises(ValueError, match="not a right action"):
+        augmented_monoid(m, action=[(0, 1), (1, 0)])
 
 
 def test_u1():
@@ -286,7 +294,7 @@ def test_triangular_table_matches_pairwise_oracle(kind, n, ring_name, request):
 @pytest.mark.parametrize("build", ["kernel", "monoid"])
 def test_table_of_non_closed_elements_names_the_pair(build, z3):
     from semidec.errors import NotClosed
-    from semidec.families import triangular_table
+    from semidec.families import MatrixCarrier, triangular_table
     from semidec.monoid import Monoid
 
     elements = list(family("T", 2, z3).elements)
@@ -295,7 +303,7 @@ def test_table_of_non_closed_elements_names_the_pair(build, z3):
         if build == "kernel":
             triangular_table(z3, elements, "T_2(Z_3) minus one")
         else:
-            Monoid(elements, identity_entries(z3, 2), mul_fn=lambda a, b: mul_entries(z3, a, b))
+            Monoid(elements, identity_entries(z3, 2), carrier=MatrixCarrier(z3, 2))
     i, j = err.value.pair
     assert mul_entries(z3, elements[i], elements[j]) == dropped
     # the first missing product in row-major order, as a per-pair loop meets it
@@ -329,3 +337,54 @@ def test_table_refuses_patterns_with_a_sparse_code_space():
     ring = make_prime_field(23, bound=23)
     with pytest.raises(SizeLimitExceeded):
         triangular_table(ring, [((a, a), (0, a)) for a in range(23)])
+
+
+def test_carrier_built_tables_match_value_products(fam):
+    # a family given a carrier and no table builds it by block products;
+    # literal tables stand for the per-pair products they replace
+    from oracles import compose_tables, value_product_table
+
+    for m in (fam("A", 2, "2"), fam("AT", 2, "3")):
+        assert m.table_array().tolist() == value_product_table(m.elements, compose_tables), m.label
+    assert u1().table_array().tolist() == value_product_table(u1().elements, lambda a, b: a | b)
+    constants = constants_monoid(3)
+    assert constants.table_array().tolist() == value_product_table(
+        constants.elements, lambda a, b: b if b[0] == 0 else a)  # a constant on the right wins
+
+
+@pytest.mark.parametrize("n,spec", [(2, "3"), (3, "2")])
+def test_matrix_carrier_tables_match_value_products(fam, monkeypatch, n, spec):
+    from functools import partial
+
+    import semidec.monoid
+    from conftest import _ring
+    from oracles import matrix_product, value_product_table
+    from semidec.families import MatrixCarrier
+    from semidec.monoid import Monoid
+
+    ring, tabled = _ring(spec), fam("T", n, spec)
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+    m = Monoid(tabled.elements, tabled.identity_value, carrier=MatrixCarrier(ring, n))
+    assert m._table is None
+    expected = value_product_table(m.elements, partial(matrix_product, ring))
+    assert m.table_array().tolist() == expected == tabled.table_array().tolist()
+    assert [MatrixCarrier(ring, n).mul_value(a, b) for a in m.elements[:9] for b in m.elements[:9]] == \
+        [mul_entries(ring, a, b) for a in m.elements[:9] for b in m.elements[:9]]
+
+
+def test_carrier_built_table_names_the_first_missing_pair_by_blocks(z3, monkeypatch):
+    # with blocks of two products, rows are cut into column chunks, and the
+    # first missing product is still the first in row-major order
+    import semidec.monoid
+    from semidec.errors import NotClosed
+    from semidec.families import MatrixCarrier
+    from semidec.monoid import Monoid
+
+    elements = list(family("T", 2, z3).elements)
+    dropped = elements.pop(5)
+    monkeypatch.setattr(semidec.monoid, "_BLOCK_CELLS", 8)
+    with pytest.raises(NotClosed) as err:
+        Monoid(elements, identity_entries(z3, 2), carrier=MatrixCarrier(z3, 2))
+    missing = [(a, b) for a in range(len(elements)) for b in range(len(elements))
+               if mul_entries(z3, elements[a], elements[b]) not in elements]
+    assert err.value.pair == missing[0] and mul_entries(z3, *(elements[k] for k in missing[0])) == dropped

@@ -4,9 +4,9 @@ from itertools import product
 import pytest
 
 import semidec.monoid
-from oracles import MatrixCarrier, greens_by_rows, greens_j_classes, is_regular
+from oracles import greens_by_rows, greens_j_classes, is_regular
 from semidec.errors import InvalidMonoid, NotCentral, NotIdempotent, SizeLimitExceeded
-from semidec.families import TransformationCarrier, family, transformation_closure, u1
+from semidec.families import MatrixCarrier, TransformationCarrier, constants_monoid, family, transformation_closure, u1
 from semidec.monoid import (
     Monoid,
     check_associativity,
@@ -15,6 +15,7 @@ from semidec.monoid import (
     direct_product,
     dot_j_order,
     from_json,
+    generating_set,
     greens,
     is_aperiodic,
     is_group,
@@ -197,7 +198,7 @@ def test_quotient_of_oracle_monoid_leaves_it_without_table(fam, z3, monkeypatch)
     t2 = fam("T", 2, "3")
     with monkeypatch.context() as patch:
         patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
-        oracle = Monoid(t2.elements, t2.identity_value, mul_fn=matrix_mul(z3))
+        oracle = Monoid(t2.elements, t2.identity_value, carrier=MatrixCarrier(z3, 2))
     scalars = [t2.identity, t2.index[((2, 0), (0, 2))]]
     q, proj = quotient_by_central_units(oracle, scalars)
     expected, expected_proj = quotient_by_central_units(t2, scalars)
@@ -347,10 +348,98 @@ def test_associativity_sampled_beyond_full_bound(fam):
     check_associativity(big)
 
 
+class CountedMatrices(MatrixCarrier):
+    """A ``MatrixCarrier`` that records the shape of every block it multiplies."""
+
+    def __init__(self, ring, n):
+        super().__init__(ring, n)
+        self.blocks = []
+
+    def mul_rows(self, x, y):
+        self.blocks.append((len(x), len(y)))
+        return super().mul_rows(x, y)
+
+
 def test_oracle_mode_without_table(z2, monkeypatch):
     gen = ((1, 1), (0, 1))
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 1)
-    m = close_generators([gen], MatrixCarrier(z2, 2), identity_entries(z2, 2))
+    carrier = CountedMatrices(z2, 2)
+    m = close_generators([gen], carrier, identity_entries(z2, 2))
     assert m._table is None
+    carrier.blocks.clear()
     assert m.mul(0, 0) == m.index[identity_entries(z2, 2)]
-    assert len(m._memo) > 0
+    assert m.mul(0, 0) == m.index[identity_entries(z2, 2)]
+    assert carrier.blocks == [(1, 1), (1, 1)]  # one one-cell block per product, and no memo
+
+
+@pytest.mark.parametrize("cells", [1 << 16, 64], ids=["one block", "column chunks"])
+def test_untabled_monoid_multiplies_a_block_at_a_time(fam, z3, monkeypatch, cells):
+    # past the table bound products, mul, table_array and the constructor's
+    # spot check each multiply through the carrier's mul_rows in blocks of
+    # at most _BLOCK_CELLS row entries, never once per pair
+    t2 = fam("T", 2, "3")
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+    monkeypatch.setattr(semidec.monoid, "_BLOCK_CELLS", cells)
+    carrier = CountedMatrices(z3, 2)
+    n, per_block = len(t2), cells // carrier.width  # 27 elements, products per block
+
+    def blocks(rows, cols):
+        """Block count of ``rows x cols`` products: whole rows, or one row in column chunks."""
+        if cols <= per_block:
+            return -(-rows // (per_block // cols))
+        return rows * -(-cols // per_block)
+
+    m = Monoid(t2.elements, t2.identity_value, carrier=carrier)
+    assert m._table is None
+    # the identity's row and column, then four 64 x 64 products for the seeded triples
+    assert len(carrier.blocks) == blocks(1, n) + blocks(n, 1) + 4 * blocks(64, 64)
+    for call, count in [(lambda: m.products(range(n), range(n)), blocks(n, n)),
+                        (lambda: m.products([3], range(n)), blocks(1, n)),
+                        (lambda: m.mul(5, 7), 1),
+                        (lambda: m.table_array(), blocks(n, n))]:
+        carrier.blocks.clear()
+        call()
+        assert len(carrier.blocks) == count
+        assert all(rows * cols <= max(1, per_block) for rows, cols in carrier.blocks)
+    assert m.table_array().tolist() == t2.table_array().tolist()
+
+
+def test_group_and_aperiodic_read_the_greens_report(fam):
+    from oracles import is_aperiodic_by_powers, is_group_by_inverses
+
+    monoids = [fam(kind, n, spec) for kind, n, spec in
+               [("T", 2, "2"), ("T", 2, "3"), ("UT", 3, "2"), ("T*", 2, "3"), ("UT*", 3, "2"), ("PT", 2, "3"),
+                ("PT*", 2, "3"), ("AS", 1, "3"), ("AS*", 2, "2"), ("AT*", 1, "3"), ("Xtilde", 2, "2")]]
+    monoids += [u1(), constants_monoid(1), constants_monoid(3), direct_product(fam("T*", 1, "3"), u1()),
+                direct_product(fam("AS*", 1, "2"), fam("T*", 1, "3"))]
+    for m in monoids:
+        assert is_group(m) == is_group_by_inverses(m), m.label
+        assert is_aperiodic(m) == is_aperiodic_by_powers(m), m.label
+    assert any(is_group(m) for m in monoids) and any(is_aperiodic(m) for m in monoids)
+    assert not all(is_group(m) or is_aperiodic(m) for m in monoids)
+
+
+def test_generating_set_grows_one_closure(fam, monkeypatch):
+    # adding generator k multiplies the closure so far by it, then each new
+    # element by all k generators: no closure is rebuilt from scratch
+    from oracles import scan_closure
+
+    for m in (fam("T", 3, "2"), fam("T", 2, "3"), fam("AS", 2, "2")):
+        cells = []
+
+        def counted(self, rows, cols, original=Monoid.products):
+            cells.append(len(rows) * len(cols))
+            return original(self, rows, cols)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Monoid, "products", counted)
+            gens = generating_set(m)
+        sizes = [1]  # the closures of the generator prefixes, with the identity
+        for k in range(1, len(gens) + 1):
+            elements = scan_closure(gens[:k], m.mul)[0]
+            sizes.append(len(set(elements) | {m.identity}))
+        assert sizes[-1] == len(m)
+        expected = sum(sizes[k - 1] + (sizes[k] - sizes[k - 1]) * k for k in range(1, len(gens) + 1))
+        assert sum(cells) == expected, m.label
+        reclosing = sum(len(scan_closure(gens[:k], m.mul)[0]) * k for k in range(1, len(gens) + 1))
+        assert sum(cells) < reclosing, m.label

@@ -7,7 +7,7 @@ from semidec.carriers import ProductCarrier
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
 from semidec.families import family, transformation_closure, u1
 import semidec.monoid
-from oracles import value_product_table, wreath_decode, wreath_value_product
+from oracles import CyclicCarrier, table_monoid, value_product_table, wreath_decode, wreath_value_product
 from semidec.monoid import TABLE_BOUND, Monoid, direct_product, is_aperiodic, is_group
 from semidec.wreath import (
     WreathContext,
@@ -77,13 +77,13 @@ def test_sides_must_be_monoids_with_tables(fam, monkeypatch):
             WreathContext(top, t1)
     with monkeypatch.context() as patch:
         patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
-        untabled = Monoid([0, 1], 0, mul_fn=lambda a, b: a | b, label="U")
+        untabled = Monoid([0, 1], 0, carrier=u1(), label="U")
     with pytest.raises(ContextMismatch, match="wreath top U"):
         WreathContext(untabled, t1)
     with pytest.raises(ContextMismatch, match="wreath base U"):
         WreathContext(t1, untabled)
     order = TABLE_BOUND + 1
-    cyclic = Monoid(range(order), 0, mul_fn=lambda a, b: (a + b) % order, label="Z_4097")
+    cyclic = Monoid(range(order), 0, carrier=CyclicCarrier(order), label="Z_4097")
     assert cyclic._table is None
     with pytest.raises(ContextMismatch, match="wreath base Z_4097"):
         WreathContext(u1(), cyclic)
@@ -139,7 +139,7 @@ def test_restrict_base_identity_and_trivial():
     same_ctx, step = restrict_base(ctx, base)
     assert step["kind"] == "restrict_base"
     assert len(same_ctx.base) == len(base)
-    trivial = Monoid([base.identity_value], base.identity_value, mul_fn=base.mul_value, label="1")
+    trivial = table_monoid([base.identity_value], base.identity_value, base.mul_value, label="1")
     small_ctx, _ = restrict_base(ctx, trivial)
     assert len(small_ctx.base) == 1
 
@@ -149,10 +149,10 @@ def test_restrict_base_rejects_disagreeing_sub(fam):
     ctx = WreathContext(u1(), t1)
     # a perfectly good monoid on {1, 0}, but its product disagrees with the
     # base: here 0 * 0 = 1 while the base has 0 * 0 = 0
-    bogus = Monoid(
+    bogus = table_monoid(
         [((1,),), ((0,),)],
         ((1,),),
-        mul_fn=lambda a, b: ((1,),) if a == b else ((0,),),
+        lambda a, b: ((1,),) if a == b else ((0,),),
         label="bogus",
     )
     with pytest.raises(NotClosed):
@@ -162,7 +162,7 @@ def test_restrict_base_rejects_disagreeing_sub(fam):
 def test_restrict_base_rejects_foreign_elements(fam):
     t1 = fam("T", 1, "2")
     ctx = WreathContext(u1(), t1)
-    foreign = Monoid([((2,),)], ((2,),), mul_fn=lambda a, b: ((2,),), label="foreign")
+    foreign = table_monoid([((2,),)], ((2,),), lambda a, b: ((2,),), label="foreign")
     with pytest.raises(NotClosed):
         restrict_base(ctx, foreign)
 
