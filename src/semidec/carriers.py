@@ -21,8 +21,7 @@ import json
 import numpy as np
 
 from semidec import monoid
-from semidec.errors import ContextMismatch
-from semidec.monoid import ROW, Monoid, product_value
+from semidec.monoid import Monoid, product_value
 from semidec.wreath import WreathContext
 
 
@@ -61,34 +60,6 @@ class ProductCarrier:
             "left": self.left.descriptor(),
             "right": self.right.descriptor(),
         }
-
-
-# what ``to_row`` or a product raises on a value that is not the carrier's
-_PRODUCT_ERRORS = (LookupError, TypeError, ValueError, OverflowError, ContextMismatch)
-
-
-def first_foreign(carrier, values: list) -> int | None:
-    """Position of the first of ``values`` that the carrier's identity does not
-    fix on the right, or whose product with it raises; ``None`` if there is none.
-
-    One ``mul_rows`` call checks every value.  Only if it, or a ``to_row``,
-    raises are the values retried one ``mul_value`` at a time, in order, so
-    that ``mul_value`` on the position found raises what a check value by
-    value would have raised first.
-    """
-    e = carrier.identity_value
-    try:
-        rows = np.array([carrier.to_row(v) for v in [e, *values]], dtype=ROW).reshape(len(values) + 1, carrier.width)
-        products = carrier.mul_rows(rows[1:], rows[:1])[:, 0].tolist()
-    except _PRODUCT_ERRORS:
-        for k, v in enumerate(values):
-            try:
-                if carrier.mul_value(v, e) != v:
-                    return k
-            except _PRODUCT_ERRORS:
-                return k
-        raise
-    return next((k for k, (v, row) in enumerate(zip(values, products)) if carrier.from_row(row) != v), None)
 
 
 def build_ring(desc: dict):
@@ -137,10 +108,9 @@ def _build_monoid(desc: dict) -> Monoid:
         carrier = build_carrier(desc["carrier"])
         gens = [value_from_json(g) for g in desc["generators"]]
         ident = value_from_json(desc["identity"]) if "identity" in desc else carrier.identity_value
-        values = gens + [ident]
-        bad = first_foreign(carrier, values)
-        if bad is not None and carrier.mul_value(values[bad], carrier.identity_value) != values[bad]:
-            raise ValueError(f"{values[bad]!r} is not a value of {carrier.label}")
+        for v in gens + [ident]:
+            if carrier.mul_value(v, carrier.identity_value) != v:
+                raise ValueError(f"{v!r} is not a value of {carrier.label}")
         return close_generators(
             gens,
             carrier,

@@ -36,7 +36,7 @@ from semidec.keys import key_hex, value_json
 
 DEFAULT_LIMIT = 100_000
 TABLE_BOUND = 4096
-_SPOT_TRIPLES = 64
+_SPOT_SIDE = 4  # the spot check tries every triple of three seeded sets of this size
 ROW = np.int32  # dtype of carrier rows
 _BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows``, carrier products and ``_image_sizes``; bounds their working memory
 
@@ -125,7 +125,8 @@ class Monoid:
 
     def _spot_check(self):
         """The identity on both sides of every element, then associativity on
-        seeded triples, one ``products`` call for each side of each law."""
+        the ``_SPOT_SIDE ** 3`` triples of three seeded sets, one ``products``
+        call for each side of each law."""
         n = len(self.elements)
         e = self.identity
         everything = np.arange(n)
@@ -133,17 +134,16 @@ class Monoid:
                              | (self.products(everything, [e])[:, 0] != everything))
         if len(bad):
             raise InvalidMonoid(self.label, f"identity is not two-sided at element {bad[0]}")
-        count = min(_SPOT_TRIPLES, n * n)
-        draws = np.frombuffer(random.Random(0x5EED).randbytes(12 * count), dtype=np.uint32) % n
-        triples = draws.reshape(count, 3).astype(np.intp)
-        a, b, c = triples.T
-        # the diagonal of a block of products is the product of each triple's pair
-        left = np.diagonal(self.products(np.diagonal(self.products(a, b)), c))
-        right = np.diagonal(self.products(a, np.diagonal(self.products(b, c))))
-        bad = np.flatnonzero(left != right)
+        k = _SPOT_SIDE
+        draws = np.frombuffer(random.Random(0x5EED).randbytes(12 * k), dtype=np.uint32) % n
+        a, b, c = draws.reshape(3, k).astype(np.intp)
+        # left[i, j, l] = (a_i b_j) c_l and right[i, j, l] = a_i (b_j c_l)
+        left = self.products(self.products(a, b).ravel(), c).reshape(k, k, k)
+        right = self.products(a, self.products(b, c).ravel()).reshape(k, k, k)
+        bad = np.argwhere(left != right)
         if len(bad):
-            a, b, c = triples[bad[0]].tolist()
-            raise InvalidMonoid(self.label, f"product not associative at {(a, b, c)}")
+            i, j, l = bad[0].tolist()
+            raise InvalidMonoid(self.label, f"product not associative at {(int(a[i]), int(b[j]), int(c[l]))}")
 
     def __len__(self):
         return len(self.elements)
@@ -537,14 +537,25 @@ def maximal_subgroup(m: Monoid, e: int) -> Monoid:
     )
 
 
+def _h_classes(m: Monoid, what: str) -> tuple:
+    """The H-class ids of ``greens(m)``, which reads the table: a monoid past
+    ``TABLE_BOUND`` with none raises ``SizeLimitExceeded`` instead of building it."""
+    if m._table is None and not within_table_bound(len(m)):
+        raise SizeLimitExceeded(TABLE_BOUND, f"{what} of {m.label or 'a monoid'} ({len(m)} elements) without a table")
+    return greens(m).h
+
+
 def is_group(m: Monoid) -> bool:
-    """A finite monoid is a group iff it is one H-class."""
-    return max(greens(m).h) == 0
+    """A finite monoid is a group iff it is one H-class (read off ``greens``;
+    past ``TABLE_BOUND`` with no table, ``SizeLimitExceeded``)."""
+    return max(_h_classes(m, "is_group")) == 0
 
 
 def is_aperiodic(m: Monoid) -> bool:
-    """No non-trivial subgroups: a finite monoid is aperiodic iff every H-class is one element."""
-    return max(greens(m).h) + 1 == len(m)
+    """No non-trivial subgroups: a finite monoid is aperiodic iff every H-class
+    is one element (read off ``greens``; past ``TABLE_BOUND`` with no table,
+    ``SizeLimitExceeded``)."""
+    return max(_h_classes(m, "is_aperiodic")) + 1 == len(m)
 
 
 # -- depth -------------------------------------------------------------------

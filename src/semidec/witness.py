@@ -16,7 +16,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from semidec.carriers import ProductCarrier, build_carrier, build_monoid, first_foreign
+from semidec.carriers import ProductCarrier, build_carrier, build_monoid
 from semidec.errors import (
     ContextMismatch,
     FieldRequired,
@@ -477,31 +477,22 @@ def witness_from_json(obj: dict) -> DivisionWitness:
     must multiply in the target carrier, which fixes it on the right by the
     identity; a monoid carrier multiplies only its own elements, and no
     wreath value with an index outside its top or base is fixed, not even a
-    negative one that numpy wraps.  The target values are checked together,
-    by ``first_foreign``, but the error names the first bad pair, as a
-    check pair by pair would.  Anything malformed, including a descriptor
-    that rebuilds to no monoid, raises ``InvalidCertificate``.
+    negative one that numpy wraps.  Anything malformed, including a
+    descriptor that rebuilds to no monoid, raises ``InvalidCertificate``.
     """
     where = ""
     try:
         source = build_monoid(obj["source"])
         target = build_carrier(obj["target"])
-        pairs, texts = [], []
-        try:
-            for k, (t_json, s_json) in enumerate(obj["pairs"]):
-                where = f"pair {k}: "
-                sval, tval = value_from_json(s_json), value_from_json(t_json)
-                if sval not in source.index:
-                    raise InvalidCertificate(f"{where}{s_json!r} is not an element of {source.label}")
-                pairs.append((tval, source.index[sval]))
-                texts.append(t_json)
-        finally:
-            # a bad target value in a pair before the one the loop stopped at comes first
-            bad = first_foreign(target, [t for t, _ in pairs])
-            if bad is not None:
-                where, tval = f"pair {bad}: ", pairs[bad][0]
-                if target.mul_value(tval, target.identity_value) != tval:  # raises if the product does
-                    raise InvalidCertificate(f"{where}{texts[bad]!r} is not a value of {target.label}")
+        pairs = []
+        for k, (t_json, s_json) in enumerate(obj["pairs"]):
+            where = f"pair {k}: "
+            sval, tval = value_from_json(s_json), value_from_json(t_json)
+            if sval not in source.index:
+                raise InvalidCertificate(f"{where}{s_json!r} is not an element of {source.label}")
+            if target.mul_value(tval, target.identity_value) != tval:
+                raise InvalidCertificate(f"{where}{t_json!r} is not a value of {target.label}")
+            pairs.append((tval, source.index[sval]))
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, ContextMismatch, InvalidMonoid,
             InvalidSpec) as exc:
         raise InvalidCertificate(f"{where}{type(exc).__name__}: {exc}") from None

@@ -475,9 +475,8 @@ def _foreign_source(value):
     [(3, _foreign_source), (2, _huge_top_index)],
 ], ids=["wrapped then out of range", "out of range then wrapped", "wrapped base then overflow",
         "tuple entry after base past end", "source before index", "source first", "overflow before source"])
-def test_batched_target_check_names_the_first_bad_pair(split_certificate, corruptions):
-    # the target values of a certificate are checked in one mul_rows call;
-    # the error names the pair, and the reason, that a check pair by pair meets first
+def test_target_check_names_the_first_bad_pair(split_certificate, corruptions):
+    # with several bad pairs, the error names the first of them and its reason
     from semidec.errors import InvalidCertificate
     from semidec.witness import witness_from_json
 

@@ -391,8 +391,8 @@ def test_untabled_monoid_multiplies_a_block_at_a_time(fam, z3, monkeypatch, cell
 
     m = Monoid(t2.elements, t2.identity_value, carrier=carrier)
     assert m._table is None
-    # the identity's row and column, then four 64 x 64 products for the seeded triples
-    assert len(carrier.blocks) == blocks(1, n) + blocks(n, 1) + 4 * blocks(64, 64)
+    # the identity's row and column, then (a b) c and a (b c) over three seeded 4-element sets
+    assert len(carrier.blocks) == blocks(1, n) + blocks(n, 1) + 2 * blocks(4, 4) + blocks(16, 4) + blocks(4, 16)
     for call, count in [(lambda: m.products(range(n), range(n)), blocks(n, n)),
                         (lambda: m.products([3], range(n)), blocks(1, n)),
                         (lambda: m.mul(5, 7), 1),
@@ -417,6 +417,20 @@ def test_group_and_aperiodic_read_the_greens_report(fam):
         assert is_aperiodic(m) == is_aperiodic_by_powers(m), m.label
     assert any(is_group(m) for m in monoids) and any(is_aperiodic(m) for m in monoids)
     assert not all(is_group(m) or is_aperiodic(m) for m in monoids)
+
+
+def test_group_and_aperiodic_past_the_bound_build_no_table(fam, z3, monkeypatch):
+    # the Green's report reads the table, so a monoid past the bound without
+    # one is refused rather than tabled; once tabled, it is answered
+    t2 = fam("T*", 2, "3")
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+    m = Monoid(t2.elements, t2.identity_value, carrier=MatrixCarrier(z3, 2))
+    for predicate in (is_group, is_aperiodic):
+        with pytest.raises(SizeLimitExceeded, match=predicate.__name__):
+            predicate(m)
+    assert m._table is None and m._greens is None
+    m.table_array()
+    assert is_group(m) and not is_aperiodic(m)
 
 
 def test_generating_set_grows_one_closure(fam, monkeypatch):
