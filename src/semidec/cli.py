@@ -8,7 +8,8 @@ export (render a report in another format).  Exit codes: 0 success,
 or degree that names nothing to build, a ring file that is not a
 semiring, a field-only command over a non-field), a monoid file whose
 table is not a monoid or, for ``search --out``, whose provenance does not
-rebuild it, or a malformed certificate.  JSON output is compact.
+rebuild it, a malformed monoid file or certificate, or an input file that
+is not JSON or nests past the recursion limit.  JSON output is compact.
 """
 
 from __future__ import annotations
@@ -43,9 +44,13 @@ def _write_text(text: str, path: str | None):
         sys.stdout.write(text)
 
 
-def _load(path: str) -> dict:
+def _load(path: str):
+    """The JSON value in ``path``; one nested past the recursion limit is invalid JSON."""
     with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise json.JSONDecodeError("nested past the recursion limit", "", 0) from None
 
 
 def cmd_family(args) -> int:
@@ -131,7 +136,7 @@ def _require_rebuilds(m: Monoid) -> None:
     """Raise ``InvalidMonoid`` unless ``m``'s provenance rebuilds to ``m``, as ``verify`` rebuilds it."""
     try:
         rebuilt = build_monoid(m.descriptor())
-    except (LookupError, TypeError, ValueError, OverflowError, SemidecError) as exc:
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError, SemidecError) as exc:
         raise InvalidMonoid(m.label, f"provenance does not rebuild: {type(exc).__name__}: {exc}") from None
     if rebuilt.elements != m.elements or not np.array_equal(rebuilt.table_array(), m.table_array()):
         raise InvalidMonoid(m.label, "provenance rebuilds to another monoid")

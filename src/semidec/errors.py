@@ -63,7 +63,7 @@ class NotIdempotent(SemidecError):
 
 
 class InvalidMonoid(SemidecError):
-    """A multiplication table that does not define a monoid on its elements."""
+    """A monoid file or multiplication table that does not define a monoid on its elements."""
 
     def __init__(self, label, detail):
         super().__init__(f"{label or 'monoid'}: {detail}")

@@ -32,7 +32,7 @@ from semidec.errors import (
     NotIdempotent,
     SizeLimitExceeded,
 )
-from semidec.keys import key_hex, value_json
+from semidec.keys import value_from_json, value_json
 
 DEFAULT_LIMIT = 100_000
 TABLE_BOUND = 4096
@@ -380,29 +380,19 @@ def close_generators(
     return Monoid(elements, identity_value, carrier=carrier, table=table, label=label, provenance=prov)
 
 
-def check_associativity(m: Monoid, full_limit: int = 512, samples: int = 10_000, seed: int = 0xA550C) -> None:
-    """Full check up to ``full_limit`` elements, seeded random triples beyond.
-
-    Raises ``InvalidMonoid`` naming the first failing triple found.
-    """
+def check_associativity(m: Monoid) -> None:
+    """Check every triple of ``m``'s table; ``InvalidMonoid`` names the first that fails."""
     n = len(m)
-    if n <= full_limit:
-        table = m.table_array()
-        step = max(1, (1 << 22) // max(1, n * n))
-        for start in range(0, n, step):
-            block = table[start : start + step]  # rows for x in this chunk
-            left = table[block, :]  # left[i,j,k] = (x_i x_j) x_k
-            right = np.take(block, table, axis=1)  # right[i,j,k] = x_i (x_j x_k)
-            bad = np.argwhere(left != right)
-            if len(bad):
-                a, b, c = (int(x) for x in bad[0])
-                raise InvalidMonoid(m.label, f"product not associative at {(start + a, b, c)}")
-        return
-    rng = random.Random(seed)
-    for _ in range(samples):
-        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-        if m.mul(m.mul(a, b), c) != m.mul(a, m.mul(b, c)):
-            raise InvalidMonoid(m.label, f"product not associative at {(a, b, c)}")
+    table = m.table_array()
+    step = max(1, (1 << 22) // max(1, n * n))
+    for start in range(0, n, step):
+        block = table[start : start + step]  # rows for x in this chunk
+        left = table[block, :]  # left[i,j,k] = (x_i x_j) x_k
+        right = np.take(block, table, axis=1)  # right[i,j,k] = x_i (x_j x_k)
+        bad = np.argwhere(left != right)
+        if len(bad):
+            a, b, c = (int(x) for x in bad[0])
+            raise InvalidMonoid(m.label, f"product not associative at {(start + a, b, c)}")
 
 
 # -- Green's relations -------------------------------------------------------
@@ -850,29 +840,43 @@ def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
 # -- exports -------------------------------------------------------------------
 
 
-def to_json(m: Monoid, include_table: bool = True) -> dict:
+def to_json(m: Monoid) -> dict:
     out = {
         "label": m.label,
         "size": len(m),
         "identity": m.identity,
-        "elements": [key_hex(v) for v in m.elements],
+        "elements": [value_json(v) for v in m.elements],
         "provenance": m.descriptor(),
     }
-    if include_table and within_table_bound(len(m)):
-        out["table"] = [[int(x) for x in row] for row in m.table_array()]
+    if within_table_bound(len(m)):
+        out["table"] = m.table_array().tolist()
     return out
 
 
-def from_json(obj: dict) -> Monoid:
-    """Rebuild a monoid from its JSON form, checking the untrusted table in full.
+def from_json(obj) -> Monoid:
+    """Rebuild a monoid from its JSON form, checking the untrusted file in full.
 
-    The table must be a square array of element indices with the stated
+    The file must be an object whose ``elements`` are distinct values in
+    the ``value_json`` encoding, whose ``identity`` is an element index,
+    and whose table is a square array of element indices with that
     identity on both sides, and associative; otherwise ``InvalidMonoid``.
     """
-    from semidec.keys import decode_key
-
-    elements = [decode_key(bytes.fromhex(k)) for k in obj["elements"]]
-    label, n, e = obj.get("label", ""), len(elements), obj["identity"]
+    if not isinstance(obj, dict):
+        raise InvalidMonoid("", "monoid file is not a JSON object")
+    label, elements, e = obj.get("label", ""), obj.get("elements"), obj.get("identity")
+    if not isinstance(elements, list):
+        raise InvalidMonoid(label, "elements is missing or not a list")
+    try:
+        elements = [value_from_json(v) for v in elements]
+    except ValueError as exc:
+        raise InvalidMonoid(label, str(exc)) from None
+    except RecursionError:
+        raise InvalidMonoid(label, "an element is nested past the recursion limit") from None
+    n = len(elements)
+    if len(set(elements)) != n:
+        raise InvalidMonoid(label, "element values are not distinct")
+    if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
+        raise InvalidMonoid(label, f"identity index {e!r} out of range 0..{n - 1}")
     try:
         table = np.array(obj.get("table"))
     except ValueError:  # ragged rows
@@ -881,11 +885,9 @@ def from_json(obj: dict) -> Monoid:
         raise InvalidMonoid(label, f"table is not a {n} x {n} array of element indices")
     if table.min() < 0 or table.max() >= n:
         raise InvalidMonoid(label, f"table entry out of range 0..{n - 1}")
-    if not isinstance(e, int) or not 0 <= e < n:
-        raise InvalidMonoid(label, f"identity index {e!r} out of range")
     # the constructor checks the identity on both sides of every element
     m = Monoid(elements, elements[e], table=table, label=label, provenance=obj.get("provenance"))
-    check_associativity(m, full_limit=n)
+    check_associativity(m)
     return m
 
 

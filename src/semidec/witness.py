@@ -35,6 +35,8 @@ from semidec.monoid import (DEFAULT_LIMIT, ROW, Monoid, cayley_table, close_rows
 from semidec.semiring import SemiringTable, units
 from semidec.wreath import WreathContext, constant_table
 
+ASSIGNMENT_BUDGET = 200_000  # generator-image assignments ``search_division`` tries for one generator set
+
 
 class DivisionWitness:
     def __init__(self, source: Monoid, target, pairs, steps=None, label=""):
@@ -413,8 +415,7 @@ def compose(w1: DivisionWitness, w2: DivisionWitness,
 # -- exhaustive search ---------------------------------------------------------
 
 
-def search_division(source: Monoid, target: Monoid, target_limit: int = 12,
-                    assignment_budget: int = 200_000) -> DivisionWitness | None:
+def search_division(source: Monoid, target: Monoid, target_limit: int = 12) -> DivisionWitness | None:
     """Exhaustive search for a division witness, or None.
 
     Enumerates generator subsets of the target in ascending bitmask order
@@ -437,8 +438,8 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12,
         if len(closure) < len(source):
             continue
         total = len(source) ** len(gens)
-        if total > assignment_budget:
-            raise SizeLimitExceeded(assignment_budget, "generator assignment enumeration")
+        if total > ASSIGNMENT_BUDGET:
+            raise SizeLimitExceeded(ASSIGNMENT_BUDGET, "generator assignment enumeration")
         for assignment in iter_product(range(len(source)), repeat=len(gens)):
             pairs = [(target.elements[g], s) for g, s in zip(gens, assignment)]
             w = DivisionWitness(source, target, pairs,
@@ -493,8 +494,8 @@ def witness_from_json(obj: dict) -> DivisionWitness:
             if target.mul_value(tval, target.identity_value) != tval:
                 raise InvalidCertificate(f"{where}{t_json!r} is not a value of {target.label}")
             pairs.append((tval, source.index[sval]))
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError, ContextMismatch, InvalidMonoid,
-            InvalidSpec) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError, ContextMismatch,
+            InvalidMonoid, InvalidSpec) as exc:
         raise InvalidCertificate(f"{where}{type(exc).__name__}: {exc}") from None
     return DivisionWitness(source, target, pairs, steps=obj.get("steps", []),
                            label=obj.get("label", ""))

@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
-from semidec.monoid import DEFAULT_LIMIT, Monoid, product_value, within_table_bound
+from semidec.monoid import DEFAULT_LIMIT, Monoid, product_value
 
 
 class WreathContext:
@@ -80,11 +80,10 @@ class WreathContext:
 def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
     """The full wreath product as a Monoid; requires |top|^|base| * |base| <= limit.
 
-    Its elements are the index pairs ``(f, a)``: ``f`` runs over
-    ``wreath_table``'s digit rows, every table of top indices in ``product``
-    order, and ``a`` over the base indices.  Up to ``TABLE_BOUND`` elements
-    its table is ``wreath_table``, with no value products; past it the
-    monoid multiplies through ``ctx.mul_rows`` in blocks.
+    Its elements are the index pairs ``(f, a)``: ``f`` runs over every
+    table of top indices in ``product`` order, and ``a`` over the base
+    indices.  The monoid multiplies through ``ctx.mul_rows`` in blocks,
+    as any monoid over a carrier does.
     """
     top = ctx.top
     b = len(ctx.base)
@@ -92,30 +91,8 @@ def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
     if total > limit:
         raise SizeLimitExceeded(limit, f"wreath enumeration of {ctx.label} ({total} elements)")
     elements = [(f, a) for f in product(range(len(top)), repeat=b) for a in range(b)]
-    table = wreath_table(ctx) if within_table_bound(total) else None
-    return Monoid(elements, ctx.identity_value, carrier=ctx, table=table, label=ctx.label,
+    return Monoid(elements, ctx.identity_value, carrier=ctx, label=ctx.label,
                   provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": ctx.base.descriptor()})
-
-
-def wreath_table(ctx: WreathContext) -> np.ndarray:
-    """Table of the full wreath product in ``enumerate_wreath`` order, by index arithmetic.
-
-    Element ``(f, a)`` has index ``code(f) * |B| + a``, where ``code`` reads
-    a table of top indices as base-|top| digits, first entry most
-    significant.  Row ``(f, a)`` holds ``code(t -> top[f[t], g[t a]]) * |B|
-    + a c`` at column ``(g, c)``; the rows of one ``f`` fill as one block.
-    """
-    top, base = ctx.top._table, ctx.base._table
-    k, b = len(top), len(base)
-    weights = k ** np.arange(b - 1, -1, -1)
-    digits = np.arange(k**b)[:, None] // weights % k  # digits[code] is the table with that code
-    shifted = digits[:, base.T]  # shifted[g, a, t] = g[t a]
-    n = len(digits) * b
-    table = np.empty((n, n), dtype=np.int32)
-    for code, f in enumerate(digits):
-        codes = top[f, shifted] @ weights  # codes[g, a] = code(t -> f[t] g[t a])
-        table[code * b : (code + 1) * b] = (codes.T[:, :, None] * b + base[:, None, :]).reshape(b, n)
-    return table
 
 
 def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]:

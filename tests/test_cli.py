@@ -184,6 +184,85 @@ def test_monoid_file_checked_before_analysis(tmp_path, capsys, corrupt, message)
         assert stderr.startswith("error: InvalidMonoid:") and message in stderr
 
 
+def _hex_key(value):
+    """An element in the earlier monoid-file format: the hex of its bytes written as nested parentheses."""
+    return json.dumps(value, separators=(",", ":")).replace("[", "(").replace("]", ")").encode().hex()
+
+
+def _nested(depth):
+    value = 0
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+def _set_element(i, value):
+    def corrupt(payload):
+        payload["elements"][i] = value
+    return corrupt
+
+
+MALFORMED_MONOIDS = {
+    "not an object": lambda payload: [payload],
+    "elements not a list": lambda payload: dict(payload, elements={"0": payload["elements"][0]}),
+    "elements missing": lambda payload: {k: v for k, v in payload.items() if k != "elements"},
+    "identity missing": lambda payload: {k: v for k, v in payload.items() if k != "identity"},
+    "identity not an int": lambda payload: dict(payload, identity=str(payload["identity"])),
+    "earlier hex file": lambda payload: dict(payload, elements=[_hex_key(v) for v in payload["elements"]]),
+    "bad hex": _set_element(1, "28zz"),
+    "non-int token": _set_element(1, [[0, "x"], [0, 1]]),
+    "boolean": _set_element(1, True),
+    "boolean entry": _set_element(1, [[True, False], [0, 1]]),
+    "duplicate elements": lambda payload: dict(payload, elements=[payload["elements"][0], *payload["elements"][:-1]]),
+    # json parses 900 levels; decoding them as a value passes the default recursion limit of 1000
+    "nested past the recursion limit": _set_element(1, _nested(900)),
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("case", list(MALFORMED_MONOIDS))
+def test_malformed_monoid_file_exit_2(tmp_path, capsys, case, optimize):
+    mon, payload = _t2_file(tmp_path, capsys)
+    mon.write_text(json.dumps(MALFORMED_MONOIDS[case](payload)))
+    for argv in (["analyze", str(mon)], ["search", "--source", str(mon), "--target", str(mon)]):
+        proc = run_cli(argv, optimize)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: InvalidMonoid: "), proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_json_nested_past_the_recursion_limit_exit_2(tmp_path, optimize):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    for argv in (["verify", str(deep)], ["analyze", str(deep)], ["export", str(deep), "--format", "json"]):
+        proc = run_cli(argv, optimize)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: invalid JSON: "), proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_family_file_round_trips_through_analyze(tmp_path, fam, optimize):
+    from semidec.keys import value_json
+    from semidec.monoid import from_json
+
+    mon = tmp_path / "m.json"
+    proc = run_cli(["family", "--kind", "T", "--n", "2", "--ring", "zp:3", "--out", str(mon)], optimize)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(mon.read_text())
+    t2 = fam("T", 2, "3")
+    assert payload["elements"] == [value_json(v) for v in t2.elements]
+    back = from_json(payload)
+    assert back.elements == t2.elements and (back.table_array() == t2.table_array()).all()
+    proc = run_cli(["analyze", str(mon)], optimize)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[0])
+    assert (report["label"], report["order"]) == (t2.label, 27)
+
+
 def test_search_not_found(tmp_path, capsys):
     u1_file = tmp_path / "u1.json"
     c2_file = tmp_path / "c2.json"
