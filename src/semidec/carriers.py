@@ -9,9 +9,11 @@ fixed-width int row, and ``mul_rows``, which multiplies every row of one
 block by every row of another; ``mul_value`` is a one-row ``mul_rows``,
 except on a Monoid, which multiplies as its ``mul_rows`` does, by its table
 or its own carrier.
-Descriptors are plain dicts from which ``build_carrier`` reconstructs an
-equivalent carrier in a fresh process, which is what makes certificates
-re-checkable from their serialized form.
+Descriptors are plain dicts from which an equivalent carrier is rebuilt
+in a fresh process, which is what makes certificates re-checkable from
+their serialized form.  This module alone knows the descriptor kinds and
+which of their fields are child descriptors; a certificate document
+states each descriptor once, in the flat table of ``Descriptors``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import json
 
 import numpy as np
 
-from semidec import monoid
 from semidec.monoid import Monoid, product_value
 from semidec.wreath import WreathContext
 
@@ -74,28 +75,138 @@ def build_ring(desc: dict):
     return from_json(desc["table"])
 
 
-_MONOIDS: dict[tuple[str, int], Monoid] = {}
+# The descriptor schema: every kind ``build_monoid`` and ``build_carrier``
+# rebuild, with the fields that hold a child descriptor.
+CHILDREN = {
+    "family": (),
+    "close": ("carrier",),
+    "transformation_close": (),
+    "product": ("left", "right"),
+    "quotient_central": ("base",),
+    "h_class_group": ("base",),
+    "augmented": ("base",),
+    "wreath_enum": ("top", "base"),
+    "wreath_ctx": ("top", "base"),
+    "product_carrier": ("left", "right"),
+}
+_CARRIER_KINDS = ("wreath_ctx", "product_carrier")  # kinds that rebuild to a carrier, not a Monoid
+# the fields of a witness step that hold a descriptor; its ``restrict`` is a dict of them
+STEP_FIELDS = ("left", "right", "top", "base", "factor", "acting")
 
 
-def build_monoid(desc: dict) -> Monoid:
-    """The monoid ``desc`` names, built once per canonical descriptor and
-    ``TABLE_BOUND`` and shared, like ``build_family``: callers must not mutate it.
+class Descriptors:
+    """The descriptor table of one certificate document.
+
+    Each entry is a descriptor whose child descriptors (``CHILDREN``) are
+    the indices of earlier entries, and no two entries are equal.  A
+    writer ``intern``s nested descriptors, by object identity first (a
+    monoid's ``descriptor()`` is one shared dict), else by the canonical
+    JSON of the entry, whose children are already indices.  A reader
+    made from a document's list rebuilds an entry at most once, when it
+    is first asked for, through ``build_monoid`` or ``build_carrier``.
+    A reference must be an int (not a bool) naming an entry, and a child
+    reference one naming an earlier entry; anything else, or an entry
+    that is not an object, raises ``ValueError`` or ``TypeError``.
+    """
+
+    def __init__(self, entries: list | None = None):
+        self.entries = [] if entries is None else entries
+        self._ids: dict[int, tuple] = {}  # id of an interned dict -> (its index, the dict, held so the id is not reused)
+        self._keys: dict[str, int] = {}  # canonical JSON of an entry -> its index
+        self._built: dict[int, object] = {}
+        self._views: dict[int, dict] = {}
+
+    def intern(self, desc: dict) -> int:
+        """The index of ``desc``'s entry, appended with its children's if new."""
+        known = self._ids.get(id(desc))
+        if known is not None:
+            return known[0]
+        entry = dict(desc)
+        for field in CHILDREN.get(desc["kind"], ()):
+            if field in entry:
+                entry[field] = self.intern(entry[field])
+        i = self._keys.setdefault(json.dumps(entry, sort_keys=True), len(self.entries))
+        if i == len(self.entries):
+            self.entries.append(entry)
+        self._ids[id(desc)] = (i, desc)
+        return i
+
+    def intern_step(self, step: dict) -> dict:
+        """``step`` with each descriptor field an index into the table."""
+        return _map_step(step, self.intern)
+
+    def carrier(self, ref, below: int | None = None):
+        """The carrier entry ``ref`` names, rebuilt on first use; a child
+        reference of entry ``below`` must name an earlier entry."""
+        i = self._check(ref, below)
+        built = self._built.get(i)
+        if built is None:
+            build = build_carrier if self._entry(i)["kind"] in _CARRIER_KINDS else build_monoid
+            built = self._built[i] = build(self, i)
+        return built
+
+    def monoid(self, ref, below: int | None = None) -> Monoid:
+        m = self.carrier(ref, below)
+        if not isinstance(m, Monoid):
+            raise ValueError(f"descriptor {ref} names a {self.entries[ref]['kind']}, not a monoid")
+        return m
+
+    def view(self, ref, below: int | None = None) -> dict:
+        """Entry ``ref`` as a nested descriptor, its children's views shared."""
+        i = self._check(ref, below)
+        view = self._views.get(i)
+        if view is None:
+            view = dict(self._entry(i))
+            for field in CHILDREN.get(view["kind"], ()):
+                if field in view:
+                    view[field] = self.view(view[field], i)
+            self._views[i] = view
+        return view
+
+    def step(self, step: dict) -> dict:
+        """A stored step with each descriptor field a ``view``."""
+        return _map_step(step, self.view)
+
+    def _check(self, ref, below: int | None) -> int:
+        bound = len(self.entries) if below is None else below
+        if type(ref) is not int or not 0 <= ref < bound:
+            raise ValueError(f"descriptor reference {ref!r:.60} is not an index below {bound}")
+        return ref
+
+    def _entry(self, i: int) -> dict:
+        entry = self.entries[i]
+        if not isinstance(entry, dict):
+            raise TypeError(f"descriptor {i} is not an object")
+        return entry
+
+
+def _map_step(step: dict, f) -> dict:
+    if not isinstance(step, dict) or not isinstance(step.get("restrict", {}), dict):
+        raise TypeError("a step is not an object with an object of restrictions")
+    out = {key: f(v) if key in STEP_FIELDS else v for key, v in step.items()}
+    if "restrict" in step:
+        out["restrict"] = {key: f(v) for key, v in step["restrict"].items()}
+    return out
+
+
+def rebuild(desc: dict) -> Monoid:
+    """The monoid a nested descriptor names, through a one-off table."""
+    table = Descriptors()
+    return table.monoid(table.intern(desc))
+
+
+def build_monoid(table: Descriptors, i: int) -> Monoid:
+    """The monoid entry ``i`` of ``table`` names; ``table.monoid`` rebuilds
+    its children.  Families come from ``build_family``, which shares them.
 
     A ``"close"`` descriptor's generators and identity must each be fixed on
     the right by the carrier's identity, else ``ValueError``.
     """
-    key = (json.dumps(desc, sort_keys=True), monoid.TABLE_BOUND)
-    m = _MONOIDS.get(key)
-    if m is None:
-        m = _MONOIDS[key] = _build_monoid(desc)
-    return m
-
-
-def _build_monoid(desc: dict) -> Monoid:
     from semidec.families import FamilySpec, augmented_monoid, build_family, constants_monoid, u1
     from semidec.keys import value_from_json
     from semidec.monoid import close_generators, direct_product, maximal_subgroup, quotient_by_central_units
 
+    desc = table.entries[i]
     kind = desc["kind"]
     if kind == "family":
         fam = desc["family"]
@@ -105,7 +216,7 @@ def _build_monoid(desc: dict) -> Monoid:
             return constants_monoid(desc["points"])
         return build_family(FamilySpec(fam, desc["n"], build_ring(desc["ring"])))
     if kind == "close":
-        carrier = build_carrier(desc["carrier"])
+        carrier = table.carrier(desc["carrier"], i)
         gens = [value_from_json(g) for g in desc["generators"]]
         ident = value_from_json(desc["identity"]) if "identity" in desc else carrier.identity_value
         for v in gens + [ident]:
@@ -116,7 +227,7 @@ def _build_monoid(desc: dict) -> Monoid:
             carrier,
             ident,
             label=desc.get("label", ""),
-            provenance=desc,
+            provenance=table.view(i),
         )
     if kind == "transformation_close":
         from semidec.families import transformation_closure
@@ -126,27 +237,26 @@ def _build_monoid(desc: dict) -> Monoid:
             label=desc.get("label", ""),
         )
     if kind == "product":
-        return direct_product(build_monoid(desc["left"]), build_monoid(desc["right"]))
+        return direct_product(table.monoid(desc["left"], i), table.monoid(desc["right"], i))
     if kind == "quotient_central":
-        base = build_monoid(desc["base"])
+        base = table.monoid(desc["base"], i)
         z = [base.index[value_from_json(v)] for v in desc["subgroup"]]
         return quotient_by_central_units(base, z)[0]
     if kind == "h_class_group":
-        base = build_monoid(desc["base"])
+        base = table.monoid(desc["base"], i)
         return maximal_subgroup(base, base.index[value_from_json(desc["idempotent"])])
     if kind == "augmented":
-        return augmented_monoid(build_monoid(desc["base"]))
+        return augmented_monoid(table.monoid(desc["base"], i))
     if kind == "wreath_enum":
         from semidec.wreath import enumerate_wreath
 
-        return enumerate_wreath(WreathContext(build_monoid(desc["top"]), build_monoid(desc["base"])))
+        return enumerate_wreath(WreathContext(table.monoid(desc["top"], i), table.monoid(desc["base"], i)))
     raise ValueError(f"cannot rebuild monoid from descriptor kind {kind!r}")
 
 
-def build_carrier(desc: dict):
-    kind = desc["kind"]
-    if kind == "wreath_ctx":
-        return WreathContext(build_monoid(desc["top"]), build_monoid(desc["base"]))
-    if kind == "product_carrier":
-        return ProductCarrier(build_carrier(desc["left"]), build_carrier(desc["right"]))
-    return build_monoid(desc)
+def build_carrier(table: Descriptors, i: int):
+    """The ``wreath_ctx`` or ``product_carrier`` entry ``i`` of ``table``."""
+    desc = table.entries[i]
+    if desc["kind"] == "wreath_ctx":
+        return WreathContext(table.monoid(desc["top"], i), table.monoid(desc["base"], i))
+    return ProductCarrier(table.carrier(desc["left"], i), table.carrier(desc["right"], i))

@@ -10,6 +10,14 @@ semiring, a field-only command over a non-field), a monoid file whose
 table is not a monoid or, for ``search --out``, whose provenance does not
 rebuild it, a malformed monoid file or certificate, or an input file that
 is not JSON or nests past the recursion limit.  JSON output is compact.
+
+``decompose --cert`` and ``search --out`` write a certificate document,
+``{"descriptors": [...], "certificates": [...]}`` plus ``"composite"``
+and ``"plan"`` where the pipeline has them: each descriptor is stated
+once in the ``descriptors`` table, and a certificate's ``source``,
+``target`` and descriptor-valued step fields are indices into it.
+``verify`` reads only that shape; a bundle of an earlier version, with
+nested descriptors, is a malformed certificate.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import sys
 
 import numpy as np
 
-from semidec.carriers import build_monoid
+from semidec.carriers import rebuild
 from semidec.decomp import field_pipeline, ring_pipeline
 from semidec.errors import InvalidCertificate, InvalidMonoid, InvalidSpec, SemidecError, UnsupportedFormat
 from semidec.families import FAMILY_KINDS, FamilySpec, build_family
@@ -29,7 +37,7 @@ from semidec.monoid import DEFAULT_LIMIT, Monoid, depth_report, dot_j_order, gre
 from semidec.monoid import from_json as monoid_from_json
 from semidec.monoid import to_json as monoid_to_json
 from semidec.semiring import parse_ring_spec
-from semidec.witness import search_division, verify, witness_from_json, witness_to_json
+from semidec.witness import document_from_json, document_to_json, search_division, verify, witness_from_json
 
 
 def _dump(payload, path: str | None):
@@ -97,12 +105,8 @@ def cmd_decompose(args) -> int:
     if args.plan:
         _dump(plan.summary(), args.plan)
     if args.cert:
-        cert = {
-            "plan": plan.summary(),
-            "certificates": [witness_to_json(w) for w in plan.witnesses],
-        }
-        if plan.composite is not None:
-            cert["composite"] = witness_to_json(plan.composite)
+        cert = document_to_json(plan.witnesses, plan.composite)
+        cert["plan"] = plan.summary()
         _dump(cert, args.cert)
     gl = plan.group_length if plan.group_length is not None else "n/a"
     print(f"group_length={gl}")
@@ -111,16 +115,10 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    payload = _load(args.cert)
-    if isinstance(payload, dict) and isinstance(payload.get("certificates"), list):
-        bundle = list(payload["certificates"])
-        if "composite" in payload:
-            bundle.append(payload["composite"])
-    else:
-        bundle = [payload]
+    table, bundle = document_from_json(_load(args.cert))
     for i, obj in enumerate(bundle):
         try:
-            witness = witness_from_json(obj)
+            witness = witness_from_json(obj, table)
         except InvalidCertificate as exc:
             raise InvalidCertificate(f"certificate {i}: {exc}") from None
         try:
@@ -135,7 +133,7 @@ def cmd_verify(args) -> int:
 def _require_rebuilds(m: Monoid) -> None:
     """Raise ``InvalidMonoid`` unless ``m``'s provenance rebuilds to ``m``, as ``verify`` rebuilds it."""
     try:
-        rebuilt = build_monoid(m.descriptor())
+        rebuilt = rebuild(m.descriptor())
     except (LookupError, TypeError, ValueError, OverflowError, RecursionError, SemidecError) as exc:
         raise InvalidMonoid(m.label, f"provenance does not rebuild: {type(exc).__name__}: {exc}") from None
     if rebuilt.elements != m.elements or not np.array_equal(rebuilt.table_array(), m.table_array()):
@@ -153,7 +151,7 @@ def cmd_search(args) -> int:
         print("result=NotFound")
         return 1
     if args.out:
-        _dump(witness_to_json(found), args.out)
+        _dump(document_to_json([found]), args.out)
     print(f"result=found closure={found.closure_size}")
     return 0
 

@@ -218,7 +218,7 @@ def _chain_witness(n: int, ring: SemiringTable, limit: int,
         w_abs = absorb(as_1, t_1, t_1, source=mid, limit=limit)
         steps_out.append(w_abs)
         w = compose(w_lem, w_abs, limit)
-        info = _ChainLevel(as_1, direct_product(t_1, t_1), None)
+        info = _ChainLevel(as_1, direct_product(t_1, t_1, limit), None)
         return w, info
 
     w_prev, info_prev = _chain_witness(n - 1, ring, limit, steps_out)
@@ -241,7 +241,7 @@ def _chain_witness(n: int, ring: SemiringTable, limit: int,
     steps_out.append(w_abs)
     w_run = compose(w_run, w_abs, limit)
 
-    base_prod = direct_product(sub_base, t_1)
+    base_prod = direct_product(sub_base, t_1, limit)
     w_push, pushed = _push_scalar(base_prod, info_prev, t_1, ring, limit, steps_out)
     mid3 = w_run.image_submonoid()
     w_deep = lift_left(w_push, as_top, source=mid3, limit=limit)
@@ -257,7 +257,7 @@ def _push_scalar(prod: Monoid, info: _ChainLevel, t_1: Monoid, ring: SemiringTab
     factor through every wreath level down to the scalar-product leaf."""
     w_abs = absorb(info.top, info.base, t_1, source=prod, limit=limit)
     steps_out.append(w_abs)
-    new_base = direct_product(info.base, t_1)
+    new_base = direct_product(info.base, t_1, limit)
     if info.inner is None:
         return w_abs, _ChainLevel(info.top, new_base, None)
     w_inner, inner_info = _push_scalar(new_base, info.inner, t_1, ring, limit, steps_out)
@@ -276,10 +276,10 @@ def _tag(m: Monoid) -> str:
     return "mixed"
 
 
-def _fold_product(monoids: list[Monoid]) -> Monoid:
+def _fold_product(monoids: list[Monoid], limit: int) -> Monoid:
     out = monoids[0]
     for nxt in monoids[1:]:
-        out = direct_product(out, nxt)
+        out = direct_product(out, nxt, limit)
     return out
 
 
@@ -300,7 +300,7 @@ def ring_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> De
         as_i = family("AS", i, ring, limit)
         terms.append(Term(as_i.label, _tag(as_i), len(as_i), as_i.descriptor()))
         skeleton.append(as_i.label)
-    scalars = _fold_product([t_1] * n)
+    scalars = _fold_product([t_1] * n, limit)
     name = f"{t_1.label}^{n}"
     terms.append(Term(name, _tag(scalars), len(scalars), scalars.descriptor()))
     skeleton.append(name)
@@ -409,8 +409,8 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     for _ in range(n - 1):
         w_fold = product_witness(w_fold, w_gz, limit=limit)
     steps.append(w_fold)
-    units_n = _fold_product([t_1s] * n)
-    u1_n = _fold_product([semilattice] * n)
+    units_n = _fold_product([t_1s] * n, limit)
+    u1_n = _fold_product([semilattice] * n, limit)
 
     def unzip(value):
         def split(v, depth):
@@ -435,13 +435,13 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     as_1 = family("AS", 1, ring, limit)
     star_1 = family("AS*", 1, ring, limit)
     const_k = constants_monoid(ring.size)
-    inner_group = direct_product(star_1, units_n)
+    inner_group = direct_product(star_1, units_n, limit)
     w_core = _inner_kabsorb(ring, aug_witnesses[1], star_1, units_n, limit, steps)
     w_t2w = times_to_wreath(inner_group, u1_n, limit=limit)
     steps.append(w_t2w)
 
-    scalars_n = _fold_product([t_1] * n)
-    inner_source = direct_product(as_1, scalars_n)
+    scalars_n = _fold_product([t_1] * n, limit)
+    inner_source = direct_product(as_1, scalars_n, limit)
     w_s1 = product_witness(identity_witness(as_1, limit), w_scalars,
                            source=inner_source, limit=limit)
     steps.append(w_s1)
@@ -525,10 +525,10 @@ def _inner_kabsorb(ring: SemiringTable, w_aug: DivisionWitness, star_1: Monoid,
     as_1 = family("AS", 1, ring, limit)
     const_k = constants_monoid(ring.size)
     w_left = product_witness(w_aug, identity_witness(units_n, limit),
-                             source=direct_product(as_1, units_n), limit=limit)
+                             source=direct_product(as_1, units_n, limit), limit=limit)
     steps.append(w_left)
     aug_image = w_aug.image_submonoid()
-    absorb_source = direct_product(aug_image, units_n)
+    absorb_source = direct_product(aug_image, units_n, limit)
     w_abs = absorb(const_k, star_1, units_n, source=absorb_source, limit=limit)
     steps.append(w_abs)
     w_core = compose(w_left, w_abs, limit)

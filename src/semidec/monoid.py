@@ -689,12 +689,15 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
     return quotient, projection
 
 
-def direct_product(a: Monoid, b: Monoid) -> Monoid:
+def direct_product(a: Monoid, b: Monoid, limit: int = DEFAULT_LIMIT) -> Monoid:
     """``a x b`` in row-major order; its table broadcasts the factors' tables,
     ``ta[x1, x2] * |b| + tb[y1, y2]``, up to ``TABLE_BOUND`` elements.  Past
-    the bound it multiplies through the product carrier of its factors."""
+    the bound it multiplies through the product carrier of its factors.
+    More than ``limit`` elements raise ``SizeLimitExceeded`` before any is listed."""
     from semidec.carriers import ProductCarrier
 
+    if len(a) * len(b) > limit:
+        raise SizeLimitExceeded(limit, f"direct product of {a.label} and {b.label} ({len(a) * len(b)} elements)")
     elements = [(x, y) for x in a.elements for y in b.elements]
     table = None
     if within_table_bound(len(elements)):
@@ -708,25 +711,22 @@ def direct_product(a: Monoid, b: Monoid) -> Monoid:
 # -- isomorphism search -------------------------------------------------------
 
 
-def _cyclic_profile(m: Monoid, x: int) -> tuple[int, int]:
+def _cyclic_profile(rows: list[list[int]], x: int) -> tuple[int, int]:
     seen = {x: 1}
     cur, k = x, 1
     while True:
-        cur = m.mul(cur, x)
+        cur = rows[cur][x]
         k += 1
         if cur in seen:
             return (seen[cur], k - seen[cur])  # (index, period)
         seen[cur] = k
 
 
-def _element_profiles(m: Monoid) -> list[tuple]:
-    table = m.table_array()
-    rows, cols = _image_sizes(table), _image_sizes(table.T)
-    out = []
-    for x in range(len(m)):
-        idx, period = _cyclic_profile(m, x)
-        out.append((idx, period, int(table[x, x] == x), rows[x], cols[x]))
-    return out
+def _element_profiles(table: np.ndarray, rows: list[list[int]]) -> list[tuple]:
+    """Per element: (index, period, idempotent, row-image size, column-image size)."""
+    row_sizes, col_sizes = _image_sizes(table), _image_sizes(table.T)
+    return [(*_cyclic_profile(rows, x), int(rows[x][x] == x), row_sizes[x], col_sizes[x])
+            for x in range(len(rows))]
 
 
 def index_closure(m: Monoid, gens, what: str):
@@ -779,8 +779,10 @@ def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
         return True
     if m.elements == n.elements and np.array_equal(m.table_array(), n.table_array()):
         return True
-    prof_m = _element_profiles(m)
-    prof_n = _element_profiles(n)
+    table_m, table_n = m.table_array(), n.table_array()
+    rows_m, rows_n = table_m.tolist(), table_n.tolist()
+    prof_m = _element_profiles(table_m, rows_m)
+    prof_n = _element_profiles(table_n, rows_n)
     if sorted(prof_m) != sorted(prof_n):
         return False
 
@@ -802,16 +804,13 @@ def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
         for x, edge in zip(derived, edges):
             if edge is not None:
                 parent, g = edge
-                y = n.mul(img[derived[parent]], assignment[g])
+                y = rows_n[img[derived[parent]]][assignment[g]]
                 if img.setdefault(x, y) != y:
                     return False
         if len(set(img.values())) != size:
             return False
-        for x in range(size):
-            for y in range(size):
-                if img[m.mul(x, y)] != n.mul(img[x], img[y]):
-                    return False
-        return True
+        f = np.array([img[x] for x in range(size)])
+        return bool((f[table_m] == table_n[f[:, None], f[None, :]]).all())
 
     def backtrack(pos: int, assignment: list[int]) -> bool:
         if pos == len(gens):
@@ -824,8 +823,8 @@ def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
             # land on elements with matching profiles
             ok = True
             for i, g in enumerate(gens[: pos + 1]):
-                p = m.mul(g, gens[pos])
-                q = n.mul(assignment[i], y)
+                p = rows_m[g][gens[pos]]
+                q = rows_n[assignment[i]][y]
                 if prof_m[p] != prof_n[q]:
                     ok = False
                     break

@@ -170,7 +170,8 @@ def parse_ring_spec(spec: str) -> SemiringTable:
 
     A spec outside the grammar raises ``InvalidSpec``; ``zp:<p>`` with ``p``
     not a prime, ``NotPrime``; a ring file that is not a semiring table,
-    ``InvalidSpec`` or ``AxiomViolation``."""
+    including one nested past the recursion limit, ``InvalidSpec`` or
+    ``AxiomViolation``."""
     if spec == "bool":
         return make_boolean_semiring()
     if spec.startswith("zp:"):
@@ -183,7 +184,10 @@ def parse_ring_spec(spec: str) -> SemiringTable:
         import json
 
         with open(spec[6:], encoding="utf-8") as handle:
-            obj = json.load(handle)
+            try:
+                obj = json.load(handle)
+            except RecursionError:
+                raise InvalidSpec(f"ring file {spec[6:]!r} nests past the recursion limit") from None
         try:
             return from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:

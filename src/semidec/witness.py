@@ -16,7 +16,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from semidec.carriers import ProductCarrier, build_carrier, build_monoid
+from semidec.carriers import Descriptors, ProductCarrier
 from semidec.errors import (
     ContextMismatch,
     FieldRequired,
@@ -190,7 +190,7 @@ def times_to_wreath(a: Monoid, b: Monoid, source: Monoid | None = None,
                     limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """A x B divides A wr B via (a, b) -> (constant-a table, b)."""
     ctx = WreathContext(a, b)
-    src = source or direct_product(a, b)
+    src = source or direct_product(a, b, limit)
 
     def embed(value):
         return (constant_table(ctx, a.index[value[0]]), b.index[value[1]])
@@ -213,10 +213,10 @@ def absorb(top, b: Monoid, c: Monoid, source: Monoid | None = None,
     """
     from semidec.wreath import enumerate_wreath
 
-    base = direct_product(b, c)
+    base = direct_product(b, c, limit)
     ctx = WreathContext(top, base)
     if source is None:
-        source = direct_product(enumerate_wreath(WreathContext(top, b), limit), c)
+        source = direct_product(enumerate_wreath(WreathContext(top, b), limit), c, limit)
     csize = len(c)
 
     def embed(value):
@@ -303,9 +303,9 @@ def interchange(a: Monoid, b: Monoid, c: Monoid, d: Monoid,
 
     w1 = enumerate_wreath(WreathContext(a, b), limit)
     w2 = enumerate_wreath(WreathContext(c, d), limit)
-    source = direct_product(w1, w2)
-    top = direct_product(a, c)
-    base = direct_product(b, d)
+    source = direct_product(w1, w2, limit)
+    top = direct_product(a, c, limit)
+    base = direct_product(b, d, limit)
     ctx = WreathContext(top, base)
     csize, dsize = len(c), len(d)
 
@@ -378,7 +378,7 @@ def product_witness(w1: DivisionWitness, w2: DivisionWitness,
     """Componentwise product: A div B and C div D give A x C div B x D."""
     _require_verified(w1, w2)
     target = ProductCarrier(w1.target, w2.target)
-    src = source or direct_product(w1.source, w2.source)
+    src = source or direct_product(w1.source, w2.source, limit)
     pre1, pre2 = w1.preimage_table(), w2.preimage_table()
     i1, i2 = w1.source.index, w2.source.index
 
@@ -455,7 +455,8 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12) -> D
 # -- serialization -------------------------------------------------------------
 
 
-def witness_to_json(w: DivisionWitness) -> dict:
+def witness_to_json(w: DivisionWitness, table: Descriptors) -> dict:
+    """The certificate of ``w``, its descriptors interned into ``table``."""
     verdict = {"status": w.status}
     if w.closure_size is not None:
         verdict["closure_size"] = w.closure_size
@@ -463,28 +464,31 @@ def witness_to_json(w: DivisionWitness) -> dict:
         verdict["failure"] = w.failure
     return {
         "label": w.label,
-        "source": w.source.descriptor(),
-        "target": w.target.descriptor(),
+        "source": table.intern(w.source.descriptor()),
+        "target": table.intern(w.target.descriptor()),
         "pairs": [[value_json(t), value_json(w.source.elements[s])] for t, s in w.pairs],
-        "steps": w.steps,
+        "steps": [table.intern_step(step) for step in w.steps],
         "verdict": verdict,
     }
 
 
-def witness_from_json(obj: dict) -> DivisionWitness:
-    """Rebuild a witness from its JSON form, unverified.
+def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
+    """Rebuild a witness from its certificate, unverified; ``table`` is the
+    document's descriptor table, and each entry is rebuilt once per table.
 
     Each pair's source value must be a source element, and its target value
     must multiply in the target carrier, which fixes it on the right by the
     identity; a monoid carrier multiplies only its own elements, and no
     wreath value with an index outside its top or base is fixed, not even a
     negative one that numpy wraps.  Anything malformed, including a
-    descriptor that rebuilds to no monoid, raises ``InvalidCertificate``.
+    reference that names no entry or a descriptor that rebuilds to no
+    monoid, raises ``InvalidCertificate``.
     """
     where = ""
     try:
-        source = build_monoid(obj["source"])
-        target = build_carrier(obj["target"])
+        source = table.monoid(obj["source"])
+        target = table.carrier(obj["target"])
+        steps = [table.step(step) for step in obj.get("steps", [])]
         pairs = []
         for k, (t_json, s_json) in enumerate(obj["pairs"]):
             where = f"pair {k}: "
@@ -497,5 +501,28 @@ def witness_from_json(obj: dict) -> DivisionWitness:
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError, ContextMismatch,
             InvalidMonoid, InvalidSpec) as exc:
         raise InvalidCertificate(f"{where}{type(exc).__name__}: {exc}") from None
-    return DivisionWitness(source, target, pairs, steps=obj.get("steps", []),
-                           label=obj.get("label", ""))
+    return DivisionWitness(source, target, pairs, steps=steps, label=obj.get("label", ""))
+
+
+def document_to_json(certificates: list[DivisionWitness], composite: DivisionWitness | None = None) -> dict:
+    """The certificate document ``{"descriptors", "certificates"}``, plus
+    ``"composite"`` when given: every descriptor stated once, in the table."""
+    table = Descriptors()
+    document = {"certificates": [witness_to_json(w, table) for w in certificates]}
+    if composite is not None:
+        document["composite"] = witness_to_json(composite, table)
+    document["descriptors"] = table.entries
+    return document
+
+
+def document_from_json(payload) -> tuple[Descriptors, list]:
+    """The descriptor table of a certificate document and its certificates,
+    the composite last.  Anything else, such as a bundle of an earlier
+    version with nested descriptors, raises ``InvalidCertificate``."""
+    if not (isinstance(payload, dict) and isinstance(payload.get("descriptors"), list)
+            and isinstance(payload.get("certificates"), list)):
+        raise InvalidCertificate('not a certificate document with "descriptors" and "certificates" lists')
+    certificates = list(payload["certificates"])
+    if "composite" in payload:
+        certificates.append(payload["composite"])
+    return Descriptors(payload["descriptors"]), certificates

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from semidec.carriers import CHILDREN, STEP_FIELDS, Descriptors
 from semidec.families import FamilySpec, build_family
 from semidec.semiring import make_boolean_semiring, make_prime_field
 
@@ -33,6 +35,57 @@ def run_python(args, optimize: bool = False) -> subprocess.CompletedProcess:
         [sys.executable, *(["-O"] if optimize else []), *args],
         capture_output=True, text=True, timeout=300, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def certificate_document(*certificates) -> dict:
+    """A certificate document of certificates whose descriptors are written
+    out nested, interned as the writer interns them; a certificate's other
+    fields, and any field a corruption removed, stay as they are."""
+    table = Descriptors()
+    out = []
+    for cert in certificates:
+        cert = dict(cert)
+        for key in ("source", "target"):
+            if key in cert:
+                cert[key] = table.intern(cert[key])
+        if "steps" in cert:
+            cert["steps"] = [table.intern_step(step) for step in cert["steps"]]
+        out.append(cert)
+    return {"descriptors": table.entries, "certificates": out}
+
+
+def read_document(document: dict) -> list:
+    """The witnesses of a document after a JSON round trip, unverified, the composite last."""
+    from semidec.witness import document_from_json, witness_from_json
+
+    table, certificates = document_from_json(json.loads(json.dumps(document)))
+    return [witness_from_json(obj, table) for obj in certificates]
+
+
+def expand_descriptor(entries: list, ref: int) -> dict:
+    """Entry ``ref`` of a descriptor table with every child written out, a fresh copy."""
+    desc = dict(entries[ref])
+    for field in CHILDREN.get(desc["kind"], ()):
+        if field in desc:
+            desc[field] = expand_descriptor(entries, desc[field])
+    return desc
+
+
+def expand_document(document: dict) -> list[dict]:
+    """The certificates of a document, the composite last, with their
+    descriptors written out nested, as they were before the table."""
+    entries = document["descriptors"]
+
+    def expand_step(step):
+        out = {k: expand_descriptor(entries, v) if k in STEP_FIELDS else v for k, v in step.items()}
+        if "restrict" in step:
+            out["restrict"] = {k: expand_descriptor(entries, v) for k, v in step["restrict"].items()}
+        return out
+
+    certificates = document["certificates"] + ([document["composite"]] if "composite" in document else [])
+    return [dict(cert, source=expand_descriptor(entries, cert["source"]),
+                 target=expand_descriptor(entries, cert["target"]),
+                 steps=[expand_step(step) for step in cert["steps"]]) for cert in certificates]
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from conftest import cached_family, cached_field_plan, cached_ring_plan, _ring, run_cli
+from conftest import (_ring, cached_family, cached_field_plan, cached_ring_plan, certificate_document, expand_document,
+                      read_document, run_cli)
 from propchecks import (
     greens_vs_multiplication_orbits,
     projective_quotient_respects_structure,
@@ -24,6 +25,7 @@ from semidec.semiring import make_boolean_semiring, make_from_tables, make_prime
 from semidec.witness import (
     absorb,
     augmentation,
+    document_to_json,
     group_with_zero,
     interchange,
     lift_left,
@@ -31,8 +33,6 @@ from semidec.witness import (
     search_division,
     times_to_wreath,
     verify,
-    witness_from_json,
-    witness_to_json,
 )
 
 
@@ -111,9 +111,9 @@ def test_reach_end_to_end_over_z3():
 
 
 def _term_monoid(term, n, spec):
-    from semidec.carriers import build_monoid
+    from semidec.carriers import rebuild
 
-    return build_monoid(term.descriptor)
+    return rebuild(term.descriptor)
 
 
 def test_criterion_4_census():
@@ -171,9 +171,9 @@ def test_criterion_6_combinator_soundness():
 def test_criterion_7_negative_controls():
     z2 = make_prime_field(2)
     w = induction_step(2, z2)
-    blob = witness_to_json(w)
+    (blob,) = expand_document(document_to_json([w]))
     blob["pairs"][0][1], blob["pairs"][1][1] = blob["pairs"][1][1], blob["pairs"][0][1]
-    tampered = witness_from_json(json.loads(json.dumps(blob)))
+    (tampered,) = read_document(certificate_document(blob))
     with pytest.raises(NotFunctional):
         verify(tampered)
 
@@ -192,10 +192,10 @@ def test_criterion_7_negative_controls():
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
 def test_criterion_7_tampered_bundle_fails_in_fresh_process(tmp_path, optimize):
     # the verdict must not rest on asserts, which python -O strips
-    blob = witness_to_json(induction_step(2, make_prime_field(2)))
+    (blob,) = expand_document(document_to_json([induction_step(2, make_prime_field(2))]))
     blob["pairs"][0][1], blob["pairs"][1][1] = blob["pairs"][1][1], blob["pairs"][0][1]
     path = tmp_path / "tampered.json"
-    path.write_text(json.dumps({"certificates": [blob]}))
+    path.write_text(json.dumps(certificate_document(blob)))
     proc = run_cli(["verify", str(path)], optimize)
     assert proc.returncode == 1, proc.stderr
     assert "FAILED NotFunctional" in proc.stdout

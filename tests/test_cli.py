@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from conftest import run_cli, run_python
+from conftest import certificate_document, expand_document, read_document, run_cli, run_python
 from semidec.cli import main
 
 
@@ -135,6 +136,17 @@ def test_ring_file_errors_exit_2(tmp_path, case, optimize):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith(f"error: {error}: "), proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_ring_file_nested_past_the_recursion_limit_exit_2(tmp_path, optimize):
+    ring = tmp_path / "deep.json"
+    ring.write_text("[" * 200_000)
+    proc = run_cli(["family", "--kind", "T", "--n", "2", "--ring", f"table:{ring}"], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: InvalidSpec: ring file "), proc.stderr
 
 
 def _entry_out_of_range(payload):
@@ -304,6 +316,20 @@ def test_search_out_needs_provenance_that_rebuilds(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_fresh_process_search_out_then_verify(tmp_path):
+    u1_file, t1_file, found = tmp_path / "u1.json", tmp_path / "t1.json", tmp_path / "found.json"
+    for kind, path in (("U1", u1_file), ("T", t1_file)):
+        proc = run_cli(["family", "--kind", kind, "--n", "1", "--ring", "zp:2", "--out", str(path)])
+        assert proc.returncode == 0, proc.stderr
+    proc = run_cli(["search", "--source", str(u1_file), "--target", str(t1_file), "--out", str(found)])
+    assert proc.returncode == 0 and "result=found" in proc.stdout, proc.stderr
+    document = json.loads(found.read_text())
+    assert sorted(document) == ["certificates", "descriptors"] and len(document["certificates"]) == 1
+    proc = run_cli(["verify", str(found)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("certificate 0 (") and ": verified closure=" in proc.stdout
+
+
 def test_export_formats(tmp_path, capsys):
     plan = tmp_path / "plan.json"
     run(["decompose", "--pipeline", "field", "--n", "2", "--ring", "zp:2", "--plan", str(plan)], capsys)
@@ -407,9 +433,10 @@ def split_certificate():
     """The degree-2 split over Z_2: a product carrier over a wreath context."""
     from semidec.decomp import induction_step
     from semidec.semiring import make_prime_field
-    from semidec.witness import witness_to_json
+    from semidec.witness import document_to_json
 
-    return witness_to_json(induction_step(2, make_prime_field(2)))
+    (cert,) = expand_document(document_to_json([induction_step(2, make_prime_field(2))]))
+    return cert
 
 
 def _foreign_source_value(cert):
@@ -523,11 +550,12 @@ def _close_identity_outside(cert):
 
 def _pair_by_pair(obj) -> str:
     """The first bad pair's message, from checking one pair at a time."""
-    from semidec.carriers import build_carrier, build_monoid
+    from semidec.carriers import Descriptors
     from semidec.errors import ContextMismatch
     from semidec.keys import value_from_json
 
-    source, target = build_monoid(obj["source"]), build_carrier(obj["target"])
+    table = Descriptors()
+    source, target = table.monoid(table.intern(obj["source"])), table.carrier(table.intern(obj["target"]))
     for k, (t_json, s_json) in enumerate(obj["pairs"]):
         try:
             sval, tval = value_from_json(s_json), value_from_json(t_json)
@@ -557,13 +585,12 @@ def _foreign_source(value):
 def test_target_check_names_the_first_bad_pair(split_certificate, corruptions):
     # with several bad pairs, the error names the first of them and its reason
     from semidec.errors import InvalidCertificate
-    from semidec.witness import witness_from_json
 
     bad = json.loads(json.dumps(split_certificate))
     for k, corrupt in corruptions:
         corrupt(bad["pairs"][k][1] if corrupt is _foreign_source else bad["pairs"][k][0][0])
     with pytest.raises(InvalidCertificate) as err:
-        witness_from_json(bad)
+        read_document(certificate_document(bad))
     assert str(err.value) == _pair_by_pair(bad)
 
 
@@ -582,7 +609,7 @@ def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, opti
     bad = json.loads(json.dumps(split_certificate))
     corrupt(bad)
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps({"certificates": [split_certificate, bad]}))
+    path.write_text(json.dumps(certificate_document(split_certificate, bad)))
     proc = run_cli(["verify", str(path)], optimize)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout.startswith("certificate 0 (") and len(proc.stdout.splitlines()) == 1
@@ -605,7 +632,7 @@ def test_malformed_close_generator_exit_2(tmp_path, split_certificate, corrupt, 
     corrupt(bad["pairs"][1][0][0])
     bad["target"]["generators"][1] = bad["pairs"][1][0]
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps({"certificates": [closed, bad]}))
+    path.write_text(json.dumps(certificate_document(closed, bad)))
     proc = run_cli(["verify", str(path)], optimize)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout.startswith("certificate 0 (") and ": verified closure=8" in proc.stdout
@@ -614,19 +641,137 @@ def test_malformed_close_generator_exit_2(tmp_path, split_certificate, corrupt, 
     assert proc.stderr.startswith("error: InvalidCertificate: certificate 1: "), proc.stderr
 
 
+def _first_parent(document) -> dict:
+    """The first table entry with a child descriptor, and the name of that field."""
+    from semidec.carriers import CHILDREN
+
+    for entry in document["descriptors"]:
+        for field in CHILDREN.get(entry["kind"], ()):
+            if field in entry:
+                return entry, field
+    raise AssertionError("no entry has a child")
+
+
+def _forward_child(document):
+    entry, field = _first_parent(document)
+    entry[field] = document["descriptors"].index(entry) + 1
+
+
+def _self_child(document):
+    entry, field = _first_parent(document)
+    entry[field] = document["descriptors"].index(entry)
+
+
+def _bool_child(document):
+    entry, field = _first_parent(document)
+    entry[field] = True
+
+
+def _source_out_of_range(document):
+    document["certificates"][0]["source"] = len(document["descriptors"])
+
+
+def _negative_source(document):
+    document["certificates"][0]["source"] = -1
+
+
+def _bool_source(document):
+    document["certificates"][0]["source"] = True
+
+
+def _string_target(document):
+    document["certificates"][0]["target"] = "0"
+
+
+def _step_out_of_range(document):
+    document["certificates"][0]["steps"].append({"kind": "lift_left", "top": len(document["descriptors"])})
+
+
+def _nested_source(document):
+    from conftest import expand_descriptor
+
+    cert = document["certificates"][0]
+    cert["source"] = expand_descriptor(document["descriptors"], cert["source"])
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [_forward_child, _self_child, _bool_child, _source_out_of_range, _negative_source, _bool_source,
+     _string_target, _step_out_of_range, _nested_source],
+    ids=["forward child", "self child", "bool child", "source out of range", "negative source", "bool source",
+         "string target", "step out of range", "nested source"],
+)
+def test_bad_descriptor_reference_exit_2(tmp_path, split_certificate, corrupt, optimize):
+    # a child must name an earlier entry, a certificate or its steps any entry, by an int
+    document = certificate_document(split_certificate)
+    corrupt(document)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(document))
+    proc = run_cli(["verify", str(path)], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: InvalidCertificate: certificate 0: ValueError: descriptor reference "), \
+        proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_earlier_bundle_format_exit_2(tmp_path, split_certificate, optimize):
+    # a bundle with nested descriptors, as earlier versions wrote, and a bare certificate
+    for payload in ({"certificates": [split_certificate]}, split_certificate):
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(payload))
+        proc = run_cli(["verify", str(path)], optimize)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: InvalidCertificate: not a certificate document"), proc.stderr
+
+
+def _family(kind: str, n: int, p: int) -> dict:
+    return {"kind": "family", "family": kind, "n": n, "ring": {"builtin": "zp", "p": p}}
+
+
+OVERSIZED_SOURCES = {
+    # 5 ** 10 elements, refused by the family build
+    "family T_4(Z_5)": [_family("T", 4, 5)],
+    # 729 ** 2 = 531,441 elements
+    "T_3(Z_3) squared": [_family("T", 3, 3), {"kind": "product", "left": 0, "right": 0}],
+    # each entry squares the order of the one before: 8, 64, 4096, then 4096 ** 2
+    "doubling chain": [_family("T", 2, 2), *({"kind": "product", "left": i, "right": i} for i in range(3))],
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED_SOURCES))
+def test_oversized_source_descriptor_is_refused(tmp_path, case):
+    # a product past the limit fails before listing its elements, as a family does
+    entries = OVERSIZED_SOURCES[case]
+    cert = {"label": case, "source": len(entries) - 1, "target": 0, "pairs": [], "steps": []}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"descriptors": entries, "certificates": [cert]}))
+    start = time.monotonic()
+    proc = run_cli(["verify", str(path)])
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: SizeLimitExceeded: size limit 100000 exceeded: "), proc.stderr
+
+
 @pytest.mark.parametrize("corrupt", INDEX_CORRUPTIONS, ids=INDEX_IDS)
 def test_close_descriptor_refuses_identity_off_the_carrier(split_certificate, corrupt):
-    from semidec.carriers import build_carrier, build_monoid
+    from semidec.carriers import Descriptors, rebuild
     from semidec.keys import value_json
 
     carrier = split_certificate["target"]["left"]
-    identity = value_json(build_carrier(carrier).identity_value)
+    table = Descriptors()
+    identity = value_json(table.carrier(table.intern(carrier)).identity_value)
     desc = {"kind": "close", "carrier": carrier, "generators": [identity], "identity": identity}
-    assert len(build_monoid(desc)) == 1
+    assert len(rebuild(desc)) == 1
     bad = json.loads(json.dumps(desc))
     corrupt(bad["identity"])
     with pytest.raises((ValueError, IndexError, OverflowError)):
-        build_monoid(bad)
+        rebuild(bad)
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
@@ -645,7 +790,7 @@ def test_tableless_target_rejects_foreign_values(tmp_path, value, optimize):
         "steps": [],
     }
     path = tmp_path / "cert.json"
-    path.write_text(json.dumps(cert))
+    path.write_text(json.dumps(certificate_document(cert)))
     proc = run_cli(["verify", str(path)], optimize)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: InvalidCertificate: certificate 0: pair 0: KeyError"), proc.stderr

@@ -25,14 +25,14 @@ from hypothesis import strategies as st
 from conftest import _ring, cached_family, cached_field_plan, cached_ring_plan
 from oracles import (compose_tables, every_element_pairing, pair_closure, pair_closure_conflict, scan_closure,
                      table_monoid, target_closure, value_product_table, wreath_decode, wreath_value_product)
-from semidec.carriers import ProductCarrier, build_carrier, build_monoid
+from semidec.carriers import Descriptors, ProductCarrier, rebuild
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
 from semidec.families import TransformationCarrier, transformation_closure, u1
 from semidec.monoid import (Monoid, close_generators, close_rows, direct_product, generating_set, index_closure,
                             isomorphic, right_closure)
-from semidec.witness import (DivisionWitness, augmentation, group_with_zero, identity_witness, verify,
-                             witness_from_json, witness_to_json)
+from semidec.witness import (DivisionWitness, augmentation, document_from_json, document_to_json, group_with_zero,
+                             identity_witness, verify, witness_from_json)
 from semidec.wreath import WreathContext, enumerate_wreath
 
 
@@ -144,35 +144,37 @@ def test_wreath_products_match_decoding_reference(plan):
 
 
 def test_bundle_builds_each_descriptor_once(monkeypatch, field_plan):
-    # parsing a bundle constructs one monoid per distinct canonical
-    # descriptor; parsing it again constructs none
+    # parsing a document rebuilds each table entry it references once, and
+    # the table holds each descriptor once; parsing it again rebuilds none
     plan = field_plan(3, "2")
-    bundle = json.loads(json.dumps([witness_to_json(w) for w in plan.witnesses + [plan.composite]]))
+    table, bundle = document_from_json(json.loads(json.dumps(document_to_json(plan.witnesses, plan.composite))))
     built = []
-    build = semidec.carriers._build_monoid
+    for name in ("build_monoid", "build_carrier"):
+        def counted(table, i, build=getattr(semidec.carriers, name)):
+            built.append(json.dumps(table.view(i), sort_keys=True))
+            return build(table, i)
 
-    def counted(desc):
-        built.append(json.dumps(desc, sort_keys=True))
-        return build(desc)
-
-    monkeypatch.setattr(semidec.carriers, "_MONOIDS", {})
-    monkeypatch.setattr(semidec.carriers, "_build_monoid", counted)
-    first = [witness_from_json(obj) for obj in bundle]
+        monkeypatch.setattr(semidec.carriers, name, counted)
+    first = [witness_from_json(obj, table) for obj in bundle]
     assert len(built) == len(set(built)) > 0
     count = len(built)
-    second = [witness_from_json(obj) for obj in bundle]
+    assert count <= len(table.entries)
+    second = [witness_from_json(obj, table) for obj in bundle]
     assert len(built) == count
     assert all(a.source is b.source for a, b in zip(first, second))
 
 
 def test_build_monoid_keys_on_the_table_bound(monkeypatch):
+    # a table rebuilds an entry once, under the bound at its first use
     desc = cached_family("T", 2, "2").descriptor()
-    tabled = build_monoid({"kind": "product", "left": desc, "right": desc})
+    table = Descriptors()
+    ref = table.intern({"kind": "product", "left": desc, "right": desc})
+    tabled = table.monoid(ref)
     with monkeypatch.context() as patch:
         patch.setattr(semidec.monoid, "TABLE_BOUND", 16)
-        untabled = build_monoid({"kind": "product", "left": desc, "right": desc})
+        untabled = rebuild({"kind": "product", "left": desc, "right": desc})
     assert untabled is not tabled and untabled._table is None and tabled._table is not None
-    assert build_monoid({"kind": "product", "left": desc, "right": desc}) is tabled
+    assert table.monoid(ref) is tabled
     # past the bound the product multiplies through the product carrier of its factors
     assert untabled.table_array().tolist() == tabled.table_array().tolist()
 
@@ -187,7 +189,7 @@ def test_image_submonoid_rebuilds_in_discovery_order(field_plan):
             sub = w.image_submonoid()
         except WitnessError:
             continue
-        assert build_monoid(sub.descriptor()).elements == sub.elements, w.label
+        assert rebuild(sub.descriptor()).elements == sub.elements, w.label
         checked += 1
     assert checked > 0
 
@@ -196,8 +198,9 @@ def _carrier_of(m: Monoid):
     """The carrier whose value products define a derived monoid, rebuilt from its descriptor."""
     desc = m.descriptor()
     if desc["kind"] == "product":
-        return ProductCarrier(build_monoid(desc["left"]), build_monoid(desc["right"]))
-    return build_carrier(desc["carrier"])
+        return ProductCarrier(rebuild(desc["left"]), rebuild(desc["right"]))
+    table = Descriptors()
+    return table.carrier(table.intern(desc["carrier"]))
 
 
 def _monoids_of(carrier):
@@ -221,7 +224,7 @@ def test_derived_tables_match_value_products(field_plan, n):
         except WitnessError:
             continue
         derived[id(image)] = image
-        rebuilt = build_monoid(image.descriptor())
+        rebuilt = rebuild(image.descriptor())
         derived[id(rebuilt)] = rebuilt
         for m in _monoids_of(w.source) + _monoids_of(w.target):
             kind = m.descriptor()["kind"]

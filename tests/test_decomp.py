@@ -1,9 +1,11 @@
+
 import json
 
 import pytest
 
 import semidec.decomp as decomp
-from conftest import run_cli
+from conftest import cached_field_plan, cached_ring_plan, expand_document, read_document, run_cli
+from semidec.carriers import CHILDREN, STEP_FIELDS
 from semidec.decomp import (
     check_scaling_group_embedding,
     depth_analysis,
@@ -13,7 +15,7 @@ from semidec.decomp import (
 from semidec.errors import CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, PipelineCheckFailed
 from semidec.families import family
 from semidec.monoid import is_aperiodic, is_group
-from semidec.witness import verify, witness_from_json, witness_to_json
+from semidec.witness import document_to_json, verify
 
 
 def test_induction_example_values(z2, fam):
@@ -142,9 +144,58 @@ def test_term_tag_check_survives_optimize(tmp_path):
 def test_witnesses_reverify_from_json(field_plan):
     plan = field_plan(2, "2")
     for w in [plan.composite, plan.witnesses[0], plan.witnesses[-1]]:
-        restored = witness_from_json(json.loads(json.dumps(witness_to_json(w))))
+        (restored,) = read_document(document_to_json([w]))
         verify(restored)
         assert restored.closure_size == w.closure_size
+
+
+GATE_PIPELINES = [("field", 3, "2"), ("field", 2, "3"), ("field", 3, "3"), ("ring", 3, "2"), ("ring", 2, "bool")]
+GATE_IDS = [f"{pipeline} n={n} {spec}" for pipeline, n, spec in GATE_PIPELINES]
+
+
+def _gate_document(pipeline, n, spec):
+    plan = (cached_field_plan if pipeline == "field" else cached_ring_plan)(n, spec)
+    witnesses = plan.witnesses + ([plan.composite] if plan.composite is not None else [])
+    return witnesses, json.loads(json.dumps(document_to_json(plan.witnesses, plan.composite)))
+
+
+@pytest.mark.parametrize("pipeline, n, spec", GATE_PIPELINES, ids=GATE_IDS)
+def test_document_states_each_descriptor_once(pipeline, n, spec):
+    # no two entries are equal, no entry holds a descriptor written out, and
+    # every child points to an earlier entry, every certificate into the table
+    _, document = _gate_document(pipeline, n, spec)
+    entries = document["descriptors"]
+    keys = [json.dumps(entry, sort_keys=True) for entry in entries]
+    assert len(set(keys)) == len(keys)
+
+    def points_below(ref, bound):
+        return type(ref) is int and 0 <= ref < bound
+
+    for i, entry in enumerate(entries):
+        for field, value in entry.items():
+            if field in CHILDREN[entry["kind"]]:
+                assert points_below(value, i), (i, field)
+            else:
+                assert not (isinstance(value, dict) and "kind" in value), (i, field)
+    certificates = document["certificates"] + ([document["composite"]] if "composite" in document else [])
+    for cert in certificates:
+        refs = [cert["source"], cert["target"]]
+        for step in cert["steps"]:
+            refs += [v for k, v in step.items() if k in STEP_FIELDS] + list(step.get("restrict", {}).values())
+        assert all(points_below(ref, len(entries)) for ref in refs), cert["label"]
+
+
+@pytest.mark.parametrize("pipeline, n, spec", GATE_PIPELINES, ids=GATE_IDS)
+def test_expanded_document_is_the_in_memory_witnesses(pipeline, n, spec):
+    witnesses, document = _gate_document(pipeline, n, spec)
+    expanded = expand_document(document)
+    assert len(expanded) == len(witnesses)
+    restored = read_document(document)
+    for w, cert, r in zip(witnesses, expanded, restored):
+        in_memory = json.loads(json.dumps([w.source.descriptor(), w.target.descriptor(), w.steps]))
+        assert [cert["source"], cert["target"], cert["steps"]] == in_memory, w.label
+        # a witness read back holds its steps' descriptors nested, as in memory
+        assert r.steps == in_memory[2], w.label
 
 
 def test_depth_analysis_comparisons(fam):

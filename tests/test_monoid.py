@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import semidec.monoid
-from oracles import greens_by_rows, greens_j_classes, is_regular
+from oracles import greens_by_rows, greens_j_classes, is_regular, table_monoid
 from semidec.errors import InvalidMonoid, NotCentral, NotIdempotent, SizeLimitExceeded
 from semidec.families import MatrixCarrier, TransformationCarrier, constants_monoid, family, transformation_closure, u1
 from semidec.monoid import (
@@ -281,6 +281,43 @@ def test_isomorphic_distinguishes(fam):
     c2 = transformation_closure([(1, 0)], label="C_2")
     assert not isomorphic(c2, u1())
     assert not isomorphic(fam("T", 2, "2"), direct_product(direct_product(u1(), u1()), u1()))
+
+
+# unit products of the quaternion group: _UNITS[a][b] = (sign, unit) of a b, units 1, i, j, k
+_UNITS = [[(0, 0), (0, 1), (0, 2), (0, 3)], [(0, 1), (1, 0), (0, 3), (1, 2)],
+          [(0, 2), (1, 3), (1, 0), (0, 1)], [(0, 3), (0, 2), (1, 1), (1, 0)]]
+
+
+def _q8_times_z2(x, y):
+    ((s, a), z), ((t, b), w) = x, y
+    sign, unit = _UNITS[a][b]
+    return (((s + t + sign) % 2, unit), (z + w) % 2)
+
+
+def test_isomorphic_refuses_matching_profiles():
+    # both have one element of order 1, three of order 2 and twelve of order
+    # 4, so every element profile matches; only Z_4 x Z_4 is commutative
+    def z4_squared(x, y):
+        return ((x[0] + y[0]) % 4, (x[1] + y[1]) % 4)
+
+    z4z4_values = list(product(range(4), repeat=2))
+    q8z2_values = [((s, u), z) for s in range(2) for u in range(4) for z in range(2)]
+    z4z4 = table_monoid(z4z4_values, (0, 0), z4_squared, label="Z_4 x Z_4")
+    q8z2 = table_monoid(q8z2_values, ((0, 0), 0), _q8_times_z2, label="Q_8 x Z_2")
+    assert sorted(semidec.monoid._element_profiles(z4z4.table_array(), z4z4.table_array().tolist())) == \
+        sorted(semidec.monoid._element_profiles(q8z2.table_array(), q8z2.table_array().tolist()))
+    assert not isomorphic(z4z4, q8z2)
+    assert not isomorphic(q8z2, z4z4)
+    # each is isomorphic to itself with its elements listed in reverse
+    assert isomorphic(q8z2, table_monoid(q8z2_values[::-1], ((0, 0), 0), _q8_times_z2))
+    assert isomorphic(z4z4, table_monoid(z4z4_values[::-1], (0, 0), z4_squared))
+
+
+def test_direct_product_refuses_past_its_limit(fam):
+    t2 = fam("T", 2, "2")
+    assert len(direct_product(t2, t2, limit=64)) == 64
+    with pytest.raises(SizeLimitExceeded):
+        direct_product(t2, t2, limit=63)
 
 
 def test_isomorphic_limit(fam):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import SRC
+from conftest import SRC, read_document
 from oracles import compose_tables, pair_closure, table_monoid
 from semidec.carriers import ProductCarrier
 from semidec.errors import (
@@ -23,6 +23,7 @@ from semidec.witness import (
     absorb,
     augmentation,
     compose,
+    document_to_json,
     group_with_zero,
     identity_witness,
     interchange,
@@ -32,8 +33,6 @@ from semidec.witness import (
     search_division,
     times_to_wreath,
     verify,
-    witness_from_json,
-    witness_to_json,
 )
 from semidec.wreath import WreathContext, enumerate_wreath
 
@@ -197,7 +196,7 @@ def test_lift_right_top_is_the_traced_image(field_plan, fam):
     assert w.target.base.descriptor() == fam("T", 2, "2").descriptor()
     assert w.closure_size == 160
     assert w.steps[-1]["restrict"] == {"top_from": aug.target.descriptor(), "top_to": image.descriptor()}
-    restored = verify(witness_from_json(json.loads(json.dumps(witness_to_json(w)))))
+    restored = verify(read_document(document_to_json([w]))[0])
     assert restored.target.top.elements == image.elements
     assert restored.closure_size == 160
 
@@ -284,11 +283,11 @@ def test_search_cross_validates_combinators(c2):
 
 def test_round_trip_determinism(fam, z3):
     w = group_with_zero(z3)
-    blob1 = json.dumps(witness_to_json(w), sort_keys=True)
-    restored = witness_from_json(json.loads(blob1))
+    blob1 = json.dumps(document_to_json([w]), sort_keys=True)
+    (restored,) = read_document(json.loads(blob1))
     verify(restored)
     assert restored.closure_size == w.closure_size
-    blob2 = json.dumps(witness_to_json(restored), sort_keys=True)
+    blob2 = json.dumps(document_to_json([restored]), sort_keys=True)
     assert blob1 == blob2
 
 
