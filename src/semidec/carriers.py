@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from semidec.monoid import Monoid, product_value
+from semidec.monoid import DEFAULT_LIMIT, Monoid, product_value
 from semidec.wreath import WreathContext
 
 
@@ -102,11 +102,15 @@ class Descriptors:
     writer ``intern``s nested descriptors, by object identity first (a
     monoid's ``descriptor()`` is one shared dict), else by the canonical
     JSON of the entry, whose children are already indices.  A reader
-    made from a document's list rebuilds an entry at most once, when it
-    is first asked for, through ``build_monoid`` or ``build_carrier``.
-    A reference must be an int (not a bool) naming an entry, and a child
-    reference one naming an earlier entry; anything else, or an entry
-    that is not an object, raises ``ValueError`` or ``TypeError``.
+    made from a document's list checks the table in one pass: each entry
+    is an object, its children are ints (not bools) naming earlier
+    entries, it equals no earlier entry, and it expands to at most
+    ``DEFAULT_LIMIT`` nested descriptors, so that a small document cannot
+    name an exponentially large one; else ``ValueError``.  The rest of an
+    entry, its kind included, is checked when it is rebuilt: at most
+    once, when it is first asked for, through ``build_monoid`` or
+    ``build_carrier``.  A reference to an entry must be an int (not a
+    bool) naming one, else ``ValueError``.
     """
 
     def __init__(self, entries: list | None = None):
@@ -115,6 +119,21 @@ class Descriptors:
         self._keys: dict[str, int] = {}  # canonical JSON of an entry -> its index
         self._built: dict[int, object] = {}
         self._views: dict[int, dict] = {}
+        sizes: list[int] = []  # the number of nested descriptors each entry expands to
+        for i, entry in enumerate(self.entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"descriptor {i} is not an object")
+            kind = entry.get("kind")
+            size = 1
+            for field in CHILDREN.get(kind, ()) if isinstance(kind, str) else ():
+                if field in entry:
+                    size += sizes[self._check(entry[field], i)]
+            if size > DEFAULT_LIMIT:
+                raise ValueError(f"descriptor {i} expands to more than {DEFAULT_LIMIT} nested descriptors")
+            sizes.append(size)
+            first = self._keys.setdefault(json.dumps(entry, sort_keys=True), i)
+            if first != i:
+                raise ValueError(f"descriptor {i} repeats descriptor {first}")
 
     def intern(self, desc: dict) -> int:
         """The index of ``desc``'s entry, appended with its children's if new."""
@@ -135,31 +154,30 @@ class Descriptors:
         """``step`` with each descriptor field an index into the table."""
         return _map_step(step, self.intern)
 
-    def carrier(self, ref, below: int | None = None):
-        """The carrier entry ``ref`` names, rebuilt on first use; a child
-        reference of entry ``below`` must name an earlier entry."""
-        i = self._check(ref, below)
+    def carrier(self, ref):
+        """The carrier entry ``ref`` names, rebuilt on first use."""
+        i = self._check(ref)
         built = self._built.get(i)
         if built is None:
-            build = build_carrier if self._entry(i)["kind"] in _CARRIER_KINDS else build_monoid
+            build = build_carrier if self.entries[i]["kind"] in _CARRIER_KINDS else build_monoid
             built = self._built[i] = build(self, i)
         return built
 
-    def monoid(self, ref, below: int | None = None) -> Monoid:
-        m = self.carrier(ref, below)
+    def monoid(self, ref) -> Monoid:
+        m = self.carrier(ref)
         if not isinstance(m, Monoid):
             raise ValueError(f"descriptor {ref} names a {self.entries[ref]['kind']}, not a monoid")
         return m
 
-    def view(self, ref, below: int | None = None) -> dict:
+    def view(self, ref) -> dict:
         """Entry ``ref`` as a nested descriptor, its children's views shared."""
-        i = self._check(ref, below)
+        i = self._check(ref)
         view = self._views.get(i)
         if view is None:
-            view = dict(self._entry(i))
+            view = dict(self.entries[i])
             for field in CHILDREN.get(view["kind"], ()):
                 if field in view:
-                    view[field] = self.view(view[field], i)
+                    view[field] = self.view(view[field])
             self._views[i] = view
         return view
 
@@ -167,17 +185,11 @@ class Descriptors:
         """A stored step with each descriptor field a ``view``."""
         return _map_step(step, self.view)
 
-    def _check(self, ref, below: int | None) -> int:
-        bound = len(self.entries) if below is None else below
+    def _check(self, ref, bound: int | None = None) -> int:
+        bound = len(self.entries) if bound is None else bound
         if type(ref) is not int or not 0 <= ref < bound:
             raise ValueError(f"descriptor reference {ref!r:.60} is not an index below {bound}")
         return ref
-
-    def _entry(self, i: int) -> dict:
-        entry = self.entries[i]
-        if not isinstance(entry, dict):
-            raise TypeError(f"descriptor {i} is not an object")
-        return entry
 
 
 def _map_step(step: dict, f) -> dict:
@@ -216,7 +228,7 @@ def build_monoid(table: Descriptors, i: int) -> Monoid:
             return constants_monoid(desc["points"])
         return build_family(FamilySpec(fam, desc["n"], build_ring(desc["ring"])))
     if kind == "close":
-        carrier = table.carrier(desc["carrier"], i)
+        carrier = table.carrier(desc["carrier"])
         gens = [value_from_json(g) for g in desc["generators"]]
         ident = value_from_json(desc["identity"]) if "identity" in desc else carrier.identity_value
         for v in gens + [ident]:
@@ -237,20 +249,20 @@ def build_monoid(table: Descriptors, i: int) -> Monoid:
             label=desc.get("label", ""),
         )
     if kind == "product":
-        return direct_product(table.monoid(desc["left"], i), table.monoid(desc["right"], i))
+        return direct_product(table.monoid(desc["left"]), table.monoid(desc["right"]))
     if kind == "quotient_central":
-        base = table.monoid(desc["base"], i)
+        base = table.monoid(desc["base"])
         z = [base.index[value_from_json(v)] for v in desc["subgroup"]]
         return quotient_by_central_units(base, z)[0]
     if kind == "h_class_group":
-        base = table.monoid(desc["base"], i)
+        base = table.monoid(desc["base"])
         return maximal_subgroup(base, base.index[value_from_json(desc["idempotent"])])
     if kind == "augmented":
-        return augmented_monoid(table.monoid(desc["base"], i))
+        return augmented_monoid(table.monoid(desc["base"]))
     if kind == "wreath_enum":
         from semidec.wreath import enumerate_wreath
 
-        return enumerate_wreath(WreathContext(table.monoid(desc["top"], i), table.monoid(desc["base"], i)))
+        return enumerate_wreath(WreathContext(table.monoid(desc["top"]), table.monoid(desc["base"])))
     raise ValueError(f"cannot rebuild monoid from descriptor kind {kind!r}")
 
 
@@ -258,5 +270,5 @@ def build_carrier(table: Descriptors, i: int):
     """The ``wreath_ctx`` or ``product_carrier`` entry ``i`` of ``table``."""
     desc = table.entries[i]
     if desc["kind"] == "wreath_ctx":
-        return WreathContext(table.monoid(desc["top"], i), table.monoid(desc["base"], i))
-    return ProductCarrier(table.carrier(desc["left"], i), table.carrier(desc["right"], i))
+        return WreathContext(table.monoid(desc["top"]), table.monoid(desc["base"]))
+    return ProductCarrier(table.carrier(desc["left"]), table.carrier(desc["right"]))

@@ -17,7 +17,9 @@ and ``"plan"`` where the pipeline has them: each descriptor is stated
 once in the ``descriptors`` table, and a certificate's ``source``,
 ``target`` and descriptor-valued step fields are indices into it.
 ``verify`` reads only that shape; a bundle of an earlier version, with
-nested descriptors, is a malformed certificate.
+nested descriptors, is a malformed certificate, and so is a table with a
+child reference to no earlier entry, a repeated entry or an entry that
+expands past 100,000 nested descriptors.
 """
 
 from __future__ import annotations

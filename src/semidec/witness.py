@@ -518,11 +518,16 @@ def document_to_json(certificates: list[DivisionWitness], composite: DivisionWit
 def document_from_json(payload) -> tuple[Descriptors, list]:
     """The descriptor table of a certificate document and its certificates,
     the composite last.  Anything else, such as a bundle of an earlier
-    version with nested descriptors, raises ``InvalidCertificate``."""
+    version with nested descriptors, or a table that ``Descriptors``
+    refuses, raises ``InvalidCertificate``."""
     if not (isinstance(payload, dict) and isinstance(payload.get("descriptors"), list)
             and isinstance(payload.get("certificates"), list)):
         raise InvalidCertificate('not a certificate document with "descriptors" and "certificates" lists')
+    try:
+        table = Descriptors(payload["descriptors"])
+    except (ValueError, RecursionError) as exc:
+        raise InvalidCertificate(f"descriptor table: {type(exc).__name__}: {exc}") from None
     certificates = list(payload["certificates"])
     if "composite" in payload:
         certificates.append(payload["composite"])
-    return Descriptors(payload["descriptors"]), certificates
+    return table, certificates

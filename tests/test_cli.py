@@ -694,15 +694,31 @@ def _nested_source(document):
     cert["source"] = expand_descriptor(document["descriptors"], cert["source"])
 
 
+def _entry_not_an_object(document):
+    document["descriptors"].append(5)
+
+
+def _repeated_entry(document):
+    document["descriptors"].append(dict(document["descriptors"][0]))
+
+
+# the table is checked as a whole before any certificate is read
+TABLE_ERROR = "error: InvalidCertificate: descriptor table: ValueError: descriptor "
+REFERENCE_ERROR = "error: InvalidCertificate: certificate 0: ValueError: descriptor reference "
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
 @pytest.mark.parametrize(
-    "corrupt",
-    [_forward_child, _self_child, _bool_child, _source_out_of_range, _negative_source, _bool_source,
-     _string_target, _step_out_of_range, _nested_source],
-    ids=["forward child", "self child", "bool child", "source out of range", "negative source", "bool source",
-         "string target", "step out of range", "nested source"],
+    "corrupt, error",
+    [(_forward_child, TABLE_ERROR), (_self_child, TABLE_ERROR), (_bool_child, TABLE_ERROR),
+     (_entry_not_an_object, TABLE_ERROR), (_repeated_entry, TABLE_ERROR),
+     (_source_out_of_range, REFERENCE_ERROR), (_negative_source, REFERENCE_ERROR), (_bool_source, REFERENCE_ERROR),
+     (_string_target, REFERENCE_ERROR), (_step_out_of_range, REFERENCE_ERROR), (_nested_source, REFERENCE_ERROR)],
+    ids=["forward child", "self child", "bool child", "entry not an object", "repeated entry",
+         "source out of range", "negative source", "bool source", "string target", "step out of range",
+         "nested source"],
 )
-def test_bad_descriptor_reference_exit_2(tmp_path, split_certificate, corrupt, optimize):
+def test_bad_descriptor_reference_exit_2(tmp_path, split_certificate, corrupt, error, optimize):
     # a child must name an earlier entry, a certificate or its steps any entry, by an int
     document = certificate_document(split_certificate)
     corrupt(document)
@@ -712,8 +728,7 @@ def test_bad_descriptor_reference_exit_2(tmp_path, split_certificate, corrupt, o
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error: InvalidCertificate: certificate 0: ValueError: descriptor reference "), \
-        proc.stderr
+    assert proc.stderr.startswith(error), proc.stderr
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
@@ -733,29 +748,43 @@ def _family(kind: str, n: int, p: int) -> dict:
     return {"kind": "family", "family": kind, "n": n, "ring": {"builtin": "zp", "p": p}}
 
 
+def _doubling(kind: str, leaf: dict, length: int) -> list:
+    """``leaf`` and ``length`` entries of ``kind``, each with the entry before as both factors."""
+    return [leaf, *({"kind": kind, "left": i, "right": i} for i in range(length))]
+
+
+ORDER_ERROR = (1, "error: SizeLimitExceeded: size limit 100000 exceeded: ")
+EXPANSION_ERROR = (2, TABLE_ERROR)
+ONE_ELEMENT = {"kind": "transformation_close", "generators": [[0]]}
 OVERSIZED_SOURCES = {
     # 5 ** 10 elements, refused by the family build
-    "family T_4(Z_5)": [_family("T", 4, 5)],
+    "family T_4(Z_5)": ([_family("T", 4, 5)], "source", ORDER_ERROR),
     # 729 ** 2 = 531,441 elements
-    "T_3(Z_3) squared": [_family("T", 3, 3), {"kind": "product", "left": 0, "right": 0}],
+    "T_3(Z_3) squared": ([_family("T", 3, 3), {"kind": "product", "left": 0, "right": 0}], "source", ORDER_ERROR),
     # each entry squares the order of the one before: 8, 64, 4096, then 4096 ** 2
-    "doubling chain": [_family("T", 2, 2), *({"kind": "product", "left": i, "right": i} for i in range(3))],
+    "doubling chain": (_doubling("product", _family("T", 2, 2), 3), "source", ORDER_ERROR),
+    # the order stays 1, but each entry's label and elements double: 2 ** 40 leaves
+    "one-element doubling chain": (_doubling("product", ONE_ELEMENT, 40), "source", EXPANSION_ERROR),
+    # a carrier chain lists no elements, but its label and rows double
+    "carrier doubling chain": (_doubling("product_carrier", _family("T", 2, 2), 40), "target", EXPANSION_ERROR),
 }
 
 
 @pytest.mark.parametrize("case", list(OVERSIZED_SOURCES))
 def test_oversized_source_descriptor_is_refused(tmp_path, case):
-    # a product past the limit fails before listing its elements, as a family does
-    entries = OVERSIZED_SOURCES[case]
-    cert = {"label": case, "source": len(entries) - 1, "target": 0, "pairs": [], "steps": []}
+    # a product past the limit fails before listing its elements, as a family
+    # does; a table entry that expands past the limit is refused on read
+    entries, role, (code, error) = OVERSIZED_SOURCES[case]
+    cert = {"label": case, "source": 0, "target": 0, "pairs": [], "steps": []}
+    cert[role] = len(entries) - 1
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps({"descriptors": entries, "certificates": [cert]}))
     start = time.monotonic()
     proc = run_cli(["verify", str(path)])
     assert time.monotonic() - start < 30
-    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert proc.returncode == code and proc.stdout == "", proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error: SizeLimitExceeded: size limit 100000 exceeded: "), proc.stderr
+    assert proc.stderr.startswith(error), proc.stderr
 
 
 @pytest.mark.parametrize("corrupt", INDEX_CORRUPTIONS, ids=INDEX_IDS)
