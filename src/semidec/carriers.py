@@ -22,6 +22,7 @@ import json
 
 import numpy as np
 
+from semidec.keys import value_from_json, value_json
 from semidec.monoid import DEFAULT_LIMIT, Monoid, product_value
 from semidec.wreath import WreathContext
 
@@ -92,6 +93,18 @@ CHILDREN = {
 _CARRIER_KINDS = ("wreath_ctx", "product_carrier")  # kinds that rebuild to a carrier, not a Monoid
 # the fields of a witness step that hold a descriptor; its ``restrict`` is a dict of them
 STEP_FIELDS = ("left", "right", "top", "base", "factor", "acting")
+
+
+def close_descriptor(carrier, generators, identity_value, label: str) -> dict:
+    """The ``"close"`` descriptor of the monoid that ``generators`` and
+    ``identity_value`` generate in ``carrier``, as ``build_monoid`` reads it."""
+    return {
+        "kind": "close",
+        "carrier": carrier.descriptor(),
+        "generators": [value_json(v) for v in generators],
+        "identity": value_json(identity_value),
+        "label": label,
+    }
 
 
 class Descriptors:
@@ -215,7 +228,6 @@ def build_monoid(table: Descriptors, i: int) -> Monoid:
     the right by the carrier's identity, else ``ValueError``.
     """
     from semidec.families import FamilySpec, augmented_monoid, build_family, constants_monoid, u1
-    from semidec.keys import value_from_json
     from semidec.monoid import close_generators, direct_product, maximal_subgroup, quotient_by_central_units
 
     desc = table.entries[i]

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
-from semidec.carriers import ProductCarrier
+from semidec.carriers import ProductCarrier, close_descriptor
 from semidec.errors import CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, PipelineCheckFailed
 from semidec.families import (
     constants_monoid,
@@ -33,7 +33,6 @@ from semidec.families import (
     transformation_of_affine,
     u1,
 )
-from semidec.keys import value_json
 from semidec.monoid import (
     DEFAULT_LIMIT,
     Monoid,
@@ -195,16 +194,16 @@ def _traced_left(mid: Monoid, top: Monoid, base: Monoid, label: str) -> Monoid:
     """
     ctx = WreathContext(top, base)
     gens = list(dict.fromkeys(mid.elements[x][0] for x in [mid.identity] + generating_set(mid)))
-    return close_generators(
-        gens, ctx, gens[0], label=label,
-        provenance={
-            "kind": "close",
-            "carrier": ctx.descriptor(),
-            "generators": [value_json(v) for v in gens],
-            "identity": value_json(gens[0]),
-            "label": label,
-        },
-    )
+    return close_generators(gens, ctx, gens[0], label=label,
+                            provenance=close_descriptor(ctx, gens, gens[0], label))
+
+
+def _then(run: DivisionWitness, make, steps: list[DivisionWitness], limit: int) -> DivisionWitness:
+    """One pipeline step: the witness ``make`` builds on ``run``'s image,
+    appended to ``steps``, then composed after ``run``."""
+    w = make(run.image_submonoid())
+    steps.append(w)
+    return compose(run, w, limit)
 
 
 def _chain_witness(n: int, ring: SemiringTable, limit: int,
@@ -214,44 +213,29 @@ def _chain_witness(n: int, ring: SemiringTable, limit: int,
         w_lem = induction_step(2, ring, limit)
         steps_out.append(w_lem)
         as_1 = family("AS", 1, ring, limit)
-        mid = w_lem.image_submonoid()
-        w_abs = absorb(as_1, t_1, t_1, source=mid, limit=limit)
-        steps_out.append(w_abs)
-        w = compose(w_lem, w_abs, limit)
-        info = _ChainLevel(as_1, direct_product(t_1, t_1, limit), None)
-        return w, info
+        w = _then(w_lem, lambda mid: absorb(as_1, t_1, t_1, source=mid, limit=limit), steps_out, limit)
+        return w, _ChainLevel(as_1, direct_product(t_1, t_1, limit), None)
 
     w_prev, info_prev = _chain_witness(n - 1, ring, limit, steps_out)
     as_top = family("AS", n - 1, ring, limit)
     w_lem = induction_step(n, ring, limit)
     steps_out.append(w_lem)
-    mid1 = w_lem.image_submonoid()
 
-    left_monoid = _traced_left(mid1, as_top, family("T", n - 1, ring, limit),
-                               f"traced left of {mid1.label}")
-    w_lift = lift_left(w_prev, as_top, source=left_monoid, limit=limit)
-    steps_out.append(w_lift)
-    w_step = product_witness(w_lift, identity_witness(t_1, limit), source=mid1, limit=limit)
-    steps_out.append(w_step)
-    w_run = compose(w_lem, w_step, limit)
+    def lift_split(mid):
+        left_monoid = _traced_left(mid, as_top, family("T", n - 1, ring, limit), f"traced left of {mid.label}")
+        w_lift = lift_left(w_prev, as_top, source=left_monoid, limit=limit)
+        steps_out.append(w_lift)
+        return product_witness(w_lift, identity_witness(t_1, limit), source=mid, limit=limit)
 
+    w_run = _then(w_lem, lift_split, steps_out, limit)
     sub_base = w_prev.image_submonoid()
-    mid2 = w_run.image_submonoid()
-    w_abs = absorb(as_top, sub_base, t_1, source=mid2, limit=limit)
-    steps_out.append(w_abs)
-    w_run = compose(w_run, w_abs, limit)
-
-    base_prod = direct_product(sub_base, t_1, limit)
-    w_push, pushed = _push_scalar(base_prod, info_prev, t_1, ring, limit, steps_out)
-    mid3 = w_run.image_submonoid()
-    w_deep = lift_left(w_push, as_top, source=mid3, limit=limit)
-    steps_out.append(w_deep)
-    w_run = compose(w_run, w_deep, limit)
-    info = _ChainLevel(as_top, w_push.image_submonoid(), pushed)
-    return w_run, info
+    w_run = _then(w_run, lambda mid: absorb(as_top, sub_base, t_1, source=mid, limit=limit), steps_out, limit)
+    w_push, pushed = _push_scalar(direct_product(sub_base, t_1, limit), info_prev, t_1, limit, steps_out)
+    w_run = _then(w_run, lambda mid: lift_left(w_push, as_top, source=mid, limit=limit), steps_out, limit)
+    return w_run, _ChainLevel(as_top, w_push.image_submonoid(), pushed)
 
 
-def _push_scalar(prod: Monoid, info: _ChainLevel, t_1: Monoid, ring: SemiringTable,
+def _push_scalar(prod: Monoid, info: _ChainLevel, t_1: Monoid,
                  limit: int, steps_out: list[DivisionWitness]) -> tuple[DivisionWitness, _ChainLevel]:
     """Witness (B x T_1) div (top wr (base x T_1) ...), absorbing the scalar
     factor through every wreath level down to the scalar-product leaf."""
@@ -260,11 +244,8 @@ def _push_scalar(prod: Monoid, info: _ChainLevel, t_1: Monoid, ring: SemiringTab
     new_base = direct_product(info.base, t_1, limit)
     if info.inner is None:
         return w_abs, _ChainLevel(info.top, new_base, None)
-    w_inner, inner_info = _push_scalar(new_base, info.inner, t_1, ring, limit, steps_out)
-    mid = w_abs.image_submonoid()
-    w_lift = lift_left(w_inner, info.top, source=mid, limit=limit)
-    steps_out.append(w_lift)
-    w = compose(w_abs, w_lift, limit)
+    w_inner, inner_info = _push_scalar(new_base, info.inner, t_1, limit, steps_out)
+    w = _then(w_abs, lambda mid: lift_left(w_inner, info.top, source=mid, limit=limit), steps_out, limit)
     return w, _ChainLevel(info.top, w_inner.image_submonoid(), inner_info)
 
 
@@ -422,13 +403,8 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
 
         return split(value, n)
 
-    mid_fold = w_fold.image_submonoid()
-    w_unzip = _regroup(
-        mid_fold, unzip, ProductCarrier(units_n, u1_n),
-        label=f"regroup (DxU)^{n} as D^{n} x U^{n}", limit=limit,
-    )
-    steps.append(w_unzip)
-    w_scalars = compose(w_fold, w_unzip, limit)
+    w_scalars = _then(w_fold, lambda mid: _regroup(mid, unzip, ProductCarrier(units_n, u1_n),
+                                                   f"regroup (DxU)^{n} as D^{n} x U^{n}", limit), steps, limit)
     steps.append(w_scalars)
 
     # innermost assembly: AS_1 x T_1^n div constants(k) wr [(AS*_1 x D^n) wr U_1^n]
@@ -450,26 +426,13 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
         a, (g, u) = value
         return ((a, g), u)
 
-    mid_s1 = w_s1.image_submonoid()
-    w_s2 = _regroup(
-        mid_s1, shuffle,
-        ProductCarrier(ProductCarrier(as_1, units_n), u1_n),
-        label="regroup A x (D x U) as (A x D) x U", limit=limit,
-    )
-    steps.append(w_s2)
+    w_run = _then(w_s1, lambda mid: _regroup(mid, shuffle, ProductCarrier(ProductCarrier(as_1, units_n), u1_n),
+                                             "regroup A x (D x U) as (A x D) x U", limit), steps, limit)
     w_full = product_witness(w_core, identity_witness(u1_n, limit), limit=limit)
     steps.append(w_full)
-    w_run = compose(compose(w_s1, w_s2, limit), w_full, limit)
-
-    mid_run = w_run.image_submonoid()
-    w_s4 = absorb(const_k, inner_group, u1_n, source=mid_run, limit=limit)
-    steps.append(w_s4)
-    w_run = compose(w_run, w_s4, limit)
-
-    mid_run2 = w_run.image_submonoid()
-    w_s5 = lift_left(w_t2w, const_k, source=mid_run2, limit=limit)
-    steps.append(w_s5)
-    w_inner = compose(w_run, w_s5, limit)
+    w_run = compose(w_run, w_full, limit)
+    w_run = _then(w_run, lambda mid: absorb(const_k, inner_group, u1_n, source=mid, limit=limit), steps, limit)
+    w_inner = _then(w_run, lambda mid: lift_left(w_t2w, const_k, source=mid, limit=limit), steps, limit)
     steps.append(w_inner)
     _require(w_inner.verified and w_inner.closure_size is not None, "field_pipeline: inner composite verified")
 
@@ -480,11 +443,10 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
         star = family("AS*", i, ring, limit)
         _require(is_aperiodic(const), f"term tag: {const.label} is aperiodic")
         _require(is_group(star), f"term tag: {star.label} is a group")
+        terms.append(Term(const.label, "aperiodic", len(const), const.descriptor()))
         if i > 1:
-            terms.append(Term(const.label, "aperiodic", len(const), const.descriptor()))
             terms.append(Term(star.label, "group", len(star), star.descriptor()))
         else:
-            terms.append(Term(const.label, "aperiodic", len(const), const.descriptor()))
             _require(is_group(inner_group), f"term tag: {inner_group.label} is a group")
             terms.append(Term(
                 f"{star.label} x {t_1s.label}^{n}", "group", len(inner_group),

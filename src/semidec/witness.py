@@ -16,7 +16,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from semidec.carriers import Descriptors, ProductCarrier
+from semidec.carriers import Descriptors, ProductCarrier, close_descriptor
 from semidec.errors import (
     ContextMismatch,
     FieldRequired,
@@ -39,6 +39,10 @@ ASSIGNMENT_BUDGET = 200_000  # generator-image assignments ``search_division`` t
 
 
 class DivisionWitness:
+    """Generator pairs (target value, source index) and, once verified, their
+    closure, kept as ``close_rows``' int rows: each is a target row followed
+    by its source index, in closure order."""
+
     def __init__(self, source: Monoid, target, pairs, steps=None, label=""):
         self.source = source
         self.target = target
@@ -48,8 +52,7 @@ class DivisionWitness:
         self.status = "unverified"
         self.closure_size: int | None = None
         self.failure: str | None = None
-        self._closure: list[tuple] | None = None
-        self._mapping: dict | None = None
+        self._rows: np.ndarray | None = None  # the closure's (target row, source index) rows
         self._graph: tuple | None = None  # the closure's (edges, right Cayley graph)
         self._image: Monoid | None = None
 
@@ -60,25 +63,13 @@ class DivisionWitness:
     def verified(self) -> bool:
         return self.status == "verified"
 
-    def closure_pairs(self) -> list[tuple]:
-        _require_verified(self)
-        return self._closure
-
-    def preimage_of(self, source_index: int):
-        """Canonically-least target value mapping to a source element."""
-        _require_verified(self)
-        for t, s in self._closure:
-            if s == source_index:
-                return t
-        raise PreimageMissing(f"no preimage for source index {source_index}")
-
     def preimage_table(self) -> list:
+        """The target value of each source element's first closure row;
+        verification has shown that every source element has one."""
         _require_verified(self)
-        out: list = [None] * len(self.source)
-        for t, s in self._closure:
-            if out[s] is None:
-                out[s] = t
-        return out
+        width = self.target.width
+        _, first = np.unique(self._rows[:, width], return_index=True)
+        return [self.target.from_row(row) for row in self._rows[first, :width].tolist()]
 
     def image_submonoid(self) -> Monoid:
         """The closure's target elements as a restricted monoid.
@@ -98,7 +89,7 @@ class DivisionWitness:
         _require_verified(self)
         if self._image is not None:
             return self._image
-        values = [t for t, _ in self._closure]
+        values = [self.target.from_row(row) for row in self._rows[:, :self.target.width].tolist()]
         edges, right = self._graph
         found = np.flatnonzero((right == np.arange(right.shape[1])).all(axis=1))
         if not len(found):
@@ -107,16 +98,8 @@ class DivisionWitness:
         table = cayley_table(edges, right) if within_table_bound(len(values)) else None
         label = f"im({self.label})"
         try:
-            self._image = Monoid(
-                values, ident, carrier=self.target, table=table, label=label,
-                provenance={
-                    "kind": "close",
-                    "carrier": self.target.descriptor(),
-                    "generators": [value_json(t) for t, _ in self.pairs],
-                    "identity": value_json(ident),
-                    "label": label,
-                },
-            )
+            self._image = Monoid(values, ident, carrier=self.target, table=table, label=label,
+                                 provenance=close_descriptor(self.target, [t for t, _ in self.pairs], ident, label))
         except InvalidMonoid as exc:
             raise WitnessError(f"closure has no two-sided identity; cannot form a base monoid: {exc}") from exc
         self._graph = None
@@ -137,7 +120,8 @@ def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     keyed on the target columns: the distinct generator pairs in input
     order, then each pair times each generator pair, in discovery order, a
     frontier block at a time.  A target value reached again with another
-    source element raises ``NotFunctional``.
+    source element raises ``NotFunctional``.  The witness keeps the closure
+    as these rows, with its right Cayley graph.
     """
     source, target = w.source, w.target
     w._image = w._graph = None
@@ -159,12 +143,10 @@ def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
         w.status = "failed"
         w.failure = str(exc)
         raise
-    closure = [(target.from_row(row[:width]), row[width]) for row in map(np.ndarray.tolist, rows)]
     w.status = "verified"
-    w.closure_size = len(closure)
-    w._closure = closure
+    w.closure_size = len(rows)
+    w._rows = rows
     w._graph = (edges, right)
-    w._mapping = dict(closure)
     return w
 
 
@@ -248,7 +230,7 @@ def lift_left(w: DivisionWitness, top, source: Monoid | None = None,
     ctx = WreathContext(top, sub)
     if source is None:
         source = enumerate_wreath(WreathContext(top, w.source), limit)
-    phi = [w._mapping[v] for v in sub.elements]  # base index -> source index of w
+    phi = w._rows[:, w.target.width].tolist()  # base index -> source index of w
     preim = [sub.index[t] for t in w.preimage_table()]  # source index of w -> base index
 
     def embed(value):
@@ -398,12 +380,13 @@ def compose(w1: DivisionWitness, w2: DivisionWitness,
     (least preimage of t under the second witness, s).
     """
     _require_verified(w1, w2)
+    least = w2.preimage_table()
     pairs = []
     for t, s in w1.pairs:
         idx = w2.source.index.get(t)
         if idx is None:
             raise PreimageMissing(f"{t!r} is not an element of the middle monoid")
-        pairs.append((w2.preimage_of(idx), s))
+        pairs.append((least[idx], s))
     w = DivisionWitness(
         w1.source, w2.target, pairs,
         steps=list(w1.steps) + list(w2.steps) + [{"kind": "compose"}],

@@ -12,7 +12,8 @@ is a carrier for cyclic groups too large for a per-pair table.  The
 triangular-matrix helpers below (explicit
 matrices, row and column operations, block decomposition) serve only the
 tests; the library works on entry tuples.  ``every_element_pairing``
-makes certificates pair every source element, not a generating set.
+makes certificates pair every source element, not a generating set, and
+``closure_pairs`` reads a verified witness's closure rows as pairs.
 """
 
 from dataclasses import dataclass
@@ -132,6 +133,12 @@ def greens_by_rows(m) -> GreensReport:
 
 def is_regular(x, elements, mul):
     return any(mul(mul(x, y), x) == x for y in elements)
+
+
+def closure_pairs(w):
+    """A verified witness's closure as (target value, source index) pairs, in closure order."""
+    width = w.target.width
+    return [(w.target.from_row(row[:width]), row[width]) for row in w._rows.tolist()]
 
 
 def pair_closure(pairs, mul_target, mul_source):

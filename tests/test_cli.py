@@ -388,6 +388,18 @@ def test_fresh_process_decompose_then_verify(tmp_path):
     assert "verified" in proc.stdout
 
 
+def test_fresh_process_decompose_then_verify_under_optimize(tmp_path):
+    # with asserts stripped, the field bundle is written and re-checked in full:
+    # one verified line for each of its 18 certificates and for the composite
+    cert = tmp_path / "cert.json"
+    proc = run_cli(["decompose", "--pipeline", "field", "--n", "2", "--ring", "zp:2", "--cert", str(cert)],
+                   optimize=True)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli(["verify", str(cert)], optimize=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(": verified closure=") == 18 + 1, proc.stdout
+
+
 _LAZY = ("import atexit, sys\n"
          "atexit.register(lambda: print('loaded', [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules],"
          " file=sys.stderr))")

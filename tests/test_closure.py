@@ -23,8 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _ring, cached_family, cached_field_plan, cached_ring_plan
-from oracles import (compose_tables, every_element_pairing, pair_closure, pair_closure_conflict, scan_closure,
-                     table_monoid, target_closure, value_product_table, wreath_decode, wreath_value_product)
+from oracles import (closure_pairs, compose_tables, every_element_pairing, pair_closure, pair_closure_conflict,
+                     scan_closure, table_monoid, target_closure, value_product_table, wreath_decode,
+                     wreath_value_product)
 from semidec.carriers import Descriptors, ProductCarrier, rebuild
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
@@ -112,7 +113,7 @@ def test_certificate_target_closures_match_oracle(field_plan, n):
     # multiplicative closure of the target generators
     plan = field_plan(n, "2")
     for w in plan.witnesses + [plan.composite]:
-        closed = {t for t, _ in w.closure_pairs()}
+        closed = {t for t, _ in closure_pairs(w)}
         assert closed == target_closure([t for t, _ in w.pairs], w.target.mul_value), w.label
 
 
@@ -134,7 +135,7 @@ def test_wreath_products_match_decoding_reference(plan):
     plan = (cached_field_plan if kind == "field" else cached_ring_plan)(n, ring)
     checked = 0
     for w in plan.witnesses + [plan.composite]:
-        for t, _ in w.closure_pairs():
+        for t, _ in closure_pairs(w):
             for g, _ in w.pairs:
                 for (ctx, x), (_, y) in zip(_wreath_parts(w.target, t), _wreath_parts(w.target, g)):
                     expected = wreath_value_product(ctx, wreath_decode(ctx, x), wreath_decode(ctx, y))
@@ -261,7 +262,7 @@ def test_image_submonoid_evaluates_no_target_products(monkeypatch, z2):
         calls = _count_products(monkeypatch, w.target)
         image = w.image_submonoid()
         assert calls == [], w.label
-        assert image.elements == [t for t, _ in w.closure_pairs()]
+        assert image.elements == [t for t, _ in closure_pairs(w)]
         assert image.identity_value == w.target.identity_value
         assert w._graph is None
 
@@ -371,7 +372,7 @@ def test_verify_matches_pair_closure_oracle(case):
     w = DivisionWitness(source, target, pairs, label="drawn")
     if isinstance(expected, dict):
         verify(w)
-        assert dict(w.closure_pairs()) == expected
+        assert dict(closure_pairs(w)) == expected
         assert w.closure_size == len(expected)
     else:
         with pytest.raises(expected):
@@ -484,7 +485,7 @@ def test_one_row_blocks_give_the_one_block_closure(monkeypatch, z2):
         for w in witnesses:
             verify(w)
             edges, right = w._graph
-            out.append((w.closure_pairs(), edges, right.tolist()))
+            out.append((closure_pairs(w), edges, right.tolist()))
         closed = close_generators([(1, 2, 0, 3), (0, 0, 2, 3), (1, 0, 2, 3)], TransformationCarrier(4),
                                   (0, 1, 2, 3))
         out.append((closed.elements, closed.table_array().tolist()))
@@ -496,7 +497,9 @@ def test_one_row_blocks_give_the_one_block_closure(monkeypatch, z2):
 def test_closures_follow_the_one_product_scan(field_plan, n):
     # every certificate's closure and every image rebuild has the elements,
     # edges and Cayley graph of the one-product-at-a-time scan, whose
-    # element-major order fixes the element order of traced images
+    # element-major order fixes the element order of traced images; each
+    # source element's preimage is its first scanned pair, also where the
+    # map is not injective
     plan = field_plan(n, "2")
     for w in plan.witnesses + [plan.composite]:
         fresh = verify(DivisionWitness(w.source, w.target, w.pairs, label=w.label))
@@ -506,7 +509,11 @@ def test_closures_follow_the_one_product_scan(field_plan, n):
             return (target.mul_value(x[0], y[0]), source.mul(x[1], y[1]))
 
         elements, edges, right = scan_closure(fresh.pairs, pair_mul, key=lambda v: v[0])
-        assert fresh.closure_pairs() == elements, w.label
+        assert closure_pairs(fresh) == elements, w.label
+        first: dict = {}
+        for t, s in elements:
+            first.setdefault(s, t)
+        assert fresh.preimage_table() == [first[s] for s in range(len(source))], w.label
         assert fresh._graph[0] == edges and fresh._graph[1].tolist() == right, w.label
         gens = [t for t, _ in fresh.pairs]
         scan = scan_closure(gens, target.mul_value)[0]

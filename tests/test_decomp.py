@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -21,7 +22,7 @@ def test_induction_example_values(z2, fam):
     w = induction_step(2, z2)
     t2 = fam("T", 2, "2")
     s = ((1, 1), (0, 1))
-    target = w.preimage_of(t2.index[s])
+    target = w.preimage_table()[t2.index[s]]
     (table, top_block), scalar = target
     assert top_block == fam("T", 1, "2").index[((1,),)]
     assert scalar == ((1,),)
@@ -182,6 +183,39 @@ def test_document_states_each_descriptor_once(pipeline, n, spec):
         for step in cert["steps"]:
             refs += [v for k, v in step.items() if k in STEP_FIELDS] + list(step.get("restrict", {}).values())
         assert all(points_below(ref, len(entries)) for ref in refs), cert["label"]
+
+
+# (closure size, pair count) of each certificate, the composite last, and the
+# sha256 of the compact sorted-key document: a change that keeps every proof
+# keeps these, and one that reorders, drops or alters a certificate does not
+PINNED_DOCUMENTS = {
+    ("field", 3, "2"): (
+        [(8, 4), (8, 4), (64, 7), (64, 7), (64, 7), (64, 7), (16, 5), (64, 7), (6, 4), (20, 8), (160, 7), (2, 2),
+         (8, 4), (8, 4), (8, 4), (6, 3), (6, 3), (6, 3), (16, 5), (32, 6), (32, 6), (48, 6), (48, 6), (48, 6),
+         (48, 6), (64, 7)],
+        "748244739388072860453cca875f78f26aa19abb0058c4d023d506a85b8b1b17",
+    ),
+    ("field", 2, "3"): (
+        [(27, 6), (27, 6), (114, 9), (126, 6), (4, 3), (16, 5), (16, 5), (16, 5), (168, 6), (456, 8), (168, 6),
+         (96, 7), (144, 8), (144, 8), (672, 8), (672, 8), (672, 8), (672, 8), (27, 6)],
+        "59e301eb4532daf50750c3b3ae94eff37777c1dcb7c8b478b1162513ca74c43e",
+    ),
+    ("ring", 2, "bool"): (
+        [(8, 4), (8, 4), (8, 4)],
+        "4168ae7a089215f5db69c85873b2bdc03eb2efc67212b9770438b31009c5e3f9",
+    ),
+}
+
+
+@pytest.mark.parametrize("pipeline, n, spec", list(PINNED_DOCUMENTS),
+                         ids=[f"{pipeline} n={n} {spec}" for pipeline, n, spec in PINNED_DOCUMENTS])
+def test_pipeline_certificates_are_pinned(pipeline, n, spec):
+    plan = (cached_field_plan if pipeline == "field" else cached_ring_plan)(n, spec)
+    document = document_to_json(plan.witnesses, plan.composite)
+    shapes = [(cert["verdict"]["closure_size"], len(cert["pairs"]))
+              for cert in document["certificates"] + [document["composite"]]]
+    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+    assert (shapes, hashlib.sha256(blob.encode()).hexdigest()) == PINNED_DOCUMENTS[pipeline, n, spec]
 
 
 @pytest.mark.parametrize("pipeline, n, spec", GATE_PIPELINES, ids=GATE_IDS)

@@ -2,6 +2,9 @@ import pytest
 
 from semidec.errors import AxiomViolation, BoundExceeded, NotPrime
 from semidec.semiring import (
+    PRIME_FIELD_BOUND,
+    _field_flag,
+    _is_prime,
     from_json,
     make_boolean_semiring,
     make_from_tables,
@@ -124,3 +127,12 @@ def test_descriptor_distinguishes_lookalike_labels():
     # a user table wearing a builtin-style label still serializes in full
     fake = make_from_tables([[1, 0], [0, 1]], [[0, 1], [1, 1]], zero=1, one=0, label="Z_2")
     assert "table" in fake.descriptor()
+
+
+@pytest.mark.parametrize("ring", [make_prime_field(p) for p in range(2, PRIME_FIELD_BOUND + 1) if _is_prime(p)]
+                         + [make_boolean_semiring()], ids=lambda ring: ring.label)
+def test_builtin_rings_satisfy_their_axioms_and_field_flag(ring):
+    # the built-in rings are written down from their formulas, not checked on
+    # construction; here the formulas are checked against the axioms once
+    verify_axioms(ring.add, ring.mul, ring.zero, ring.one)
+    assert _field_flag(ring.add, ring.mul, ring.zero, ring.one) == ring.is_field
