@@ -22,8 +22,8 @@ import json
 
 import numpy as np
 
-from semidec.keys import value_from_json, value_json
-from semidec.monoid import DEFAULT_LIMIT, Monoid, product_value
+from semidec.keys import value_from_json
+from semidec.monoid import DEFAULT_LIMIT, ROW, Monoid, product_value
 from semidec.wreath import WreathContext
 
 
@@ -97,14 +97,64 @@ STEP_FIELDS = ("left", "right", "top", "base", "factor", "acting")
 
 def close_descriptor(carrier, generators, identity_value, label: str) -> dict:
     """The ``"close"`` descriptor of the monoid that ``generators`` and
-    ``identity_value`` generate in ``carrier``, as ``build_monoid`` reads it."""
+    ``identity_value`` generate in ``carrier``, as ``build_monoid`` reads it:
+    the generators and the identity are ``carrier`` rows."""
     return {
         "kind": "close",
         "carrier": carrier.descriptor(),
-        "generators": [value_json(v) for v in generators],
-        "identity": value_json(identity_value),
+        "generators": [list(carrier.to_row(v)) for v in generators],
+        "identity": list(carrier.to_row(identity_value)),
         "label": label,
     }
+
+
+_ROW_RANGE = range(np.iinfo(ROW).min, np.iinfo(ROW).max + 1)
+
+
+def carrier_rows(carrier, rows, what: str, source: Monoid | None = None) -> np.ndarray:
+    """The JSON ``rows`` of ``carrier`` values as one ``ROW`` array, each
+    row followed by the index of a ``source`` element when there is one.
+
+    Each row must be a list of ints (not bools) that fit in ``ROW``, one per
+    column, the source index must name an element, and the value must be
+    fixed on the right by the carrier's identity, which one ``mul_rows``
+    block checks for every row.  A monoid multiplies only its own indices,
+    and a wreath context only indices inside its top and base, so no row
+    with an index outside a table is fixed, not even a negative one that
+    numpy wraps.  The first row that fails raises ``ValueError`` naming it
+    as ``{what} {k}``.
+    """
+    if not isinstance(rows, list):
+        raise ValueError(f"the {what}s are not a list")
+    width = carrier.width
+    size = width + (source is not None)
+    count = next((k for k, row in enumerate(rows) if not (
+        type(row) is list and len(row) == size and all(type(x) is int and x in _ROW_RANGE for x in row))), len(rows))
+    block = np.array(rows[:count], dtype=ROW).reshape(count, size)
+    identity = np.array([carrier.to_row(carrier.identity_value)], dtype=ROW)
+    named = np.ones(count, dtype=bool) if source is None else (block[:, width] >= 0) & (block[:, width] < len(source))
+    failed = np.flatnonzero(~(named & _fixed(carrier, block[:, :width], identity)))
+    if len(failed):
+        k = int(failed[0])
+        if not named[k]:
+            raise ValueError(f"{what} {k}: {rows[k][width]} is not an element index of {source.label}")
+        raise ValueError(f"{what} {k}: {rows[k][:width]!s:.80} is not a value of {carrier.label}")
+    if count < len(rows):
+        raise ValueError(f"{what} {count}: not a list of {size} int32 integers")
+    return block
+
+
+def _fixed(carrier, block: np.ndarray, identity: np.ndarray) -> np.ndarray:
+    """Whether ``identity`` fixes each row of ``block`` on the right, by one
+    ``mul_rows`` block; a row whose product indexes past a table is not
+    fixed, and halving the block finds it."""
+    try:
+        return (carrier.mul_rows(block, identity)[:, 0] == block).all(axis=1)
+    except IndexError:
+        if len(block) == 1:
+            return np.zeros(1, dtype=bool)
+        half = len(block) // 2
+        return np.concatenate([_fixed(carrier, block[:half], identity), _fixed(carrier, block[half:], identity)])
 
 
 class Descriptors:
@@ -116,12 +166,12 @@ class Descriptors:
     monoid's ``descriptor()`` is one shared dict), else by the canonical
     JSON of the entry, whose children are already indices.  A reader
     made from a document's list checks the table in one pass: each entry
-    is an object, its children are ints (not bools) naming earlier
-    entries, it equals no earlier entry, and it expands to at most
-    ``DEFAULT_LIMIT`` nested descriptors, so that a small document cannot
-    name an exponentially large one; else ``ValueError``.  The rest of an
-    entry, its kind included, is checked when it is rebuilt: at most
-    once, when it is first asked for, through ``build_monoid`` or
+    is an object of a kind in ``CHILDREN``, its children are ints (not
+    bools) naming earlier entries, it equals no earlier entry, and it
+    expands to at most ``DEFAULT_LIMIT`` nested descriptors, so that a
+    small document cannot name an exponentially large one; else
+    ``ValueError``.  The rest of an entry is checked when it is rebuilt:
+    at most once, when it is first asked for, through ``build_monoid`` or
     ``build_carrier``.  A reference to an entry must be an int (not a
     bool) naming one, else ``ValueError``.
     """
@@ -137,8 +187,10 @@ class Descriptors:
             if not isinstance(entry, dict):
                 raise ValueError(f"descriptor {i} is not an object")
             kind = entry.get("kind")
+            if not isinstance(kind, str) or kind not in CHILDREN:
+                raise ValueError(f"descriptor {i} has unknown kind {kind!r:.60}")
             size = 1
-            for field in CHILDREN.get(kind, ()) if isinstance(kind, str) else ():
+            for field in CHILDREN[kind]:
                 if field in entry:
                     size += sizes[self._check(entry[field], i)]
             if size > DEFAULT_LIMIT:
@@ -224,8 +276,8 @@ def build_monoid(table: Descriptors, i: int) -> Monoid:
     """The monoid entry ``i`` of ``table`` names; ``table.monoid`` rebuilds
     its children.  Families come from ``build_family``, which shares them.
 
-    A ``"close"`` descriptor's generators and identity must each be fixed on
-    the right by the carrier's identity, else ``ValueError``.
+    A ``"close"`` descriptor's generators and identity are ``carrier_rows``
+    of its carrier, else ``ValueError``.
     """
     from semidec.families import FamilySpec, augmented_monoid, build_family, constants_monoid, u1
     from semidec.monoid import close_generators, direct_product, maximal_subgroup, quotient_by_central_units
@@ -241,11 +293,13 @@ def build_monoid(table: Descriptors, i: int) -> Monoid:
         return build_family(FamilySpec(fam, desc["n"], build_ring(desc["ring"])))
     if kind == "close":
         carrier = table.carrier(desc["carrier"])
-        gens = [value_from_json(g) for g in desc["generators"]]
-        ident = value_from_json(desc["identity"]) if "identity" in desc else carrier.identity_value
-        for v in gens + [ident]:
-            if carrier.mul_value(v, carrier.identity_value) != v:
-                raise ValueError(f"{v!r} is not a value of {carrier.label}")
+
+        def values(rows, what):
+            block = carrier_rows(carrier, rows, f"descriptor {i} {what}")
+            return [carrier.from_row(row) for row in block.tolist()]
+
+        gens = values(desc["generators"], "generator")
+        ident = values([desc["identity"]], "identity")[0] if "identity" in desc else carrier.identity_value
         return close_generators(
             gens,
             carrier,

@@ -15,11 +15,14 @@ is not JSON or nests past the recursion limit.  JSON output is compact.
 ``{"descriptors": [...], "certificates": [...]}`` plus ``"composite"``
 and ``"plan"`` where the pipeline has them: each descriptor is stated
 once in the ``descriptors`` table, and a certificate's ``source``,
-``target`` and descriptor-valued step fields are indices into it.
-``verify`` reads only that shape; a bundle of an earlier version, with
-nested descriptors, is a malformed certificate, and so is a table with a
-child reference to no earlier entry, a repeated entry or an entry that
-expands past 100,000 nested descriptors.
+``target`` and descriptor-valued step fields are indices into it.  A
+pair is one int list, the target value's carrier row followed by the
+source element's index, and a ``"close"`` descriptor's generators and
+identity are rows of its carrier.  ``verify`` reads only that shape; a
+bundle of an earlier version, with nested descriptors or nested-value
+pairs, is a malformed certificate, and so is a table with an entry of
+unknown kind, a child reference to no earlier entry, a repeated entry or
+an entry that expands past 100,000 nested descriptors.
 """
 
 from __future__ import annotations

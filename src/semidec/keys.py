@@ -1,10 +1,13 @@
 """The JSON encoding of monoid element values.
 
 Element values are nested tuples of non-negative integers (matrix entry
-patterns, transformation tables, wreath tables, pairs).  At the JSON
-boundary, in monoid files, certificates and descriptors alike, a value is
-its nested int lists: ints stay ints and tuples become lists.  Identical
-values encode identically, so exports are byte-deterministic.
+patterns, transformation tables, wreath tables, pairs).  In a monoid
+file's elements, a ``transformation_close`` descriptor's generators and
+the ``quotient_central`` subgroup and ``h_class_group`` idempotent fields,
+a value is its nested int lists: ints stay ints and tuples become lists.
+Identical values encode identically, so exports are byte-deterministic.
+Certificate pairs and ``"close"`` descriptors write carrier rows instead
+(``carriers.carrier_rows``).
 """
 
 from __future__ import annotations

@@ -260,7 +260,8 @@ def close_rows(gens: np.ndarray, mul_rows, limit: int, what: str, key_width: int
     discovery order of the one-product-at-a-time scan.
 
     Returns ``(rows, edges, right)``: ``rows`` is the elements' int array,
-    ``edges[i]`` is ``(parent, generator)`` with ``rows[i]`` the product of
+    which holds no slack of the buffer that grew by doubling, ``edges[i]``
+    is ``(parent, generator)`` with ``rows[i]`` the product of
     ``rows[parent]`` and generator ``generator``, or ``None`` for a
     generator, and ``right`` is the right Cayley graph, an int32 array with
     ``right[i, j]`` the index of element ``i`` times generator ``j``.  The
@@ -304,7 +305,7 @@ def close_rows(gens: np.ndarray, mul_rows, limit: int, what: str, key_width: int
             n += len(fresh)
         i = end
     graph = np.frombuffer(right, dtype=np.int32).reshape(n, g)
-    return store[:n], edges, graph
+    return store if n == len(store) else store[:n].copy(), edges, graph
 
 
 def right_closure(gens, carrier, limit: int, what: str):
@@ -376,7 +377,7 @@ def close_generators(
         if size < len(elements):  # the appended identity's row and column
             table = np.pad(table, (0, 1))
             table[size] = table[:, size] = np.arange(size + 1)
-    prov = provenance or {"kind": "close", "generators": [value_json(g) for g in gens]}
+    prov = provenance or {"kind": "close", "generators": [list(carrier.to_row(g)) for g in gens]}
     return Monoid(elements, identity_value, carrier=carrier, table=table, label=label, provenance=prov)
 
 

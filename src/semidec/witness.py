@@ -16,7 +16,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
-from semidec.carriers import Descriptors, ProductCarrier, close_descriptor
+from semidec.carriers import Descriptors, ProductCarrier, carrier_rows, close_descriptor
 from semidec.errors import (
     ContextMismatch,
     FieldRequired,
@@ -29,7 +29,6 @@ from semidec.errors import (
     SizeLimitExceeded,
     WitnessError,
 )
-from semidec.keys import value_from_json, value_json
 from semidec.monoid import (DEFAULT_LIMIT, ROW, Monoid, cayley_table, close_rows, direct_product, generating_set,
                             index_closure, within_table_bound)
 from semidec.semiring import SemiringTable, units
@@ -439,7 +438,11 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12) -> D
 
 
 def witness_to_json(w: DivisionWitness, table: Descriptors) -> dict:
-    """The certificate of ``w``, its descriptors interned into ``table``."""
+    """The certificate of ``w``, its descriptors interned into ``table``.
+
+    Each pair is one flat int list, the row ``verify`` closes over: the
+    target value's ``to_row`` followed by the source element's index.
+    """
     verdict = {"status": w.status}
     if w.closure_size is not None:
         verdict["closure_size"] = w.closure_size
@@ -449,7 +452,7 @@ def witness_to_json(w: DivisionWitness, table: Descriptors) -> dict:
         "label": w.label,
         "source": table.intern(w.source.descriptor()),
         "target": table.intern(w.target.descriptor()),
-        "pairs": [[value_json(t), value_json(w.source.elements[s])] for t, s in w.pairs],
+        "pairs": [[*w.target.to_row(t), s] for t, s in w.pairs],
         "steps": [table.intern_step(step) for step in w.steps],
         "verdict": verdict,
     }
@@ -459,31 +462,28 @@ def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
     """Rebuild a witness from its certificate, unverified; ``table`` is the
     document's descriptor table, and each entry is rebuilt once per table.
 
-    Each pair's source value must be a source element, and its target value
-    must multiply in the target carrier, which fixes it on the right by the
-    identity; a monoid carrier multiplies only its own elements, and no
-    wreath value with an index outside its top or base is fixed, not even a
-    negative one that numpy wraps.  Anything malformed, including a
-    reference that names no entry or a descriptor that rebuilds to no
-    monoid, raises ``InvalidCertificate``.
+    The pairs are ``carrier_rows`` of the target, each followed by a
+    source index, checked in one block: a pair that is not a target row followed
+    by a source element's index raises ``InvalidCertificate`` naming it as
+    ``pair k``, and so does a pair of nested values as earlier versions
+    wrote.  Anything else malformed, including a reference that names no
+    entry or a descriptor that rebuilds to no monoid, raises
+    ``InvalidCertificate`` too.
     """
-    where = ""
     try:
         source = table.monoid(obj["source"])
         target = table.carrier(obj["target"])
         steps = [table.step(step) for step in obj.get("steps", [])]
-        pairs = []
-        for k, (t_json, s_json) in enumerate(obj["pairs"]):
-            where = f"pair {k}: "
-            sval, tval = value_from_json(s_json), value_from_json(t_json)
-            if sval not in source.index:
-                raise InvalidCertificate(f"{where}{s_json!r} is not an element of {source.label}")
-            if target.mul_value(tval, target.identity_value) != tval:
-                raise InvalidCertificate(f"{where}{t_json!r} is not a value of {target.label}")
-            pairs.append((tval, source.index[sval]))
+        pairs = obj["pairs"]
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError, ContextMismatch,
             InvalidMonoid, InvalidSpec) as exc:
-        raise InvalidCertificate(f"{where}{type(exc).__name__}: {exc}") from None
+        raise InvalidCertificate(f"{type(exc).__name__}: {exc}") from None
+    try:
+        rows = carrier_rows(target, pairs, "pair", source).tolist()
+    except ValueError as exc:
+        raise InvalidCertificate(str(exc)) from None
+    width = target.width
+    pairs = [(target.from_row(row[:width]), row[width]) for row in rows]
     return DivisionWitness(source, target, pairs, steps=steps, label=obj.get("label", ""))
 
 

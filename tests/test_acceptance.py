@@ -172,7 +172,7 @@ def test_criterion_7_negative_controls():
     z2 = make_prime_field(2)
     w = induction_step(2, z2)
     (blob,) = expand_document(document_to_json([w]))
-    blob["pairs"][0][1], blob["pairs"][1][1] = blob["pairs"][1][1], blob["pairs"][0][1]
+    blob["pairs"][0][-1], blob["pairs"][1][-1] = blob["pairs"][1][-1], blob["pairs"][0][-1]
     (tampered,) = read_document(certificate_document(blob))
     with pytest.raises(NotFunctional):
         verify(tampered)
@@ -193,7 +193,7 @@ def test_criterion_7_negative_controls():
 def test_criterion_7_tampered_bundle_fails_in_fresh_process(tmp_path, optimize):
     # the verdict must not rest on asserts, which python -O strips
     (blob,) = expand_document(document_to_json([induction_step(2, make_prime_field(2))]))
-    blob["pairs"][0][1], blob["pairs"][1][1] = blob["pairs"][1][1], blob["pairs"][0][1]
+    blob["pairs"][0][-1], blob["pairs"][1][-1] = blob["pairs"][1][-1], blob["pairs"][0][-1]
     path = tmp_path / "tampered.json"
     path.write_text(json.dumps(certificate_document(blob)))
     proc = run_cli(["verify", str(path)], optimize)

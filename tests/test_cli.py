@@ -61,7 +61,7 @@ def test_verify_bundle_ok_and_corrupted(tmp_path, capsys):
 
     bundle = json.loads(cert.read_text())
     target = bundle["certificates"][0]
-    target["pairs"][0][1], target["pairs"][1][1] = target["pairs"][1][1], target["pairs"][0][1]
+    target["pairs"][0][-1], target["pairs"][1][-1] = target["pairs"][1][-1], target["pairs"][0][-1]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(bundle))
     code, stdout, _ = run(["verify", str(bad)], capsys)
@@ -451,12 +451,17 @@ def split_certificate():
     return cert
 
 
+# A pair is one int row: the target row [f_0, f_1, a, c] of a value ((f, a), c)
+# of (AS_1(Z_2) wr T_1(Z_2)) x T_1(Z_2), then the index of a T_2(Z_2) element;
+# |AS_1(Z_2)| = 4, |T_1(Z_2)| = 2 and |T_2(Z_2)| = 8.
+
+
 def _foreign_source_value(cert):
-    cert["pairs"][0][1] = [[5, 5], [5, 5]]
+    cert["pairs"][0][-1] = [[5, 5], [5, 5]]
 
 
 def _string_value(cert):
-    cert["pairs"][0][1] = "x"
+    cert["pairs"][0][-1] = "x"
 
 
 def _unknown_descriptor_kind(cert):
@@ -476,51 +481,51 @@ def _no_pairs(cert):
 
 
 def _foreign_top_value(cert):
-    cert["pairs"][0][0][0][0][0] = [7, 7]
+    cert["pairs"][0][0] = 7
 
 
 def _foreign_base_value(cert):
-    cert["pairs"][0][0][0][1] = [[7]]
+    cert["pairs"][0][2] = 7
 
 
 def _short_wreath_table(cert):
-    cert["pairs"][0][0][0][0].pop()
+    del cert["pairs"][0][1]
 
 
 def _extra_component(cert):
-    cert["pairs"][0][0].append([[0]])
+    cert["pairs"][0].append([[0]])
 
 
 def _ring_axiom_broken(cert):
     cert["source"]["ring"] = {"table": dict(Z2_TABLE, zero=1, one=0)}
 
 
-# index corruptions of a wreath value [[f_0, f_1], b] of AS_1(Z_2) wr T_1(Z_2),
-# |AS_1(Z_2)| = 4 and |T_1(Z_2)| = 2; numpy would wrap the negative ones
+# index corruptions of a row [f_0, f_1, a, ...] that starts with a value of
+# AS_1(Z_2) wr T_1(Z_2); numpy would wrap the negative ones
 
 
-def _negative_top_index(value):
-    value[0][0] = -1
+def _negative_top_index(row):
+    row[0] = -1
 
 
-def _top_index_past_end(value):
-    value[0][0] = 4
+def _top_index_past_end(row):
+    row[0] = 4
 
 
-def _base_index_past_end(value):
-    value[1] = 2
+def _base_index_past_end(row):
+    row[2] = 2
 
 
-def _negative_base_index(value):
-    value[1] = -1
+def _negative_base_index(row):
+    row[2] = -1
 
 
-def _huge_top_index(value):
-    value[0][0] = 2**70
+def _huge_top_index(row):
+    row[0] = 2**70
 
 
-def _value_tuple_entry(value):
-    value[0][0] = [0, 1]  # the identity map of AS_1(Z_2) as a value, not an index
+def _value_tuple_entry(row):
+    row[0] = [0, 1]  # the identity map of AS_1(Z_2) as a value, not an index
 
 
 INDEX_CORRUPTIONS = [_negative_top_index, _top_index_past_end, _base_index_past_end, _negative_base_index,
@@ -529,9 +534,53 @@ INDEX_IDS = ["negative top index", "top index past end", "base index past end", 
              "huge top index", "value tuple entry"]
 
 
+# corruptions that only the row form has: entries JSON can hold but a row
+# of int32 indices cannot, rows of the wrong width, and source indices
+
+
+def _bool_entry(row):
+    row[0] = True  # as an int, 1 would be a top index
+
+
+def _float_entry(row):
+    row[0] = float(row[0])
+
+
+def _int32_overflow(row):
+    row[0] = 2**31
+
+
+def _row_short(row):
+    row.pop()
+
+
+def _row_long(row):
+    row.append(0)
+
+
+def _negative_source_index(row):
+    row[-1] = -1
+
+
+def _source_index_past_end(row):
+    row[-1] = 8
+
+
+ROW_CORRUPTIONS = [_bool_entry, _float_entry, _int32_overflow, _row_short, _row_long, _negative_source_index,
+                   _source_index_past_end]
+ROW_IDS = ["bool entry", "float entry", "int past int32", "row short", "row long", "source index -1",
+           "source index past end"]
+
+
+def _nested_pair(cert):
+    # the first pair of this certificate as earlier versions wrote it: the
+    # target value and the source matrix as nested values
+    cert["pairs"][0] = [[[[2, 2], 1], [[1]]], [[1, 0], [0, 1]]]
+
+
 def _in_first_pair(corrupt):
     def apply(cert):
-        corrupt(cert["pairs"][0][0][0])
+        corrupt(cert["pairs"][0])
 
     return apply
 
@@ -550,38 +599,45 @@ def _close_source(cert, generators, identity):
 
 
 def _close_identity_not_two_sided(cert):
-    # all of T_2(Z_2), with its zero matrix named as the identity
-    _close_source(cert, [pair[1] for pair in cert["pairs"]], [[0, 0], [0, 0]])
+    # all of T_2(Z_2), with its zero matrix (element 0) named as the identity;
+    # a row of T_2(Z_2) is one element index
+    _close_source(cert, [[pair[-1]] for pair in cert["pairs"]], [0])
 
 
 def _close_identity_outside(cert):
-    # the closure of one idempotent, with a unitriangular matrix that moves
-    # it named as the identity
-    _close_source(cert, [[[0, 1], [0, 1]]], [[1, 1], [0, 1]])
+    # the closure of one idempotent (element 3), with a unitriangular matrix
+    # that moves it (element 7) named as the identity
+    _close_source(cert, [[3]], [7])
 
 
 def _pair_by_pair(obj) -> str:
-    """The first bad pair's message, from checking one pair at a time."""
+    """The first bad pair's message, from checking one row at a time."""
+    import numpy as np
+
     from semidec.carriers import Descriptors
-    from semidec.errors import ContextMismatch
-    from semidec.keys import value_from_json
 
     table = Descriptors()
     source, target = table.monoid(table.intern(obj["source"])), table.carrier(table.intern(obj["target"]))
-    for k, (t_json, s_json) in enumerate(obj["pairs"]):
+    width = target.width
+    identity = np.array([target.to_row(target.identity_value)], dtype=np.int32)
+    for k, row in enumerate(obj["pairs"]):
+        if not (type(row) is list and len(row) == width + 1
+                and all(type(x) is int and -2**31 <= x < 2**31 for x in row)):
+            return f"pair {k}: not a list of {width + 1} int32 integers"
+        if not 0 <= row[-1] < len(source):
+            return f"pair {k}: {row[-1]} is not an element index of {source.label}"
+        value = np.array([row[:width]], dtype=np.int32)
         try:
-            sval, tval = value_from_json(s_json), value_from_json(t_json)
-            if sval not in source.index:
-                return f"pair {k}: {s_json!r} is not an element of {source.label}"
-            if target.mul_value(tval, target.identity_value) != tval:
-                return f"pair {k}: {t_json!r} is not a value of {target.label}"
-        except (LookupError, TypeError, ValueError, OverflowError, ContextMismatch) as exc:
-            return f"pair {k}: {type(exc).__name__}: {exc}"
+            fixed = (target.mul_rows(value, identity)[0, 0] == value[0]).all()
+        except IndexError:
+            fixed = False
+        if not fixed:
+            return f"pair {k}: {row[:width]!s:.80} is not a value of {target.label}"
     raise AssertionError("no bad pair")
 
 
-def _foreign_source(value):
-    value[:] = [[5, 5], [5, 5]]
+def _foreign_source(row):
+    row[-1] = 8
 
 
 @pytest.mark.parametrize("corruptions", [
@@ -592,41 +648,58 @@ def _foreign_source(value):
     [(2, _top_index_past_end), (1, _foreign_source)],
     [(1, _negative_top_index), (0, _foreign_source)],
     [(3, _foreign_source), (2, _huge_top_index)],
+    [(3, _bool_entry), (2, _negative_base_index)],
+    [(1, _row_short), (2, _foreign_source)],
 ], ids=["wrapped then out of range", "out of range then wrapped", "wrapped base then overflow",
-        "tuple entry after base past end", "source before index", "source first", "overflow before source"])
+        "tuple entry after base past end", "source before index", "source first", "overflow before source",
+        "bool after wrapped base", "short row before source"])
 def test_target_check_names_the_first_bad_pair(split_certificate, corruptions):
     # with several bad pairs, the error names the first of them and its reason
     from semidec.errors import InvalidCertificate
 
     bad = json.loads(json.dumps(split_certificate))
     for k, corrupt in corruptions:
-        corrupt(bad["pairs"][k][1] if corrupt is _foreign_source else bad["pairs"][k][0][0])
+        corrupt(bad["pairs"][k])
     with pytest.raises(InvalidCertificate) as err:
         read_document(certificate_document(bad))
     assert str(err.value) == _pair_by_pair(bad)
 
 
+# where each malformed certificate is refused: the second certificate, at its
+# first pair or as a whole, or the descriptor table before any certificate
+CERTIFICATE_ERROR = "error: InvalidCertificate: certificate 1: "
+PAIR_ERROR = CERTIFICATE_ERROR + "pair 0: "
+TABLE_ERROR = "error: InvalidCertificate: descriptor table: ValueError: descriptor "
+
+
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
 @pytest.mark.parametrize(
-    "corrupt",
-    [_foreign_source_value, _string_value, _unknown_descriptor_kind, _unknown_builtin_ring, _non_prime_ring,
-     _no_pairs, _foreign_top_value, _foreign_base_value, _short_wreath_table, _extra_component,
-     _wreath_top, _product_top, _close_identity_not_two_sided, _close_identity_outside, _ring_axiom_broken,
-     *map(_in_first_pair, INDEX_CORRUPTIONS)],
+    "corrupt, error",
+    [(_foreign_source_value, PAIR_ERROR), (_string_value, PAIR_ERROR), (_unknown_descriptor_kind, TABLE_ERROR),
+     (_unknown_builtin_ring, CERTIFICATE_ERROR), (_non_prime_ring, CERTIFICATE_ERROR), (_no_pairs, CERTIFICATE_ERROR),
+     (_foreign_top_value, PAIR_ERROR), (_foreign_base_value, PAIR_ERROR), (_short_wreath_table, PAIR_ERROR),
+     (_extra_component, PAIR_ERROR), (_wreath_top, CERTIFICATE_ERROR), (_product_top, CERTIFICATE_ERROR),
+     (_close_identity_not_two_sided, CERTIFICATE_ERROR), (_close_identity_outside, CERTIFICATE_ERROR),
+     (_ring_axiom_broken, CERTIFICATE_ERROR),
+     *((_in_first_pair(corrupt), PAIR_ERROR) for corrupt in INDEX_CORRUPTIONS + ROW_CORRUPTIONS),
+     (_nested_pair, PAIR_ERROR)],
     ids=["source value", "string value", "descriptor kind", "builtin ring", "ring not prime", "no pairs",
          "top value", "base value", "table length", "extra component", "wreath top", "product top",
-         "close identity inside", "close identity outside", "ring axiom", *INDEX_IDS],
+         "close identity inside", "close identity outside", "ring axiom", *INDEX_IDS, *ROW_IDS, "nested pair"],
 )
-def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, optimize):
+def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, error, optimize):
     bad = json.loads(json.dumps(split_certificate))
     corrupt(bad)
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(certificate_document(split_certificate, bad)))
     proc = run_cli(["verify", str(path)], optimize)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stdout.startswith("certificate 0 (") and len(proc.stdout.splitlines()) == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error: InvalidCertificate: certificate 1: ")
+    assert proc.stderr.startswith(error), proc.stderr
+    if error == TABLE_ERROR:
+        assert proc.stdout == ""
+    else:
+        assert proc.stdout.startswith("certificate 0 (") and len(proc.stdout.splitlines()) == 1
     if corrupt in (_close_identity_not_two_sided, _close_identity_outside):
         assert "identity" in proc.stderr, proc.stderr
 
@@ -636,13 +709,15 @@ def test_malformed_certificate_exit_2(tmp_path, split_certificate, corrupt, opti
 def test_malformed_close_generator_exit_2(tmp_path, split_certificate, corrupt, optimize):
     # the split certificate over the closure of its own target values: with
     # sound generators it verifies; a generator off the wreath carrier, paired
-    # as it stands, is refused before the closure could multiply it
+    # as it stands, is refused before the closure could multiply it.  The
+    # distinct generators are the closure's first elements, so pair k's
+    # target row is [k].
     closed = json.loads(json.dumps(split_certificate))
     closed["target"] = {"kind": "close", "carrier": closed["target"], "label": "closed target",
-                        "generators": json.loads(json.dumps([t for t, _ in closed["pairs"]]))}
+                        "generators": [row[:-1] for row in closed["pairs"]]}
+    closed["pairs"] = [[k, row[-1]] for k, row in enumerate(closed["pairs"])]
     bad = json.loads(json.dumps(closed))
-    corrupt(bad["pairs"][1][0][0])
-    bad["target"]["generators"][1] = bad["pairs"][1][0]
+    corrupt(bad["target"]["generators"][1])
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps(certificate_document(closed, bad)))
     proc = run_cli(["verify", str(path)], optimize)
@@ -651,6 +726,7 @@ def test_malformed_close_generator_exit_2(tmp_path, split_certificate, corrupt, 
     assert len(proc.stdout.splitlines()) == 1
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error: InvalidCertificate: certificate 1: "), proc.stderr
+    assert " generator 1: " in proc.stderr, proc.stderr
 
 
 def _first_parent(document) -> dict:
@@ -714,8 +790,12 @@ def _repeated_entry(document):
     document["descriptors"].append(dict(document["descriptors"][0]))
 
 
+def _unknown_kind_unreached(document):
+    # no certificate names it, and the table pass still refuses its kind
+    document["descriptors"].append({"kind": "bogus", "left": 99})
+
+
 # the table is checked as a whole before any certificate is read
-TABLE_ERROR = "error: InvalidCertificate: descriptor table: ValueError: descriptor "
 REFERENCE_ERROR = "error: InvalidCertificate: certificate 0: ValueError: descriptor reference "
 
 
@@ -723,10 +803,10 @@ REFERENCE_ERROR = "error: InvalidCertificate: certificate 0: ValueError: descrip
 @pytest.mark.parametrize(
     "corrupt, error",
     [(_forward_child, TABLE_ERROR), (_self_child, TABLE_ERROR), (_bool_child, TABLE_ERROR),
-     (_entry_not_an_object, TABLE_ERROR), (_repeated_entry, TABLE_ERROR),
+     (_entry_not_an_object, TABLE_ERROR), (_repeated_entry, TABLE_ERROR), (_unknown_kind_unreached, TABLE_ERROR),
      (_source_out_of_range, REFERENCE_ERROR), (_negative_source, REFERENCE_ERROR), (_bool_source, REFERENCE_ERROR),
      (_string_target, REFERENCE_ERROR), (_step_out_of_range, REFERENCE_ERROR), (_nested_source, REFERENCE_ERROR)],
-    ids=["forward child", "self child", "bool child", "entry not an object", "repeated entry",
+    ids=["forward child", "self child", "bool child", "entry not an object", "repeated entry", "unknown kind",
          "source out of range", "negative source", "bool source", "string target", "step out of range",
          "nested source"],
 )
@@ -802,39 +882,42 @@ def test_oversized_source_descriptor_is_refused(tmp_path, case):
 @pytest.mark.parametrize("corrupt", INDEX_CORRUPTIONS, ids=INDEX_IDS)
 def test_close_descriptor_refuses_identity_off_the_carrier(split_certificate, corrupt):
     from semidec.carriers import Descriptors, rebuild
-    from semidec.keys import value_json
 
     carrier = split_certificate["target"]["left"]
     table = Descriptors()
-    identity = value_json(table.carrier(table.intern(carrier)).identity_value)
+    wreath = table.carrier(table.intern(carrier))
+    identity = list(wreath.to_row(wreath.identity_value))
     desc = {"kind": "close", "carrier": carrier, "generators": [identity], "identity": identity}
     assert len(rebuild(desc)) == 1
     bad = json.loads(json.dumps(desc))
     corrupt(bad["identity"])
-    with pytest.raises((ValueError, IndexError, OverflowError)):
+    with pytest.raises(ValueError, match=r"identity 0: "):
         rebuild(bad)
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
-@pytest.mark.parametrize("value", [[[1, 0, 0], [1, 1, 0], [0, 0, 1]], [[1, 0], [0, 1]]],
-                         ids=["lower triangular", "degree two"])
-def test_tableless_target_rejects_foreign_values(tmp_path, value, optimize):
-    # T_3(Z_5) has 15,625 elements, past the table bound; a value that is not
-    # one of them is not a value of the target, even where the per-pair
-    # product would fix it
+@pytest.mark.parametrize("row", [[15625, 1], [-1, 1]], ids=["lower triangular", "degree two"])
+def test_tableless_target_rejects_foreign_values(tmp_path, row, optimize):
+    # T_3(Z_5) has 15,625 elements, past the table bound, and its row is one
+    # element index.  A value that is not one of them, such as a lower
+    # triangular or a degree-two matrix, has no index; what a pair can state
+    # instead is an index that names no element, past the end or negative.
+    # Neither is a value of the target, even where numpy would wrap the
+    # negative one onto an element that the identity fixes.
     ring = {"builtin": "zp", "p": 5}
     cert = {
         "label": "foreign target value",
         "source": {"kind": "family", "family": "T", "n": 1, "ring": ring},
         "target": {"kind": "family", "family": "T", "n": 3, "ring": ring},
-        "pairs": [[value, [[1]]]],
+        "pairs": [row],
         "steps": [],
     }
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(certificate_document(cert)))
     proc = run_cli(["verify", str(path)], optimize)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: InvalidCertificate: certificate 0: pair 0: KeyError"), proc.stderr
+    assert proc.stderr.startswith("error: InvalidCertificate: certificate 0: pair 0: "), proc.stderr
+    assert "is not a value of T_3(Z_5)" in proc.stderr, proc.stderr
 
 
 def test_optimized_round_trip_is_byte_identical(tmp_path):

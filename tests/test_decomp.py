@@ -193,16 +193,16 @@ PINNED_DOCUMENTS = {
         [(8, 4), (8, 4), (64, 7), (64, 7), (64, 7), (64, 7), (16, 5), (64, 7), (6, 4), (20, 8), (160, 7), (2, 2),
          (8, 4), (8, 4), (8, 4), (6, 3), (6, 3), (6, 3), (16, 5), (32, 6), (32, 6), (48, 6), (48, 6), (48, 6),
          (48, 6), (64, 7)],
-        "748244739388072860453cca875f78f26aa19abb0058c4d023d506a85b8b1b17",
+        "95fe5e58602977a4d6ba328e72137c78eac10a2da9bb8e792a6553027660a5f9",
     ),
     ("field", 2, "3"): (
         [(27, 6), (27, 6), (114, 9), (126, 6), (4, 3), (16, 5), (16, 5), (16, 5), (168, 6), (456, 8), (168, 6),
          (96, 7), (144, 8), (144, 8), (672, 8), (672, 8), (672, 8), (672, 8), (27, 6)],
-        "59e301eb4532daf50750c3b3ae94eff37777c1dcb7c8b478b1162513ca74c43e",
+        "480e1955b9c5d86d1bfe301e25f7384f6a06c4031ac0bb229d48ed199d03dea7",
     ),
     ("ring", 2, "bool"): (
         [(8, 4), (8, 4), (8, 4)],
-        "4168ae7a089215f5db69c85873b2bdc03eb2efc67212b9770438b31009c5e3f9",
+        "a7b369f93e78a938b6bc1cd973656cff24844a0421b8a295711c20d72e2c356c",
     ),
 }
 

@@ -4,12 +4,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SRC, read_document
 from oracles import closure_pairs, compose_tables, pair_closure, table_monoid
 from semidec.carriers import ProductCarrier
 from semidec.errors import (
     FieldRequired,
+    InvalidCertificate,
     NotFunctional,
     NotSurjective,
     PreimageMissing,
@@ -319,3 +322,66 @@ def test_search_cross_validates_absorb(c2):
     target = enumerate_wreath(WreathContext(c2, u1()))
     found = search_division(direct_product(c2, u1()), target)
     assert found is not None and found.verified
+
+
+def test_verified_rows_own_only_their_bytes(field_plan):
+    # the closure kernel grows its row buffer by doubling; a verified witness
+    # keeps its closure rows alone, not the buffer's slack (a 160-element
+    # closure would otherwise hold a 256-row buffer)
+    plan = field_plan(3, "2")
+    witnesses = plan.witnesses + [plan.composite]
+    assert 160 in {w.closure_size for w in witnesses}
+    for w in witnesses:
+        rows = w._rows
+        assert len(rows) == w.closure_size
+        assert (rows if rows.base is None else rows.base).nbytes == rows.nbytes, w.label
+
+
+@pytest.fixture(scope="module")
+def split_document(z2):
+    """The degree-2 split certificate's document, with the bound of each pair
+    column: every int below it, and no other entry, names a value there."""
+    from semidec.decomp import induction_step
+
+    w = induction_step(2, z2)
+    wreath, right = w.target.left, w.target.right
+    bounds = [len(wreath.top)] * len(wreath.base) + [len(wreath.base), len(right), len(w.source)]
+    products: dict = {}
+
+    def mul_target(x, y):  # the oracle's target product, each pair of values computed once
+        if (x, y) not in products:
+            products[x, y] = w.target.mul_value(x, y)
+        return products[x, y]
+
+    return document_to_json([w]), bounds, mul_target
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=st.integers(0, 3), column=st.integers(0, 4),
+       entry=st.one_of(st.booleans(), st.integers(-3, 10), st.integers(-2**40, 2**40)))
+def test_mutated_pair_rows_are_checked_or_refused(split_document, pair, column, entry):
+    # a certificate with one pair entry changed is refused on read exactly
+    # when the entry names nothing in its column; once read, it verifies
+    # exactly when the pair-closure oracle finds a function onto the source
+    document, bounds, mul_target = split_document
+    document = json.loads(json.dumps(document))
+    document["certificates"][0]["pairs"][pair][column] = entry
+    named = type(entry) is int and 0 <= entry < bounds[column]
+    try:
+        (w,) = read_document(document)
+    except InvalidCertificate as exc:
+        assert not named and str(exc).startswith(f"pair {pair}: "), exc
+        return
+    assert named
+    closure = None
+    if len(dict(w.pairs)) == len(set(w.pairs)):
+        closure = pair_closure(w.pairs, mul_target, w.source.mul)
+    if closure is None:
+        with pytest.raises(NotFunctional):
+            verify(w)
+    elif set(closure.values()) != set(range(len(w.source))):
+        with pytest.raises(NotSurjective):
+            verify(w)
+    else:
+        verify(w)
+        assert dict(closure_pairs(w)) == closure
