@@ -13,7 +13,8 @@ Descriptors are plain dicts from which an equivalent carrier is rebuilt
 in a fresh process, which is what makes certificates re-checkable from
 their serialized form.  This module alone knows the descriptor kinds and
 which of their fields are child descriptors; a certificate document
-states each descriptor once, in the flat table of ``Descriptors``.
+states each descriptor and each witness step once, in the flat tables of
+``Descriptors``.
 """
 
 from __future__ import annotations
@@ -158,30 +159,51 @@ def _fixed(carrier, block: np.ndarray, identity: np.ndarray) -> np.ndarray:
 
 
 class Descriptors:
-    """The descriptor table of one certificate document.
+    """The descriptor and step tables of one certificate document.
 
-    Each entry is a descriptor whose child descriptors (``CHILDREN``) are
-    the indices of earlier entries, and no two entries are equal.  A
-    writer ``intern``s nested descriptors, by object identity first (a
-    monoid's ``descriptor()`` is one shared dict), else by the canonical
-    JSON of the entry, whose children are already indices.  A reader
-    made from a document's list checks the table in one pass: each entry
-    is an object of a kind in ``CHILDREN``, its children are ints (not
-    bools) naming earlier entries, it equals no earlier entry, and it
-    expands to at most ``DEFAULT_LIMIT`` nested descriptors, so that a
-    small document cannot name an exponentially large one; else
-    ``ValueError``.  The rest of an entry is checked when it is rebuilt:
-    at most once, when it is first asked for, through ``build_monoid`` or
-    ``build_carrier``.  A reference to an entry must be an int (not a
-    bool) naming one, else ``ValueError``.
+    Each descriptor entry is a descriptor whose child descriptors
+    (``CHILDREN``) are the indices of earlier entries, and no two entries
+    are equal.  Each step entry is a witness step whose descriptor fields
+    (``STEP_FIELDS`` and each field of its ``restrict``) are descriptor
+    indices, and no two step entries are equal either.  A writer
+    ``intern``s nested descriptors, by object identity first (a monoid's
+    ``descriptor()`` is one shared dict), else by the canonical JSON of the
+    entry, whose children are already indices, and ``intern_step``s steps
+    by the canonical JSON of the mapped step.
+
+    A reader made from a document's lists checks both tables in one pass
+    each, before any certificate is read.  Each descriptor entry is an
+    object of a kind in ``CHILDREN``, its children are ints (not bools)
+    naming earlier entries, it equals no earlier entry, and it expands to
+    at most ``DEFAULT_LIMIT`` nested descriptors, so that a small document
+    cannot name an exponentially large one.  Each step entry is an object
+    with a string ``kind``, its ``restrict``, if any, is an object, its
+    descriptor fields are ints (not bools) naming descriptor entries, and
+    it equals no earlier step entry.  A table that breaks a rule raises
+    ``ValueError`` naming it, as ``descriptor table: ...`` or ``step
+    table: ...``.  The rest of a descriptor entry is checked when it is
+    rebuilt: at most once, when it is first asked for, through
+    ``build_monoid`` or ``build_carrier``.  A reference to an entry of
+    either table must be an int (not a bool) naming one, else
+    ``ValueError``.
     """
 
-    def __init__(self, entries: list | None = None):
+    def __init__(self, entries: list | None = None, steps: list | None = None):
         self.entries = [] if entries is None else entries
+        self.steps = [] if steps is None else steps
         self._ids: dict[int, tuple] = {}  # id of an interned dict -> (its index, the dict, held so the id is not reused)
         self._keys: dict[str, int] = {}  # canonical JSON of an entry -> its index
+        self._step_keys: dict[str, int] = {}  # canonical JSON of a step entry -> its index
         self._built: dict[int, object] = {}
         self._views: dict[int, dict] = {}
+        self._step_views: dict[int, dict] = {}
+        for name, check in (("descriptor table", self._check_entries), ("step table", self._check_steps)):
+            try:
+                check()
+            except (ValueError, RecursionError) as exc:
+                raise ValueError(f"{name}: {type(exc).__name__}: {exc}") from None
+
+    def _check_entries(self) -> None:
         sizes: list[int] = []  # the number of nested descriptors each entry expands to
         for i, entry in enumerate(self.entries):
             if not isinstance(entry, dict):
@@ -200,6 +222,20 @@ class Descriptors:
             if first != i:
                 raise ValueError(f"descriptor {i} repeats descriptor {first}")
 
+    def _check_steps(self) -> None:
+        for i, step in enumerate(self.steps):
+            if not (isinstance(step, dict) and isinstance(step.get("kind"), str)):
+                raise ValueError(f"step {i} is not an object with a string kind")
+            if not isinstance(step.get("restrict", {}), dict):
+                raise ValueError(f"step {i} has a restrict that is not an object")
+            try:
+                _map_step(step, self._check)
+            except ValueError as exc:
+                raise ValueError(f"step {i}: {exc}") from None
+            first = self._step_keys.setdefault(json.dumps(step, sort_keys=True), i)
+            if first != i:
+                raise ValueError(f"step {i} repeats step {first}")
+
     def intern(self, desc: dict) -> int:
         """The index of ``desc``'s entry, appended with its children's if new."""
         known = self._ids.get(id(desc))
@@ -215,9 +251,14 @@ class Descriptors:
         self._ids[id(desc)] = (i, desc)
         return i
 
-    def intern_step(self, step: dict) -> dict:
-        """``step`` with each descriptor field an index into the table."""
-        return _map_step(step, self.intern)
+    def intern_step(self, step: dict) -> int:
+        """The index of the step entry of ``step``, its descriptor fields
+        interned, appended if new."""
+        entry = _map_step(step, self.intern)
+        i = self._step_keys.setdefault(json.dumps(entry, sort_keys=True), len(self.steps))
+        if i == len(self.steps):
+            self.steps.append(entry)
+        return i
 
     def carrier(self, ref):
         """The carrier entry ``ref`` names, rebuilt on first use."""
@@ -246,20 +287,25 @@ class Descriptors:
             self._views[i] = view
         return view
 
-    def step(self, step: dict) -> dict:
-        """A stored step with each descriptor field a ``view``."""
-        return _map_step(step, self.view)
+    def step(self, ref) -> dict:
+        """Step entry ``ref`` with each descriptor field a ``view``, built once."""
+        i = _index(ref, len(self.steps), "step")
+        view = self._step_views.get(i)
+        if view is None:
+            view = self._step_views[i] = _map_step(self.steps[i], self.view)
+        return view
 
     def _check(self, ref, bound: int | None = None) -> int:
-        bound = len(self.entries) if bound is None else bound
-        if type(ref) is not int or not 0 <= ref < bound:
-            raise ValueError(f"descriptor reference {ref!r:.60} is not an index below {bound}")
-        return ref
+        return _index(ref, len(self.entries) if bound is None else bound, "descriptor")
+
+
+def _index(ref, bound: int, what: str) -> int:
+    if type(ref) is not int or not 0 <= ref < bound:
+        raise ValueError(f"{what} reference {ref!r:.60} is not an index below {bound}")
+    return ref
 
 
 def _map_step(step: dict, f) -> dict:
-    if not isinstance(step, dict) or not isinstance(step.get("restrict", {}), dict):
-        raise TypeError("a step is not an object with an object of restrictions")
     out = {key: f(v) if key in STEP_FIELDS else v for key, v in step.items()}
     if "restrict" in step:
         out["restrict"] = {key: f(v) for key, v in step["restrict"].items()}

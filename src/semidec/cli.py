@@ -8,21 +8,29 @@ export (render a report in another format).  Exit codes: 0 success,
 or degree that names nothing to build, a ring file that is not a
 semiring, a field-only command over a non-field), a monoid file whose
 table is not a monoid or, for ``search --out``, whose provenance does not
-rebuild it, a malformed monoid file or certificate, or an input file that
-is not JSON or nests past the recursion limit.  JSON output is compact.
+rebuild it, a malformed monoid file or certificate, a report that
+``export --format text`` or ``dot`` cannot render (not an object, ill-typed
+``terms``, or a ``depth`` whose classes do not match its class count), or
+an input file that is not JSON or nests past the recursion limit.  JSON
+output is compact.
 
 ``decompose --cert`` and ``search --out`` write a certificate document,
-``{"descriptors": [...], "certificates": [...]}`` plus ``"composite"``
-and ``"plan"`` where the pipeline has them: each descriptor is stated
-once in the ``descriptors`` table, and a certificate's ``source``,
-``target`` and descriptor-valued step fields are indices into it.  A
-pair is one int list, the target value's carrier row followed by the
-source element's index, and a ``"close"`` descriptor's generators and
-identity are rows of its carrier.  ``verify`` reads only that shape; a
-bundle of an earlier version, with nested descriptors or nested-value
-pairs, is a malformed certificate, and so is a table with an entry of
-unknown kind, a child reference to no earlier entry, a repeated entry or
-an entry that expands past 100,000 nested descriptors.
+``{"descriptors": [...], "steps": [...], "certificates": [...]}`` plus
+``"composite"`` and ``"plan"`` where the pipeline has them: each
+descriptor is stated once in the ``descriptors`` table and each witness
+step once in the ``steps`` table.  A certificate's ``source`` and
+``target``, and a step entry's descriptor-valued fields, are indices into
+the descriptor table, and a certificate's ``steps`` are indices into the
+step table.  A pair is one int list, the target value's carrier row
+followed by the source element's index, and a ``"close"`` descriptor's
+generators and identity are rows of its carrier.  ``verify`` reads only
+that shape; a bundle of an earlier version, with nested descriptors,
+nested-value pairs or no step table, is a malformed certificate, and so
+is a descriptor table with an entry of unknown kind, a child reference
+to no earlier entry, a repeated entry or an entry that expands past
+100,000 nested descriptors, and a step table with an entry that is not
+an object with a string kind, a ``restrict`` that is not an object, a
+descriptor field that names no descriptor or a repeated entry.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ import numpy as np
 
 from semidec.carriers import rebuild
 from semidec.decomp import field_pipeline, ring_pipeline
-from semidec.errors import InvalidCertificate, InvalidMonoid, InvalidSpec, SemidecError, UnsupportedFormat
+from semidec.errors import (InvalidCertificate, InvalidMonoid, InvalidReport, InvalidSpec, SemidecError,
+                             UnsupportedFormat)
 from semidec.families import FAMILY_KINDS, FamilySpec, build_family
 from semidec.monoid import DEFAULT_LIMIT, Monoid, depth_report, dot_j_order, greens
 from semidec.monoid import from_json as monoid_from_json
@@ -161,11 +170,47 @@ def cmd_search(args) -> int:
     return 0
 
 
+def _check_report(payload) -> None:
+    """Raise ``InvalidReport`` unless ``payload`` has the shape that the text
+    and dot renderers read: an object whose ``terms``, if any, is a list of
+    objects with a ``name``, a ``tag`` and an int ``order``, and whose
+    ``depth``, if any, has an int ``j_class_count`` equal to the length of
+    its ``class_sizes`` list of ints, and ``essential`` classes and
+    ``order_pairs`` of classes below it."""
+    if not isinstance(payload, dict):
+        raise InvalidReport("the report is not an object")
+    terms = payload.get("terms", [])
+    if not isinstance(terms, list):
+        raise InvalidReport("terms is not a list")
+    for k, term in enumerate(terms):
+        if not (isinstance(term, dict) and "name" in term and "tag" in term and type(term.get("order")) is int):
+            raise InvalidReport(f"term {k} is not an object with a name, a tag and an int order")
+    depth = payload.get("depth")
+    if depth is None:
+        return
+    if not isinstance(depth, dict):
+        raise InvalidReport("depth is not an object")
+    count, sizes = depth.get("j_class_count"), depth.get("class_sizes")
+    if not (type(count) is int and isinstance(sizes, list) and len(sizes) == count
+            and all(type(x) is int for x in sizes)):
+        raise InvalidReport("depth needs an int j_class_count and a list of that many int class_sizes")
+
+    def classes(xs) -> bool:
+        return isinstance(xs, list) and all(type(x) is int and 0 <= x < count for x in xs)
+
+    if not classes(depth.get("essential")):
+        raise InvalidReport(f"depth essential is not a list of classes below {count}")
+    pairs = depth.get("order_pairs")
+    if not (isinstance(pairs, list) and all(classes(pair) and len(pair) == 2 for pair in pairs)):
+        raise InvalidReport(f"depth order_pairs is not a list of pairs of classes below {count}")
+
+
 def cmd_export(args) -> int:
     payload = _load(args.input)
     if args.format == "json":
         _dump(payload, args.out)
         return 0
+    _check_report(payload)
     if args.format == "text":
         lines = []
         if "terms" in payload:
@@ -247,7 +292,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SemidecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, (InvalidSpec, InvalidMonoid, InvalidCertificate)) else 1
+        return 2 if isinstance(exc, (InvalidSpec, InvalidMonoid, InvalidCertificate, InvalidReport)) else 1
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

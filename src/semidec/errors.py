@@ -144,3 +144,7 @@ class CensusMismatch(SemidecError):
 
 class UnsupportedFormat(SemidecError):
     pass
+
+
+class InvalidReport(SemidecError):
+    """A report or plan file whose shape is not one ``export`` renders; the CLI exits 2."""

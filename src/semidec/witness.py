@@ -438,10 +438,12 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12) -> D
 
 
 def witness_to_json(w: DivisionWitness, table: Descriptors) -> dict:
-    """The certificate of ``w``, its descriptors interned into ``table``.
+    """The certificate of ``w``, its descriptors and steps interned into ``table``.
 
     Each pair is one flat int list, the row ``verify`` closes over: the
     target value's ``to_row`` followed by the source element's index.
+    ``source`` and ``target`` are descriptor indices, and ``steps`` lists
+    the step index of each step of ``w``, in order.
     """
     verdict = {"status": w.status}
     if w.closure_size is not None:
@@ -459,21 +461,24 @@ def witness_to_json(w: DivisionWitness, table: Descriptors) -> dict:
 
 
 def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
-    """Rebuild a witness from its certificate, unverified; ``table`` is the
-    document's descriptor table, and each entry is rebuilt once per table.
+    """Rebuild a witness from its certificate, unverified; ``table`` holds
+    the document's descriptor and step tables, and each entry is rebuilt
+    once per table.
 
     The pairs are ``carrier_rows`` of the target, each followed by a
     source index, checked in one block: a pair that is not a target row followed
     by a source element's index raises ``InvalidCertificate`` naming it as
     ``pair k``, and so does a pair of nested values as earlier versions
-    wrote.  Anything else malformed, including a reference that names no
-    entry or a descriptor that rebuilds to no monoid, raises
-    ``InvalidCertificate`` too.
+    wrote.  Each step is an index into the step table, and the witness
+    holds that entry's nested ``table.step`` view.  Anything else
+    malformed, including a reference that names no entry (a step object
+    written inline is one) or a descriptor that rebuilds to no monoid,
+    raises ``InvalidCertificate`` too.
     """
     try:
         source = table.monoid(obj["source"])
         target = table.carrier(obj["target"])
-        steps = [table.step(step) for step in obj.get("steps", [])]
+        steps = [table.step(ref) for ref in obj.get("steps", [])]
         pairs = obj["pairs"]
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError, ContextMismatch,
             InvalidMonoid, InvalidSpec) as exc:
@@ -488,28 +493,30 @@ def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
 
 
 def document_to_json(certificates: list[DivisionWitness], composite: DivisionWitness | None = None) -> dict:
-    """The certificate document ``{"descriptors", "certificates"}``, plus
-    ``"composite"`` when given: every descriptor stated once, in the table."""
+    """The certificate document ``{"descriptors", "steps", "certificates"}``,
+    plus ``"composite"`` when given: every descriptor and every step stated
+    once, in its table."""
     table = Descriptors()
     document = {"certificates": [witness_to_json(w, table) for w in certificates]}
     if composite is not None:
         document["composite"] = witness_to_json(composite, table)
     document["descriptors"] = table.entries
+    document["steps"] = table.steps
     return document
 
 
 def document_from_json(payload) -> tuple[Descriptors, list]:
-    """The descriptor table of a certificate document and its certificates,
-    the composite last.  Anything else, such as a bundle of an earlier
-    version with nested descriptors, or a table that ``Descriptors``
-    refuses, raises ``InvalidCertificate``."""
-    if not (isinstance(payload, dict) and isinstance(payload.get("descriptors"), list)
-            and isinstance(payload.get("certificates"), list)):
-        raise InvalidCertificate('not a certificate document with "descriptors" and "certificates" lists')
+    """The descriptor and step tables of a certificate document and its
+    certificates, the composite last.  Anything else, such as a bundle of
+    an earlier version with nested descriptors or without a step table, or
+    a table that ``Descriptors`` refuses, raises ``InvalidCertificate``."""
+    if not (isinstance(payload, dict) and all(isinstance(payload.get(key), list)
+                                              for key in ("descriptors", "steps", "certificates"))):
+        raise InvalidCertificate('not a certificate document with "descriptors", "steps" and "certificates" lists')
     try:
-        table = Descriptors(payload["descriptors"])
-    except (ValueError, RecursionError) as exc:
-        raise InvalidCertificate(f"descriptor table: {type(exc).__name__}: {exc}") from None
+        table = Descriptors(payload["descriptors"], payload["steps"])
+    except ValueError as exc:
+        raise InvalidCertificate(str(exc)) from None
     certificates = list(payload["certificates"])
     if "composite" in payload:
         certificates.append(payload["composite"])

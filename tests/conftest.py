@@ -38,9 +38,10 @@ def run_python(args, optimize: bool = False) -> subprocess.CompletedProcess:
 
 
 def certificate_document(*certificates) -> dict:
-    """A certificate document of certificates whose descriptors are written
-    out nested, interned as the writer interns them; a certificate's other
-    fields, and any field a corruption removed, stay as they are."""
+    """A certificate document of certificates whose descriptors and steps
+    are written out nested, interned as the writer interns them; a
+    certificate's other fields, and any field a corruption removed, stay as
+    they are."""
     table = Descriptors()
     out = []
     for cert in certificates:
@@ -51,7 +52,7 @@ def certificate_document(*certificates) -> dict:
         if "steps" in cert:
             cert["steps"] = [table.intern_step(step) for step in cert["steps"]]
         out.append(cert)
-    return {"descriptors": table.entries, "certificates": out}
+    return {"descriptors": table.entries, "steps": table.steps, "certificates": out}
 
 
 def read_document(document: dict) -> list:
@@ -73,10 +74,11 @@ def expand_descriptor(entries: list, ref: int) -> dict:
 
 def expand_document(document: dict) -> list[dict]:
     """The certificates of a document, the composite last, with their
-    descriptors written out nested, as they were before the table."""
+    descriptors and steps written out nested, as they were before the tables."""
     entries = document["descriptors"]
 
-    def expand_step(step):
+    def expand_step(ref):
+        step = document["steps"][ref]
         out = {k: expand_descriptor(entries, v) if k in STEP_FIELDS else v for k, v in step.items()}
         if "restrict" in step:
             out["restrict"] = {k: expand_descriptor(entries, v) for k, v in step["restrict"].items()}

@@ -324,7 +324,7 @@ def test_fresh_process_search_out_then_verify(tmp_path):
     proc = run_cli(["search", "--source", str(u1_file), "--target", str(t1_file), "--out", str(found)])
     assert proc.returncode == 0 and "result=found" in proc.stdout, proc.stderr
     document = json.loads(found.read_text())
-    assert sorted(document) == ["certificates", "descriptors"] and len(document["certificates"]) == 1
+    assert sorted(document) == ["certificates", "descriptors", "steps"] and len(document["certificates"]) == 1
     proc = run_cli(["verify", str(found)])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("certificate 0 (") and ": verified closure=" in proc.stdout
@@ -425,6 +425,48 @@ def test_analyze_highlights_all_essential_classes(tmp_path, capsys):
     run(["analyze", str(mon), "--dot", str(dot)], capsys)
     # units class plus the two rank-one classes with non-trivial subgroups
     assert dot.read_text().count("peripheries=2") == 3
+
+
+_DEPTH = {"j_class_count": 2, "class_sizes": [1, 3], "essential": [0], "order_pairs": [[1, 0]]}
+MALFORMED_REPORTS = {
+    "list text": ([3], "text"),
+    "string text": ("x", "text"),
+    "string dot": ("x", "dot"),
+    "terms not a list": ({"terms": 5}, "text"),
+    "term not an object": ({"terms": [5]}, "text"),
+    "term without tag": ({"terms": [{"name": "U_1", "order": 2}]}, "text"),
+    "bool order": ({"terms": [{"name": "U_1", "tag": "aperiodic", "order": True}]}, "text"),
+    "empty list dot": ([], "dot"),
+    "depth not an object": ({"depth": 5}, "dot"),
+    "class count mismatch": ({"depth": dict(_DEPTH, j_class_count=3)}, "dot"),
+    "class sizes not ints": ({"depth": dict(_DEPTH, class_sizes=[1, "3"])}, "dot"),
+    "essential past the count": ({"depth": dict(_DEPTH, essential=[2])}, "dot"),
+    "order pair past the count": ({"depth": dict(_DEPTH, order_pairs=[[5, 0]])}, "dot"),
+    "order pair not a pair": ({"depth": dict(_DEPTH, order_pairs=[1])}, "dot"),
+    "malformed depth in text": ({"depth": dict(_DEPTH, essential=[-1])}, "text"),
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("case", list(MALFORMED_REPORTS))
+def test_export_malformed_report_exit_2(tmp_path, case, optimize):
+    # the report's shape is checked in full before it is rendered
+    payload, fmt = MALFORMED_REPORTS[case]
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(payload))
+    proc = run_cli(["export", str(path), "--format", fmt], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: InvalidReport: "), proc.stderr
+
+
+def test_export_renders_a_well_formed_depth(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({"depth": _DEPTH}))
+    proc = run_cli(["export", str(path), "--format", "dot"])
+    assert proc.returncode == 0, proc.stderr
+    assert "J0 -> J1;" in proc.stdout and 'J0 [label="J0 (size 1)", style="bold"' in proc.stdout
 
 
 def test_dot_from_analyze_matches_export(tmp_path, capsys):
@@ -772,7 +814,50 @@ def _string_target(document):
 
 
 def _step_out_of_range(document):
-    document["certificates"][0]["steps"].append({"kind": "lift_left", "top": len(document["descriptors"])})
+    # a step entry whose descriptor field names no descriptor
+    document["steps"].append({"kind": "lift_left", "top": len(document["descriptors"])})
+
+
+def _step_not_an_object(document):
+    document["steps"].append(5)
+
+
+def _step_kind_not_a_string(document):
+    document["steps"].append({"kind": 3})
+
+
+def _restrict_not_an_object(document):
+    document["steps"].append({"kind": "lift_right", "base": 0, "restrict": [0, 1]})
+
+
+def _repeated_step(document):
+    document["steps"].append(dict(document["steps"][0]))
+
+
+def _bool_step_field(document):
+    document["steps"].append({"kind": "lift_left", "top": False})
+
+
+def _step_reference_out_of_range(document):
+    document["certificates"][0]["steps"] = [len(document["steps"])]
+
+
+def _negative_step_reference(document):
+    document["certificates"][0]["steps"] = [-1]
+
+
+def _bool_step_reference(document):
+    document["certificates"][0]["steps"] = [False]
+
+
+def _inline_step(document):
+    # a step object where its index belongs, as earlier versions wrote it
+    cert = document["certificates"][0]
+    cert["steps"] = [document["steps"][ref] for ref in cert["steps"]]
+
+
+def _no_step_table(document):
+    del document["steps"]
 
 
 def _nested_source(document):
@@ -795,8 +880,11 @@ def _unknown_kind_unreached(document):
     document["descriptors"].append({"kind": "bogus", "left": 99})
 
 
-# the table is checked as a whole before any certificate is read
+# the tables are checked as a whole before any certificate is read
 REFERENCE_ERROR = "error: InvalidCertificate: certificate 0: ValueError: descriptor reference "
+STEP_TABLE_ERROR = "error: InvalidCertificate: step table: ValueError: step "
+STEP_REFERENCE_ERROR = "error: InvalidCertificate: certificate 0: ValueError: step reference "
+DOCUMENT_ERROR = "error: InvalidCertificate: not a certificate document"
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
@@ -805,13 +893,21 @@ REFERENCE_ERROR = "error: InvalidCertificate: certificate 0: ValueError: descrip
     [(_forward_child, TABLE_ERROR), (_self_child, TABLE_ERROR), (_bool_child, TABLE_ERROR),
      (_entry_not_an_object, TABLE_ERROR), (_repeated_entry, TABLE_ERROR), (_unknown_kind_unreached, TABLE_ERROR),
      (_source_out_of_range, REFERENCE_ERROR), (_negative_source, REFERENCE_ERROR), (_bool_source, REFERENCE_ERROR),
-     (_string_target, REFERENCE_ERROR), (_step_out_of_range, REFERENCE_ERROR), (_nested_source, REFERENCE_ERROR)],
+     (_string_target, REFERENCE_ERROR), (_step_out_of_range, STEP_TABLE_ERROR), (_nested_source, REFERENCE_ERROR),
+     (_step_not_an_object, STEP_TABLE_ERROR), (_step_kind_not_a_string, STEP_TABLE_ERROR),
+     (_restrict_not_an_object, STEP_TABLE_ERROR), (_repeated_step, STEP_TABLE_ERROR),
+     (_bool_step_field, STEP_TABLE_ERROR), (_step_reference_out_of_range, STEP_REFERENCE_ERROR),
+     (_negative_step_reference, STEP_REFERENCE_ERROR), (_bool_step_reference, STEP_REFERENCE_ERROR),
+     (_inline_step, STEP_REFERENCE_ERROR), (_no_step_table, DOCUMENT_ERROR)],
     ids=["forward child", "self child", "bool child", "entry not an object", "repeated entry", "unknown kind",
          "source out of range", "negative source", "bool source", "string target", "step out of range",
-         "nested source"],
+         "nested source", "step not an object", "step kind not a string", "restrict not an object",
+         "repeated step", "bool step field", "step reference out of range", "negative step reference",
+         "bool step reference", "inline step", "no step table"],
 )
 def test_bad_descriptor_reference_exit_2(tmp_path, split_certificate, corrupt, error, optimize):
-    # a child must name an earlier entry, a certificate or its steps any entry, by an int
+    # a child must name an earlier entry, a step entry's fields any entry,
+    # and a certificate any entry and any step entry, by an int
     document = certificate_document(split_certificate)
     corrupt(document)
     path = tmp_path / "bundle.json"
@@ -870,7 +966,7 @@ def test_oversized_source_descriptor_is_refused(tmp_path, case):
     cert = {"label": case, "source": 0, "target": 0, "pairs": [], "steps": []}
     cert[role] = len(entries) - 1
     path = tmp_path / "bundle.json"
-    path.write_text(json.dumps({"descriptors": entries, "certificates": [cert]}))
+    path.write_text(json.dumps({"descriptors": entries, "steps": [], "certificates": [cert]}))
     start = time.monotonic()
     proc = run_cli(["verify", str(path)])
     assert time.monotonic() - start < 30

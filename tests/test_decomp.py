@@ -161,12 +161,15 @@ def _gate_document(pipeline, n, spec):
 
 @pytest.mark.parametrize("pipeline, n, spec", GATE_PIPELINES, ids=GATE_IDS)
 def test_document_states_each_descriptor_once(pipeline, n, spec):
-    # no two entries are equal, no entry holds a descriptor written out, and
-    # every child points to an earlier entry, every certificate into the table
+    # no two entries of either table are equal, no entry holds a descriptor
+    # written out, every child points to an earlier entry, every step
+    # entry's descriptor field into the table, every certificate into both
+    # tables, and every step entry is referenced
     _, document = _gate_document(pipeline, n, spec)
-    entries = document["descriptors"]
-    keys = [json.dumps(entry, sort_keys=True) for entry in entries]
-    assert len(set(keys)) == len(keys)
+    entries, steps = document["descriptors"], document["steps"]
+    for table in (entries, steps):
+        keys = [json.dumps(entry, sort_keys=True) for entry in table]
+        assert len(set(keys)) == len(keys)
 
     def points_below(ref, bound):
         return type(ref) is int and 0 <= ref < bound
@@ -177,12 +180,17 @@ def test_document_states_each_descriptor_once(pipeline, n, spec):
                 assert points_below(value, i), (i, field)
             else:
                 assert not (isinstance(value, dict) and "kind" in value), (i, field)
+    for step in steps:
+        refs = [v for k, v in step.items() if k in STEP_FIELDS] + list(step.get("restrict", {}).values())
+        assert all(points_below(ref, len(entries)) for ref in refs), step
+        assert not any(isinstance(v, dict) and "kind" in v for v in step.values()), step
     certificates = document["certificates"] + ([document["composite"]] if "composite" in document else [])
+    referenced = set()
     for cert in certificates:
-        refs = [cert["source"], cert["target"]]
-        for step in cert["steps"]:
-            refs += [v for k, v in step.items() if k in STEP_FIELDS] + list(step.get("restrict", {}).values())
-        assert all(points_below(ref, len(entries)) for ref in refs), cert["label"]
+        assert all(points_below(ref, len(entries)) for ref in (cert["source"], cert["target"])), cert["label"]
+        assert all(points_below(ref, len(steps)) for ref in cert["steps"]), cert["label"]
+        referenced.update(cert["steps"])
+    assert referenced == set(range(len(steps)))
 
 
 # (closure size, pair count) of each certificate, the composite last, and the
@@ -193,16 +201,16 @@ PINNED_DOCUMENTS = {
         [(8, 4), (8, 4), (64, 7), (64, 7), (64, 7), (64, 7), (16, 5), (64, 7), (6, 4), (20, 8), (160, 7), (2, 2),
          (8, 4), (8, 4), (8, 4), (6, 3), (6, 3), (6, 3), (16, 5), (32, 6), (32, 6), (48, 6), (48, 6), (48, 6),
          (48, 6), (64, 7)],
-        "95fe5e58602977a4d6ba328e72137c78eac10a2da9bb8e792a6553027660a5f9",
+        "3a7d07ba73586cee6bf75ef019b8cd0076a8cba341877da9dc06313e40a56798",
     ),
     ("field", 2, "3"): (
         [(27, 6), (27, 6), (114, 9), (126, 6), (4, 3), (16, 5), (16, 5), (16, 5), (168, 6), (456, 8), (168, 6),
          (96, 7), (144, 8), (144, 8), (672, 8), (672, 8), (672, 8), (672, 8), (27, 6)],
-        "480e1955b9c5d86d1bfe301e25f7384f6a06c4031ac0bb229d48ed199d03dea7",
+        "0694230b936cba5f04f9db6c5b3b2cad727a61b0aa7051a21e87140aa66203df",
     ),
     ("ring", 2, "bool"): (
         [(8, 4), (8, 4), (8, 4)],
-        "a7b369f93e78a938b6bc1cd973656cff24844a0421b8a295711c20d72e2c356c",
+        "fa47863d9fb16701360f0eb7acb30cc3370ffb060c97f7ad8544c793c054b101",
     ),
 }
 
@@ -220,6 +228,9 @@ def test_pipeline_certificates_are_pinned(pipeline, n, spec):
 
 @pytest.mark.parametrize("pipeline, n, spec", GATE_PIPELINES, ids=GATE_IDS)
 def test_expanded_document_is_the_in_memory_witnesses(pipeline, n, spec):
+    # expanding the descriptor and step references gives each witness's
+    # source, target and steps, and the witnesses read back write the same
+    # document
     witnesses, document = _gate_document(pipeline, n, spec)
     expanded = expand_document(document)
     assert len(expanded) == len(witnesses)
@@ -229,6 +240,10 @@ def test_expanded_document_is_the_in_memory_witnesses(pipeline, n, spec):
         assert [cert["source"], cert["target"], cert["steps"]] == in_memory, w.label
         # a witness read back holds its steps' descriptors nested, as in memory
         assert r.steps == in_memory[2], w.label
+    for r in restored:
+        verify(r)
+    composite = restored.pop() if "composite" in document else None
+    assert json.loads(json.dumps(document_to_json(restored, composite))) == document
 
 
 def test_depth_analysis_comparisons(fam):

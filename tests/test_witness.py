@@ -16,6 +16,7 @@ from semidec.errors import (
     NotFunctional,
     NotSurjective,
     PreimageMissing,
+    SemidecError,
     SizeLimitExceeded,
     WitnessError,
 )
@@ -385,3 +386,31 @@ def test_mutated_pair_rows_are_checked_or_refused(split_document, pair, column, 
     else:
         verify(w)
         assert dict(closure_pairs(w)) == closure
+
+
+# what a fuzzed table field is set to: strings that name kinds, families
+# and rings, and objects shaped like descriptors, as well as plain junk
+_NAMES = st.sampled_from(["", "x", "T", "UT", "AS", "U1", "zp", "bool", "family", "product", "close", "lift_left"])
+_OBJECTS = st.sampled_from([{}, {"kind": "family"}, {"builtin": "zp", "p": 3}, {"builtin": "bool"},
+                            {"kind": "product", "left": 0, "right": 0}, {"x": [1, {"y": [2]}]}])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), table=st.sampled_from(["descriptors", "steps"]),
+       value=st.one_of(st.integers(-3, 10), st.booleans(), _NAMES, _OBJECTS))
+def test_mutated_table_entries_are_checked_or_refused(split_document, data, table, value):
+    # a document with one field of one descriptor or step entry changed (or
+    # a descriptor field added to a step) is refused with a typed error, or
+    # it verifies and its closure is the pair-closure oracle's
+    document = json.loads(json.dumps(split_document[0]))
+    entries = document[table]
+    entry = entries[data.draw(st.integers(0, len(entries) - 1), label="entry")]
+    extra = ["top", "restrict"] if table == "steps" else []
+    entry[data.draw(st.sampled_from(sorted(entry) + extra), label="field")] = value
+    try:
+        (w,) = read_document(document)
+        verify(w)
+    except SemidecError:
+        return
+    closure = pair_closure(w.pairs, w.target.mul_value, w.source.mul)
+    assert closure is not None and dict(closure_pairs(w)) == closure
