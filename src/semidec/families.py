@@ -25,7 +25,9 @@ from semidec.errors import (
 from semidec.monoid import (
     DEFAULT_LIMIT,
     ROW,
+    TABLE,
     Monoid,
+    check_table_order,
     maximal_subgroup,
     product_value,
     quotient_by_central_units,
@@ -210,7 +212,7 @@ def _code_lookup(ent: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "") -> np.ndarray:
-    """Multiplication table of distinct upper triangular entry patterns.
+    """Multiplication table, a ``TABLE`` array, of distinct upper triangular entry patterns.
 
     Entry (i, j) of a product is ``_semiring_dot``'s fold, as in
     ``MatrixCarrier``.  Row i of a product depends only on row i of its left
@@ -232,7 +234,7 @@ def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "")
         acc = _semiring_dot(add, mul, ring.zero, rows[:, None, :], ent[None])  # acc[r, b] = row r times b
         row_codes.append(digits[i, np.arange(n), acc].sum(axis=2))
         row_ids.append(ids.ravel())
-    table = np.empty((m, m), dtype=np.int32)
+    table = np.empty((m, m), dtype=TABLE)
     step = max(1, _BLOCK_CELLS // m)
     for start in range(0, m, step):
         block = slice(start, start + step)
@@ -352,7 +354,8 @@ def constants_monoid(point_count: int, label: str = "", provenance: dict | None 
     if point_count < 1:
         raise ValueError("need a non-empty point set")
     elements = [CONSTANTS_IDENTITY] + [constant_at(x) for x in range(point_count)]
-    index = np.arange(len(elements), dtype=np.int32)
+    check_table_order(len(elements), label or f"~{point_count}")
+    index = np.arange(len(elements), dtype=TABLE)
     table = np.where(index > 0, index, index[:, None])  # a constant on the right wins
     return Monoid(elements, CONSTANTS_IDENTITY, table=table, label=label or f"~{point_count}",
                   provenance=provenance or {"kind": "family", "family": "constants", "points": point_count})

@@ -2,10 +2,10 @@
 
 A Monoid is an immutable list of opaque element values (nested int tuples)
 in a deterministic canonical order, an identity index, and a total product.
-Multiplication tables are materialized up to a size bound; larger monoids
-multiply through their carrier's ``mul_rows`` in blocks of rows.  Monoids
-derived from others (closures, products) take their tables from tables,
-not value products.
+Multiplication tables are uint16 index arrays, materialized up to a size
+bound (``TABLE_BOUND``, below 2**16); larger monoids multiply through their
+carrier's ``mul_rows`` in blocks of rows.  Monoids derived from others
+(closures, products) take their tables from tables, not value products.
 Closures run on fixed-width int rows: every carrier (a Monoid, whose row is
 one index column, a wreath context, a product carrier, transformation
 tables) converts values with ``to_row``/``from_row`` and multiplies blocks
@@ -38,7 +38,15 @@ DEFAULT_LIMIT = 100_000
 TABLE_BOUND = 4096
 _SPOT_SIDE = 4  # the spot check tries every triple of three seeded sets of this size
 ROW = np.int32  # dtype of carrier rows
+TABLE = np.uint16  # dtype of Cayley tables: every index below TABLE_BOUND < 2**16 fits
+_TABLE_ORDER = int(np.iinfo(TABLE).max) + 1  # most elements a TABLE can index
 _BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows``, carrier products and ``_image_sizes``; bounds their working memory
+
+
+def check_table_order(size: int, what: str) -> None:
+    """``SizeLimitExceeded`` unless a ``TABLE`` can index ``size`` elements."""
+    if size > _TABLE_ORDER:
+        raise SizeLimitExceeded(_TABLE_ORDER, f"table of {what or 'a monoid'} ({size} elements)")
 
 
 def within_table_bound(size: int) -> bool:
@@ -55,6 +63,9 @@ class Monoid:
     a carrier and no table, a monoid within ``TABLE_BOUND`` elements builds
     its table that way; past the bound ``products``, ``mul`` and
     ``table_array`` multiply through the carrier when asked, with no memo.
+    Tables hold ``TABLE`` (uint16) indices, so a given table for more than
+    2**16 elements raises ``SizeLimitExceeded`` before it is converted;
+    ``mul_rows`` hands indices on as ``ROW`` rows.
     """
 
     def __init__(
@@ -80,7 +91,8 @@ class Monoid:
         self._table = None
         self._greens = None
         if table is not None:
-            self._table = np.asarray(table, dtype=np.int32)
+            check_table_order(len(self.elements), label)
+            self._table = np.asarray(table, dtype=TABLE)
         elif carrier is None:
             raise ValueError("need a multiplication table or carrier")
         elif within_table_bound(len(self.elements)):
@@ -99,7 +111,8 @@ class Monoid:
         the result when they fit, else one row cut into column chunks.
         The product rows map back to indices by one row-bytes lookup, as in
         ``_merge``; the first product, in row-major order, that is not an
-        element raises ``NotClosed``.
+        element raises ``NotClosed``.  The indices are ``TABLE`` when they
+        fit, else ``ROW``.
         """
         if self._rows is None:
             carrier = self._carrier
@@ -111,7 +124,7 @@ class Monoid:
         cells = max(1, _BLOCK_CELLS // values.shape[1])  # products per block
         span = max(1, min(len(cols), cells))  # columns per block
         step = max(1, cells // span)  # rows per block
-        out = np.empty((len(rows), len(cols)), dtype=np.int32)
+        out = np.empty((len(rows), len(cols)), dtype=TABLE if len(values) <= _TABLE_ORDER else ROW)
         for r in range(0, len(rows), step):
             x = values[rows[r : r + step]]
             for c in range(0, len(cols), span):
@@ -120,7 +133,7 @@ class Monoid:
                 if None in found:
                     p, q = divmod(found.index(None), block.shape[1])
                     raise NotClosed.product(self.label, int(rows[r + p]), int(cols[c + q]), self.elements)
-                out[r : r + step, c : c + span] = np.fromiter(found, np.int32, len(found)).reshape(block.shape[:2])
+                out[r : r + step, c : c + span] = np.fromiter(found, out.dtype, len(found)).reshape(block.shape[:2])
         return out
 
     def _spot_check(self):
@@ -174,8 +187,10 @@ class Monoid:
         return self.elements[row[0]]
 
     def mul_rows(self, x, y) -> np.ndarray:
-        """Products of index rows, ``out[i, j] = [x[i, 0] * y[j, 0]]``."""
-        return self.products(x[:, 0], y[:, 0])[:, :, None]
+        """Products of index rows, ``out[i, j] = [x[i, 0] * y[j, 0]]``, as ``ROW``
+        rows: closures key rows by their bytes, so products must have the
+        generators' dtype."""
+        return self.products(x[:, 0], y[:, 0]).astype(ROW)[:, :, None]
 
     def products(self, rows, cols) -> np.ndarray:
         """Block of product indices ``rows[i] * cols[j]``, sliced from the table
@@ -328,11 +343,11 @@ def cayley_table(edges, right) -> np.ndarray:
     column is its column of ``right``, and the column of ``y = p * g`` is
     ``right[table[:, p], g]``, since ``x y = (x p) g``.  Parents precede
     their children, so the columns fill in discovery order with one gather
-    each and no carrier products.  The table is stored column-major, so
-    each column is contiguous and no transposed copy is made.
+    each and no carrier products.  The table is a ``TABLE`` array stored
+    column-major, so each column is contiguous and no transposed copy is made.
     """
     n = len(edges)
-    table = np.empty((n, n), dtype=np.int32, order="F")
+    table = np.empty((n, n), dtype=TABLE, order="F")
     for y, edge in enumerate(edges):
         if edge is None:
             table[:, y] = right[:, y]
@@ -508,13 +523,17 @@ def maximal_subgroup(m: Monoid, e: int) -> Monoid:
     rep = greens(m)
     members = [x for x in range(len(m)) if rep.h[x] == rep.h[e]]
     values = [m.elements[x] for x in members]
-    position = np.full(len(m), -1, dtype=np.int32)
-    position[members] = np.arange(len(members), dtype=np.int32)
-    table = position[m.products(members, members)]
+    inside = np.zeros(len(m), dtype=bool)
+    inside[members] = True
+    position = np.zeros(len(m), dtype=TABLE)
+    position[members] = np.arange(len(members))
+    block = m.products(members, members)
     label = f"H({m.label}, {e})"
-    if (table < 0).any():
-        a, b = (int(x) for x in np.argwhere(table < 0)[0])
+    outside = np.argwhere(~inside[block])
+    if len(outside):
+        a, b = (int(x) for x in outside[0])
         raise NotClosed.product(label, a, b, values)
+    table = position[block]
     return Monoid(
         values,
         m.elements[e],
@@ -645,7 +664,10 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
     """Quotient by a central subgroup of units; returns (quotient, projection).
 
     Quotient element values are the sorted index tuples of the orbits, in
-    first-seen order of the base monoid.
+    first-seen order of the base monoid.  The quotient's table is the
+    projection of the orbit representatives' products, so more than
+    ``TABLE_BOUND`` orbits raise ``SizeLimitExceeded`` before any of them
+    is multiplied.
     """
     zset = set(z)
     e = m.identity
@@ -676,11 +698,14 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
             orbit_of[y] = oid
     projection = [orbit_of[x] for x in range(len(m))]
     reps = [orbit[0] for orbit in orbits]
+    label = f"{m.label}/central" if m.label else "quotient"
+    if not within_table_bound(len(reps)):
+        raise SizeLimitExceeded(TABLE_BOUND, f"quotient {label} ({len(reps)} orbits) without a table")
     quotient = Monoid(
         orbits,
         orbits[orbit_of[e]],
-        table=np.asarray(projection, dtype=np.int32)[m.products(reps, reps)],
-        label=f"{m.label}/central" if m.label else "quotient",
+        table=np.asarray(projection, dtype=TABLE)[m.products(reps, reps)],
+        label=label,
         provenance={
             "kind": "quotient_central",
             "base": m.descriptor(),
@@ -702,6 +727,8 @@ def direct_product(a: Monoid, b: Monoid, limit: int = DEFAULT_LIMIT) -> Monoid:
     elements = [(x, y) for x in a.elements for y in b.elements]
     table = None
     if within_table_bound(len(elements)):
+        # exact in TABLE arithmetic: every entry and partial sum is below
+        # len(elements) <= TABLE_BOUND < 2**16
         ta, tb = a.table_array(), b.table_array()
         table = (ta[:, None, :, None] * len(b) + tb[None, :, None, :]).reshape(len(elements), -1)
     return Monoid(elements, (a.identity_value, b.identity_value), carrier=ProductCarrier(a, b), table=table,

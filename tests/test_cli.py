@@ -173,6 +173,19 @@ def _no_table(payload):
     del payload["table"]
 
 
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("entry", ["n", 65536, -1], ids=["order", "past uint16", "negative"])
+def test_table_entry_outside_the_elements_exit_2(tmp_path, capsys, entry, optimize):
+    # tables are uint16, so an entry is range-checked before the cast: none may wrap onto an element
+    mon, payload = _t2_file(tmp_path, capsys)
+    payload["table"][1][2] = len(payload["table"]) if entry == "n" else entry
+    mon.write_text(json.dumps(payload))
+    proc = run_cli(["analyze", str(mon)], optimize)
+    assert proc.returncode == 2 and proc.stdout == "", proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: InvalidMonoid: ") and "table entry out of range 0..7" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -973,6 +986,22 @@ def test_oversized_source_descriptor_is_refused(tmp_path, case):
     assert proc.returncode == code and proc.stdout == "", proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith(error), proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_projective_source_past_the_table_bound_is_refused(tmp_path, optimize):
+    # PT_5(Z_2) would have 32,768 orbits of T_5(Z_2): one descriptor entry
+    # must not make verify multiply about 1.07 G pairs of representatives
+    cert = {"label": "PT_5(Z_2)", "source": 0, "target": 0, "pairs": [], "steps": []}
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps({"descriptors": [_family("PT", 5, 2)], "steps": [], "certificates": [cert]}))
+    start = time.monotonic()
+    proc = run_cli(["verify", str(path)], optimize)
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: SizeLimitExceeded: size limit 4096 exceeded: quotient T_5(Z_2)/central "), \
+        proc.stderr
 
 
 @pytest.mark.parametrize("corrupt", INDEX_CORRUPTIONS, ids=INDEX_IDS)

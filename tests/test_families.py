@@ -388,3 +388,17 @@ def test_carrier_built_table_names_the_first_missing_pair_by_blocks(z3, monkeypa
     missing = [(a, b) for a in range(len(elements)) for b in range(len(elements))
                if mul_entries(z3, elements[a], elements[b]) not in elements]
     assert err.value.pair == missing[0] and mul_entries(z3, *(elements[k] for k in missing[0])) == dropped
+
+
+def test_projective_quotient_past_the_table_bound_is_refused(z2, monkeypatch):
+    # T_5(Z_2) has 32,768 elements and a trivial scalar group, so PT_5(Z_2)
+    # would have 32,768 orbits: refused before its representatives are multiplied
+    import time
+
+    import semidec.families
+
+    monkeypatch.setattr(semidec.families, "_FAMILIES", {})  # the base is not kept past this test
+    start = time.monotonic()
+    with pytest.raises(SizeLimitExceeded, match=r"quotient T_5\(Z_2\)/central \(32768 orbits\)"):
+        build_family(FamilySpec("PT", 5, z2))
+    assert time.monotonic() - start < 10

@@ -1,6 +1,7 @@
 import json
 from itertools import product
 
+import numpy as np
 import pytest
 
 import semidec.monoid
@@ -486,3 +487,112 @@ def test_generating_set_grows_one_closure(fam, monkeypatch):
         assert sum(cells) == expected, m.label
         reclosing = sum(len(scan_closure(gens[:k], m.mul)[0]) * k for k in range(1, len(gens) + 1))
         assert sum(cells) < reclosing, m.label
+
+
+def _orbit_product(ring, base, quotient):
+    """The product of two orbits of ``base``, read from the matrix product of their first members."""
+    from oracles import matrix_product
+
+    orbit_of = {x: orbit for orbit in quotient.elements for x in orbit}
+    return lambda a, b: orbit_of[base.index[matrix_product(ring, base.elements[a[0]], base.elements[b[0]])]]
+
+
+def _image_of_times_to_wreath(fam):
+    from oracles import wreath_decode, wreath_value_product
+    from semidec.witness import times_to_wreath
+
+    w = times_to_wreath(fam("T", 1, "3"), fam("T", 2, "2"))
+    ctx = w.target
+
+    def mul(x, y):
+        tab, a = wreath_value_product(ctx, wreath_decode(ctx, x), wreath_decode(ctx, y))
+        return tuple(ctx.top.index[v] for v in tab), ctx.base.index[a]
+
+    return w.image_submonoid(), mul
+
+
+def _reference_matrix_mul(ring):
+    from oracles import matrix_product
+
+    return lambda a, b: matrix_product(ring, a, b)
+
+
+def _table_sources(fam):
+    """For every way a table is made, a call that builds ``(monoid, reference product of its values)``."""
+    from conftest import _ring
+    from oracles import compose_tables, matrix_product
+    from semidec.families import augmented_monoid
+
+    z2, z3 = _ring("2"), _ring("3")
+    t2 = fam("T", 2, "3")
+    shuffle = transformation_closure([(1, 2, 0, 0), (0, 0, 1, 3)], label="shuffle")
+    return {
+        "family": lambda: (fam("T", 3, "3"), _reference_matrix_mul(z3)),
+        "u1": lambda: (u1(), lambda a, b: a | b),
+        "constants": lambda: (constants_monoid(3), lambda a, b: a if b[0] else b),
+        "closure": lambda: (shuffle, compose_tables),
+        "image": lambda: _image_of_times_to_wreath(fam),
+        "product": lambda: (direct_product(fam("T", 2, "2"), u1()),
+                            lambda x, y: (matrix_product(z2, x[0], y[0]), x[1] | y[1])),
+        "quotient": lambda: (fam("PT", 2, "3"), _orbit_product(z3, t2, fam("PT", 2, "3"))),
+        "subgroup": lambda: (maximal_subgroup(t2, t2.identity), _reference_matrix_mul(z3)),
+        "carrier": lambda: (fam("AS", 1, "3"), compose_tables),
+        "augmented": lambda: (augmented_monoid(shuffle), compose_tables),
+        "from_json": lambda: (from_json(json.loads(json.dumps(to_json(t2)))), _reference_matrix_mul(z3)),
+    }
+
+
+@pytest.mark.parametrize("source", ["family", "u1", "constants", "closure", "image", "product", "quotient",
+                                    "subgroup", "carrier", "augmented", "from_json"])
+def test_every_table_source_builds_table_dtype(fam, source):
+    # one index dtype for every table, whatever made it, with the products of the value-level reference
+    from oracles import value_product_table
+
+    m, mul = _table_sources(fam)[source]()
+    assert m._table is not None and m.table_array().dtype == semidec.monoid.TABLE, m.label
+    assert m.table_array().tolist() == value_product_table(m.elements, mul), m.label
+
+
+def test_mul_rows_hands_on_row_dtype(fam, z3, monkeypatch):
+    # tables are TABLE, but a closure keys rows by their bytes, so products of
+    # index rows must come back in the generators' ROW dtype, tabled or not
+    from oracles import scan_closure
+    from semidec.monoid import ROW, index_closure
+
+    t2 = fam("T", 2, "3")
+    rows = np.arange(len(t2), dtype=ROW)[:, None]
+    assert t2.mul_rows(rows, rows).dtype == ROW
+    with monkeypatch.context() as patch:
+        patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+        untabled = Monoid(t2.elements, t2.identity_value, carrier=MatrixCarrier(z3, 2))
+    assert untabled._table is None and untabled.mul_rows(rows, rows).dtype == ROW
+    for m in (t2, fam("T", 3, "2"), fam("AS", 2, "2"), constants_monoid(4)):
+        gens = generating_set(m)
+        assert index_closure(m, gens, "closure")[0] == scan_closure(gens, m.mul)[0], m.label
+        # the same monoid with its elements in reverse order, so the search must close generators
+        flip = np.arange(len(m))[::-1]
+        table = flip[m.table_array()[flip][:, flip]]
+        copy = Monoid(m.elements[::-1], m.identity_value, table=table)
+        assert isomorphic(m, copy, limit=len(m)), m.label
+
+
+def test_table_past_the_index_dtype_is_refused_unread():
+    # 65,537 elements need indices past uint16; the table is never converted
+    class Unread:
+        def __array__(self, *args, **kwargs):
+            raise AssertionError("the table was read")
+
+    size = int(np.iinfo(semidec.monoid.TABLE).max) + 2
+    with pytest.raises(SizeLimitExceeded, match="65537 elements"):
+        Monoid(list(range(size)), 0, table=Unread(), label="huge")
+    with pytest.raises(SizeLimitExceeded, match="65537 elements"):
+        constants_monoid(size - 1)
+
+
+def test_to_json_writes_the_t2_z3_file_byte_for_byte(fam):
+    # a TABLE table lists the same ints as the int32 one did
+    import hashlib
+
+    text = json.dumps(to_json(fam("T", 2, "3")), sort_keys=True, separators=(",", ":")) + "\n"
+    assert len(text) == 2332
+    assert hashlib.sha256(text.encode()).hexdigest() == "e845ed10769067fd75e39546c7f4cd729c79eb40460dbf2e892c99837da4117e"
