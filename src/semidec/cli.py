@@ -6,13 +6,14 @@ reports), decompose (run a pipeline and write certificates), verify
 export (render a report in another format).  Exit codes: 0 success,
 1 verification failure or negative search, 2 usage error (a ring, family
 or degree that names nothing to build, a ring file that is not a
-semiring, a field-only command over a non-field), a monoid file whose
+semiring, a field-only command over a non-field, an unknown ``analyze``
+report name), a monoid file whose
 table is not a monoid or, for ``search --out``, whose provenance does not
 rebuild it, a malformed monoid file or certificate, a report that
 ``export --format text`` or ``dot`` cannot render (not an object, ill-typed
-``terms``, or a ``depth`` whose classes do not match its class count), or
-an input file that is not JSON or nests past the recursion limit.  JSON
-output is compact.
+``terms``, or a ``depth`` whose classes do not match its class count), an
+input file that is not UTF-8 JSON or nests past the recursion limit, or
+a path that cannot be read or written.  JSON output is compact.
 
 ``decompose --cert`` and ``search --out`` write a certificate document,
 ``{"descriptors": [...], "steps": [...], "certificates": [...]}`` plus
@@ -67,12 +68,14 @@ def _write_text(text: str, path: str | None):
 
 
 def _load(path: str):
-    """The JSON value in ``path``; one nested past the recursion limit is invalid JSON."""
+    """The JSON value in ``path``; one nested past the recursion limit, or not UTF-8 text, is invalid JSON."""
     with open(path, encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except RecursionError:
             raise json.JSONDecodeError("nested past the recursion limit", "", 0) from None
+        except UnicodeDecodeError as exc:
+            raise json.JSONDecodeError(f"not UTF-8 text ({exc.reason})", "", 0) from None
 
 
 def cmd_family(args) -> int:
@@ -84,9 +87,15 @@ def cmd_family(args) -> int:
     return 0
 
 
+REPORTS = ("greens", "depth")
+
+
 def cmd_analyze(args) -> int:
+    selected = args.report.split(",") if args.report else list(REPORTS)
+    unknown = [name for name in selected if name not in REPORTS]
+    if unknown:
+        raise InvalidSpec(f"unknown report {unknown[0]!r} (expected a comma-separated subset of {','.join(REPORTS)})")
     monoid = monoid_from_json(_load(args.monoid))
-    selected = args.report.split(",") if args.report else ["greens", "depth"]
     payload: dict = {"label": monoid.label, "order": len(monoid)}
     if "greens" in selected:
         g = greens(monoid)
@@ -293,7 +302,7 @@ def main(argv=None) -> int:
     except SemidecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (InvalidSpec, InvalidMonoid, InvalidCertificate, InvalidReport)) else 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -23,14 +23,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from semidec.carriers import ProductCarrier, close_descriptor
 from semidec.errors import CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, PipelineCheckFailed
 from semidec.families import (
+    _semiring_dot,
+    affine_matrices,
+    affine_tables,
     constants_monoid,
     family,
-    point_index,
-    points,
-    transformation_of_affine,
+    identity_entries,
+    point_codes,
+    point_grid,
     u1,
 )
 from semidec.monoid import (
@@ -47,7 +52,6 @@ from semidec.monoid import (
     maximal_subgroup,
 )
 from semidec.semiring import SemiringTable, units
-from semidec.trimat import affine_to_matrix, identity_entries, mul_entries, scaling_map
 from semidec.witness import (
     DivisionWitness,
     absorb,
@@ -79,14 +83,25 @@ def _require_degree(n: int, what: str) -> None:
 # -- the inductive splitting step ---------------------------------------------
 
 
+def _scalings(ring: SemiringTable, m: int, lams) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+    """The scaling presentations ``v -> v * lam + c`` of R^m for ``lam`` in
+    ``lams``, lam-major, then ``c`` lexicographic: their lam and shift
+    arrays and their ``affine_tables`` rows."""
+    pts = point_grid(ring, m)
+    lam, shifts = np.repeat(np.asarray(lams, dtype=pts.dtype), len(pts)), np.tile(pts, (len(lams), 1))
+    return lam, shifts, list(map(tuple, affine_tables(ring, affine_matrices("AS", m, ring)[lam], shifts).tolist()))
+
+
 def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """Split T_n as [AS_(n-1) wr T_(n-1)] x T_1, injectively.
 
     Each matrix s with blocks (M, v, c) maps to ((f, M), c), f and M as wreath
-    indices, where f sends X to the scaling map w -> (X v)^T + w c.  The witness
-    pairs the identity and a generating set of T_n with their splits;
-    verification confirms they generate a homomorphism, and closure exactly
-    |T_n| makes it injective.
+    indices, where f sends X to the scaling map w -> (X v)^T + w c.  Every
+    ``X v`` is one ``_semiring_dot`` over the elements X of T_(n-1), and
+    every scaling table one ``affine_tables`` row, looked up in AS_(n-1)
+    once for all (lam, shift).  The witness pairs the identity and a
+    generating set of T_n with their splits; verification confirms they
+    generate a homomorphism, and closure exactly |T_n| makes it injective.
     """
     _require_degree(n, "induction_step")
     m = n - 1
@@ -96,31 +111,18 @@ def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     t_1 = family("T", 1, ring, limit)
     ctx = WreathContext(as_prev, t_prev)
     target = ProductCarrier(ctx, t_1)
-    pidx = point_index(ring, m)
-    pts = points(ring, m)
-    scaling_cache: dict[tuple, int] = {}
-
-    def scaling_index(lam: int, shift: tuple) -> int:
-        key = (lam, shift)
-        out = scaling_cache.get(key)
-        if out is None:
-            f = scaling_map(ring, m, lam, shift)
-            out = as_prev.index.get(tuple(pidx[f.apply(p)] for p in pts))
-            _require(out is not None, f"induction_step: scaling table in {as_prev.label}")
-            scaling_cache[key] = out
-        return out
+    found = [as_prev.index.get(t) for t in _scalings(ring, m, range(ring.size))[2]]
+    _require(None not in found, f"induction_step: scaling table in {as_prev.label}")
+    scaling = np.array(found).reshape(ring.size, -1)  # scaling[lam, c's point code]
+    add, mul = np.array(ring.add), np.array(ring.mul)
+    tops = np.array(t_prev.elements)
 
     def split(entries):
         top = tuple(tuple(entries[i][:m]) for i in range(m))
-        v = tuple(entries[i][m] for i in range(m))
+        v = np.array([entries[i][m:m + 1] for i in range(m)])  # a column
         c = entries[m][m]
-        table = tuple(
-            scaling_index(
-                c,
-                tuple(ring.sum_of(ring.mul[x[i][j]][v[j]] for j in range(m)) for i in range(m)),
-            )
-            for x in t_prev.elements
-        )
+        xv = _semiring_dot(add, mul, ring.zero, tops, v)[..., 0]  # row k: X v for the k-th X
+        table = tuple(scaling[c, point_codes(ring, xv)].tolist())
         return ((table, t_prev.index[top]), ((c,),))
 
     w = mapped_witness(
@@ -310,9 +312,12 @@ def check_scaling_group_embedding(m: int, n: int, ring: SemiringTable,
     """Each degree-m scaling group embeds in the degree-n triangular group.
 
     The presentations v -> v*lam + c (lam a unit, c a point) must give
-    exactly AS*_m; their corner embeddings ``trimat.affine_to_matrix``, padded
-    with an identity block to degree n, are checked injective into T*_n and
-    multiplicative, exhaustively, else ``PipelineCheckFailed``.
+    exactly AS*_m (their ``affine_tables`` rows); their corner embeddings
+    [[1, c], [0, lam I]], padded with an identity block to degree n, must
+    be distinct elements of T*_n, and multiplicative: with ``at`` mapping
+    each AS*_m index to its image's T*_n index, ``T*_n``'s products of
+    ``at`` with ``at`` equal ``at`` of AS*_m's table, checked as one block.
+    Otherwise ``PipelineCheckFailed``.
     """
     if not ring.is_field:
         raise FieldRequired(f"{ring.label} is not a field")
@@ -320,22 +325,19 @@ def check_scaling_group_embedding(m: int, n: int, ring: SemiringTable,
         raise DimensionMismatch(f"scaling degree {m} is not in 1..{n - 1}")
     star = family("AS*", m, ring, limit)
     t_star = family("T*", n, ring, limit)
-    pad = identity_entries(ring, n)
-
-    def embed(f):
-        block = affine_to_matrix(f).entries
-        return tuple(
-            tuple(block[i][j] if i <= m and j <= m else pad[i][j] for j in range(n)) for i in range(n)
-        )
-
-    maps = [scaling_map(ring, m, lam, c) for lam in sorted(units(ring)) for c in points(ring, m)]
-    images = {transformation_of_affine(f): embed(f) for f in maps}
-    _require(len(images) == len(maps) and set(images) == set(star.elements),
+    lams, shifts, tables = _scalings(ring, m, sorted(units(ring)))
+    _require(len(set(tables)) == len(tables) and set(tables) == set(star.elements),
              f"scaling embedding: presentations cover {star.label} exactly")
-    _require(len(set(images.values())) == len(maps) and all(v in t_star.index for v in images.values()),
+    corners = np.tile(np.array(identity_entries(ring, n)), (len(lams), 1, 1))
+    corners[:, 0, 1:m + 1] = shifts
+    corners[:, np.arange(1, m + 1), np.arange(1, m + 1)] = lams[:, None]
+    images = [tuple(map(tuple, c)) for c in corners.tolist()]
+    found = [t_star.index.get(v) for v in images]
+    _require(len(set(images)) == len(images) and None not in found,
              f"scaling embedding: injective into {t_star.label}")
-    _require(all(mul_entries(ring, images[a], images[b]) == images[star.mul_value(a, b)]
-                 for a in star.elements for b in star.elements),
+    at = np.empty(len(star), dtype=np.intp)
+    at[[star.index[t] for t in tables]] = found
+    _require(bool((t_star.products(at, at) == at[star.table_array()]).all()),
              "scaling embedding: multiplicative")
 
 

@@ -38,14 +38,6 @@ class DimensionMismatch(SemidecError):
     pass
 
 
-class RingMismatch(SemidecError):
-    pass
-
-
-class IllegalDirection(SemidecError):
-    pass
-
-
 class DimensionTooSmall(InvalidSpec):
     pass
 

@@ -27,14 +27,13 @@ from semidec.monoid import (
     ROW,
     TABLE,
     Monoid,
-    check_table_order,
+    check_table_bound,
     maximal_subgroup,
     product_value,
     quotient_by_central_units,
     within_table_bound,
 )
 from semidec.semiring import SemiringTable, units
-from semidec.trimat import AffineMap, identity_entries
 
 FAMILY_KINDS = (
     "T", "UT", "PT", "T*", "UT*", "PT*",
@@ -73,12 +72,20 @@ class FamilySpec:
         }
 
 
-def points(ring: SemiringTable, n: int) -> list[tuple[int, ...]]:
-    return list(product(range(ring.size), repeat=n))
+def identity_entries(ring: SemiringTable, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(ring.one if i == j else ring.zero for j in range(n)) for i in range(n)
+    )
 
 
-def point_index(ring: SemiringTable, n: int) -> dict[tuple[int, ...], int]:
-    return {p: i for i, p in enumerate(points(ring, n))}
+def point_grid(ring: SemiringTable, n: int) -> np.ndarray:
+    """The points of R^n, one per row, in lexicographic order."""
+    return np.indices((ring.size,) * n, dtype=ROW).reshape(n, -1).T
+
+
+def point_codes(ring: SemiringTable, vectors: np.ndarray) -> np.ndarray:
+    """The row in ``point_grid`` of each vector along the last axis: its mixed-radix value."""
+    return vectors @ ring.size ** np.arange(vectors.shape[-1] - 1, -1, -1)
 
 
 class TransformationCarrier:
@@ -104,11 +111,6 @@ class TransformationCarrier:
         return product_value(self, f, g)
 
 
-def transformation_of_affine(f: AffineMap) -> tuple[int, ...]:
-    idx = point_index(f.ring, f.dim)
-    return tuple(idx[f.apply(p)] for p in points(f.ring, f.dim))
-
-
 # -- matrix families ----------------------------------------------------------
 
 
@@ -116,8 +118,13 @@ def _semiring_dot(add: np.ndarray, mul: np.ndarray, zero: int, rows, mats) -> np
     """Row vectors times matrices over a semiring's tables, broadcast over blocks of each.
 
     ``out[..., c]`` folds ``add`` over k ascending, starting from ``zero``,
-    over ``mul[rows[..., k], mats[..., k, c]]``: the order of
-    ``trimat.mul_entries``, so every semiring table gives its per-pair products.
+    over ``mul[rows[..., k], mats[..., k, c]]``: the order of a per-pair
+    product, so every semiring table gets the same entries.  It is the
+    package's one sum of products:
+    matrix products (``MatrixCarrier``, ``triangular_table``), affine maps
+    (``affine_tables``), the splitting step's ``X v``
+    (``decomp.induction_step``) and, through ``T*_n``'s products, the
+    scaling-group embedding check all run on it.
     """
     acc = zero
     for k in range(rows.shape[-1]):
@@ -129,7 +136,9 @@ class MatrixCarrier:
     """Square entry patterns over a semiring as a carrier.
 
     A matrix's row is its n*n entries, row-major, and a block product is
-    one ``_semiring_dot`` of every left matrix's rows with every right matrix.
+    one ``_semiring_dot`` of every left matrix's rows with every right
+    matrix: the kernel of affine tables too, so matrix products and
+    affine maps agree entry for entry.
     """
 
     def __init__(self, ring: SemiringTable, n: int):
@@ -262,29 +271,36 @@ def _matrix_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
 # -- affine families ----------------------------------------------------------
 
 
-def _affine_presentations(kind: str, n: int, ring: SemiringTable):
-    """Yield AffineMap presentations in lexicographic pattern order."""
-    shifts = points(ring, n)
+def affine_matrices(kind: str, n: int, ring: SemiringTable) -> np.ndarray:
+    """The matrices X of the presentations ``v -> v @ X + c`` of ``kind``, an
+    ``(count, n, n)`` array in lexicographic order: ``AS`` the scalings
+    ``diag(lam)``, ``AT`` the upper triangular matrices, ``A`` all of them."""
     if kind == "AS":
-        for lam in range(ring.size):
-            for c in shifts:
-                yield AffineMap(n, ring, c, scaling=lam)
-        return
-    rows = points(ring, n)
+        mats = np.full((ring.size, n, n), ring.zero, dtype=ROW)
+        mats[:, np.arange(n), np.arange(n)] = np.arange(ring.size, dtype=ROW)[:, None]
+        return mats
     if kind == "AT":
-        mats = [
-            x
-            for x in product(rows, repeat=n)
-            if all(x[i][j] == ring.zero for i in range(n) for j in range(i))
-        ]
-    else:  # full affine monoid
-        mats = list(product(rows, repeat=n))
-    for x in mats:
-        for c in shifts:
-            yield AffineMap(n, ring, c, x=x)
+        return np.array(_matrix_elements("T", n, ring), dtype=ROW)
+    return point_grid(ring, n * n).reshape(-1, n, n)
+
+
+def affine_tables(ring: SemiringTable, mats: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Row q is the transformation table of ``v -> v @ mats[q] + shifts[q]``
+    over ``point_grid``: each image point ``_semiring_dot``'s fold plus the
+    shift, entry by entry, given by its ``point_codes``.  A scaling
+    ``diag(lam)`` gives ``v * lam + c`` exactly, because the ring's zero is
+    an additive identity and an annihilator."""
+    add, mul = np.array(ring.add, dtype=ROW), np.array(ring.mul, dtype=ROW)
+    pts = point_grid(ring, shifts.shape[-1])
+    return point_codes(ring, add[_semiring_dot(add, mul, ring.zero, pts, mats[:, None]), shifts[:, None]])
 
 
 def _affine_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid:
+    """The transformations of R^n that the presentations of ``kind`` induce,
+    in the order each first appears: matrix-major, then shift, both
+    lexicographic.  Presentations are evaluated by ``affine_tables`` in
+    blocks of at most ``_BLOCK_CELLS`` image entries (one presentation at
+    least), so memory stays bounded however many there are."""
     pattern_count = {
         "AS": ring.size ** (n + 1),
         "AT": ring.size ** (n * (n + 1) // 2 + n),
@@ -292,17 +308,16 @@ def _affine_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
     }[kind]
     if pattern_count > limit or ring.size**n > limit:
         raise SizeLimitExceeded(limit, f"{kind}_{n}({ring.label}) enumeration")
-    idx = point_index(ring, n)
-    pts = points(ring, n)
-    seen = {}
-    for f in _affine_presentations(kind, n, ring):
-        tab = tuple(idx[f.apply(p)] for p in pts)
-        if tab not in seen:
-            seen[tab] = f
+    mats, pts = affine_matrices(kind, n, ring), point_grid(ring, n)
+    count, step = len(mats) * len(pts), max(1, _BLOCK_CELLS // (len(pts) * n))
+    seen: dict[tuple, None] = {}
+    for start in range(0, count, step):
+        q = np.arange(start, min(start + step, count))
+        tables = affine_tables(ring, mats[q // len(pts)], pts[q % len(pts)])
+        seen.update(dict.fromkeys(map(tuple, tables.tolist())))
     elements = list(seen)
-    ident = tuple(range(len(pts)))
     spec = FamilySpec(kind, n, ring)
-    return Monoid(elements, ident, carrier=TransformationCarrier(len(pts)), label=spec.label(),
+    return Monoid(elements, tuple(range(len(pts))), carrier=TransformationCarrier(len(pts)), label=spec.label(),
                   provenance=spec.descriptor())
 
 
@@ -349,12 +364,14 @@ def constants_monoid(point_count: int, label: str = "", provenance: dict | None 
 
     Elements are tagged pairs rather than transformation tables: on a
     one-point set the identity and the constant coincide extensionally,
-    but this monoid always has order point_count + 1.
+    but this monoid always has order point_count + 1.  Its table is always
+    built, so an order past ``TABLE_BOUND`` raises ``SizeLimitExceeded``
+    before anything is allocated.
     """
     if point_count < 1:
         raise ValueError("need a non-empty point set")
+    check_table_bound(point_count + 1, label or f"~{point_count}")
     elements = [CONSTANTS_IDENTITY] + [constant_at(x) for x in range(point_count)]
-    check_table_order(len(elements), label or f"~{point_count}")
     index = np.arange(len(elements), dtype=TABLE)
     table = np.where(index > 0, index, index[:, None])  # a constant on the right wins
     return Monoid(elements, CONSTANTS_IDENTITY, table=table, label=label or f"~{point_count}",

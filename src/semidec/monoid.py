@@ -54,6 +54,12 @@ def within_table_bound(size: int) -> bool:
     return size <= TABLE_BOUND
 
 
+def check_table_bound(size: int, what: str) -> None:
+    """``SizeLimitExceeded`` unless a monoid of ``size`` elements gets a table."""
+    if not within_table_bound(size):
+        raise SizeLimitExceeded(TABLE_BOUND, f"table of {what or 'a monoid'} ({size} elements)")
+
+
 class Monoid:
     """A finite monoid: element values, an identity, and one way to multiply.
 

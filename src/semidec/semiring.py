@@ -27,12 +27,6 @@ class SemiringTable:
     label: str
     is_field: bool = field(default=False, compare=False)
 
-    def sum_of(self, items) -> int:
-        total = self.zero
-        for x in items:
-            total = self.add[total][x]
-        return total
-
     def descriptor(self) -> dict:
         if self.label == f"Z_{self.size}" and _is_prime(self.size) and self.size <= PRIME_FIELD_BOUND:
             std = make_prime_field(self.size)
@@ -164,8 +158,8 @@ def parse_ring_spec(spec: str) -> SemiringTable:
 
     A spec outside the grammar raises ``InvalidSpec``; ``zp:<p>`` with ``p``
     not a prime, ``NotPrime``; a ring file that is not a semiring table,
-    including one nested past the recursion limit, ``InvalidSpec`` or
-    ``AxiomViolation``."""
+    including one nested past the recursion limit or not UTF-8 text,
+    ``InvalidSpec`` or ``AxiomViolation``."""
     if spec == "bool":
         return make_boolean_semiring()
     if spec.startswith("zp:"):
@@ -182,6 +176,8 @@ def parse_ring_spec(spec: str) -> SemiringTable:
                 obj = json.load(handle)
             except RecursionError:
                 raise InvalidSpec(f"ring file {spec[6:]!r} nests past the recursion limit") from None
+            except UnicodeDecodeError:
+                raise InvalidSpec(f"ring file {spec[6:]!r} is not UTF-8 text") from None
         try:
             return from_json(obj)
         except (KeyError, TypeError, ValueError) as exc:

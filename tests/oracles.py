@@ -10,8 +10,11 @@ aperiodic predicates by inverses and powers, wreath products on decoded
 values, spans by enumerating all linear combinations.  ``CyclicCarrier``
 is a carrier for cyclic groups too large for a per-pair table.  The
 triangular-matrix helpers below (explicit
-matrices, row and column operations, block decomposition) serve only the
-tests; the library works on entry tuples.  ``every_element_pairing``
+matrices, row and column operations, block decomposition) and the
+per-point affine maps with their corner embedding serve only the tests:
+the library computes every sum of products with one numpy kernel
+(``families._semiring_dot``), and these are the per-pair Python
+references it is checked against.  ``every_element_pairing``
 makes certificates pair every source element, not a generating set, and
 ``closure_pairs`` reads a verified witness's closure rows as pairs.
 """
@@ -21,10 +24,10 @@ from itertools import product
 
 import numpy as np
 
-from semidec.errors import DimensionMismatch, DimensionTooSmall, IllegalDirection, RingMismatch
+from semidec.errors import DimensionMismatch, DimensionTooSmall, SemidecError
+from semidec.families import identity_entries
 from semidec.monoid import GreensReport, Monoid
 from semidec.semiring import SemiringTable
-from semidec.trimat import AffineMap, TriMatrix, identity_entries, is_triangular_entries, mul_entries, scaling_map
 
 
 def compose_tables(f, g):
@@ -234,6 +237,17 @@ def matrix_product(ring, a, b):
     return tuple(out)
 
 
+mul_entries = matrix_product  # the name the triangular-matrix helpers below use
+
+
+def sum_of(ring, items) -> int:
+    """``ring.add`` folded over ``items`` from the ring's zero."""
+    total = ring.zero
+    for x in items:
+        total = ring.add[total][x]
+    return total
+
+
 def pairwise_matrix_table(ring, elements):
     """Multiplication table of matrix entry patterns: one product and one dict lookup per pair."""
     index = {v: i for i, v in enumerate(elements)}
@@ -307,6 +321,38 @@ def every_element_pairing(monkeypatch):
 
 
 # -- triangular matrices, used only by tests ------------------------------------
+
+Entries = tuple[tuple[int, ...], ...]
+
+
+class RingMismatch(SemidecError):
+    pass
+
+
+class IllegalDirection(SemidecError):
+    pass
+
+
+def is_triangular_entries(ring: SemiringTable, entries: Entries) -> bool:
+    return all(entries[i][j] == ring.zero for i in range(len(entries)) for j in range(i))
+
+
+@dataclass(frozen=True)
+class TriMatrix:
+    n: int
+    entries: Entries
+    ring: SemiringTable
+
+    def __post_init__(self):
+        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+            raise DimensionMismatch(f"expected {self.n}x{self.n} entries")
+        if not is_triangular_entries(self.ring, self.entries):
+            raise ValueError("entries below the diagonal must all be zero")
+
+    def __getitem__(self, pos):
+        i, j = pos
+        return self.entries[i][j]
+
 
 
 def matrix(ring: SemiringTable, rows) -> TriMatrix:
@@ -433,5 +479,118 @@ def block_decompose(s: TriMatrix) -> BlockParts:
     return parts
 
 
+# -- affine maps, one point at a time -------------------------------------------
+
+Vector = tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class AffineMap:
+    """``v -> v @ X + c`` with X upper triangular, or ``v -> v*lam + c``.
+
+    Exactly one of ``x`` (matrix entries) and ``scaling`` (a ring index) is
+    set.  This is the formal presentation; over degenerate semirings two
+    presentations may induce the same transformation of R^dim.  Vectors
+    are row vectors acted on from the right, so composition reads left to
+    right.
+    """
+
+    dim: int
+    ring: SemiringTable
+    c: Vector
+    x: Entries | None = None
+    scaling: int | None = None
+
+    def __post_init__(self):
+        assert (self.x is None) != (self.scaling is None)
+        if len(self.c) != self.dim:
+            raise DimensionMismatch("shift vector length must equal dim")
+
+    def matrix_entries(self) -> Entries:
+        if self.x is not None:
+            return self.x
+        lam, ring = self.scaling, self.ring
+        return tuple(
+            tuple(lam if i == j else ring.zero for j in range(self.dim))
+            for i in range(self.dim)
+        )
+
+    def apply(self, v: Vector) -> Vector:
+        ring = self.ring
+        if self.scaling is not None:
+            return tuple(ring.add[ring.mul[v[i]][self.scaling]][self.c[i]] for i in range(self.dim))
+        x = self.x
+        return tuple(
+            ring.add[sum_of(ring, (ring.mul[v[i]][x[i][j]] for i in range(self.dim)))][self.c[j]]
+            for j in range(self.dim)
+        )
+
+    def compose(self, other: "AffineMap") -> "AffineMap":
+        """Right-action composition: apply self first, then other."""
+        ring = self.ring
+        if self.scaling is not None and other.scaling is not None:
+            lam = ring.mul[self.scaling][other.scaling]
+            c = tuple(
+                ring.add[ring.mul[self.c[i]][other.scaling]][other.c[i]]
+                for i in range(self.dim)
+            )
+            return AffineMap(self.dim, ring, c, scaling=lam)
+        x = mul_entries(ring, self.matrix_entries(), other.matrix_entries())
+        c = other.apply(self.c)
+        return AffineMap(self.dim, ring, c, x=x)
+
+
+def scaling_map(ring: SemiringTable, dim: int, lam: int, shift: Vector) -> AffineMap:
+    return AffineMap(dim, ring, tuple(shift), scaling=lam)
+
+
 def identity_affine(ring: SemiringTable, dim: int) -> AffineMap:
     return scaling_map(ring, dim, ring.one, tuple(ring.zero for _ in range(dim)))
+
+
+def affine_to_matrix(f: AffineMap) -> TriMatrix:
+    """Corner embedding: the (dim+1)-square matrix [[1, c], [0, X]].
+
+    Identifying v with the row (1, v), one has (1, v) @ M_f = (1, f(v)),
+    and M on formal maps is injective and multiplicative.
+    """
+    ring, m = f.ring, f.dim
+    x = f.matrix_entries()
+    rows = [(ring.one,) + tuple(f.c)]
+    for i in range(m):
+        rows.append((ring.zero,) + tuple(x[i]))
+    out = TriMatrix(m + 1, tuple(rows), ring)
+    assert is_triangular_entries(ring, out.entries)
+    return out
+
+
+def points(ring: SemiringTable, n: int) -> list[tuple[int, ...]]:
+    return list(product(range(ring.size), repeat=n))
+
+
+def point_index(ring: SemiringTable, n: int) -> dict[tuple[int, ...], int]:
+    return {p: i for i, p in enumerate(points(ring, n))}
+
+
+def transformation_of_affine(f: AffineMap) -> tuple[int, ...]:
+    """The table of ``f`` over the points of R^dim in lexicographic order, one point at a time."""
+    idx = point_index(f.ring, f.dim)
+    return tuple(idx[f.apply(p)] for p in points(f.ring, f.dim))
+
+
+def affine_presentations(kind: str, dim: int, ring: SemiringTable) -> list[AffineMap]:
+    """The presentations of ``kind`` ("AS", "AT" or "A") in lexicographic
+    pattern order: matrix-major, then shift."""
+    shifts = points(ring, dim)
+    if kind == "AS":
+        return [scaling_map(ring, dim, lam, c) for lam in range(ring.size) for c in shifts]
+    mats = [x for x in product(shifts, repeat=dim) if kind == "A" or is_triangular_entries(ring, x)]
+    return [AffineMap(dim, ring, c, x=x) for x in mats for c in shifts]
+
+
+def affine_elements(kind: str, dim: int, ring: SemiringTable) -> list[tuple[int, ...]]:
+    """The tables the presentations of ``kind`` induce, each where it first
+    appears, one point at a time; a starred kind keeps only the
+    permutations among them, its unit group."""
+    tables = dict.fromkeys(transformation_of_affine(f) for f in affine_presentations(kind.rstrip("*"), dim, ring))
+    return [t for t in tables if not kind.endswith("*") or len(set(t)) == len(t)]

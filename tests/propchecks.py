@@ -7,9 +7,8 @@ answer one way; the second ways live here.
 """
 
 from oracles import ElementaryOp, classify, columns, elementary_matrix, matrix, rows, span_membership
-from semidec.families import MatrixCarrier, constants_monoid
+from semidec.families import MatrixCarrier, constants_monoid, identity_entries
 from semidec.monoid import greens, is_aperiodic, is_group, maximal_subgroup, quotient_by_central_units
-from semidec.trimat import identity_entries
 
 
 def greens_vs_multiplication_orbits(m) -> int:

@@ -149,6 +149,43 @@ def test_ring_file_nested_past_the_recursion_limit_exit_2(tmp_path, optimize):
     assert proc.stderr.startswith("error: InvalidSpec: ring file "), proc.stderr
 
 
+def _unreadable_argv(command: str, path: str) -> list[str]:
+    return {
+        "verify": ["verify", path],
+        "analyze": ["analyze", path],
+        "search": ["search", "--source", path, "--target", path],
+        "export": ["export", path, "--format", "json"],
+        "table:": ["family", "--kind", "T", "--n", "2", "--ring", f"table:{path}"],
+    }[command]
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("kind", ["not UTF-8", "directory"])
+@pytest.mark.parametrize("command", ["verify", "analyze", "search", "export", "table:"])
+def test_unreadable_input_file_exit_2(tmp_path, command, kind, optimize):
+    # bytes that are not UTF-8 text, or a directory, are usage errors and not tracebacks
+    path = tmp_path
+    if kind == "not UTF-8":
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe\x80")
+    proc = run_cli(_unreadable_argv(command, str(path)), optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: "), proc.stderr
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_analyze_unknown_report_exit_2(tmp_path, optimize):
+    mon = tmp_path / "m.json"
+    assert run_cli(["family", "--kind", "T", "--n", "2", "--ring", "zp:2", "--out", str(mon)]).returncode == 0
+    proc = run_cli(["analyze", str(mon), "--report", "greens,gren"], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: InvalidSpec: unknown report 'gren'"), proc.stderr
+
+
 def _entry_out_of_range(payload):
     payload["table"][1][2] = len(payload["table"])
 
@@ -968,6 +1005,9 @@ OVERSIZED_SOURCES = {
     "one-element doubling chain": (_doubling("product", ONE_ELEMENT, 40), "source", EXPANSION_ERROR),
     # a carrier chain lists no elements, but its label and rows double
     "carrier doubling chain": (_doubling("product_carrier", _family("T", 2, 2), 40), "target", EXPANSION_ERROR),
+    # 6,001 elements, past the table bound; a constants monoid is always tabled
+    "constants past the table bound": ([{"kind": "family", "family": "constants", "points": 6000}], "source",
+                                       (1, "error: SizeLimitExceeded: size limit 4096 exceeded: ")),
 }
 
 

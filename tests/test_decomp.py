@@ -1,6 +1,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 import semidec.decomp as decomp
@@ -124,7 +125,10 @@ def test_argument_checks_are_typed(z2, boolean):
 
 
 def test_scaling_group_embedding_failure_is_typed(z2, monkeypatch):
-    monkeypatch.setattr(decomp, "mul_entries", lambda ring, a, b: a)
+    # T*_2's products answer a * b = a, so the block compare sees a non-homomorphism
+    t_star = family("T*", 2, z2)
+    monkeypatch.setattr(t_star, "products", lambda rows, cols: np.broadcast_to(np.asarray(rows)[:, None],
+                                                                               (len(rows), len(cols))))
     with pytest.raises(PipelineCheckFailed, match="multiplicative"):
         check_scaling_group_embedding(1, 2, z2)
 

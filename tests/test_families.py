@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from oracles import AffineMap, affine_to_matrix, mul_entries, transformation_of_affine
 from semidec.errors import ActionNotFaithful, DimensionTooSmall, FieldRequired, InvalidSpec, SizeLimitExceeded
 from semidec.families import (
     FamilySpec,
@@ -9,14 +10,11 @@ from semidec.families import (
     build_family,
     constants_monoid,
     family,
-    point_index,
-    points,
-    transformation_of_affine,
+    identity_entries,
     u1,
 )
 from semidec.monoid import is_aperiodic, is_group, isomorphic, maximal_subgroup
 from semidec.semiring import make_from_tables
-from semidec.trimat import AffineMap, affine_to_matrix, identity_entries, mul_entries
 
 
 def test_orders(fam):
@@ -289,6 +287,22 @@ def test_triangular_table_matches_pairwise_oracle(kind, n, ring_name, request):
         ring = request.getfixturevalue({"2": "z2", "3": "z3", "bool": "boolean"}[ring_name])
     m = family(kind, n, ring)
     assert m.table_array().tolist() == pairwise_matrix_table(ring, m.elements)
+
+
+@pytest.mark.parametrize("ring_name,n", [("2", 1), ("2", 2), ("2", 3), ("3", 1), ("3", 2), ("5", 1), ("5", 2),
+                                         ("bool", 1), ("bool", 2), ("permuted Z_3", 1), ("permuted Z_3", 2)])
+def test_affine_elements_match_the_oracle_enumeration(ring_name, n):
+    # the kernel's tables, in first-seen order, are the per-point evaluator's
+    from conftest import _ring
+    from oracles import affine_elements
+
+    ring = _permuted_z3() if ring_name == "permuted Z_3" else _ring(ring_name)
+    entries = {"AS": n + 1, "AT": n * (n + 1) // 2 + n, "A": n * n + n}  # ring entries per presentation
+    kinds = [kind for kind, count in entries.items() if ring.size**count <= 1024]  # at most 1,024 presentations
+    for kind in kinds + [kind + "*" for kind in kinds]:
+        m = family(kind, n, ring)
+        assert m.elements == affine_elements(kind, n, ring), m.label
+        assert m.identity_value == tuple(range(ring.size**n))
 
 
 @pytest.mark.parametrize("build", ["kernel", "monoid"])

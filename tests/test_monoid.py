@@ -3,11 +3,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import semidec.monoid
-from oracles import greens_by_rows, greens_j_classes, is_regular, table_monoid
+from oracles import greens_by_rows, greens_j_classes, is_regular, mul_entries, table_monoid
 from semidec.errors import InvalidMonoid, NotCentral, NotIdempotent, SizeLimitExceeded
-from semidec.families import MatrixCarrier, TransformationCarrier, constants_monoid, family, transformation_closure, u1
+from semidec.families import (MatrixCarrier, TransformationCarrier, constants_monoid, family, identity_entries,
+                              transformation_closure, u1)
 from semidec.monoid import (
     Monoid,
     check_associativity,
@@ -25,7 +28,7 @@ from semidec.monoid import (
     quotient_by_central_units,
     to_json,
 )
-from semidec.trimat import identity_entries, mul_entries
+from semidec.semiring import make_prime_field
 
 
 def matrix_mul(ring):
@@ -596,3 +599,57 @@ def test_to_json_writes_the_t2_z3_file_byte_for_byte(fam):
     text = json.dumps(to_json(fam("T", 2, "3")), sort_keys=True, separators=(",", ":")) + "\n"
     assert len(text) == 2332
     assert hashlib.sha256(text.encode()).hexdigest() == "e845ed10769067fd75e39546c7f4cd729c79eb40460dbf2e892c99837da4117e"
+
+
+# what a fuzzed field of a monoid file is set to: JSON of every type, ints
+# at and past the table's range, and nested lists shaped like rows
+_JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 30), st.integers(-2**70, 2**70),
+                         st.floats(allow_nan=False), st.text(max_size=3))
+_JSON = st.recursive(_JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=12)
+
+
+def _mutate_monoid_file(data, payload: dict) -> None:
+    """Change one field of ``payload``: a top-level value, one element, one
+    table entry or row, or the table's shape."""
+    table, elements = payload["table"], payload["elements"]
+    where = data.draw(st.sampled_from(["field", "drop field", "element", "entry", "row", "drop row",
+                                       "drop column", "append row", "transpose"]), label="where")
+
+    def pick(seq, label):
+        return data.draw(st.integers(0, len(seq) - 1), label=label)
+
+    if where == "field":
+        payload[data.draw(st.sampled_from(sorted(payload)), label="key")] = data.draw(_JSON, label="value")
+    elif where == "drop field":
+        del payload[data.draw(st.sampled_from(sorted(payload)), label="key")]
+    elif where == "element":
+        elements[pick(elements, "element")] = data.draw(_JSON, label="value")
+    elif where == "entry":
+        row = table[pick(table, "row")]
+        row[pick(row, "column")] = data.draw(_JSON, label="value")
+    elif where == "row":
+        table[pick(table, "row")] = data.draw(_JSON, label="value")
+    elif where == "drop row":
+        del table[pick(table, "row")]
+    elif where == "drop column":
+        column = pick(table, "column")
+        for row in table:
+            del row[column]
+    elif where == "append row":
+        table.append(list(table[pick(table, "row")]))
+    else:
+        payload["table"] = [list(col) for col in zip(*table)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_mutated_monoid_file_is_read_or_refused(data):
+    # a monoid file with one field changed is a monoid or InvalidMonoid, nothing else
+    payload = json.loads(json.dumps(to_json(family("T", 2, make_prime_field(3)))))
+    _mutate_monoid_file(data, payload)
+    try:
+        m = from_json(payload)
+    except InvalidMonoid:
+        return
+    assert len(m.elements) == len(payload["elements"]) and m.table_array().shape == (len(m), len(m))

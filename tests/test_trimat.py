@@ -3,8 +3,12 @@ from itertools import product
 import pytest
 
 from oracles import (
+    AffineMap,
     BlockParts,
     ElementaryOp,
+    IllegalDirection,
+    RingMismatch,
+    affine_to_matrix,
     apply_col_op,
     apply_row_op,
     block_decompose,
@@ -13,10 +17,11 @@ from oracles import (
     identity_affine,
     mat_mul,
     matrix,
+    scaling_map,
+    sum_of,
     zero_matrix,
 )
-from semidec.errors import DimensionMismatch, DimensionTooSmall, IllegalDirection, RingMismatch
-from semidec.trimat import AffineMap, affine_to_matrix, scaling_map
+from semidec.errors import DimensionMismatch, DimensionTooSmall
 
 
 def all_triangular(ring, n):
@@ -155,7 +160,7 @@ def test_corner_embedding_action(ring_name, dim, request):
         for v in product(range(ring.size), repeat=dim):
             row = (ring.one,) + v
             out = tuple(
-                ring.sum_of(ring.mul[row[i]][mat.entries[i][j]] for i in range(dim + 1))
+                sum_of(ring, (ring.mul[row[i]][mat.entries[i][j]] for i in range(dim + 1)))
                 for j in range(dim + 1)
             )
             assert out == (ring.one,) + f.apply(v)
