@@ -22,7 +22,6 @@ from semidec.monoid import (
     is_aperiodic,
     is_group,
     direct_product,
-    isomorphic,
     quotient_by_central_units,
 )
 from semidec.families import FamilySpec, build_family, constants_monoid, augmented_monoid, u1
@@ -43,7 +42,6 @@ __all__ = [
     "is_aperiodic",
     "is_group",
     "direct_product",
-    "isomorphic",
     "quotient_by_central_units",
     "FamilySpec",
     "build_family",

@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
 from semidec.carriers import ProductCarrier, close_descriptor
-from semidec.errors import CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, PipelineCheckFailed
+from semidec.errors import (CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, InvalidSpec,
+                            PipelineCheckFailed)
 from semidec.families import (
     _semiring_dot,
     affine_matrices,
@@ -535,7 +537,16 @@ def depth_analysis(m: Monoid, limit: int = DEFAULT_LIMIT) -> dict:
 
 
 _CENSUS_STARS = {"T": "T*", "UT": "UT*", "PT": "PT*"}
-_ISO_LIMIT = 512  # largest maximal subgroup the census matches by isomorphism search
+
+
+def _support_idempotent(ring: SemiringTable, n: int, support: tuple) -> tuple:
+    """The diagonal idempotent e_S: ``ring.one`` at (i, i) for i in ``support``, ``ring.zero`` elsewhere."""
+    return tuple(tuple(ring.one if i == j and i in support else ring.zero for j in range(n)) for i in range(n))
+
+
+def _restrict(entries: tuple, support: tuple) -> tuple:
+    """The ``support`` x ``support`` block of an entry pattern."""
+    return tuple(tuple(entries[i][j] for j in support) for i in support)
 
 
 def verify_census(n: int, ring: SemiringTable, kinds=("T", "UT", "PT"),
@@ -545,11 +556,22 @@ def verify_census(n: int, ring: SemiringTable, kinds=("T", "UT", "PT"),
     For each family: the essential classes at depth i number (n choose i);
     the monoid depth is n for the triangular family over a field larger
     than two elements and n-1 otherwise; and each essential class at depth
-    i has maximal subgroup isomorphic to the degree-(n-i) unit-group family.
+    i holds a diagonal idempotent e_S, ``ring.one`` on a support S of n-i
+    positions and ``ring.zero`` elsewhere (for PT its scalar orbit), whose
+    maximal subgroup maps onto the degree-(n-i) unit-group family by
+    restriction to S x S (for PT, each orbit member restricted, then the
+    orbit of the results).  The restriction must be a bijection onto that
+    family and multiplicative, checked by ``isomorphic`` as one block.  A
+    kind other than T, UT and PT raises ``InvalidSpec`` before anything is
+    built; any failed check raises ``CensusMismatch`` naming the class, its
+    depth and the check.
     """
+    for kind in kinds:
+        if kind not in _CENSUS_STARS:
+            raise InvalidSpec(f"census kinds are T, UT and PT, got {kind!r}")
     report: dict = {}
     for kind in kinds:
-        if kind in ("PT", "PT*") and not ring.is_field:
+        if kind == "PT" and not ring.is_field:
             raise FieldRequired("projective families need a field")
         monoid = family(kind, n, ring, limit)
         rep = depth_report(monoid)
@@ -563,20 +585,42 @@ def verify_census(n: int, ring: SemiringTable, kinds=("T", "UT", "PT"),
             raise CensusMismatch(
                 f"{monoid.label}: census {list(rep.census)}, expected {expected_census}"
             )
-        greens_rep = greens(monoid)
-        idem_by_class: dict[int, int] = {}
-        for e in greens_rep.idempotents:
-            idem_by_class.setdefault(greens_rep.j[e], e)
+        j_class = greens(monoid).j
+        star_kind = _CENSUS_STARS[kind]
+        projective = kind == "PT"
+        if projective:  # PT_n's elements are orbits of T_n indices
+            base = family("T", n, ring, limit)
+            orbit_of = {x: i for i, orbit in enumerate(monoid.elements) for x in orbit}
         subgroup_orders = []
         for depth, class_ids in enumerate(rep.k_terms):
-            star = family(_CENSUS_STARS[kind], n - depth, ring, limit)
+            star = family(star_kind, n - depth, ring, limit)
+            star_base = family(star_kind[1:], n - depth, ring, limit) if projective else star
+            # comb(n, depth) supports for as many classes (the census above),
+            # so a class that holds an e_S holds exactly one
+            idempotent = {}  # class -> (support, index of e_S)
+            for support in combinations(range(n), n - depth):
+                entries = _support_idempotent(ring, n, support)
+                e = orbit_of[base.index[entries]] if projective else monoid.index[entries]
+                idempotent.setdefault(j_class[e], (support, e))
             for c in class_ids:
-                sub = maximal_subgroup(monoid, idem_by_class[c])
-                if len(sub) != len(star) or not isomorphic(sub, star, _ISO_LIMIT):
+                where = f"{monoid.label}: class {c} at depth {depth}"
+                if c not in idempotent:
+                    raise CensusMismatch(f"{where} holds no diagonal idempotent of rank {n - depth}")
+                support, e = idempotent[c]
+                sub = maximal_subgroup(monoid, e)
+                if projective:
+                    blocks = [[star_base.index.get(_restrict(base.elements[x], support)) for x in orbit]
+                              for orbit in sub.elements]
+                    images = [None if None in b else star.index.get(tuple(sorted(b))) for b in blocks]
+                else:
+                    images = [star.index.get(_restrict(v, support)) for v in sub.elements]
+                if len(sub) != len(star) or None in images or len(set(images)) != len(star):
                     raise CensusMismatch(
-                        f"{monoid.label}: class {c} at depth {depth} has maximal subgroup "
-                        f"of order {len(sub)}, expected {star.label} of order {len(star)}"
+                        f"{where}: restriction to {support} of its maximal subgroup of order {len(sub)} "
+                        f"is not a bijection onto {star.label} of order {len(star)}"
                     )
+                if not isomorphic(sub, star, images):
+                    raise CensusMismatch(f"{where}: restriction to {support} onto {star.label} is not multiplicative")
             subgroup_orders.append(len(star))
         report[kind] = {
             "order": len(monoid),

@@ -11,8 +11,8 @@ one index column, a wreath context, a product carrier, transformation
 tables) converts values with ``to_row``/``from_row`` and multiplies blocks
 of rows with ``mul_rows``; ``close_rows`` is the one closure kernel.  All
 structure analyses (Green's relations, regularity, subgroups, depth,
-quotients, products, isomorphism search) work on indices against that
-product.
+quotients, products, the isomorphism check of an explicit index map) work
+on indices against that product.
 """
 
 from __future__ import annotations
@@ -523,11 +523,12 @@ def greens(m: Monoid) -> GreensReport:
 
 
 def maximal_subgroup(m: Monoid, e: int) -> Monoid:
-    """The H-class of an idempotent ``e`` as a group with identity ``e``."""
+    """The H-class of an idempotent ``e`` as a group with identity ``e`` (read
+    off ``greens``; past ``TABLE_BOUND`` with no table, ``SizeLimitExceeded``)."""
     if m.mul(e, e) != e:
         raise NotIdempotent(f"element {e} is not idempotent")
-    rep = greens(m)
-    members = [x for x in range(len(m)) if rep.h[x] == rep.h[e]]
+    h = _h_classes(m, "maximal_subgroup")
+    members = [x for x in range(len(m)) if h[x] == h[e]]
     values = [m.elements[x] for x in members]
     inside = np.zeros(len(m), dtype=bool)
     inside[members] = True
@@ -742,25 +743,7 @@ def direct_product(a: Monoid, b: Monoid, limit: int = DEFAULT_LIMIT) -> Monoid:
                   provenance={"kind": "product", "left": a.descriptor(), "right": b.descriptor()})
 
 
-# -- isomorphism search -------------------------------------------------------
-
-
-def _cyclic_profile(rows: list[list[int]], x: int) -> tuple[int, int]:
-    seen = {x: 1}
-    cur, k = x, 1
-    while True:
-        cur = rows[cur][x]
-        k += 1
-        if cur in seen:
-            return (seen[cur], k - seen[cur])  # (index, period)
-        seen[cur] = k
-
-
-def _element_profiles(table: np.ndarray, rows: list[list[int]]) -> list[tuple]:
-    """Per element: (index, period, idempotent, row-image size, column-image size)."""
-    row_sizes, col_sizes = _image_sizes(table), _image_sizes(table.T)
-    return [(*_cyclic_profile(rows, x), int(rows[x][x] == x), row_sizes[x], col_sizes[x])
-            for x in range(len(rows))]
+# -- generating sets and isomorphisms -----------------------------------------
 
 
 def index_closure(m: Monoid, gens, what: str):
@@ -803,71 +786,14 @@ def generating_set(m: Monoid) -> list[int]:
     return gens
 
 
-def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
-    """Monoid isomorphism by backtracking over generator images."""
-    if len(m) != len(n):
-        return False
-    if len(m) > limit or len(n) > limit:
-        raise SizeLimitExceeded(limit, "isomorphism search")
-    if len(m) == 1:
-        return True
-    if m.elements == n.elements and np.array_equal(m.table_array(), n.table_array()):
-        return True
-    table_m, table_n = m.table_array(), n.table_array()
-    rows_m, rows_n = table_m.tolist(), table_n.tolist()
-    prof_m = _element_profiles(table_m, rows_m)
-    prof_n = _element_profiles(table_n, rows_n)
-    if sorted(prof_m) != sorted(prof_n):
-        return False
-
-    gens = generating_set(m)
-    # every element is the identity, a generator, or a derived element times
-    # a generator
-    derived, edges, _ = index_closure(m, gens, "isomorphism search")
-
-    candidates = [
-        [y for y in range(len(n)) if prof_n[y] == prof_m[g]] for g in gens
-    ]
-    size = len(m)
-
-    def extend(assignment: list[int]) -> bool:
-        img: dict[int, int] = {m.identity: n.identity}
-        for g, y in zip(gens, assignment):
-            if img.setdefault(g, y) != y:
-                return False
-        for x, edge in zip(derived, edges):
-            if edge is not None:
-                parent, g = edge
-                y = rows_n[img[derived[parent]]][assignment[g]]
-                if img.setdefault(x, y) != y:
-                    return False
-        if len(set(img.values())) != size:
-            return False
-        f = np.array([img[x] for x in range(size)])
-        return bool((f[table_m] == table_n[f[:, None], f[None, :]]).all())
-
-    def backtrack(pos: int, assignment: list[int]) -> bool:
-        if pos == len(gens):
-            return extend(assignment)
-        for y in candidates[pos]:
-            if y in assignment:
-                continue
-            assignment.append(y)
-            # cheap partial consistency: products of assigned generators must
-            # land on elements with matching profiles
-            ok = True
-            for i, g in enumerate(gens[: pos + 1]):
-                p = rows_m[g][gens[pos]]
-                q = rows_n[assignment[i]][y]
-                if prof_m[p] != prof_n[q]:
-                    ok = False
-                    break
-            if ok and backtrack(pos + 1, assignment):
-                return True
-            assignment.pop()
-        return False
-
-    return backtrack(0, [])
+def isomorphic(m: Monoid, n: Monoid, f) -> bool:
+    """Whether the index map ``f`` (``f[x]`` is the image in ``n`` of element
+    ``x`` of ``m``) is an isomorphism of ``m`` onto ``n``: a bijection, and
+    multiplicative, ``n``'s products of ``f`` with ``f`` equal to ``f`` of
+    ``m``'s table, checked as one block."""
+    f = np.asarray(f, dtype=np.intp)
+    return (len(m) == len(n) == len(f) and np.array_equal(np.sort(f), np.arange(len(n)))
+            and bool((n.products(f, f) == f[m.table_array()]).all()))
 
 
 # -- exports -------------------------------------------------------------------

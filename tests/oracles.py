@@ -14,7 +14,10 @@ matrices, row and column operations, block decomposition) and the
 per-point affine maps with their corner embedding serve only the tests:
 the library computes every sum of products with one numpy kernel
 (``families._semiring_dot``), and these are the per-pair Python
-references it is checked against.  ``every_element_pairing``
+references it is checked against.  ``isomorphic`` decides whether two
+monoids are isomorphic with no map given, by backtracking over generator
+images pruned by element profiles; the library only checks explicit
+maps (``monoid.isomorphic``).  ``every_element_pairing``
 makes certificates pair every source element, not a generating set, and
 ``closure_pairs`` reads a verified witness's closure rows as pairs.
 """
@@ -24,9 +27,9 @@ from itertools import product
 
 import numpy as np
 
-from semidec.errors import DimensionMismatch, DimensionTooSmall, SemidecError
+from semidec.errors import DimensionMismatch, DimensionTooSmall, SemidecError, SizeLimitExceeded
 from semidec.families import identity_entries
-from semidec.monoid import GreensReport, Monoid
+from semidec.monoid import GreensReport, Monoid, _image_sizes, generating_set, index_closure
 from semidec.semiring import SemiringTable
 
 
@@ -318,6 +321,94 @@ def every_element_pairing(monkeypatch):
         return [x for x in range(len(m)) if x != m.identity]
 
     monkeypatch.setattr(semidec.witness, "generating_set", every_other_element)
+
+
+# -- isomorphism search, used only by tests -------------------------------------
+
+
+def _cyclic_profile(rows: list[list[int]], x: int) -> tuple[int, int]:
+    seen = {x: 1}
+    cur, k = x, 1
+    while True:
+        cur = rows[cur][x]
+        k += 1
+        if cur in seen:
+            return (seen[cur], k - seen[cur])  # (index, period)
+        seen[cur] = k
+
+
+def _element_profiles(table: np.ndarray, rows: list[list[int]]) -> list[tuple]:
+    """Per element: (index, period, idempotent, row-image size, column-image size)."""
+    row_sizes, col_sizes = _image_sizes(table), _image_sizes(table.T)
+    return [(*_cyclic_profile(rows, x), int(rows[x][x] == x), row_sizes[x], col_sizes[x])
+            for x in range(len(rows))]
+
+
+def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:
+    """Monoid isomorphism by backtracking over generator images."""
+    if len(m) != len(n):
+        return False
+    if len(m) > limit or len(n) > limit:
+        raise SizeLimitExceeded(limit, "isomorphism search")
+    if len(m) == 1:
+        return True
+    if m.elements == n.elements and np.array_equal(m.table_array(), n.table_array()):
+        return True
+    table_m, table_n = m.table_array(), n.table_array()
+    rows_m, rows_n = table_m.tolist(), table_n.tolist()
+    prof_m = _element_profiles(table_m, rows_m)
+    prof_n = _element_profiles(table_n, rows_n)
+    if sorted(prof_m) != sorted(prof_n):
+        return False
+
+    gens = generating_set(m)
+    # every element is the identity, a generator, or a derived element times
+    # a generator
+    derived, edges, _ = index_closure(m, gens, "isomorphism search")
+
+    candidates = [
+        [y for y in range(len(n)) if prof_n[y] == prof_m[g]] for g in gens
+    ]
+    size = len(m)
+
+    def extend(assignment: list[int]) -> bool:
+        img: dict[int, int] = {m.identity: n.identity}
+        for g, y in zip(gens, assignment):
+            if img.setdefault(g, y) != y:
+                return False
+        for x, edge in zip(derived, edges):
+            if edge is not None:
+                parent, g = edge
+                y = rows_n[img[derived[parent]]][assignment[g]]
+                if img.setdefault(x, y) != y:
+                    return False
+        if len(set(img.values())) != size:
+            return False
+        f = np.array([img[x] for x in range(size)])
+        return bool((f[table_m] == table_n[f[:, None], f[None, :]]).all())
+
+    def backtrack(pos: int, assignment: list[int]) -> bool:
+        if pos == len(gens):
+            return extend(assignment)
+        for y in candidates[pos]:
+            if y in assignment:
+                continue
+            assignment.append(y)
+            # cheap partial consistency: products of assigned generators must
+            # land on elements with matching profiles
+            ok = True
+            for i, g in enumerate(gens[: pos + 1]):
+                p = rows_m[g][gens[pos]]
+                q = rows_n[assignment[i]][y]
+                if prof_m[p] != prof_n[q]:
+                    ok = False
+                    break
+            if ok and backtrack(pos + 1, assignment):
+                return True
+            assignment.pop()
+        return False
+
+    return backtrack(0, [])
 
 
 # -- triangular matrices, used only by tests ------------------------------------

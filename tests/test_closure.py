@@ -23,15 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _ring, cached_family, cached_field_plan, cached_ring_plan
-from oracles import (closure_pairs, compose_tables, every_element_pairing, pair_closure, pair_closure_conflict,
-                     scan_closure, table_monoid, target_closure, value_product_table, wreath_decode,
-                     wreath_value_product)
+from oracles import (closure_pairs, compose_tables, every_element_pairing, isomorphic, pair_closure,
+                     pair_closure_conflict, scan_closure, table_monoid, target_closure, value_product_table,
+                     wreath_decode, wreath_value_product)
 from semidec.carriers import Descriptors, ProductCarrier, rebuild
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
 from semidec.families import TransformationCarrier, transformation_closure, u1
 from semidec.monoid import (Monoid, close_generators, close_rows, direct_product, generating_set, index_closure,
-                            isomorphic, right_closure)
+                            right_closure)
 from semidec.witness import (DivisionWitness, augmentation, document_from_json, document_to_json, group_with_zero,
                              identity_witness, verify, witness_from_json)
 from semidec.wreath import WreathContext, enumerate_wreath

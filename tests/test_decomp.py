@@ -1,11 +1,12 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
 import semidec.decomp as decomp
-from conftest import cached_field_plan, cached_ring_plan, expand_document, read_document, run_cli
+from conftest import _ring, cached_field_plan, cached_ring_plan, expand_document, read_document, run_cli, run_python
 from semidec.carriers import CHILDREN, STEP_FIELDS
 from semidec.decomp import (
     check_scaling_group_embedding,
@@ -13,9 +14,10 @@ from semidec.decomp import (
     induction_step,
     verify_census,
 )
-from semidec.errors import CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, PipelineCheckFailed
+from semidec.errors import (CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, InvalidSpec,
+                            PipelineCheckFailed)
 from semidec.families import family
-from semidec.monoid import is_aperiodic, is_group
+from semidec.monoid import Monoid, is_aperiodic, is_group, maximal_subgroup
 from semidec.witness import document_to_json, verify
 
 
@@ -304,3 +306,51 @@ def test_census_mismatch_detected(z3, monkeypatch):
 def test_census_rejects_non_field_pt(boolean):
     with pytest.raises(FieldRequired):
         verify_census(2, boolean, kinds=("PT",))
+
+
+def test_census_rejects_an_unknown_kind_before_building(z3, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"built {args[:2]}")
+
+    monkeypatch.setattr(decomp, "family", refuse)
+    with pytest.raises(InvalidSpec, match="'T\\*'"):
+        verify_census(2, z3, kinds=("T", "T*"))
+
+
+def test_census_detects_the_opposite_subgroup(z3, monkeypatch):
+    # the opposite of a group is isomorphic to it, so only the explicit
+    # restriction map can tell T*_2(Z_3)'s transposed table from its own
+    def opposite(m, e):
+        sub = maximal_subgroup(m, e)
+        return Monoid(sub.elements, sub.identity_value, table=sub.table_array().T, label=sub.label)
+
+    monkeypatch.setattr(decomp, "maximal_subgroup", opposite)
+    with pytest.raises(CensusMismatch, match=r"T_2\(Z_3\): class \d+ at depth 0: .* is not multiplicative"):
+        verify_census(2, z3, kinds=("T",))
+
+
+def test_census_reaches_z13():
+    # T*_2(Z_13) has 1,872 elements; the restriction map checks it as one block
+    rep = verify_census(2, _ring("13"))
+    assert rep == {
+        "T": {"order": 2197, "depth": 2, "census": [1, 2], "subgroup_orders_per_depth": [1872, 12]},
+        "UT": {"order": 52, "depth": 1, "census": [1], "subgroup_orders_per_depth": [13]},
+        "PT": {"order": 184, "depth": 1, "census": [1], "subgroup_orders_per_depth": [156]},
+    }
+
+
+def test_census_mismatch_survives_optimize():
+    # the verdict rests on explicit checks, not asserts, so ``python -O`` keeps it
+    script = (
+        "import semidec.decomp as decomp\n"
+        "from semidec.errors import CensusMismatch\n"
+        "from semidec.semiring import make_prime_field\n"
+        "decomp._CENSUS_STARS['UT'] = 'T*'\n"
+        "try:\n"
+        "    decomp.verify_census(2, make_prime_field(3), kinds=('UT',))\n"
+        "except CensusMismatch as exc:\n"
+        "    print('CensusMismatch:', exc)\n"
+    )
+    proc = run_python(["-c", script], optimize=True)
+    assert proc.returncode == 0, proc.stderr
+    assert re.match(r"CensusMismatch: UT_2\(Z_3\): class \d+ at depth 0: .* not a bijection", proc.stdout), proc.stdout

@@ -2,7 +2,7 @@ from itertools import product
 
 import pytest
 
-from oracles import AffineMap, affine_to_matrix, mul_entries, transformation_of_affine
+from oracles import AffineMap, affine_to_matrix, isomorphic, mul_entries, transformation_of_affine
 from semidec.errors import ActionNotFaithful, DimensionTooSmall, FieldRequired, InvalidSpec, SizeLimitExceeded
 from semidec.families import (
     FamilySpec,
@@ -13,8 +13,8 @@ from semidec.families import (
     identity_entries,
     u1,
 )
-from semidec.monoid import is_aperiodic, is_group, isomorphic, maximal_subgroup
-from semidec.semiring import make_from_tables
+from semidec.monoid import is_aperiodic, is_group, maximal_subgroup
+from semidec.semiring import make_from_tables, make_prime_field
 
 
 def test_orders(fam):
@@ -68,6 +68,15 @@ def test_family_spec_checks_are_typed(z2):
 def test_family_limit(z3):
     with pytest.raises(SizeLimitExceeded):
         build_family(FamilySpec("T", 3, z3), limit=100)
+
+
+def test_unit_group_past_the_table_bound_is_refused_unbuilt():
+    # A_2(Z_5) has 15,625 elements and no table; its unit group is an H-class,
+    # which would need the whole 15,625^2 table through the carrier
+    z5 = make_prime_field(5)
+    with pytest.raises(SizeLimitExceeded, match=r"maximal_subgroup of A_2\(Z_5\) \(15625 elements\) without a table"):
+        family("A*", 2, z5)
+    assert family("A", 2, z5)._table is None
 
 
 def test_full_affine_monoid(z2):

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semidec.monoid
-from oracles import greens_by_rows, greens_j_classes, is_regular, mul_entries, table_monoid
+from oracles import (_element_profiles, greens_by_rows, greens_j_classes, is_regular, isomorphic, mul_entries,
+                     table_monoid)
 from semidec.errors import InvalidMonoid, NotCentral, NotIdempotent, SizeLimitExceeded
 from semidec.families import (MatrixCarrier, TransformationCarrier, constants_monoid, family, identity_entries,
                               transformation_closure, u1)
@@ -23,7 +24,6 @@ from semidec.monoid import (
     greens,
     is_aperiodic,
     is_group,
-    isomorphic,
     maximal_subgroup,
     quotient_by_central_units,
     to_json,
@@ -308,8 +308,8 @@ def test_isomorphic_refuses_matching_profiles():
     q8z2_values = [((s, u), z) for s in range(2) for u in range(4) for z in range(2)]
     z4z4 = table_monoid(z4z4_values, (0, 0), z4_squared, label="Z_4 x Z_4")
     q8z2 = table_monoid(q8z2_values, ((0, 0), 0), _q8_times_z2, label="Q_8 x Z_2")
-    assert sorted(semidec.monoid._element_profiles(z4z4.table_array(), z4z4.table_array().tolist())) == \
-        sorted(semidec.monoid._element_profiles(q8z2.table_array(), q8z2.table_array().tolist()))
+    assert sorted(_element_profiles(z4z4.table_array(), z4z4.table_array().tolist())) == \
+        sorted(_element_profiles(q8z2.table_array(), q8z2.table_array().tolist()))
     assert not isomorphic(z4z4, q8z2)
     assert not isomorphic(q8z2, z4z4)
     # each is isomorphic to itself with its elements listed in reverse
@@ -322,6 +322,17 @@ def test_direct_product_refuses_past_its_limit(fam):
     assert len(direct_product(t2, t2, limit=64)) == 64
     with pytest.raises(SizeLimitExceeded):
         direct_product(t2, t2, limit=63)
+
+
+def test_explicit_isomorphism_check(fam):
+    # the library checks a given index map; the search above finds one
+    g = fam("T*", 2, "3")
+    everything = np.arange(len(g))
+    opposite = Monoid(g.elements, g.identity_value, table=g.table_array().T)
+    assert semidec.monoid.isomorphic(g, g, everything)
+    assert not semidec.monoid.isomorphic(g, g, np.full(len(g), g.identity))
+    assert not semidec.monoid.isomorphic(g, opposite, everything)
+    assert isomorphic(g, opposite)
 
 
 def test_isomorphic_limit(fam):
