@@ -297,6 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "limit", 1) < 1:  # from --limit or SEMIDEC_LIMIT
+        parser.error(f"argument --limit: must be at least 1, not {args.limit}")
     try:
         return args.func(args)
     except SemidecError as exc:

@@ -40,7 +40,7 @@ _SPOT_SIDE = 4  # the spot check tries every triple of three seeded sets of this
 ROW = np.int32  # dtype of carrier rows
 TABLE = np.uint16  # dtype of Cayley tables: every index below TABLE_BOUND < 2**16 fits
 _TABLE_ORDER = int(np.iinfo(TABLE).max) + 1  # most elements a TABLE can index
-_BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows``, carrier products and ``_image_sizes``; bounds their working memory
+_BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows``, carrier products and the ``generating_set`` ranking; bounds their working memory
 
 
 def check_table_order(size: int, what: str) -> None:
@@ -441,23 +441,16 @@ class GreensReport:
         return max(self.j) + 1
 
 
-def _image_matrix(rows) -> np.ndarray:
-    """Bool image matrix of rows of a square table: entry ``[x, v]`` is set iff ``v`` occurs in row ``x``."""
-    bits = np.zeros(rows.shape, dtype=bool)
+def _image_matrix(rows, width: int) -> np.ndarray:
+    """Bool image matrix of rows of indices below ``width``: entry ``[x, v]`` is set iff ``v`` occurs in row ``x``."""
+    bits = np.zeros((len(rows), width), dtype=bool)
     bits[np.arange(len(rows))[:, None], rows] = True
     return bits
 
 
 def _images(table) -> np.ndarray:
     """Packed image bitsets of a square table: bit ``v`` of row ``x`` is set iff ``v`` occurs in row ``x``."""
-    return np.packbits(_image_matrix(table), axis=1, bitorder="little")
-
-
-def _image_sizes(table) -> list[int]:
-    """Number of distinct entries in each row of a square table, in blocks of rows."""
-    step = max(1, _BLOCK_CELLS // max(1, len(table)))
-    return [int(size) for start in range(0, len(table), step)
-            for size in _image_matrix(table[start : start + step]).sum(axis=1)]
+    return np.packbits(_image_matrix(table, len(table)), axis=1, bitorder="little")
 
 
 def _bitset(packed) -> int:
@@ -755,21 +748,23 @@ def index_closure(m: Monoid, gens, what: str):
 def generating_set(m: Monoid) -> list[int]:
     """Greedy generating set of ``m`` with its identity (Froidure and Pin, 1997).
 
-    Scans elements by row-image size, largest first, then by index, adding
-    each one the closure so far misses.  Adding a generator ``x`` grows the
-    closure: the closure so far times ``x``, then each new element times
-    every generator, until no product is new.  Without a table, rows come
-    from ``products``, so a monoid past ``TABLE_BOUND`` gets no table."""
-    everything = range(len(m))
-    if m._table is not None:
-        sizes = _image_sizes(m._table)
-    else:
-        sizes = [len(set(m.products([x], everything)[0].tolist())) for x in everything]
+    Scans elements by image size, largest first, then by index, adding
+    each one the closure so far misses: the closure so far times it, then
+    each new element times every generator, until no product is new.  An
+    image size counts distinct products with every column while ``N * N``
+    is within ``TABLE_BOUND ** 2``, the largest table, else with a sorted
+    seeded sample of ``TABLE_BOUND ** 2 // N`` columns; no table is built."""
+    n = len(m)
+    span = max(1, min(n, TABLE_BOUND**2 // n))
+    cols = np.sort(random.Random(0x5EED).sample(range(n), span))  # every column when span == n
+    step = max(1, _BLOCK_CELLS // span)
+    sizes = [int(size) for start in range(0, n, step)
+             for size in _image_matrix(m.products(range(start, min(n, start + step)), cols), n).sum(axis=1)]
     gens: list[int] = []
     members = [m.identity]  # the closure so far, with the identity
-    inside = np.zeros(len(m), dtype=bool)
+    inside = np.zeros(n, dtype=bool)
     inside[m.identity] = True
-    for x in sorted(everything, key=lambda x: (-sizes[x], x)):
+    for x in sorted(range(n), key=lambda x: (-sizes[x], x)):
         if inside[x]:
             continue
         gens.append(x)
@@ -781,7 +776,7 @@ def generating_set(m: Monoid) -> list[int]:
             inside[fresh] = True
             members.extend(fresh)
             fresh = m.products(fresh, gens).ravel()
-        if len(members) == len(m):
+        if len(members) == n:
             break
     return gens
 

@@ -25,20 +25,22 @@ from itertools import product
 import numpy as np
 
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
-from semidec.monoid import DEFAULT_LIMIT, Monoid, product_value
+from semidec.monoid import DEFAULT_LIMIT, TABLE_BOUND, Monoid, product_value
 
 
 class WreathContext:
     """Multiplication context for top wr base.
 
-    ``top`` and ``base`` must be Monoids with materialized tables (at most
-    ``TABLE_BOUND`` elements); anything else raises ``ContextMismatch``.
+    ``top`` and ``base`` must be Monoids with tables: one past ``TABLE_BOUND``
+    with none raises ``SizeLimitExceeded``, anything else ``ContextMismatch``.
     """
 
     def __init__(self, top: Monoid, base: Monoid):
         for side, m in (("top", top), ("base", base)):
-            if not isinstance(m, Monoid) or m._table is None:
-                raise ContextMismatch(f"wreath {side} {m.label} is not a monoid with a table")
+            if not isinstance(m, Monoid):
+                raise ContextMismatch(f"wreath {side} {m.label} is not a monoid")
+            if m._table is None:
+                raise SizeLimitExceeded(TABLE_BOUND, f"wreath {side} {m.label} ({len(m)} elements) has no table")
         self.top = top
         self.base = base
         self.label = f"({top.label} wr {base.label})"

@@ -4,7 +4,8 @@ Everything here recomputes results by definition-level brute force,
 independently of the package's algorithms: Green's relations by pairwise
 ideal comparison and by one ideal mask per row and column, pair and
 target closures by plain dict and set loops, the Froidure-Pin closure one
-product at a time, matrix and carrier tables by one product per pair
+product at a time, the greedy generating set by exact row-image ranking
+(``greedy_generating_set``), matrix and carrier tables by one product per pair
 (``table_monoid`` builds a monoid from such a table), the group and
 aperiodic predicates by inverses and powers, wreath products on decoded
 values, spans by enumerating all linear combinations.  ``CyclicCarrier``
@@ -29,7 +30,7 @@ import numpy as np
 
 from semidec.errors import DimensionMismatch, DimensionTooSmall, SemidecError, SizeLimitExceeded
 from semidec.families import identity_entries
-from semidec.monoid import GreensReport, Monoid, _image_sizes, generating_set, index_closure
+from semidec.monoid import GreensReport, Monoid, generating_set, index_closure
 from semidec.semiring import SemiringTable
 
 
@@ -208,6 +209,26 @@ def scan_closure(gens, mul, key=None):
             row.append(found)
         right.append(row)
     return elements, edges, right
+
+
+def _image_sizes(table) -> list[int]:
+    """Number of distinct entries in each row of a square table."""
+    return [len(set(row)) for row in table.tolist()]
+
+
+def greedy_generating_set(m: Monoid) -> list[int]:
+    """The greedy generating set by exact ranking: elements by the number of
+    distinct entries of their table row, largest first, then by index, each
+    added when the closure of the identity and the generators so far, redone
+    by ``scan_closure``, misses it."""
+    sizes = _image_sizes(m.table_array())
+    gens: list[int] = []
+    closure = {m.identity}
+    for x in sorted(range(len(m)), key=lambda x: (-sizes[x], x)):
+        if x not in closure:
+            gens.append(x)
+            closure = set(scan_closure(gens, m.mul)[0]) | {m.identity}
+    return gens
 
 
 def target_closure(gens, mul):

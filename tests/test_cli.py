@@ -450,6 +450,34 @@ def test_fresh_process_decompose_then_verify_under_optimize(tmp_path):
     assert proc.stdout.count(": verified closure=") == 18 + 1, proc.stdout
 
 
+@pytest.fixture(scope="module")
+def sound_bundle(tmp_path_factory):
+    cert = tmp_path_factory.mktemp("bundle") / "cert.json"
+    assert main(["decompose", "--pipeline", "ring", "--n", "2", "--ring", "zp:2", "--cert", str(cert)]) == 0
+    return cert
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("limit", ["0", "-5", "env"])
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_limit_below_one_is_a_usage_error(sound_bundle, monkeypatch, command, limit, optimize):
+    # a limit below 1 would fail every closure, even of a sound certificate,
+    # as SizeLimitExceeded; it is refused before any command runs
+    argv = {"verify": ["verify", str(sound_bundle)],
+            "decompose": ["decompose", "--pipeline", "ring", "--n", "2", "--ring", "zp:2"]}[command]
+    if limit == "env":
+        monkeypatch.setenv("SEMIDEC_LIMIT", "0")
+        limit = "0"
+    else:
+        argv += ["--limit", limit]
+    proc = run_cli(argv, optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+        f"semidec: error: argument --limit: must be at least 1, not {limit}"
+    ]
+
+
 _LAZY = ("import atexit, sys\n"
          "atexit.register(lambda: print('loaded', [m for m in ('numpy.ma', 'numpy.random') if m in sys.modules],"
          " file=sys.stderr))")

@@ -23,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import _ring, cached_family, cached_field_plan, cached_ring_plan
-from oracles import (closure_pairs, compose_tables, every_element_pairing, isomorphic, pair_closure,
-                     pair_closure_conflict, scan_closure, table_monoid, target_closure, value_product_table,
-                     wreath_decode, wreath_value_product)
+from oracles import (closure_pairs, compose_tables, every_element_pairing, greedy_generating_set, isomorphic,
+                     pair_closure, pair_closure_conflict, scan_closure, table_monoid, target_closure,
+                     value_product_table, wreath_decode, wreath_value_product)
 from semidec.carriers import Descriptors, ProductCarrier, rebuild
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
@@ -557,6 +557,58 @@ def test_generating_set_builds_no_table(monkeypatch):
     gens = generating_set(m)
     assert m._table is None
     assert set(index_closure(m, gens, "test")[0]) | {m.identity} == set(range(12))
+
+
+def _largest_field_image():
+    """The largest witness source of the degree-3 field plan over Z_3: a traced image of 2,688 elements."""
+    return max((w.source for w in cached_field_plan(3, "3").witnesses), key=len)
+
+
+RANKED = {
+    "T_3(Z_3)": lambda: cached_family("T", 3, "3"),
+    "UT_3(Z_3)": lambda: cached_family("UT", 3, "3"),
+    "PT_3(Z_3)": lambda: cached_family("PT", 3, "3"),
+    "AS_2(Z_3)": lambda: cached_family("AS", 2, "3"),
+    "U_1": u1,
+    "T_2(Z_2) x T_2(Z_3)": lambda: direct_product(cached_family("T", 2, "2"), cached_family("T", 2, "3")),
+    "field image": _largest_field_image,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANKED))
+def test_generating_set_matches_exact_ranking(name):
+    # within TABLE_BOUND the ranking reads every column, so it is the exact
+    # row-image ranking of the reference greedy
+    m = RANKED[name]()
+    assert name != "field image" or len(m) >= 2000
+    assert generating_set(m) == greedy_generating_set(m)
+
+
+def test_generating_set_past_the_bound_ranks_within_one_table(monkeypatch):
+    # with TABLE_BOUND 8, T_3(Z_2) (64 elements) is ranked on 8**2 // 64 = 1
+    # sampled column: 64 product cells, then the closure's cells, and no table
+    from semidec.families import MatrixCarrier
+
+    t3 = cached_family("T", 3, "2")
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
+    m = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(_ring("2"), 3), label="T_3(Z_2)")
+    assert len(m) == 64 and m._table is None
+    cells = []
+
+    def counted(self, rows, cols, original=Monoid.products):
+        cells.append(len(rows) * len(cols))
+        return original(self, rows, cols)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Monoid, "products", counted)
+        gens = generating_set(m)
+    assert m._table is None
+    sizes = [1]  # the closures of the generator prefixes, with the identity
+    for k in range(1, len(gens) + 1):
+        sizes.append(len(set(scan_closure(gens[:k], m.mul)[0]) | {m.identity}))
+    assert sizes[-1] == len(m)
+    closure = sum(sizes[k - 1] + (sizes[k] - sizes[k - 1]) * k for k in range(1, len(gens) + 1))
+    assert sum(cells) == 64 + closure
 
 
 @pytest.mark.parametrize("pipeline,n,spec", [("field", 2, "2"), ("field", 3, "2"), ("ring", 2, "3")])

@@ -78,15 +78,25 @@ def test_sides_must_be_monoids_with_tables(fam, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
         untabled = Monoid([0, 1], 0, carrier=u1(), label="U")
-    with pytest.raises(ContextMismatch, match="wreath top U"):
+    with pytest.raises(SizeLimitExceeded, match=r"wreath top U \(2 elements\)"):
         WreathContext(untabled, t1)
-    with pytest.raises(ContextMismatch, match="wreath base U"):
+    with pytest.raises(SizeLimitExceeded, match=r"wreath base U \(2 elements\)"):
         WreathContext(t1, untabled)
     order = TABLE_BOUND + 1
     cyclic = Monoid(range(order), 0, carrier=CyclicCarrier(order), label="Z_4097")
     assert cyclic._table is None
-    with pytest.raises(ContextMismatch, match="wreath base Z_4097"):
+    with pytest.raises(SizeLimitExceeded, match=r"wreath base Z_4097 \(4097 elements\)"):
         WreathContext(u1(), cyclic)
+
+
+def test_field_pipeline_past_the_table_bound_is_a_size_limit():
+    # over Z_7 the first lift's traced image has 12,390 elements, past
+    # TABLE_BOUND, so it cannot be the top of a wreath context
+    from semidec.decomp import field_pipeline
+    from semidec.semiring import make_prime_field
+
+    with pytest.raises(SizeLimitExceeded, match=r"wreath top im\(.*\) \(12390 elements\)"):
+        field_pipeline(2, make_prime_field(7))
 
 
 def test_enumerate_counts(fam):
