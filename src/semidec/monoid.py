@@ -12,13 +12,16 @@ tables) converts values with ``to_row``/``from_row`` and multiplies blocks
 of rows with ``mul_rows``; ``close_rows`` is the one closure kernel.  All
 structure analyses (Green's relations, regularity, subgroups, depth,
 quotients, products, the isomorphism check of an explicit index map) work
-on indices against that product.
+on indices against that product.  Green's relations read only the right
+and left Cayley graphs over a generating set, so they need no table and
+are computed the same way on either side of the bound.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from operator import ne
 
@@ -428,7 +431,7 @@ class GreensReport:
     h: tuple[int, ...]
     regular: tuple[bool, ...]
     idempotents: tuple[int, ...]
-    j_ideal_masks: tuple[int, ...] = field(repr=False)
+    j_ideals: tuple[frozenset, ...] = field(repr=False)  # j_ideals[c]: the J-classes in the ideal of class c
 
     def classes(self, kind: str) -> list[list[int]]:
         ids = getattr(self, kind)
@@ -448,87 +451,114 @@ def _image_matrix(rows, width: int) -> np.ndarray:
     return bits
 
 
-def _images(table) -> np.ndarray:
-    """Packed image bitsets of a square table: bit ``v`` of row ``x`` is set iff ``v`` occurs in row ``x``."""
-    return np.packbits(_image_matrix(table, len(table)), axis=1, bitorder="little")
-
-
-def _bitset(packed) -> int:
-    """A packed bitset row as an int with bit ``v`` at ``1 << v``."""
-    return int.from_bytes(packed.tobytes(), "little")
-
-
 def _partition_ids(keys) -> list[int]:
+    """Ids numbered by first occurrence: equal keys share one."""
     ids: dict = {}
-    out = []
-    for k in keys:
-        if k not in ids:
-            ids[k] = len(ids)
-        out.append(ids[k])
-    return out
+    return [ids.setdefault(k, len(ids)) for k in keys]
+
+
+def _components(graph: np.ndarray) -> list[int]:
+    """Strongly connected components of the graph with edges ``x -> graph[x, j]``.
+
+    Tarjan's algorithm (1972), iterative: each node's successors are an
+    iterator that a deeper call leaves half read.  Components are numbered
+    in the order they complete, which is reverse topological: an edge
+    leaves a component only for one with a smaller number.
+    """
+    succ = graph.tolist()
+    order = [-1] * len(succ)  # discovery number
+    low = [0] * len(succ)
+    comp = [-1] * len(succ)
+    stack: list[int] = []
+    count = seen = 0
+    for root in range(len(succ)):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = seen
+        seen += 1
+        stack.append(root)
+        calls = [(root, iter(succ[root]))]
+        while calls:
+            v, edges = calls[-1]
+            for w in edges:
+                if order[w] < 0:
+                    order[w] = low[w] = seen
+                    seen += 1
+                    stack.append(w)
+                    calls.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:  # w is on the stack
+                    low[v] = order[w]
+            else:
+                calls.pop()
+                if low[v] == order[v]:
+                    while comp[v] < 0:
+                        comp[stack.pop()] = count
+                    count += 1
+                if calls and low[v] < low[calls[-1][0]]:
+                    low[calls[-1][0]] = low[v]
+    return comp
 
 
 def greens(m: Monoid) -> GreensReport:
-    """L/R/J/H partitions via principal ideal equality, plus regularity.
+    """L/R/J/H partitions from the Cayley graphs, plus regularity.
 
-    The principal ideals are bitsets from one image matrix per side: ``xS``
-    is the set of row ``x`` of the table, ``Sx`` that of column ``x``, and
-    ``SxS`` is the union of ``yS`` over ``y`` in ``Sx``.  Computed once per
-    monoid and kept on it, like its table.  An element is regular iff its
-    J-class holds an idempotent.
+    The method of Froidure and Pin (1997): over ``gens = generating_set(m)``
+    the right Cayley graph has edges ``x -> x g`` and the left one ``x ->
+    g x``, N g products read through ``products``, so no table is needed.
+    ``xS`` is what ``x`` reaches in the right graph, so the R-classes are
+    its strongly connected components; the L-classes are those of the left
+    graph, and the J-classes (J = D in a finite monoid) those of both
+    graphs together.  The J-order is reachability in that condensation,
+    one pass over its K classes in completion order.  Class ids are
+    numbered by first occurrence.  Computed once per monoid and kept on
+    it, like its table.  An element is regular iff its J-class holds an
+    idempotent.
     """
     if m._greens is not None:
         return m._greens
-    table = m.table_array()
     n = len(m)
-    right = _images(table)  # right[x] is xS
-    r_keys = [_bitset(row) for row in right]
-    l_keys = [_bitset(row) for row in _images(table.T)]  # Sx
-    l_ids = _partition_ids(l_keys)
-    r_ids = _partition_ids(r_keys)
-    # the two-sided ideal S x S is constant on L-classes, so compute one per L-class
-    j_of_lclass: dict[int, int] = {}
-    j_keys = []
-    for x in range(n):
-        lc = l_ids[x]
-        mask = j_of_lclass.get(lc)
-        if mask is None:
-            mask = j_of_lclass[lc] = _bitset(np.bitwise_or.reduce(right[table[:, x]], axis=0))
-        j_keys.append(mask)
-    j_ids = _partition_ids(j_keys)
-    h_ids = _partition_ids(list(zip(l_ids, r_ids)))
-    idempotents = tuple(x for x in range(n) if table[x, x] == x)
+    everything = np.arange(n)
+    gens = np.array(generating_set(m), dtype=np.intp)
+    right = m.products(everything, gens)  # right[x, j] = x g_j
+    both = np.hstack([right, m.products(gens, everything).T])  # then the left graph, g_j x
+    l_ids = _partition_ids(_components(both[:, len(gens):]))
+    r_ids = _partition_ids(_components(right))
+    comp = _components(both)
+    j_ids = _partition_ids(comp)
+    ids = np.array(j_ids)
+    below: list[set] = [set() for _ in range(max(j_ids) + 1)]  # below[j]: the classes one edge from class j
+    for a, b in set(zip(np.repeat(ids, both.shape[1]).tolist(), ids[both].ravel().tolist())):
+        below[a].add(b)
+    # Tarjan completes each component after every component it reaches
+    ideals: dict[int, frozenset] = {}
+    for j in dict(sorted(zip(comp, j_ids))).values():
+        ideals[j] = frozenset({j}.union(*(ideals[d] for d in below[j] if d != j)))
+    idempotents = tuple(x for x in range(n) if m.mul(x, x) == x)
     j_has_idem = {j_ids[e] for e in idempotents}
-
-    masks: list[int] = [0] * (max(j_ids) + 1)
-    for x in range(n):
-        masks[j_ids[x]] = j_keys[x]
-    m._greens = GreensReport(
-        tuple(l_ids),
-        tuple(r_ids),
-        tuple(j_ids),
-        tuple(h_ids),
-        tuple(j in j_has_idem for j in j_ids),
-        idempotents,
-        tuple(masks),
-    )
+    m._greens = GreensReport(tuple(l_ids), tuple(r_ids), tuple(j_ids), tuple(_partition_ids(zip(l_ids, r_ids))),
+                             tuple(j in j_has_idem for j in j_ids), idempotents,
+                             tuple(ideals[j] for j in range(len(ideals))))
     return m._greens
 
 
 def maximal_subgroup(m: Monoid, e: int) -> Monoid:
-    """The H-class of an idempotent ``e`` as a group with identity ``e`` (read
-    off ``greens``; past ``TABLE_BOUND`` with no table, ``SizeLimitExceeded``)."""
+    """The H-class of an idempotent ``e`` as a group with identity ``e``,
+    read off ``greens``; its table is the class's block of products, so a
+    class past ``TABLE_BOUND`` raises ``SizeLimitExceeded`` before any
+    product of the block."""
     if m.mul(e, e) != e:
         raise NotIdempotent(f"element {e} is not idempotent")
-    h = _h_classes(m, "maximal_subgroup")
+    h = greens(m).h
     members = [x for x in range(len(m)) if h[x] == h[e]]
+    label = f"H({m.label}, {e})"
+    check_table_bound(len(members), label)
     values = [m.elements[x] for x in members]
     inside = np.zeros(len(m), dtype=bool)
     inside[members] = True
     position = np.zeros(len(m), dtype=TABLE)
     position[members] = np.arange(len(members))
     block = m.products(members, members)
-    label = f"H({m.label}, {e})"
     outside = np.argwhere(~inside[block])
     if len(outside):
         a, b = (int(x) for x in outside[0])
@@ -547,25 +577,15 @@ def maximal_subgroup(m: Monoid, e: int) -> Monoid:
     )
 
 
-def _h_classes(m: Monoid, what: str) -> tuple:
-    """The H-class ids of ``greens(m)``, which reads the table: a monoid past
-    ``TABLE_BOUND`` with none raises ``SizeLimitExceeded`` instead of building it."""
-    if m._table is None and not within_table_bound(len(m)):
-        raise SizeLimitExceeded(TABLE_BOUND, f"{what} of {m.label or 'a monoid'} ({len(m)} elements) without a table")
-    return greens(m).h
-
-
 def is_group(m: Monoid) -> bool:
-    """A finite monoid is a group iff it is one H-class (read off ``greens``;
-    past ``TABLE_BOUND`` with no table, ``SizeLimitExceeded``)."""
-    return max(_h_classes(m, "is_group")) == 0
+    """A finite monoid is a group iff it is one H-class (read off ``greens``)."""
+    return max(greens(m).h) == 0
 
 
 def is_aperiodic(m: Monoid) -> bool:
     """No non-trivial subgroups: a finite monoid is aperiodic iff every H-class
-    is one element (read off ``greens``; past ``TABLE_BOUND`` with no table,
-    ``SizeLimitExceeded``)."""
-    return max(_h_classes(m, "is_aperiodic")) + 1 == len(m)
+    is one element (read off ``greens``)."""
+    return max(greens(m).h) + 1 == len(m)
 
 
 # -- depth -------------------------------------------------------------------
@@ -598,63 +618,31 @@ class DepthReport:
 
 
 def depth_report(m: Monoid) -> DepthReport:
+    """The J-order, the essential classes (those holding a non-trivial
+    subgroup) and each one's depth: the longest chain of essential classes
+    strictly above it."""
     rep = greens(m)
     classes = rep.classes("j")
-    k = len(classes)
-    masks = rep.j_ideal_masks
-    order_pairs = []
-    above: list[list[int]] = [[] for _ in range(k)]  # above[c] = classes strictly above c
-    for a in range(k):
-        for b in range(k):
-            if a != b and masks[a] | masks[b] == masks[a]:
-                order_pairs.append((a, b))
-                above[b].append(a)
-
-    h_sizes: dict[int, int] = {}
-    for x in range(len(m)):
-        h_sizes[rep.h[x]] = h_sizes.get(rep.h[x], 0) + 1
-    essential = []
-    subgroup_orders: dict[int, int] = {}
+    ideals = rep.j_ideals
+    order_pairs = tuple((a, b) for a in range(len(classes)) for b in sorted(ideals[a]) if a != b)
+    h_sizes = Counter(rep.h)
     idempotents = set(rep.idempotents)
+    subgroup_orders: dict[int, int] = {}
     for c, members in enumerate(classes):
-        sizes = [h_sizes[rep.h[e]] for e in members if e in idempotents]
         # a class contains a non-trivial subgroup iff some idempotent's H-class is non-trivial
-        best = max(sizes) if sizes else 0
+        best = max((h_sizes[rep.h[e]] for e in members if e in idempotents), default=0)
         if best > 1:
-            essential.append(c)
             subgroup_orders[c] = best
-
-    essential_set = set(essential)
+    essential = tuple(subgroup_orders)
+    # a class strictly above another has the larger ideal, so larger ideals go first
     class_depth: dict[int, int] = {}
-
-    def depth_of(c: int) -> int:
-        if c in class_depth:
-            return class_depth[c]
-        candidates = [depth_of(d) + 1 for d in above[c] if d in essential_set]
-        class_depth[c] = max(candidates, default=0)
-        return class_depth[c]
-
-    for c in essential:
-        depth_of(c)
-    class_depth = {c: class_depth[c] for c in essential}
+    for c in sorted(essential, key=lambda c: -len(ideals[c])):
+        class_depth[c] = max((class_depth[a] + 1 for a in class_depth if c in ideals[a]), default=0)
+    class_depth = dict(sorted(class_depth.items()))
     depth = 1 + max(class_depth.values()) if essential else 0
-    census = [0] * depth
-    for c in essential:
-        census[class_depth[c]] += 1
-    k_terms = tuple(
-        tuple(c for c in essential if class_depth[c] == i) for i in range(depth)
-    )
-    return DepthReport(
-        k,
-        tuple(tuple(c) for c in classes),
-        tuple(order_pairs),
-        tuple(essential),
-        class_depth,
-        depth,
-        tuple(census),
-        subgroup_orders,
-        k_terms,
-    )
+    k_terms = tuple(tuple(c for c in essential if class_depth[c] == i) for i in range(depth))
+    return DepthReport(len(classes), tuple(map(tuple, classes)), order_pairs, essential, class_depth, depth,
+                       tuple(map(len, k_terms)), subgroup_orders, k_terms)
 
 
 # -- quotients and products --------------------------------------------------

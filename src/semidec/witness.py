@@ -23,7 +23,9 @@ from semidec.errors import (
     InvalidCertificate,
     InvalidMonoid,
     InvalidSpec,
+    NotCentral,
     NotFunctional,
+    NotIdempotent,
     NotSurjective,
     PreimageMissing,
     SizeLimitExceeded,
@@ -473,7 +475,9 @@ def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
     holds that entry's nested ``table.step`` view.  Anything else
     malformed, including a reference that names no entry (a step object
     written inline is one) or a descriptor that rebuilds to no monoid,
-    raises ``InvalidCertificate`` too.
+    such as an ``h_class_group`` of a non-idempotent or a
+    ``quotient_central`` by a subgroup that is not central, raises
+    ``InvalidCertificate`` too; ``SizeLimitExceeded`` passes through.
     """
     try:
         source = table.monoid(obj["source"])
@@ -481,7 +485,7 @@ def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
         steps = [table.step(ref) for ref in obj.get("steps", [])]
         pairs = obj["pairs"]
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError, ContextMismatch,
-            InvalidMonoid, InvalidSpec) as exc:
+            InvalidMonoid, InvalidSpec, NotCentral, NotIdempotent) as exc:
         raise InvalidCertificate(f"{type(exc).__name__}: {exc}") from None
     try:
         rows = carrier_rows(target, pairs, "pair", source).tolist()

@@ -2,7 +2,8 @@
 
 Everything here recomputes results by definition-level brute force,
 independently of the package's algorithms: Green's relations by pairwise
-ideal comparison and by one ideal mask per row and column, pair and
+ideal comparison and by one ideal mask per row and column of the table
+(``greens_by_rows``, with its depth report ``depth_by_rows``), pair and
 target closures by plain dict and set loops, the Froidure-Pin closure one
 product at a time, the greedy generating set by exact row-image ranking
 (``greedy_generating_set``), matrix and carrier tables by one product per pair
@@ -30,7 +31,7 @@ import numpy as np
 
 from semidec.errors import DimensionMismatch, DimensionTooSmall, SemidecError, SizeLimitExceeded
 from semidec.families import identity_entries
-from semidec.monoid import GreensReport, Monoid, generating_set, index_closure
+from semidec.monoid import DepthReport, GreensReport, Monoid, generating_set, index_closure
 from semidec.semiring import SemiringTable
 
 
@@ -109,8 +110,9 @@ def _partition_ids(keys) -> list[int]:
 
 
 def greens_by_rows(m) -> GreensReport:
-    """Green's relations as ``monoid.greens`` once computed them: the ideals
-    of each row and column through ``np.unique``, masks set bit by bit."""
+    """Green's relations from the table: the ideals of each row and column
+    through ``np.unique``, masks set bit by bit, and the J-order as the
+    classes whose masks each class's mask contains."""
     table = m.table_array()
     n = len(m)
     r_ids = _partition_ids(_mask(np.unique(table[x, :])) for x in range(n))
@@ -127,6 +129,7 @@ def greens_by_rows(m) -> GreensReport:
     masks = [0] * (max(j_ids) + 1)
     for x in range(n):
         masks[j_ids[x]] = j_keys[x]
+    ideals = [frozenset(b for b, mask in enumerate(masks) if masks[a] | mask == masks[a]) for a in range(len(masks))]
     return GreensReport(
         tuple(l_ids),
         tuple(r_ids),
@@ -134,7 +137,7 @@ def greens_by_rows(m) -> GreensReport:
         tuple(_partition_ids(zip(l_ids, r_ids))),
         tuple(j in j_has_idem for j in j_ids),
         idempotents,
-        tuple(masks),
+        tuple(ideals),
     )
 
 
@@ -181,6 +184,33 @@ def _close_pairs(pairs, mul_target, mul_source):
                     changed = True
     return closure, None
 
+
+def depth_by_rows(m) -> DepthReport:
+    """``monoid.depth_report`` over ``greens_by_rows``: the strict J-order
+    pair by pair, and each essential class's depth by recursion over the
+    essential classes above it."""
+    rep = greens_by_rows(m)
+    classes = rep.classes("j")
+    k = len(classes)
+    pairs = tuple((a, b) for a in range(k) for b in range(k) if a != b and b in rep.j_ideals[a])
+    h_sizes = [rep.h.count(h) for h in rep.h]
+    orders = {}
+    for c, members in enumerate(classes):
+        best = max([h_sizes[e] for e in members if e in rep.idempotents], default=0)
+        if best > 1:
+            orders[c] = best
+    memo: dict = {}
+
+    def depth_of(c):
+        if c not in memo:
+            memo[c] = max([depth_of(a) + 1 for a, b in pairs if b == c and a in orders], default=0)
+        return memo[c]
+
+    class_depth = {c: depth_of(c) for c in orders}
+    depth = 1 + max(class_depth.values(), default=-1)
+    k_terms = tuple(tuple(c for c in orders if class_depth[c] == i) for i in range(depth))
+    return DepthReport(k, tuple(map(tuple, classes)), pairs, tuple(orders), class_depth, depth,
+                       tuple(map(len, k_terms)), orders, k_terms)
 
 def scan_closure(gens, mul, key=None):
     """Froidure-Pin closure one product at a time: the distinct generators in

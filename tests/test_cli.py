@@ -730,6 +730,50 @@ def _close_identity_outside(cert):
     _close_source(cert, [[3]], [7])
 
 
+def _h_class_of_non_idempotent(cert):
+    # the "maximal subgroup" of element 7 of T_2(Z_2), which is not idempotent
+    from semidec.keys import value_json
+    from semidec.monoid import greens
+
+    t2 = _t2z2()
+    assert 7 not in greens(t2).idempotents
+    cert["source"] = {"kind": "h_class_group", "base": cert["source"], "idempotent": value_json(t2.elements[7])}
+
+
+def _non_central_quotient(cert):
+    # T_2(Z_2) by its unit group {1, [[1, 1], [0, 1]]}, which does not commute
+    # with the idempotent [[1, 0], [0, 0]]
+    from semidec.keys import value_json
+
+    units = [((1, 0), (0, 1)), ((1, 1), (0, 1))]
+    cert["source"] = {"kind": "quotient_central", "base": cert["source"], "subgroup": [value_json(u) for u in units]}
+
+
+def _t2z2():
+    from semidec.families import FamilySpec, build_family
+    from semidec.semiring import make_prime_field
+
+    return build_family(FamilySpec("T", 2, make_prime_field(2)))
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("corrupt, detail", [(_h_class_of_non_idempotent, "NotIdempotent: element 7 is not idempotent"),
+                                             (_non_central_quotient, "NotCentral: ")],
+                         ids=["h-class of a non-idempotent", "quotient by a non-central subgroup"])
+def test_descriptor_that_cannot_be_rebuilt_exit_2(tmp_path, split_certificate, corrupt, detail, optimize):
+    # a source descriptor whose rebuild refuses its own arguments is a
+    # malformed certificate, like any other descriptor that rebuilds to no monoid
+    bad = json.loads(json.dumps(split_certificate))
+    corrupt(bad)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(certificate_document(split_certificate, bad)))
+    proc = run_cli(["verify", str(path)], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.splitlines() == [proc.stderr.rstrip("\n")], proc.stderr
+    assert proc.stderr.startswith(CERTIFICATE_ERROR + detail), proc.stderr
+    assert proc.stdout.startswith("certificate 0 (") and len(proc.stdout.splitlines()) == 1
+
+
 def _pair_by_pair(obj) -> str:
     """The first bad pair's message, from checking one row at a time."""
     import numpy as np

@@ -71,10 +71,11 @@ def test_family_limit(z3):
 
 
 def test_unit_group_past_the_table_bound_is_refused_unbuilt():
-    # A_2(Z_5) has 15,625 elements and no table; its unit group is an H-class,
-    # which would need the whole 15,625^2 table through the carrier
+    # A_2(Z_5) has 15,625 elements and no table; its Green's relations come
+    # from its Cayley graphs, but its unit group, an H-class of 12,000
+    # elements, is itself past the bound, so it is refused before its table
     z5 = make_prime_field(5)
-    with pytest.raises(SizeLimitExceeded, match=r"maximal_subgroup of A_2\(Z_5\) \(15625 elements\) without a table"):
+    with pytest.raises(SizeLimitExceeded, match=r"table of H\(A_2\(Z_5\), \d+\) \(12000 elements\)"):
         family("A*", 2, z5)
     assert family("A", 2, z5)._table is None
 

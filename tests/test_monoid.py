@@ -464,17 +464,76 @@ def test_group_and_aperiodic_read_the_greens_report(fam):
 
 
 def test_group_and_aperiodic_past_the_bound_build_no_table(fam, z3, monkeypatch):
-    # the Green's report reads the table, so a monoid past the bound without
-    # one is refused rather than tabled; once tabled, it is answered
+    # the Green's report reads the Cayley graphs through the carrier, so a
+    # monoid past the bound is answered without ever being tabled
     t2 = fam("T*", 2, "3")
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 0)
     m = Monoid(t2.elements, t2.identity_value, carrier=MatrixCarrier(z3, 2))
-    for predicate in (is_group, is_aperiodic):
-        with pytest.raises(SizeLimitExceeded, match=predicate.__name__):
-            predicate(m)
-    assert m._table is None and m._greens is None
-    m.table_array()
+    assert m._table is None
     assert is_group(m) and not is_aperiodic(m)
+    assert m._table is None
+
+
+_TRANSFORMATIONS = st.integers(1, 4).flatmap(
+    lambda points: st.lists(st.lists(st.integers(0, points - 1), min_size=points, max_size=points).map(tuple),
+                            min_size=1, max_size=3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gens=_TRANSFORMATIONS)
+def test_greens_from_cayley_graphs_match_the_table_reference(gens):
+    # the Cayley-graph partitions, J-order and depths equal the table-based
+    # ones, and the same elements rebuilt without a table give the same
+    # reports unbuilt
+    from unittest import mock
+
+    from oracles import depth_by_rows
+
+    m = transformation_closure(gens)
+    rep = greens(m)
+    assert rep == greens_by_rows(m)
+    assert depth_report(m) == depth_by_rows(m)
+    with mock.patch.object(semidec.monoid, "TABLE_BOUND", 0):
+        untabled = Monoid(m.elements, m.identity_value, carrier=TransformationCarrier(len(gens[0])))
+        assert greens(untabled) == rep
+        assert depth_report(untabled) == depth_report(m)
+    assert untabled._table is None
+
+
+def _growing_cells(m, gens) -> int:
+    """Product cells of ``generating_set`` after its ranking: adding generator
+    k multiplies the closure so far by it, then each new element by all k."""
+    from oracles import scan_closure
+
+    sizes = [1]  # the closures of the generator prefixes, with the identity
+    for k in range(1, len(gens) + 1):
+        sizes.append(len(set(scan_closure(gens[:k], m.mul)[0]) | {m.identity}))
+    assert sizes[-1] == len(m)
+    return sum(sizes[k - 1] + (sizes[k] - sizes[k - 1]) * k for k in range(1, len(gens) + 1))
+
+
+def test_untabled_greens_reads_graphs_not_a_table(fam, z2, monkeypatch):
+    # past the bound, greens multiplies the generating-set ranking and
+    # closure, the right and left Cayley graphs (N g cells each) and the
+    # N squares x x, and never an N x N block
+    t3 = fam("T", 3, "2")
+    n = len(t3)
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
+    m = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(z2, 3))
+    gens = generating_set(m)
+    span = max(1, min(n, 8**2 // n))  # the ranking's columns
+    blocks = []
+
+    def counted(self, rows, cols, original=Monoid._carrier_products):
+        blocks.append((len(rows), len(cols)))
+        return original(self, rows, cols)
+
+    monkeypatch.setattr(Monoid, "_carrier_products", counted)
+    rep = greens(m)
+    assert sum(r * c for r, c in blocks) == n * span + _growing_cells(m, gens) + 2 * n * len(gens) + n
+    assert (n, n) not in blocks
+    assert m._table is None
+    assert rep == greens(t3)
 
 
 def test_generating_set_grows_one_closure(fam, monkeypatch):
@@ -493,12 +552,7 @@ def test_generating_set_grows_one_closure(fam, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(Monoid, "products", counted)
             gens = generating_set(m)
-        sizes = [1]  # the closures of the generator prefixes, with the identity
-        for k in range(1, len(gens) + 1):
-            elements = scan_closure(gens[:k], m.mul)[0]
-            sizes.append(len(set(elements) | {m.identity}))
-        assert sizes[-1] == len(m)
-        growing = sum(sizes[k - 1] + (sizes[k] - sizes[k - 1]) * k for k in range(1, len(gens) + 1))
+        growing = _growing_cells(m, gens)
         assert sum(cells) == len(m) ** 2 + growing, m.label
         reclosing = sum(len(scan_closure(gens[:k], m.mul)[0]) * k for k in range(1, len(gens) + 1))
         assert growing < reclosing, m.label
