@@ -96,15 +96,15 @@ _CARRIER_KINDS = ("wreath_ctx", "product_carrier")  # kinds that rebuild to a ca
 STEP_FIELDS = ("left", "right", "top", "base", "factor", "acting")
 
 
-def close_descriptor(carrier, generators, identity_value, label: str) -> dict:
-    """The ``"close"`` descriptor of the monoid that ``generators`` and
-    ``identity_value`` generate in ``carrier``, as ``build_monoid`` reads it:
-    the generators and the identity are ``carrier`` rows."""
+def close_descriptor(carrier, generators: np.ndarray, identity: np.ndarray, label: str) -> dict:
+    """The ``"close"`` descriptor of the monoid that the ``ROW`` arrays of
+    generator rows ``generators`` and identity row ``identity`` generate in
+    ``carrier``, as ``build_monoid`` reads it and ``close_generators`` takes it."""
     return {
         "kind": "close",
         "carrier": carrier.descriptor(),
-        "generators": [list(carrier.to_row(v)) for v in generators],
-        "identity": list(carrier.to_row(identity_value)),
+        "generators": generators.tolist(),
+        "identity": identity.tolist(),
         "label": label,
     }
 
@@ -339,20 +339,10 @@ def build_monoid(table: Descriptors, i: int) -> Monoid:
         return build_family(FamilySpec(fam, desc["n"], build_ring(desc["ring"])))
     if kind == "close":
         carrier = table.carrier(desc["carrier"])
-
-        def values(rows, what):
-            block = carrier_rows(carrier, rows, f"descriptor {i} {what}")
-            return [carrier.from_row(row) for row in block.tolist()]
-
-        gens = values(desc["generators"], "generator")
-        ident = values([desc["identity"]], "identity")[0] if "identity" in desc else carrier.identity_value
-        return close_generators(
-            gens,
-            carrier,
-            ident,
-            label=desc.get("label", ""),
-            provenance=table.view(i),
-        )
+        gens = carrier_rows(carrier, desc["generators"], f"descriptor {i} generator")
+        ident = (carrier_rows(carrier, [desc["identity"]], f"descriptor {i} identity") if "identity" in desc
+                 else carrier.to_row(carrier.identity_value))
+        return close_generators(gens, carrier, ident, label=desc.get("label", ""), provenance=table.view(i))
     if kind == "transformation_close":
         from semidec.families import transformation_closure
 

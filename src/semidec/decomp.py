@@ -42,6 +42,7 @@ from semidec.families import (
 )
 from semidec.monoid import (
     DEFAULT_LIMIT,
+    ROW,
     Monoid,
     close_generators,
     depth_report,
@@ -192,14 +193,15 @@ def _traced_left(mid: Monoid, top: Monoid, base: Monoid, label: str) -> Monoid:
 
     The left projection of a product carrier is a homomorphism, so the left
     components of ``mid``'s identity and ``generating_set(mid)`` generate
-    it.  The monoid is their ``close_generators`` closure, and its ``"close"``
-    descriptor lists them, so build and rebuild are one call with one
-    element order.
+    it.  Distinct, they are encoded to ``ctx`` rows once; the monoid is
+    their ``close_generators`` closure, and its ``"close"`` descriptor
+    lists those rows, so build and rebuild are one call with one element
+    order.
     """
     ctx = WreathContext(top, base)
-    gens = list(dict.fromkeys(mid.elements[x][0] for x in [mid.identity] + generating_set(mid)))
-    return close_generators(gens, ctx, gens[0], label=label,
-                            provenance=close_descriptor(ctx, gens, gens[0], label))
+    gens = dict.fromkeys(mid.elements[x][0] for x in [mid.identity] + generating_set(mid))
+    rows = np.array([ctx.to_row(v) for v in gens], dtype=ROW).reshape(len(gens), ctx.width)
+    return close_generators(rows, ctx, rows[0], label=label, provenance=close_descriptor(ctx, rows, rows[0], label))
 
 
 def _then(run: DivisionWitness, make, steps: list[DivisionWitness], limit: int) -> DivisionWitness:

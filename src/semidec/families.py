@@ -331,7 +331,8 @@ def u1() -> Monoid:
 
 def transformation_closure(gens: list[tuple[int, ...]], label: str = "",
                            limit: int = DEFAULT_LIMIT) -> Monoid:
-    """Closure of transformation tables under right-action composition."""
+    """Closure of transformation tables under right-action composition; a
+    table is its own carrier row, so ``gens`` go to ``close_generators`` as they are."""
     from semidec.keys import value_json
     from semidec.monoid import close_generators
 

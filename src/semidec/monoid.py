@@ -332,19 +332,6 @@ def close_rows(gens: np.ndarray, mul_rows, limit: int, what: str, key_width: int
     return store if n == len(store) else store[:n].copy(), edges, graph
 
 
-def right_closure(gens, carrier, limit: int, what: str):
-    """``close_rows`` on the values ``gens`` of a carrier (``width``,
-    ``to_row``, ``from_row``, ``mul_rows``).
-
-    Returns ``(elements, lookup, edges, right)`` with the elements as
-    values and ``lookup`` mapping each element to its index.
-    """
-    rows = np.array([carrier.to_row(v) for v in gens], dtype=ROW).reshape(len(gens), carrier.width)
-    rows, edges, right = close_rows(rows, carrier.mul_rows, limit, what)
-    elements = [carrier.from_row(row) for row in rows.tolist()]
-    return elements, {v: i for i, v in enumerate(elements)}, edges, right
-
-
 def cayley_table(edges, right) -> np.ndarray:
     """Multiplication table of a closure from its right Cayley graph.
 
@@ -369,30 +356,39 @@ def cayley_table(edges, right) -> np.ndarray:
 def close_generators(
     gens,
     carrier,
-    identity_value,
+    identity,
     limit: int = DEFAULT_LIMIT,
     label: str = "",
     provenance: dict | None = None,
 ) -> Monoid:
-    """Multiplicative closure of ``gens`` in a carrier, in ``right_closure`` order.
+    """Multiplicative closure of the generator rows ``gens`` of a carrier
+    (``width``, ``from_row``, ``mul_rows``), in ``close_rows`` order, with
+    the identity row ``identity``: the fields of a ``"close"`` descriptor.
 
     The carrier's ``mul_rows`` on frontier blocks makes the only carrier
-    products.  The table is the closure's ``cayley_table``; past
-    ``TABLE_BOUND`` elements the monoid has none and multiplies through
-    the carrier's ``mul_rows`` in blocks instead.  An identity the closure
-    never produces is appended at the end once it fixes itself and every
-    generator on both sides, by value; otherwise ``InvalidMonoid``.
+    products, and the closure rows are decoded once, into the elements.
+    The table is the closure's ``cayley_table``; past ``TABLE_BOUND``
+    elements the monoid has none and multiplies through the carrier's
+    ``mul_rows`` in blocks instead.  An identity the closure never produces
+    is appended at the end once it fixes itself and every generator on
+    both sides, checked by two one-row ``mul_rows`` blocks of ``2g + 1``
+    products; otherwise ``InvalidMonoid``.
     """
-    gens = list(gens)
-    if not gens:
+    gens = np.asarray(gens, dtype=ROW).reshape(-1, carrier.width)
+    if not len(gens):
         raise ValueError("need at least one generator")
-    elements, lookup, edges, right = right_closure(gens, carrier, limit, f"closure of {label or 'generators'}")
+    rows, edges, right = close_rows(gens, carrier.mul_rows, limit, f"closure of {label or 'generators'}")
+    e = np.asarray(identity, dtype=ROW).reshape(1, carrier.width)
+    identity_value = carrier.from_row(e[0].tolist())
+    elements = [carrier.from_row(row) for row in rows.tolist()]
     size = len(elements)
-    if identity_value not in lookup:
-        e, product = identity_value, carrier.mul_value
-        if product(e, e) != e or any(product(e, g) != g or product(g, e) != g for g in elements[: right.shape[1]]):
+    if not (rows == e).all(axis=1).any():
+        distinct = rows[: right.shape[1]]
+        fixed = np.concatenate([e, distinct])
+        if not ((carrier.mul_rows(e, fixed)[0] == fixed).all()  # e e and each e g
+                and (carrier.mul_rows(distinct, e)[:, 0] == distinct).all()):  # each g e
             raise InvalidMonoid(label, "identity outside the closure does not fix itself and every generator")
-        elements.append(e)
+        elements.append(identity_value)
         if len(elements) > limit:
             raise SizeLimitExceeded(limit, "closure plus identity")
     table = None
@@ -401,7 +397,7 @@ def close_generators(
         if size < len(elements):  # the appended identity's row and column
             table = np.pad(table, (0, 1))
             table[size] = table[:, size] = np.arange(size + 1)
-    prov = provenance or {"kind": "close", "generators": [list(carrier.to_row(g)) for g in gens]}
+    prov = provenance or {"kind": "close", "generators": gens.tolist()}
     return Monoid(elements, identity_value, carrier=carrier, table=table, label=label, provenance=prov)
 
 
@@ -744,7 +740,7 @@ def generating_set(m: Monoid) -> list[int]:
     seeded sample of ``TABLE_BOUND ** 2 // N`` columns; no table is built."""
     n = len(m)
     span = max(1, min(n, TABLE_BOUND**2 // n))
-    cols = np.sort(random.Random(0x5EED).sample(range(n), span))  # every column when span == n
+    cols = np.arange(n) if span == n else np.sort(random.Random(0x5EED).sample(range(n), span))
     step = max(1, _BLOCK_CELLS // span)
     sizes = [int(size) for start in range(0, n, step)
              for size in _image_matrix(m.products(range(start, min(n, start + step)), cols), n).sum(axis=1)]

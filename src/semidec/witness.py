@@ -1,9 +1,10 @@
 """Division witnesses: certificates that one monoid divides another.
 
-A witness holds generator pairs (t, s) in target x source.  Verification
-closes the pairs under componentwise multiplication and checks that the
-closed relation is the graph of a function from a subsemigroup of the
-target onto the source.  A relation that contains the generators, is
+A witness holds generator pairs (t, s) in target x source, each one int
+row: t's carrier row, then s's index.  Verification closes the pairs
+under componentwise multiplication and checks that the closed relation
+is the graph of a function from a subsemigroup of the target onto the
+source.  A relation that contains the generators, is
 closed under products, and is functional is exactly a homomorphism graph,
 so nothing else needs checking.  Certificates store only the generator
 pairs plus construction provenance; verification always recomputes the
@@ -40,14 +41,16 @@ ASSIGNMENT_BUDGET = 200_000  # generator-image assignments ``search_division`` t
 
 
 class DivisionWitness:
-    """Generator pairs (target value, source index) and, once verified, their
-    closure, kept as ``close_rows``' int rows: each is a target row followed
-    by its source index, in closure order."""
+    """Generator pairs and, once verified, their closure, both as int rows:
+    a target carrier row followed by a source index.  ``pairs`` is one
+    ``(g, target.width + 1)`` ``ROW`` array, the rows ``verify`` closes and
+    a certificate stores; the closure is ``close_rows``' rows, in closure
+    order."""
 
     def __init__(self, source: Monoid, target, pairs, steps=None, label=""):
         self.source = source
         self.target = target
-        self.pairs = list(pairs)  # (target value, source index)
+        self.pairs = np.asarray(pairs, dtype=ROW).reshape(-1, target.width + 1)  # (target row, source index) rows
         self.steps = list(steps or [])
         self.label = label
         self.status = "unverified"
@@ -64,23 +67,25 @@ class DivisionWitness:
     def verified(self) -> bool:
         return self.status == "verified"
 
-    def preimage_table(self) -> list:
-        """The target value of each source element's first closure row;
-        verification has shown that every source element has one."""
+    def preimages(self) -> np.ndarray:
+        """The closure position of each source element's first closure row;
+        verification has shown that every source element has one.  The
+        closure position is the element's index in ``image_submonoid()``,
+        so this is each source element's least preimage there."""
         _require_verified(self)
-        width = self.target.width
-        _, first = np.unique(self._rows[:, width], return_index=True)
-        return [self.target.from_row(row) for row in self._rows[first, :width].tolist()]
+        return np.unique(self._rows[:, self.target.width], return_index=True)[1]
 
     def image_submonoid(self) -> Monoid:
         """The closure's target elements as a restricted monoid.
 
-        Canonical order is closure discovery order, which a rebuild from
-        the "close" descriptor keeps.  The closure is keyed by target value,
-        so the table is the ``cayley_table`` of ``verify``'s graph, with no
-        target products; past ``TABLE_BOUND`` elements the monoid multiplies
-        through the target's ``mul_rows`` in blocks instead.  The
-        identity is the left identity of the generators, read off the
+        Its elements are the closure's target rows, decoded, in closure
+        order, so an element's index is its closure position
+        (``preimages``); a rebuild from the "close" descriptor, which lists
+        the pairs' target rows, keeps that order.  The closure is keyed by
+        target row, so the table is the ``cayley_table`` of ``verify``'s
+        graph, with no target products; past ``TABLE_BOUND`` elements the
+        monoid multiplies through the target's ``mul_rows`` in blocks
+        instead.  The identity is the left identity of the generators, read off the
         graph's rows: a two-sided identity is the only one, and the
         ``Monoid`` check that it is two-sided on every element decides
         whether there is one (there is when the witness pairs the
@@ -90,17 +95,18 @@ class DivisionWitness:
         _require_verified(self)
         if self._image is not None:
             return self._image
-        values = [self.target.from_row(row) for row in self._rows[:, :self.target.width].tolist()]
+        width = self.target.width
+        values = [self.target.from_row(row) for row in self._rows[:, :width].tolist()]
         edges, right = self._graph
         found = np.flatnonzero((right == np.arange(right.shape[1])).all(axis=1))
         if not len(found):
             raise WitnessError("closure has no two-sided identity; cannot form a base monoid")
-        ident = values[found[0]]
         table = cayley_table(edges, right) if within_table_bound(len(values)) else None
         label = f"im({self.label})"
         try:
-            self._image = Monoid(values, ident, carrier=self.target, table=table, label=label,
-                                 provenance=close_descriptor(self.target, [t for t, _ in self.pairs], ident, label))
+            self._image = Monoid(values, values[found[0]], carrier=self.target, table=table, label=label,
+                                 provenance=close_descriptor(self.target, self.pairs[:, :width],
+                                                             self._rows[found[0], :width], label))
         except InvalidMonoid as exc:
             raise WitnessError(f"closure has no two-sided identity; cannot form a base monoid: {exc}") from exc
         self._graph = None
@@ -117,8 +123,8 @@ def _require_verified(*witnesses: DivisionWitness) -> None:
 def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """Close the pairs and check functionality and surjectivity.
 
-    The closure is ``close_rows`` over rows of (target row, source index),
-    keyed on the target columns: the distinct generator pairs in input
+    The closure is ``close_rows`` over the pair rows as they are, keyed on
+    the target columns: the distinct generator pairs in input
     order, then each pair times each generator pair, in discovery order, a
     frontier block at a time.  A target value reached again with another
     source element raises ``NotFunctional``.  The witness keeps the closure
@@ -128,9 +134,8 @@ def verify(w: DivisionWitness, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     w._image = w._graph = None
     width = target.width
     try:
-        gens = np.array([target.to_row(t) + (s,) for t, s in w.pairs], dtype=ROW).reshape(len(w.pairs), width + 1)
         try:
-            rows, edges, right = close_rows(gens, ProductCarrier(target, source).mul_rows, limit,
+            rows, edges, right = close_rows(w.pairs, ProductCarrier(target, source).mul_rows, limit,
                                             "witness closure", key_width=width)
         except NotFunctional as exc:
             old, new = exc.sources
@@ -155,10 +160,16 @@ def mapped_witness(source: Monoid, value_map, target, steps=None, label="",
                    limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """Witness pairing the source identity and ``generating_set(source)`` with
     their ``value_map`` images, then verified: it proves the homomorphism these
-    pairs generate, which is ``value_map`` wherever that is one."""
-    pairs = [(value_map(source.elements[i]), i) for i in [source.identity] + generating_set(source)]
-    w = DivisionWitness(source, target, pairs, steps=steps, label=label)
-    return verify(w, limit)
+    pairs generate, which is ``value_map`` wherever that is one.  Each image
+    is encoded to its target row once, here."""
+    return _generated(source, lambda v: target.to_row(value_map(v)), target, steps, label, limit)
+
+
+def _generated(source: Monoid, row_map, target, steps, label: str, limit: int) -> DivisionWitness:
+    """The verified witness pairing the source identity and
+    ``generating_set(source)`` with their target rows under ``row_map``."""
+    pairs = [(*row_map(source.elements[i]), i) for i in [source.identity] + generating_set(source)]
+    return verify(DivisionWitness(source, target, pairs, steps=steps, label=label), limit)
 
 
 def identity_witness(m: Monoid, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
@@ -232,7 +243,7 @@ def lift_left(w: DivisionWitness, top, source: Monoid | None = None,
     if source is None:
         source = enumerate_wreath(WreathContext(top, w.source), limit)
     phi = w._rows[:, w.target.width].tolist()  # base index -> source index of w
-    preim = [sub.index[t] for t in w.preimage_table()]  # source index of w -> base index
+    preim = w.preimages().tolist()  # source index of w -> base index
 
     def embed(value):
         table, x = value
@@ -265,8 +276,8 @@ def lift_right(w: DivisionWitness, base: Monoid, source: Monoid | None = None,
     source_top = source_top or w.source
     if source is None:
         source = enumerate_wreath(WreathContext(source_top, base), limit)
-    least = w.preimage_table()
-    preim = [sub.index[least[w.source.index[v]]] for v in source_top.elements]  # source top index -> top index
+    first = w.preimages()
+    preim = [int(first[w.source.index[v]]) for v in source_top.elements]  # source top index -> top index
 
     def embed(value):
         table, c = value
@@ -320,11 +331,11 @@ def augmentation(acting: Monoid, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     ctx = WreathContext(xt, acting)
     pairs = []
     for i, aval in enumerate(acting.elements):
-        pairs.append(((constant_table(ctx, xt.identity), i), source.index[aval]))
+        pairs.append((*ctx.to_row((constant_table(ctx, xt.identity), i)), source.index[aval]))
     for x in range(point_count):
         h_x = tuple(xt.index[constant_at(bval[x])] for bval in acting.elements)
         const_x = tuple(x for _ in range(point_count))
-        pairs.append(((h_x, acting.identity), source.index[const_x]))
+        pairs.append((*ctx.to_row((h_x, acting.identity)), source.index[const_x]))
     w = DivisionWitness(
         source, ctx, pairs,
         steps=[{"kind": "augmentation", "acting": acting.descriptor()}],
@@ -343,11 +354,8 @@ def group_with_zero(ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> Division
     t1s = family("T*", 1, ring)
     semilattice = u1()
     target = ProductCarrier(t1s, semilattice)
-    pairs = []
-    for g in sorted(units(ring)):
-        val = ((g,),)
-        pairs.append(((val, 0), t1.index[val]))
-    pairs.append(((t1s.identity_value, 1), t1.index[((ring.zero,),)]))
+    pairs = [(*target.to_row((((g,),), 0)), t1.index[((g,),)]) for g in sorted(units(ring))]
+    pairs.append((*target.to_row((t1s.identity_value, 1)), t1.index[((ring.zero,),)]))
     w = DivisionWitness(
         t1, target, pairs,
         steps=[{"kind": "group_with_zero", "ring": ring.descriptor()}],
@@ -362,15 +370,14 @@ def product_witness(w1: DivisionWitness, w2: DivisionWitness,
     _require_verified(w1, w2)
     target = ProductCarrier(w1.target, w2.target)
     src = source or direct_product(w1.source, w2.source, limit)
-    pre1, pre2 = w1.preimage_table(), w2.preimage_table()
+    rows1, rows2 = (w._rows[w.preimages(), :w.target.width].tolist() for w in (w1, w2))
     i1, i2 = w1.source.index, w2.source.index
 
     def embed(value):
-        return (pre1[i1[value[0]]], pre2[i2[value[1]]])
+        return rows1[i1[value[0]]] + rows2[i2[value[1]]]
 
     steps = list(w1.steps) + list(w2.steps) + [{"kind": "product_witness"}]
-    return mapped_witness(src, embed, target, steps=steps,
-                          label=f"({w1.label}) x ({w2.label})", limit=limit)
+    return _generated(src, embed, target, steps, f"({w1.label}) x ({w2.label})", limit)
 
 
 def compose(w1: DivisionWitness, w2: DivisionWitness,
@@ -378,16 +385,17 @@ def compose(w1: DivisionWitness, w2: DivisionWitness,
     """From S div T and T div U derive S div U.
 
     Each generator pair (t, s) of the first witness is replaced by
-    (least preimage of t under the second witness, s).
+    (least preimage of t under the second witness, s): the target row at
+    that preimage's closure position of the second witness.
     """
     _require_verified(w1, w2)
-    least = w2.preimage_table()
-    pairs = []
-    for t, s in w1.pairs:
-        idx = w2.source.index.get(t)
-        if idx is None:
+    middle = []
+    for row in w1.pairs[:, :w1.target.width].tolist():
+        t = w1.target.from_row(row)
+        if t not in w2.source.index:
             raise PreimageMissing(f"{t!r} is not an element of the middle monoid")
-        pairs.append((least[idx], s))
+        middle.append(w2.source.index[t])
+    pairs = np.column_stack([w2._rows[w2.preimages()[middle], :w2.target.width], w1.pairs[:, -1]])
     w = DivisionWitness(
         w1.source, w2.target, pairs,
         steps=list(w1.steps) + list(w2.steps) + [{"kind": "compose"}],
@@ -425,7 +433,7 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12) -> D
         if total > ASSIGNMENT_BUDGET:
             raise SizeLimitExceeded(ASSIGNMENT_BUDGET, "generator assignment enumeration")
         for assignment in iter_product(range(len(source)), repeat=len(gens)):
-            pairs = [(target.elements[g], s) for g, s in zip(gens, assignment)]
+            pairs = list(zip(gens, assignment))  # a monoid's row is its element index
             w = DivisionWitness(source, target, pairs,
                                 steps=[{"kind": "search", "generators": gens}],
                                 label=f"search {source.label} in {target.label}")
@@ -442,8 +450,8 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12) -> D
 def witness_to_json(w: DivisionWitness, table: Descriptors) -> dict:
     """The certificate of ``w``, its descriptors and steps interned into ``table``.
 
-    Each pair is one flat int list, the row ``verify`` closes over: the
-    target value's ``to_row`` followed by the source element's index.
+    Each pair is one flat int list, a row of ``w.pairs`` as ``verify``
+    closes it: the target row followed by the source element's index.
     ``source`` and ``target`` are descriptor indices, and ``steps`` lists
     the step index of each step of ``w``, in order.
     """
@@ -456,7 +464,7 @@ def witness_to_json(w: DivisionWitness, table: Descriptors) -> dict:
         "label": w.label,
         "source": table.intern(w.source.descriptor()),
         "target": table.intern(w.target.descriptor()),
-        "pairs": [[*w.target.to_row(t), s] for t, s in w.pairs],
+        "pairs": w.pairs.tolist(),
         "steps": [table.intern_step(step) for step in w.steps],
         "verdict": verdict,
     }
@@ -468,7 +476,7 @@ def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
     once per table.
 
     The pairs are ``carrier_rows`` of the target, each followed by a
-    source index, checked in one block: a pair that is not a target row followed
+    source index, checked in one block and kept as that block: a pair that is not a target row followed
     by a source element's index raises ``InvalidCertificate`` naming it as
     ``pair k``, and so does a pair of nested values as earlier versions
     wrote.  Each step is an index into the step table, and the witness
@@ -488,11 +496,9 @@ def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
             InvalidMonoid, InvalidSpec, NotCentral, NotIdempotent) as exc:
         raise InvalidCertificate(f"{type(exc).__name__}: {exc}") from None
     try:
-        rows = carrier_rows(target, pairs, "pair", source).tolist()
+        pairs = carrier_rows(target, pairs, "pair", source)
     except ValueError as exc:
         raise InvalidCertificate(str(exc)) from None
-    width = target.width
-    pairs = [(target.from_row(row[:width]), row[width]) for row in rows]
     return DivisionWitness(source, target, pairs, steps=steps, label=obj.get("label", ""))
 
 

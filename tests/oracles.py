@@ -20,8 +20,11 @@ references it is checked against.  ``isomorphic`` decides whether two
 monoids are isomorphic with no map given, by backtracking over generator
 images pruned by element profiles; the library only checks explicit
 maps (``monoid.isomorphic``).  ``every_element_pairing``
-makes certificates pair every source element, not a generating set, and
-``closure_pairs`` reads a verified witness's closure rows as pairs.
+makes certificates pair every source element, not a generating set.
+``pair_rows`` encodes (target value, source index) pairs as a witness's
+pair rows, ``pair_values`` and ``closure_pairs`` decode a witness's pair
+rows and closure rows back into such pairs, and ``preimage_table`` gives
+each source element's first closure pair's target value.
 """
 
 from dataclasses import dataclass
@@ -145,10 +148,33 @@ def is_regular(x, elements, mul):
     return any(mul(mul(x, y), x) == x for y in elements)
 
 
+def pair_rows(target, pairs):
+    """(target value, source index) pairs as the rows a ``DivisionWitness`` holds."""
+    return [(*target.to_row(t), s) for t, s in pairs]
+
+
+def _decoded(target, rows):
+    width = target.width
+    return [(target.from_row(row[:width]), row[width]) for row in rows.tolist()]
+
+
+def pair_values(w):
+    """A witness's generator pairs as (target value, source index) pairs."""
+    return _decoded(w.target, w.pairs)
+
+
 def closure_pairs(w):
     """A verified witness's closure as (target value, source index) pairs, in closure order."""
-    width = w.target.width
-    return [(w.target.from_row(row[:width]), row[width]) for row in w._rows.tolist()]
+    return _decoded(w.target, w._rows)
+
+
+def preimage_table(w):
+    """The target value of each source element's first pair in a verified
+    witness's closure, by a scan of ``closure_pairs``."""
+    first: dict = {}
+    for t, s in closure_pairs(w):
+        first.setdefault(s, t)
+    return [first[s] for s in range(len(w.source))]
 
 
 def pair_closure(pairs, mul_target, mul_source):

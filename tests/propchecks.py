@@ -55,7 +55,8 @@ def elementary_row_orbits_match_l_classes(m, ring) -> int:
                 gens.append(
                     elementary_matrix(ring, n, ElementaryOp("add", target, scalar, source), True).entries
                 )
-    ops = close_generators(gens, MatrixCarrier(ring, n), identity_entries(ring, n))
+    carrier = MatrixCarrier(ring, n)
+    ops = close_generators([carrier.to_row(g) for g in gens], carrier, carrier.to_row(identity_entries(ring, n)))
     rep = greens(m)
     size = len(m)
     reach = [frozenset(m.index[ops.mul_value(e, m.elements[x])] for e in ops.elements) for x in range(size)]

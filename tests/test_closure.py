@@ -24,14 +24,13 @@ from hypothesis import strategies as st
 
 from conftest import _ring, cached_family, cached_field_plan, cached_ring_plan
 from oracles import (closure_pairs, compose_tables, every_element_pairing, greedy_generating_set, isomorphic,
-                     pair_closure, pair_closure_conflict, scan_closure, table_monoid, target_closure,
-                     value_product_table, wreath_decode, wreath_value_product)
+                     pair_closure, pair_closure_conflict, pair_rows, pair_values, preimage_table, scan_closure,
+                     table_monoid, target_closure, value_product_table, wreath_decode, wreath_value_product)
 from semidec.carriers import Descriptors, ProductCarrier, rebuild
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
 from semidec.families import TransformationCarrier, transformation_closure, u1
-from semidec.monoid import (Monoid, close_generators, close_rows, direct_product, generating_set, index_closure,
-                            right_closure)
+from semidec.monoid import Monoid, close_generators, close_rows, direct_product, generating_set, index_closure
 from semidec.witness import (DivisionWitness, augmentation, document_from_json, document_to_json, group_with_zero,
                              identity_witness, verify, witness_from_json)
 from semidec.wreath import WreathContext, enumerate_wreath
@@ -60,29 +59,40 @@ def z7_times():
     return table_monoid(range(7), 1, lambda a, b: a * b % 7, label="Z_7")
 
 
-def test_right_closure_order_and_edges():
+def test_close_generators_order_and_edges(monkeypatch):
     def mul(a, b):
         return a * b % 7
 
-    gens = [3, 3, 2]
-    elements, lookup, edges, right = right_closure(gens, z7_times(), 10, "units mod 7")
+    kernel, closures = semidec.monoid.close_rows, []
+
+    def recorded(*args, **kwargs):  # the kernel's rows, edges and graph, as close_generators gets them
+        closures.append(kernel(*args, **kwargs))
+        return closures[-1]
+
+    monkeypatch.setattr(semidec.monoid, "close_rows", recorded)
+    z7 = z7_times()
+    m = close_generators([z7.to_row(v) for v in [3, 3, 2]], z7, z7.to_row(1), limit=10, label="units mod 7")
+    (rows, edges, right), = closures
     # generators first, then each element times each generator
-    assert elements == [3, 2, 6, 4, 5, 1]
-    assert lookup == {v: i for i, v in enumerate(elements)}
+    assert m.elements == [3, 2, 6, 4, 5, 1] and rows[:, 0].tolist() == m.elements
+    assert m.identity == 5 and m.provenance["generators"] == [[3], [3], [2]]
     assert edges[:2] == [None, None]
     for i, edge in enumerate(edges[2:], start=2):
         parent, g = edge
         assert parent < i
-        assert elements[i] == mul(elements[parent], [3, 2][g])
-    assert right.dtype == np.int32 and right.shape == (len(elements), 2)
-    for i in range(len(elements)):
+        assert m.elements[i] == mul(m.elements[parent], [3, 2][g])
+    assert right.dtype == np.int32 and right.shape == (len(m), 2)
+    for i in range(len(m)):
         for j, g in enumerate([3, 2]):
-            assert right[i, j] == lookup[mul(elements[i], g)]
+            assert right[i, j] == m.index[mul(m.elements[i], g)]
+    # the generators are elements 0 and 1, so their table columns are the graph
+    assert m.table_array()[:, :2].tolist() == right.tolist()
 
 
-def test_right_closure_limit():
+def test_close_generators_limit():
+    z7 = z7_times()
     with pytest.raises(SizeLimitExceeded):
-        right_closure([3], z7_times(), 5, "units mod 7")
+        close_generators([z7.to_row(3)], z7, z7.to_row(1), limit=5, label="units mod 7")
 
 
 def test_right_closure_key_clash():
@@ -114,7 +124,7 @@ def test_certificate_target_closures_match_oracle(field_plan, n):
     plan = field_plan(n, "2")
     for w in plan.witnesses + [plan.composite]:
         closed = {t for t, _ in closure_pairs(w)}
-        assert closed == target_closure([t for t, _ in w.pairs], w.target.mul_value), w.label
+        assert closed == target_closure([t for t, _ in pair_values(w)], w.target.mul_value), w.label
 
 
 def _wreath_parts(carrier, value):
@@ -136,7 +146,7 @@ def test_wreath_products_match_decoding_reference(plan):
     checked = 0
     for w in plan.witnesses + [plan.composite]:
         for t, _ in closure_pairs(w):
-            for g, _ in w.pairs:
+            for g, _ in pair_values(w):
                 for (ctx, x), (_, y) in zip(_wreath_parts(w.target, t), _wreath_parts(w.target, g)):
                     expected = wreath_value_product(ctx, wreath_decode(ctx, x), wreath_decode(ctx, y))
                     assert wreath_decode(ctx, ctx.mul_value(x, y)) == expected, w.label
@@ -301,7 +311,8 @@ def test_image_without_two_sided_identity_is_rejected(monkeypatch, bound, left):
     # a left-zero closure has no left identity; in a right-zero one both
     # elements are left identities and neither is two-sided
     trivial = table_monoid([0], 0, lambda a, b: 0, label="1")
-    w = verify(DivisionWitness(trivial, _zero_semigroup_with_identity(left), [(0, 0), (1, 0)]))
+    target = _zero_semigroup_with_identity(left)
+    w = verify(DivisionWitness(trivial, target, pair_rows(target, [(0, 0), (1, 0)])))
     assert w.verified and w.closure_size == 2
     if bound is not None:
         monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", bound)
@@ -321,7 +332,7 @@ def test_close_generators_evaluates_only_the_closure_products():
     m = close_generators([(1, 2, 0)], Counted(3), (0, 1, 2))
     assert len(m) == 3 and sum(calls) == 3 * 1
     assert m.table_array().tolist() == value_product_table(m.elements, compose_tables)
-    # two constants: the identity is appended after 2g + 1 checks by value
+    # two constants: the identity is appended after 2g + 1 checked products
     calls.clear()
     m = close_generators([(0, 0, 0), (1, 1, 1)], Counted(3), (0, 1, 2))
     assert m.elements[-1] == (0, 1, 2) and m.identity == 2
@@ -369,7 +380,7 @@ def witness_cases(draw):
 def test_verify_matches_pair_closure_oracle(case):
     target, source, pairs = case
     expected = _expected_verdict(pairs, target, source)
-    w = DivisionWitness(source, target, pairs, label="drawn")
+    w = DivisionWitness(source, target, pair_rows(target, pairs), label="drawn")
     if isinstance(expected, dict):
         verify(w)
         assert dict(closure_pairs(w)) == expected
@@ -392,7 +403,7 @@ def test_clash_only_in_a_triple_product():
     for t, s in [(swap, r), (target.mul_value(swap, swap), source.mul(r, r))]:
         assert short.setdefault(t, s) == s
     assert pair_closure(pairs, target.mul_value, source.mul) is None
-    w = DivisionWitness(source, target, pairs, label="triple clash")
+    w = DivisionWitness(source, target, pair_rows(target, pairs), label="triple clash")
     with pytest.raises(NotFunctional):
         verify(w)
 
@@ -420,7 +431,7 @@ def test_not_functional_names_the_pair_closure_oracles_first_clash():
                     if clash is None:
                         continue
                     with pytest.raises(NotFunctional) as caught:
-                        verify(DivisionWitness(source, target, [(t, s)], label="one pair"))
+                        verify(DivisionWitness(source, target, pair_rows(target, [(t, s)]), label="one pair"))
                     expected = (clash[0], source.elements[clash[1]], source.elements[clash[2]])
                     assert (caught.value.target, *caught.value.sources) == expected, (target.label, t, s)
                     checked += 1
@@ -508,16 +519,16 @@ def test_closures_follow_the_one_product_scan(field_plan, n):
         def pair_mul(x, y):
             return (target.mul_value(x[0], y[0]), source.mul(x[1], y[1]))
 
-        elements, edges, right = scan_closure(fresh.pairs, pair_mul, key=lambda v: v[0])
+        elements, edges, right = scan_closure(pair_values(fresh), pair_mul, key=lambda v: v[0])
         assert closure_pairs(fresh) == elements, w.label
         first: dict = {}
         for t, s in elements:
             first.setdefault(s, t)
-        assert fresh.preimage_table() == [first[s] for s in range(len(source))], w.label
+        assert preimage_table(fresh) == [first[s] for s in range(len(source))], w.label
         assert fresh._graph[0] == edges and fresh._graph[1].tolist() == right, w.label
-        gens = [t for t, _ in fresh.pairs]
+        gens = [t for t, _ in pair_values(fresh)]
         scan = scan_closure(gens, target.mul_value)[0]
-        closed = close_generators(gens, target, target.identity_value, label="rebuild")
+        closed = close_generators(fresh.pairs[:, :-1], target, target.to_row(target.identity_value), label="rebuild")
         assert closed.elements[: len(scan)] == scan == [t for t, _ in elements], w.label
 
 

@@ -25,7 +25,7 @@ def test_induction_example_values(z2, fam):
     w = induction_step(2, z2)
     t2 = fam("T", 2, "2")
     s = ((1, 1), (0, 1))
-    target = w.preimage_table()[t2.index[s]]
+    target = w.image_submonoid().elements[w.preimages()[t2.index[s]]]
     (table, top_block), scalar = target
     assert top_block == fam("T", 1, "2").index[((1,),)]
     assert scalar == ((1,),)

@@ -37,13 +37,15 @@ def matrix_mul(ring):
 
 def test_close_single_involution(z2):
     gen = ((1, 1), (0, 1))
-    m = close_generators([gen], MatrixCarrier(z2, 2), identity_entries(z2, 2))
+    carrier = MatrixCarrier(z2, 2)
+    m = close_generators([carrier.to_row(gen)], carrier, carrier.to_row(identity_entries(z2, 2)))
     assert len(m) == 2
 
 
 def test_close_full_family(z2):
     t2 = family("T", 2, z2)
-    m = close_generators(list(t2.elements), MatrixCarrier(z2, 2), identity_entries(z2, 2))
+    carrier = MatrixCarrier(z2, 2)
+    m = close_generators([carrier.to_row(v) for v in t2.elements], carrier, carrier.to_row(identity_entries(z2, 2)))
     assert len(m) == 8
 
 
@@ -56,8 +58,10 @@ def test_close_cyclic_translation(z3):
 
 def test_close_deterministic_order(z2):
     gens = [((1, 1), (0, 1)), ((0, 0), (0, 1))]
-    m1 = close_generators(gens, MatrixCarrier(z2, 2), identity_entries(z2, 2))
-    m2 = close_generators(gens, MatrixCarrier(z2, 2), identity_entries(z2, 2))
+    carrier = MatrixCarrier(z2, 2)
+    rows, ident = [carrier.to_row(g) for g in gens], carrier.to_row(identity_entries(z2, 2))
+    m1 = close_generators(rows, carrier, ident)
+    m2 = close_generators(rows, carrier, ident)
     assert m1.elements == m2.elements
 
 
@@ -408,7 +412,7 @@ def test_oracle_mode_without_table(z2, monkeypatch):
     gen = ((1, 1), (0, 1))
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 1)
     carrier = CountedMatrices(z2, 2)
-    m = close_generators([gen], carrier, identity_entries(z2, 2))
+    m = close_generators([carrier.to_row(gen)], carrier, carrier.to_row(identity_entries(z2, 2)))
     assert m._table is None
     carrier.blocks.clear()
     assert m.mul(0, 0) == m.index[identity_entries(z2, 2)]

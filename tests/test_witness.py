@@ -3,12 +3,13 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SRC, read_document
-from oracles import closure_pairs, compose_tables, pair_closure, table_monoid
+from conftest import SRC, cached_field_plan, cached_ring_plan, read_document
+from oracles import closure_pairs, compose_tables, pair_closure, pair_rows, pair_values, preimage_table, table_monoid
 from semidec.carriers import ProductCarrier
 from semidec.errors import (
     FieldRequired,
@@ -55,14 +56,14 @@ def test_identity_witness(fam):
 def test_not_functional_group_collapse(c2):
     trivial = table_monoid([0], 0, lambda a, b: 0, label="1")
     swap = c2.elements[c2.index[(1, 0)]]
-    w = DivisionWitness(c2, trivial, [(0, c2.index[swap])], label="bogus")
+    w = DivisionWitness(c2, trivial, pair_rows(trivial, [(0, c2.index[swap])]), label="bogus")
     with pytest.raises(NotFunctional):
         verify(w)
     assert w.status == "failed"
 
 
 def test_not_surjective(c2):
-    w = DivisionWitness(c2, c2, [(c2.identity_value, c2.identity)], label="partial")
+    w = DivisionWitness(c2, c2, [(c2.identity, c2.identity)], label="partial")
     with pytest.raises(NotSurjective):
         verify(w)
 
@@ -75,13 +76,13 @@ def test_compose_identity(fam):
 
 def test_compose_requires_verified(fam):
     t1 = fam("T", 1, "3")
-    unverified = DivisionWitness(t1, t1, [(v, i) for i, v in enumerate(t1.elements)])
+    unverified = DivisionWitness(t1, t1, [(i, i) for i in range(len(t1))])
     with pytest.raises(WitnessError, match="has not been verified"):
         compose(identity_witness(t1), unverified)
 
 
 UNVERIFIED_USES = {
-    "preimage_table": lambda w, t1, u: w.preimage_table(),
+    "preimage_table": lambda w, t1, u: w.preimages(),
     "image_submonoid": lambda w, t1, u: w.image_submonoid(),
     "lift_left": lambda w, t1, u: lift_left(w, u),
     "lift_right": lambda w, t1, u: lift_right(w, u),
@@ -93,7 +94,7 @@ UNVERIFIED_USES = {
 def test_unverified_witness_is_a_typed_error(fam, use):
     # a typed error, not an assert, which python -O strips
     t1 = fam("T", 1, "2")
-    unverified = DivisionWitness(t1, t1, [(v, i) for i, v in enumerate(t1.elements)], label="unchecked")
+    unverified = DivisionWitness(t1, t1, [(i, i) for i in range(len(t1))], label="unchecked")
     with pytest.raises(WitnessError, match="unchecked has not been verified"):
         UNVERIFIED_USES[use](unverified, t1, u1())
 
@@ -105,9 +106,9 @@ def test_unverified_witness_is_a_typed_error_under_optimize():
         "from semidec.semiring import make_prime_field\n"
         "from semidec.witness import DivisionWitness\n"
         "t1 = family('T', 1, make_prime_field(2))\n"
-        "w = DivisionWitness(t1, t1, [(v, i) for i, v in enumerate(t1.elements)])\n"
+        "w = DivisionWitness(t1, t1, [(i, i) for i in range(len(t1))])\n"
         "try:\n"
-        "    w.preimage_table()\n"
+        "    w.preimages()\n"
         "except WitnessError:\n"
         "    print('WitnessError')\n"
     )
@@ -293,12 +294,28 @@ def test_round_trip_determinism(fam, z3):
     assert blob1 == blob2
 
 
+@pytest.mark.parametrize("pipeline,n,spec", [("field", 2, "2"), ("field", 3, "2"), ("ring", 2, "bool")],
+                         ids=["field 2 Z_2", "field 3 Z_2", "ring 2 bool"])
+def test_pairs_are_stored_rows_and_preimages_are_closure_positions(pipeline, n, spec):
+    # a certificate stores each witness's pair rows as they are and reads
+    # them back as the same ROW array; each source element's preimage is
+    # the closure position of its first closure pair, which is the index
+    # of its least preimage in the image
+    plan = (cached_field_plan if pipeline == "field" else cached_ring_plan)(n, spec)
+    witnesses = plan.witnesses + [plan.composite]
+    for w, back in zip(witnesses, read_document(document_to_json(plan.witnesses, plan.composite)), strict=True):
+        assert back.pairs.dtype == w.pairs.dtype == np.int32 and back.pairs.shape == w.pairs.shape, w.label
+        assert np.array_equal(back.pairs, w.pairs), w.label
+        image = w.image_submonoid()
+        assert w.preimages().tolist() == [image.index[t] for t in preimage_table(w)], w.label
+
+
 def test_closure_matches_oracle(fam, z2):
     from semidec.decomp import induction_step
 
     w = induction_step(2, z2)
     got = {t: s for t, s in closure_pairs(w)}
-    oracle = pair_closure(w.pairs, w.target.mul_value, w.source.mul)
+    oracle = pair_closure(pair_values(w), w.target.mul_value, w.source.mul)
     assert oracle is not None
     assert got == oracle
 
@@ -374,9 +391,9 @@ def test_mutated_pair_rows_are_checked_or_refused(split_document, pair, column, 
         assert not named and str(exc).startswith(f"pair {pair}: "), exc
         return
     assert named
-    closure = None
-    if len(dict(w.pairs)) == len(set(w.pairs)):
-        closure = pair_closure(w.pairs, mul_target, w.source.mul)
+    closure, pairs = None, pair_values(w)
+    if len(dict(pairs)) == len(set(pairs)):
+        closure = pair_closure(pairs, mul_target, w.source.mul)
     if closure is None:
         with pytest.raises(NotFunctional):
             verify(w)
@@ -412,5 +429,5 @@ def test_mutated_table_entries_are_checked_or_refused(split_document, data, tabl
         verify(w)
     except SemidecError:
         return
-    closure = pair_closure(w.pairs, w.target.mul_value, w.source.mul)
+    closure = pair_closure(pair_values(w), w.target.mul_value, w.source.mul)
     assert closure is not None and dict(closure_pairs(w)) == closure
