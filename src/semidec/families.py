@@ -264,8 +264,10 @@ def _matrix_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
     spec = FamilySpec(kind, n, ring)
     # past the table bound, products go through the carrier's ``mul_rows``
     table = triangular_table(ring, elements, spec.label()) if within_table_bound(len(elements)) else None
+    # these generate: M = C_n...C_1, C_j = I with M's column j = (I with m_jj at jj) prod_(i<j) (I + m_ij E_ij)
+    gens = np.flatnonzero(np.count_nonzero(np.array(elements) != identity_entries(ring, n), axis=(1, 2)) == 1)
     return Monoid(elements, identity_entries(ring, n), carrier=MatrixCarrier(ring, n),
-                  table=table, label=spec.label(), provenance=spec.descriptor())
+                  table=table, label=spec.label(), provenance=spec.descriptor(), generators=gens.tolist())
 
 
 # -- affine families ----------------------------------------------------------

@@ -43,7 +43,7 @@ _SPOT_SIDE = 4  # the spot check tries every triple of three seeded sets of this
 ROW = np.int32  # dtype of carrier rows
 TABLE = np.uint16  # dtype of Cayley tables: every index below TABLE_BOUND < 2**16 fits
 _TABLE_ORDER = int(np.iinfo(TABLE).max) + 1  # most elements a TABLE can index
-_BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows``, carrier products and the ``generating_set`` ranking; bounds their working memory
+_BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows``, carrier products and the ``generating_set`` row sorts; bounds their working memory
 
 
 def check_table_order(size: int, what: str) -> None:
@@ -74,7 +74,8 @@ class Monoid:
     ``table_array`` multiply through the carrier when asked, with no memo.
     Tables hold ``TABLE`` (uint16) indices, so a given table for more than
     2**16 elements raises ``SizeLimitExceeded`` before it is converted;
-    ``mul_rows`` hands indices on as ``ROW`` rows.
+    ``mul_rows`` hands indices on as ``ROW`` rows.  ``generators``, set by a
+    constructor that knows them, are indices that generate it with its identity.
     """
 
     def __init__(
@@ -85,8 +86,10 @@ class Monoid:
         table=None,
         label: str = "",
         provenance: dict | None = None,
+        generators=(),
     ):
         self.elements = list(elements)
+        self.generators = list(generators)
         self.index = {v: i for i, v in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("element values must be distinct")
@@ -398,7 +401,8 @@ def close_generators(
             table = np.pad(table, (0, 1))
             table[size] = table[:, size] = np.arange(size + 1)
     prov = provenance or {"kind": "close", "generators": gens.tolist()}
-    return Monoid(elements, identity_value, carrier=carrier, table=table, label=label, provenance=prov)
+    return Monoid(elements, identity_value, carrier=carrier, table=table, label=label, provenance=prov,
+                  generators=range(right.shape[1]))
 
 
 def check_associativity(m: Monoid) -> None:
@@ -438,13 +442,6 @@ class GreensReport:
 
     def j_class_count(self) -> int:
         return max(self.j) + 1
-
-
-def _image_matrix(rows, width: int) -> np.ndarray:
-    """Bool image matrix of rows of indices below ``width``: entry ``[x, v]`` is set iff ``v`` occurs in row ``x``."""
-    bits = np.zeros((len(rows), width), dtype=bool)
-    bits[np.arange(len(rows))[:, None], rows] = True
-    return bits
 
 
 def _partition_ids(keys) -> list[int]:
@@ -701,22 +698,25 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
 
 def direct_product(a: Monoid, b: Monoid, limit: int = DEFAULT_LIMIT) -> Monoid:
     """``a x b`` in row-major order; its table broadcasts the factors' tables,
-    ``ta[x1, x2] * |b| + tb[y1, y2]``, up to ``TABLE_BOUND`` elements.  Past
-    the bound it multiplies through the product carrier of its factors.
+    ``ta[x1, x2] * |b| + tb[y1, y2]``, up to ``TABLE_BOUND`` elements.  Past it the product
+    carrier multiplies, and the generators are ``gens(a) x {e_b}`` and ``{e_a} x gens(b)``.
     More than ``limit`` elements raise ``SizeLimitExceeded`` before any is listed."""
     from semidec.carriers import ProductCarrier
 
     if len(a) * len(b) > limit:
         raise SizeLimitExceeded(limit, f"direct product of {a.label} and {b.label} ({len(a) * len(b)} elements)")
     elements = [(x, y) for x in a.elements for y in b.elements]
-    table = None
+    table, gens = None, ()
     if within_table_bound(len(elements)):
         # exact in TABLE arithmetic: every entry and partial sum is below
         # len(elements) <= TABLE_BOUND < 2**16
         ta, tb = a.table_array(), b.table_array()
         table = (ta[:, None, :, None] * len(b) + tb[None, :, None, :]).reshape(len(elements), -1)
+    else:
+        gens = [x * len(b) + b.identity for x in generating_set(a)]
+        gens += [a.identity * len(b) + y for y in generating_set(b)]
     return Monoid(elements, (a.identity_value, b.identity_value), carrier=ProductCarrier(a, b), table=table,
-                  label=f"({a.label} x {b.label})",
+                  label=f"({a.label} x {b.label})", generators=gens,
                   provenance={"kind": "product", "left": a.descriptor(), "right": b.descriptor()})
 
 
@@ -732,23 +732,25 @@ def index_closure(m: Monoid, gens, what: str):
 def generating_set(m: Monoid) -> list[int]:
     """Greedy generating set of ``m`` with its identity (Froidure and Pin, 1997).
 
-    Scans elements by image size, largest first, then by index, adding
-    each one the closure so far misses: the closure so far times it, then
-    each new element times every generator, until no product is new.  An
-    image size counts distinct products with every column while ``N * N``
-    is within ``TABLE_BOUND ** 2``, the largest table, else with a sorted
-    seeded sample of ``TABLE_BOUND ** 2 // N`` columns; no table is built."""
+    Scans elements in one order, adding each one the closure so far misses:
+    the closure so far times it, then each new element times every generator,
+    until no product is new.  With a table, the order is by image size (the
+    distinct entries of a row, one sort per row), largest first, then index;
+    without, it is ``m.generators``, then every index, so the only products
+    are the closure's and a recorded list that does not generate is completed."""
     n = len(m)
-    span = max(1, min(n, TABLE_BOUND**2 // n))
-    cols = np.arange(n) if span == n else np.sort(random.Random(0x5EED).sample(range(n), span))
-    step = max(1, _BLOCK_CELLS // span)
-    sizes = [int(size) for start in range(0, n, step)
-             for size in _image_matrix(m.products(range(start, min(n, start + step)), cols), n).sum(axis=1)]
+    if m._table is None:
+        order = [*m.generators, *range(n)]
+    else:
+        everything, step = np.arange(n), max(1, _BLOCK_CELLS // n)
+        blocks = (np.sort(m.products(everything[s : s + step], everything), axis=1) for s in range(0, n, step))
+        sizes = np.concatenate([np.count_nonzero(np.diff(b, axis=1), axis=1) for b in blocks])
+        order = np.argsort(-sizes, kind="stable").tolist()
     gens: list[int] = []
     members = [m.identity]  # the closure so far, with the identity
     inside = np.zeros(n, dtype=bool)
     inside[m.identity] = True
-    for x in sorted(range(n), key=lambda x: (-sizes[x], x)):
+    for x in order:
         if inside[x]:
             continue
         gens.append(x)

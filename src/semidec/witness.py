@@ -106,7 +106,8 @@ class DivisionWitness:
         try:
             self._image = Monoid(values, values[found[0]], carrier=self.target, table=table, label=label,
                                  provenance=close_descriptor(self.target, self.pairs[:, :width],
-                                                             self._rows[found[0], :width], label))
+                                                             self._rows[found[0], :width], label),
+                                 generators=range(right.shape[1]))
         except InvalidMonoid as exc:
             raise WitnessError(f"closure has no two-sided identity; cannot form a base monoid: {exc}") from exc
         self._graph = None

@@ -18,6 +18,7 @@ from bisect import bisect_right
 import numpy as np
 import pytest
 import semidec.carriers
+import semidec.families
 import semidec.monoid
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,6 +77,7 @@ def test_close_generators_order_and_edges(monkeypatch):
     # generators first, then each element times each generator
     assert m.elements == [3, 2, 6, 4, 5, 1] and rows[:, 0].tolist() == m.elements
     assert m.identity == 5 and m.provenance["generators"] == [[3], [3], [2]]
+    assert m.generators == [0, 1]  # the distinct generators' closure positions
     assert edges[:2] == [None, None]
     for i, edge in enumerate(edges[2:], start=2):
         parent, g = edge
@@ -293,6 +295,33 @@ def test_derived_monoids_past_the_table_bound_use_the_oracle(monkeypatch, z2):
         assert m.elements == expected.elements and m.identity == expected.identity
         size = range(len(m))
         assert [[m.mul(i, j) for j in size] for i in size] == expected.table_array().tolist(), m.label
+
+
+def test_image_submonoid_records_its_generator_positions(monkeypatch, z2):
+    # closure positions 0..g-1 are the distinct pair targets, which generate
+    # the image; past the bound its generating set is read from them
+    for w in (induction_step(3, z2), identity_witness(cached_family("T", 2, "3"))):
+        image = w.image_submonoid()
+        g = len(w.pairs)
+        assert image.generators == list(range(g)), w.label
+        assert image.elements[:g] == [w.target.from_row(row) for row in w.pairs[:, :w.target.width].tolist()]
+        with monkeypatch.context() as patch:
+            patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+            untabled = verify(DivisionWitness(w.source, w.target, w.pairs)).image_submonoid()
+            assert untabled._table is None and untabled.generators == image.generators
+            assert set(generating_set(untabled)) <= set(range(g)), w.label
+
+
+def test_direct_product_past_the_bound_records_its_factors_generators(monkeypatch):
+    a, b = cached_family("T", 2, "2"), cached_family("T", 2, "3")
+    assert direct_product(a, b).generators == []  # within the bound the table ranks
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 100)
+    p = direct_product(a, b)
+    assert p._table is None and len(p) == 216
+    assert p.generators == ([x * len(b) + b.identity for x in generating_set(a)]
+                            + [a.identity * len(b) + y for y in generating_set(b)])
+    assert set(index_closure(p, p.generators, "test")[0]) | {p.identity} == set(range(len(p)))
+    assert generating_set(p) == p.generators
 
 
 def _zero_semigroup_with_identity(left: bool) -> Monoid:
@@ -595,31 +624,35 @@ def test_generating_set_matches_exact_ranking(name):
     assert generating_set(m) == greedy_generating_set(m)
 
 
-def test_generating_set_past_the_bound_ranks_within_one_table(monkeypatch):
-    # with TABLE_BOUND 8, T_3(Z_2) (64 elements) is ranked on 8**2 // 64 = 1
-    # sampled column: 64 product cells, then the closure's cells, and no table
+def test_generating_set_past_the_bound_multiplies_only_its_closure(monkeypatch):
+    # with TABLE_BOUND 8, T_3(Z_2) (64 elements) has no table, so nothing is
+    # ranked: the scan reads the recorded generators, then every index, and
+    # the only products are the growing closure's cells
     from semidec.families import MatrixCarrier
 
     t3 = cached_family("T", 3, "2")
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
-    m = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(_ring("2"), 3), label="T_3(Z_2)")
-    assert len(m) == 64 and m._table is None
-    cells = []
+    for recorded in ([], t3.generators):
+        m = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(_ring("2"), 3), label="T_3(Z_2)",
+                   generators=recorded)
+        assert len(m) == 64 and m._table is None
+        cells = []
 
-    def counted(self, rows, cols, original=Monoid.products):
-        cells.append(len(rows) * len(cols))
-        return original(self, rows, cols)
+        def counted(self, rows, cols, original=Monoid.products):
+            cells.append(len(rows) * len(cols))
+            return original(self, rows, cols)
 
-    with monkeypatch.context() as patch:
-        patch.setattr(Monoid, "products", counted)
-        gens = generating_set(m)
-    assert m._table is None
-    sizes = [1]  # the closures of the generator prefixes, with the identity
-    for k in range(1, len(gens) + 1):
-        sizes.append(len(set(scan_closure(gens[:k], m.mul)[0]) | {m.identity}))
-    assert sizes[-1] == len(m)
-    closure = sum(sizes[k - 1] + (sizes[k] - sizes[k - 1]) * k for k in range(1, len(gens) + 1))
-    assert sum(cells) == 64 + closure
+        with monkeypatch.context() as patch:
+            patch.setattr(Monoid, "products", counted)
+            gens = generating_set(m)
+        assert m._table is None
+        assert set(gens) <= set(recorded or range(len(m)))
+        sizes = [1]  # the closures of the generator prefixes, with the identity
+        for k in range(1, len(gens) + 1):
+            sizes.append(len(set(scan_closure(gens[:k], m.mul)[0]) | {m.identity}))
+        assert sizes[-1] == len(m)
+        closure = sum(sizes[k - 1] + (sizes[k] - sizes[k - 1]) * k for k in range(1, len(gens) + 1))
+        assert sum(cells) == closure
 
 
 @pytest.mark.parametrize("pipeline,n,spec", [("field", 2, "2"), ("field", 3, "2"), ("ring", 2, "3")])
@@ -631,3 +664,23 @@ def test_every_element_pairing_verifies(monkeypatch, pipeline, n, spec):
     mapped = [w for w in plan.witnesses if len(w.pairs) == len(w.source)]
     assert mapped and all(w.verified for w in plan.witnesses)
     assert plan.composite.verified and plan.composite.closure_size == len(cached_family("T", n, spec))
+
+
+@pytest.mark.parametrize("pipeline,n,bound,sizes,pairs", [
+    ("ring", 3, 256, [27, 27, 729, 729, 729, 729, 81, 729], 70),
+    ("field", 2, 128, [27, 27, 114, 126, 4, 16, 16, 16, 168, 456, 168, 96, 144, 144, 672, 672, 672, 672], 120),
+])
+def test_pipelines_past_the_table_bound_certify_as_within_it(monkeypatch, pipeline, n, bound, sizes, pairs):
+    # a lowered bound leaves five witness sources without a table, whose
+    # generating sets come from recorded generators: the plan closes to the
+    # default-bound plan's sizes with as many pairs, and its composite
+    # re-verifies from JSON
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", bound)
+    monkeypatch.setattr(semidec.families, "_FAMILIES", {})
+    plan = {"field": field_pipeline, "ring": ring_pipeline}[pipeline](n, _ring("3"))
+    assert sum(w.source._table is None for w in plan.witnesses) == 5
+    assert [w.closure_size for w in plan.witnesses] == sizes
+    assert sum(len(w.pairs) for w in plan.witnesses) == pairs
+    table, bundle = document_from_json(json.loads(json.dumps(document_to_json(plan.witnesses, plan.composite))))
+    composite = verify(witness_from_json(bundle[-1], table))
+    assert composite.verified and composite.closure_size == plan.composite.closure_size

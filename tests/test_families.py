@@ -13,7 +13,7 @@ from semidec.families import (
     identity_entries,
     u1,
 )
-from semidec.monoid import is_aperiodic, is_group, maximal_subgroup
+from semidec.monoid import index_closure, is_aperiodic, is_group, maximal_subgroup
 from semidec.semiring import make_from_tables, make_prime_field
 
 
@@ -24,6 +24,21 @@ def test_orders(fam):
     assert len(fam("UT*", 2, "2")) == 2
     assert len(fam("PT", 2, "3")) == 14
     assert len(fam("PT*", 2, "3")) == 6
+
+
+@pytest.mark.parametrize("spec", ["bool", "2", "3", "5"])
+@pytest.mark.parametrize("kind", ["T", "UT", "T*", "UT*"])
+def test_matrix_families_record_the_elements_one_entry_from_the_identity(fam, kind, spec):
+    # M = C_n ... C_1, with C_j the identity holding column j of M, and each
+    # C_j is a product of elements one entry away from the identity
+    for n in (1, 2, 3):
+        m = fam(kind, n, spec)
+        one = m.identity_value
+        away = [x for x, v in enumerate(m.elements)
+                if sum(a != b for row, ident in zip(v, one) for a, b in zip(row, ident)) == 1]
+        assert m.generators == away, m.label
+        closure = set(index_closure(m, away, "test")[0]) if away else set()
+        assert closure | {m.identity} == set(range(len(m))), m.label
 
 
 def test_as1_z2_elements(z2):

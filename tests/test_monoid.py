@@ -505,8 +505,9 @@ def test_greens_from_cayley_graphs_match_the_table_reference(gens):
 
 
 def _growing_cells(m, gens) -> int:
-    """Product cells of ``generating_set`` after its ranking: adding generator
-    k multiplies the closure so far by it, then each new element by all k."""
+    """Product cells of ``generating_set``'s growing closure, after any ranking:
+    adding generator k multiplies the closure so far by it, then each new
+    element by all k."""
     from oracles import scan_closure
 
     sizes = [1]  # the closures of the generator prefixes, with the identity
@@ -517,15 +518,14 @@ def _growing_cells(m, gens) -> int:
 
 
 def test_untabled_greens_reads_graphs_not_a_table(fam, z2, monkeypatch):
-    # past the bound, greens multiplies the generating-set ranking and
-    # closure, the right and left Cayley graphs (N g cells each) and the
-    # N squares x x, and never an N x N block
+    # past the bound, greens multiplies the generating set's growing
+    # closure (no ranking), the right and left Cayley graphs (N g cells
+    # each) and the N squares x x, and never an N x N block
     t3 = fam("T", 3, "2")
     n = len(t3)
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
     m = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(z2, 3))
     gens = generating_set(m)
-    span = max(1, min(n, 8**2 // n))  # the ranking's columns
     blocks = []
 
     def counted(self, rows, cols, original=Monoid._carrier_products):
@@ -534,10 +534,25 @@ def test_untabled_greens_reads_graphs_not_a_table(fam, z2, monkeypatch):
 
     monkeypatch.setattr(Monoid, "_carrier_products", counted)
     rep = greens(m)
-    assert sum(r * c for r, c in blocks) == n * span + _growing_cells(m, gens) + 2 * n * len(gens) + n
+    assert sum(r * c for r, c in blocks) == _growing_cells(m, gens) + 2 * n * len(gens) + n
     assert (n, n) not in blocks
     assert m._table is None
     assert rep == greens(t3)
+
+
+def test_a_recorded_list_that_does_not_generate_is_completed(fam, z2, monkeypatch):
+    # a table-less monoid scans its recorded generators, then every index, so
+    # a list that does not generate costs generators, never a partial set
+    from semidec.monoid import index_closure
+
+    t3 = fam("T", 3, "2")
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
+    x = next(x for x in range(len(t3)) if x != t3.identity)
+    m = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(z2, 3), generators=[x])
+    gens = generating_set(m)
+    assert m._table is None and gens[0] == x and len(gens) > 1
+    assert set(index_closure(m, gens, "test")[0]) | {m.identity} == set(range(len(m)))
+    assert greens(m) == greens(t3)
 
 
 def test_generating_set_grows_one_closure(fam, monkeypatch):
