@@ -53,6 +53,7 @@ from semidec.monoid import (
     is_group,
     isomorphic,
     maximal_subgroup,
+    multiplicative,
 )
 from semidec.semiring import SemiringTable, units
 from semidec.witness import (
@@ -318,10 +319,9 @@ def check_scaling_group_embedding(m: int, n: int, ring: SemiringTable,
     The presentations v -> v*lam + c (lam a unit, c a point) must give
     exactly AS*_m (their ``affine_tables`` rows); their corner embeddings
     [[1, c], [0, lam I]], padded with an identity block to degree n, must
-    be distinct elements of T*_n, and multiplicative: with ``at`` mapping
-    each AS*_m index to its image's T*_n index, ``T*_n``'s products of
-    ``at`` with ``at`` equal ``at`` of AS*_m's table, checked as one block.
-    Otherwise ``PipelineCheckFailed``.
+    be distinct elements of T*_n, and ``at``, mapping each AS*_m index to
+    its image's T*_n index, must be ``multiplicative`` along AS*_m's
+    generators, with no table.  Otherwise ``PipelineCheckFailed``.
     """
     if not ring.is_field:
         raise FieldRequired(f"{ring.label} is not a field")
@@ -341,8 +341,7 @@ def check_scaling_group_embedding(m: int, n: int, ring: SemiringTable,
              f"scaling embedding: injective into {t_star.label}")
     at = np.empty(len(star), dtype=np.intp)
     at[[star.index[t] for t in tables]] = found
-    _require(bool((t_star.products(at, at) == at[star.table_array()]).all()),
-             "scaling embedding: multiplicative")
+    _require(multiplicative(star, t_star, at), "scaling embedding: multiplicative")
 
 
 def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> DecompositionPlan:
@@ -563,7 +562,8 @@ def verify_census(n: int, ring: SemiringTable, kinds=("T", "UT", "PT"),
     maximal subgroup maps onto the degree-(n-i) unit-group family by
     restriction to S x S (for PT, each orbit member restricted, then the
     orbit of the results).  The restriction must be a bijection onto that
-    family and multiplicative, checked by ``isomorphic`` as one block.  A
+    family whose inverse is multiplicative along the family's generators,
+    checked by ``isomorphic`` with no table on either side.  A
     kind other than T, UT and PT raises ``InvalidSpec`` before anything is
     built; any failed check raises ``CensusMismatch`` naming the class, its
     depth and the check.

@@ -69,10 +69,6 @@ class NotCentral(SemidecError):
         super().__init__(f"subgroup not central: counterexample {pair}")
 
 
-class ActionNotFaithful(SemidecError):
-    pass
-
-
 # -- wreath products --
 
 class ContextMismatch(SemidecError):

@@ -15,7 +15,6 @@ from itertools import product
 import numpy as np
 
 from semidec.errors import (
-    ActionNotFaithful,
     DimensionTooSmall,
     FieldRequired,
     InvalidSpec,
@@ -381,25 +380,13 @@ def constants_monoid(point_count: int, label: str = "", provenance: dict | None 
                   provenance=provenance or {"kind": "family", "family": "constants", "points": point_count})
 
 
-def augmented_monoid(acting: Monoid, action: list[tuple[int, ...]] | None = None,
-                     limit: int = DEFAULT_LIMIT) -> Monoid:
+def augmented_monoid(acting: Monoid, limit: int = DEFAULT_LIMIT) -> Monoid:
     """Closure of a transformation monoid together with all constant maps.
 
-    ``acting`` must consist of transformation tables, or ``action`` must give
-    one table per element (a faithful right action).
+    ``acting`` must consist of transformation tables; its elements are
+    distinct, so it acts faithfully.
     """
-    if action is None:
-        tables = list(acting.elements)
-    else:
-        tables = list(action)
-        if len(tables) != len(acting):
-            raise ValueError("action must give one table per element")
-        carrier = TransformationCarrier(len(tables[0]))
-        rows = np.array([carrier.to_row(t) for t in tables], dtype=ROW)
-        if (carrier.mul_rows(rows, rows) != rows[acting.table_array()]).any():
-            raise ValueError("action is not a right action")
-    if len(set(tables)) != len(tables):
-        raise ActionNotFaithful("distinct elements act identically")
+    tables = list(acting.elements)
     point_count = len(tables[0])
     ident = tuple(range(point_count))
     constants = [tuple(x for _ in range(point_count)) for x in range(point_count)]

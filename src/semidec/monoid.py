@@ -13,8 +13,10 @@ of rows with ``mul_rows``; ``close_rows`` is the one closure kernel.  All
 structure analyses (Green's relations, regularity, subgroups, depth,
 quotients, products, the isomorphism check of an explicit index map) work
 on indices against that product.  Green's relations read only the right
-and left Cayley graphs over a generating set, so they need no table and
-are computed the same way on either side of the bound.
+and left Cayley graphs over a generating set, and so does
+``multiplicative``, the one check that an index map is a morphism, so
+they need no table and are computed the same way on either side of the
+bound.  H-classes and central quotients multiply through their base.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import ne
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -537,37 +540,30 @@ def greens(m: Monoid) -> GreensReport:
 
 def maximal_subgroup(m: Monoid, e: int) -> Monoid:
     """The H-class of an idempotent ``e`` as a group with identity ``e``,
-    read off ``greens``; its table is the class's block of products, so a
-    class past ``TABLE_BOUND`` raises ``SizeLimitExceeded`` before any
-    product of the block."""
+    read off ``greens``.  It multiplies through ``m`` as its carrier, a
+    member's row being its index in ``m``; within ``TABLE_BOUND`` its table
+    is the class's block of ``m``'s products, and a product outside the
+    class raises ``NotClosed``."""
     if m.mul(e, e) != e:
         raise NotIdempotent(f"element {e} is not idempotent")
     h = greens(m).h
     members = [x for x in range(len(m)) if h[x] == h[e]]
     label = f"H({m.label}, {e})"
-    check_table_bound(len(members), label)
     values = [m.elements[x] for x in members]
-    inside = np.zeros(len(m), dtype=bool)
-    inside[members] = True
-    position = np.zeros(len(m), dtype=TABLE)
-    position[members] = np.arange(len(members))
-    block = m.products(members, members)
-    outside = np.argwhere(~inside[block])
-    if len(outside):
-        a, b = (int(x) for x in outside[0])
-        raise NotClosed.product(label, a, b, values)
-    table = position[block]
-    return Monoid(
-        values,
-        m.elements[e],
-        table=table,
-        label=label,
-        provenance={
-            "kind": "h_class_group",
-            "base": m.descriptor(),
-            "idempotent": value_json(m.elements[e]),
-        },
-    )
+    table = None
+    if within_table_bound(len(members)):
+        inside = np.zeros(len(m), dtype=bool)
+        inside[members] = True
+        position = np.zeros(len(m), dtype=TABLE)
+        position[members] = np.arange(len(members))
+        block = m.products(members, members)
+        outside = np.argwhere(~inside[block])
+        if len(outside):
+            a, b = (int(x) for x in outside[0])
+            raise NotClosed.product(label, a, b, values)
+        table = position[block]
+    return Monoid(values, m.elements[e], carrier=m, table=table, label=label,
+                  provenance={"kind": "h_class_group", "base": m.descriptor(), "idempotent": value_json(m.elements[e])})
 
 
 def is_group(m: Monoid) -> bool:
@@ -645,10 +641,12 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
     """Quotient by a central subgroup of units; returns (quotient, projection).
 
     Quotient element values are the sorted index tuples of the orbits, in
-    first-seen order of the base monoid.  The quotient's table is the
-    projection of the orbit representatives' products, so more than
-    ``TABLE_BOUND`` orbits raise ``SizeLimitExceeded`` before any of them
-    is multiplied.
+    first-seen order of the base monoid.  The quotient multiplies through a
+    carrier of representatives: an orbit's row is its first member, and
+    rows multiply in the base, then go to their orbit's first member.
+    Within ``TABLE_BOUND`` orbits its table is the projection of the
+    representatives' products; past it the projections of
+    ``generating_set(m)`` are its generators.
     """
     zset = set(z)
     e = m.identity
@@ -680,19 +678,17 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
     projection = [orbit_of[x] for x in range(len(m))]
     reps = [orbit[0] for orbit in orbits]
     label = f"{m.label}/central" if m.label else "quotient"
-    if not within_table_bound(len(reps)):
-        raise SizeLimitExceeded(TABLE_BOUND, f"quotient {label} ({len(reps)} orbits) without a table")
-    quotient = Monoid(
-        orbits,
-        orbits[orbit_of[e]],
-        table=np.asarray(projection, dtype=TABLE)[m.products(reps, reps)],
-        label=label,
-        provenance={
-            "kind": "quotient_central",
-            "base": m.descriptor(),
-            "subgroup": [value_json(m.elements[a]) for a in sorted(zset)],
-        },
-    )
+    table, gens = None, ()
+    if within_table_bound(len(reps)):
+        table = np.asarray(projection, dtype=TABLE)[m.products(reps, reps)]
+    else:
+        gens = dict.fromkeys(projection[g] for g in generating_set(m))
+    leader = np.asarray(reps, dtype=ROW)[projection]  # leader[x]: the first member of x's orbit
+    carrier = SimpleNamespace(width=1, to_row=lambda orbit: (orbit[0],),
+                              mul_rows=lambda x, y: leader[m.products(x[:, 0], y[:, 0])][:, :, None])
+    quotient = Monoid(orbits, orbits[orbit_of[e]], carrier=carrier, table=table, label=label, generators=gens,
+                      provenance={"kind": "quotient_central", "base": m.descriptor(),
+                                  "subgroup": [value_json(m.elements[a]) for a in sorted(zset)]})
     return quotient, projection
 
 
@@ -767,14 +763,31 @@ def generating_set(m: Monoid) -> list[int]:
     return gens
 
 
+def multiplicative(m: Monoid, n: Monoid, f) -> bool:
+    """Whether the index map ``f`` (``f[x]`` is the image in ``n`` of element
+    ``x`` of ``m``) is a monoid morphism, checked along ``m``'s right Cayley
+    graph (Froidure and Pin, 1997): ``f`` keeps the identity, and ``f(x g) =
+    f(x) f(g)`` for every element ``x`` and every ``g`` in ``gens =
+    generating_set(m)``, two blocks of N g products and no table.  By
+    induction on the word length of ``y``, ``f(x y) = f(x) f(y)`` for every
+    pair; this is sound only because ``generating_set`` always returns a set
+    that generates ``m`` with its identity."""
+    f = np.asarray(f, dtype=np.intp)
+    gens = np.array(generating_set(m), dtype=np.intp)
+    return bool(f[m.identity] == n.identity
+                and (n.products(f, f[gens]) == f[m.products(np.arange(len(m)), gens)]).all())
+
+
 def isomorphic(m: Monoid, n: Monoid, f) -> bool:
     """Whether the index map ``f`` (``f[x]`` is the image in ``n`` of element
-    ``x`` of ``m``) is an isomorphism of ``m`` onto ``n``: a bijection, and
-    multiplicative, ``n``'s products of ``f`` with ``f`` equal to ``f`` of
-    ``m``'s table, checked as one block."""
+    ``x`` of ``m``) is an isomorphism of ``m`` onto ``n``: a bijection whose
+    inverse is ``multiplicative``, checked along ``n``'s generators."""
     f = np.asarray(f, dtype=np.intp)
-    return (len(m) == len(n) == len(f) and np.array_equal(np.sort(f), np.arange(len(n)))
-            and bool((n.products(f, f) == f[m.table_array()]).all()))
+    if not (len(m) == len(n) == len(f) and np.array_equal(np.sort(f), np.arange(len(n)))):
+        return False
+    inverse = np.empty(len(n), dtype=np.intp)
+    inverse[f] = np.arange(len(m))
+    return multiplicative(n, m, inverse)
 
 
 # -- exports -------------------------------------------------------------------

@@ -19,7 +19,10 @@ the library computes every sum of products with one numpy kernel
 references it is checked against.  ``isomorphic`` decides whether two
 monoids are isomorphic with no map given, by backtracking over generator
 images pruned by element profiles; the library only checks explicit
-maps (``monoid.isomorphic``).  ``every_element_pairing``
+maps, along Cayley graphs (``monoid.multiplicative`` and
+``monoid.isomorphic``), which ``multiplicative_by_table`` and
+``isomorphic_by_table`` check against whole tables, and ``relabelled``
+renames a monoid's elements by a permutation.  ``every_element_pairing``
 makes certificates pair every source element, not a generating set.
 ``pair_rows`` encodes (target value, source index) pairs as a witness's
 pair rows, ``pair_values`` and ``closure_pairs`` decode a witness's pair
@@ -419,6 +422,29 @@ def _element_profiles(table: np.ndarray, rows: list[list[int]]) -> list[tuple]:
     row_sizes, col_sizes = _image_sizes(table), _image_sizes(table.T)
     return [(*_cyclic_profile(rows, x), int(rows[x][x] == x), row_sizes[x], col_sizes[x])
             for x in range(len(rows))]
+
+
+def multiplicative_by_table(m: Monoid, n: Monoid, f) -> bool:
+    """Whether the index map ``f`` from ``m`` to ``n`` keeps the identity and
+    every product: ``n``'s products of ``f`` with ``f`` against ``f`` of
+    ``m``'s whole table, as one block."""
+    f = np.asarray(f, dtype=np.intp)
+    return bool(f[m.identity] == n.identity and (n.products(f, f) == f[m.table_array()]).all())
+
+
+def isomorphic_by_table(m: Monoid, n: Monoid, f) -> bool:
+    """Whether ``f`` is a bijection of ``m`` onto ``n`` that ``multiplicative_by_table`` accepts."""
+    f = np.asarray(f, dtype=np.intp)
+    return (len(m) == len(n) == len(f) and np.array_equal(np.sort(f), np.arange(len(n)))
+            and multiplicative_by_table(m, n, f))
+
+
+def relabelled(m: Monoid, perm) -> Monoid:
+    """``m`` with element ``x`` renamed ``perm[x]``; its elements are ``0..N-1``."""
+    perm = np.asarray(perm)
+    table = np.empty_like(m.table_array())
+    table[np.ix_(perm, perm)] = perm[m.table_array()]
+    return Monoid(list(range(len(m))), int(perm[m.identity]), table=table, label=f"relabelled {m.label}")
 
 
 def isomorphic(m: Monoid, n: Monoid, limit: int = 64) -> bool:

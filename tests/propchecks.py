@@ -2,13 +2,26 @@
 
 Each check compares an independent characterization against the library's
 Green's-relation machinery, element by element, and returns the number of
-violations (expected to be zero everywhere).  The library computes each
-answer one way; the second ways live here.
+violations (expected to be zero everywhere); ``small_monoids`` draws
+random transformation monoids for the checks to run on.  The library
+computes each answer one way; the second ways live here.
 """
 
-from oracles import ElementaryOp, classify, columns, elementary_matrix, matrix, rows, span_membership
-from semidec.families import MatrixCarrier, constants_monoid, identity_entries
-from semidec.monoid import greens, is_aperiodic, is_group, maximal_subgroup, quotient_by_central_units
+from hypothesis import strategies as st
+
+from oracles import (ElementaryOp, classify, columns, elementary_matrix, isomorphic_by_table, matrix,
+                     multiplicative_by_table, rows, span_membership)
+from semidec.families import MatrixCarrier, constants_monoid, identity_entries, transformation_closure
+from semidec.monoid import (greens, is_aperiodic, is_group, isomorphic, maximal_subgroup, multiplicative,
+                            quotient_by_central_units)
+
+
+@st.composite
+def small_monoids(draw):
+    """A transformation monoid on one to four points, closed from one to three random maps."""
+    points = draw(st.integers(1, 4))
+    maps = st.tuples(*[st.integers(0, points - 1)] * points)
+    return transformation_closure(draw(st.lists(maps, min_size=1, max_size=3)))
 
 
 def greens_vs_multiplication_orbits(m) -> int:
@@ -159,3 +172,10 @@ def constants_monoids_not_aperiodic(point_counts) -> int:
         m = constants_monoid(k)
         bad += (not is_aperiodic(m)) + aperiodic_by_h_classes(m)
     return bad
+
+
+def multiplicativity_two_ways(m, n, f) -> int:
+    """Verdicts of ``multiplicative`` and ``isomorphic``, along Cayley graphs,
+    that differ from the whole-table checks on the index map ``f``."""
+    return (int(multiplicative(m, n, f) != multiplicative_by_table(m, n, f))
+            + int(isomorphic(m, n, f) != isomorphic_by_table(m, n, f)))

@@ -1101,19 +1101,19 @@ def test_oversized_source_descriptor_is_refused(tmp_path, case):
 
 
 @pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
-def test_projective_source_past_the_table_bound_is_refused(tmp_path, optimize):
-    # PT_5(Z_2) would have 32,768 orbits of T_5(Z_2): one descriptor entry
-    # must not make verify multiply about 1.07 G pairs of representatives
+def test_projective_source_past_the_table_bound_is_checked(tmp_path, optimize):
+    # PT_5(Z_2) has 32,768 orbits of T_5(Z_2): one descriptor entry builds
+    # it untabled, through its representatives, without multiplying about
+    # 1.07 G pairs of them, and a certificate with no pairs fails its check
     cert = {"label": "PT_5(Z_2)", "source": 0, "target": 0, "pairs": [], "steps": []}
     path = tmp_path / "bundle.json"
     path.write_text(json.dumps({"descriptors": [_family("PT", 5, 2)], "steps": [], "certificates": [cert]}))
     start = time.monotonic()
     proc = run_cli(["verify", str(path)], optimize)
     assert time.monotonic() - start < 30
-    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
-    assert proc.stderr.startswith("error: SizeLimitExceeded: size limit 4096 exceeded: quotient T_5(Z_2)/central "), \
-        proc.stderr
+    assert proc.returncode == 1 and proc.stderr == "", proc.stderr
+    assert proc.stdout.splitlines() == [
+        "certificate 0 (PT_5(Z_2)): FAILED NotSurjective: closure misses 32768 source element(s)"], proc.stdout
 
 
 @pytest.mark.parametrize("corrupt", INDEX_CORRUPTIONS, ids=INDEX_IDS)

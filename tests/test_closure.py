@@ -25,8 +25,9 @@ from hypothesis import strategies as st
 
 from conftest import _ring, cached_family, cached_field_plan, cached_ring_plan
 from oracles import (closure_pairs, compose_tables, every_element_pairing, greedy_generating_set, isomorphic,
-                     pair_closure, pair_closure_conflict, pair_rows, pair_values, preimage_table, scan_closure,
-                     table_monoid, target_closure, value_product_table, wreath_decode, wreath_value_product)
+                     pair_closure, pair_closure_conflict, pair_rows, pair_values, preimage_table, relabelled,
+                     scan_closure, table_monoid, target_closure, value_product_table, wreath_decode,
+                     wreath_value_product)
 from semidec.carriers import Descriptors, ProductCarrier, rebuild
 from semidec.decomp import _traced_left, field_pipeline, induction_step, ring_pipeline
 from semidec.errors import InvalidMonoid, NotFunctional, NotSurjective, SizeLimitExceeded, WitnessError
@@ -561,15 +562,6 @@ def test_closures_follow_the_one_product_scan(field_plan, n):
         assert closed.elements[: len(scan)] == scan == [t for t, _ in elements], w.label
 
 
-def _relabel(m: Monoid, perm: list[int]) -> Monoid:
-    table = m.table_array()
-    out = np.empty_like(table)
-    for i in range(len(m)):
-        for j in range(len(m)):
-            out[perm[i], perm[j]] = perm[table[i, j]]
-    return Monoid(list(range(len(m))), perm[m.identity], table=out, label=f"relabelled {m.label}")
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_generators_generate_and_relabelled_copy_is_isomorphic(data):
@@ -578,7 +570,7 @@ def test_generators_generate_and_relabelled_copy_is_isomorphic(data):
     generated = target_closure([m.elements[g] for g in gens] + [m.identity_value], m.mul_value)
     assert generated == set(m.elements)
     perm = data.draw(st.permutations(range(len(m))))
-    assert isomorphic(m, _relabel(m, perm))
+    assert isomorphic(m, relabelled(m, perm))
 
 
 @pytest.mark.parametrize("kind,n,spec,at_most", [("T", 3, "3", 10), ("T", 4, "2", 11)])

@@ -17,7 +17,7 @@ from semidec.decomp import (
 from semidec.errors import (CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, InvalidSpec,
                             PipelineCheckFailed)
 from semidec.families import family
-from semidec.monoid import Monoid, is_aperiodic, is_group, maximal_subgroup
+from semidec.monoid import Monoid, greens, is_aperiodic, is_group, maximal_subgroup
 from semidec.witness import document_to_json, verify
 
 
@@ -337,6 +337,48 @@ def test_census_reaches_z13():
         "UT": {"order": 52, "depth": 1, "census": [1], "subgroup_orders_per_depth": [13]},
         "PT": {"order": 184, "depth": 1, "census": [1], "subgroup_orders_per_depth": [156]},
     }
+
+
+@pytest.fixture
+def lowered_bound(monkeypatch):
+    """``TABLE_BOUND`` at 64 and an empty family cache, so families, H-classes
+    and quotients past 64 elements are built untabled for this test."""
+    import semidec.families
+    import semidec.monoid
+
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 64)
+    monkeypatch.setattr(semidec.families, "_FAMILIES", {})
+
+
+def test_census_past_a_lowered_table_bound_is_unchanged(z3, request):
+    # the H-classes and quotients of the census multiply through their base,
+    # and the restriction maps are checked along the star families' generators
+    z5 = _ring("5")
+    expected = [verify_census(3, z3), verify_census(2, z5)]
+    request.getfixturevalue("lowered_bound")
+    assert [verify_census(3, z3), verify_census(2, z5)] == expected
+
+
+def test_subgroups_and_quotients_past_a_lowered_bound_match_the_tabled(fam, z3, request):
+    from semidec.carriers import rebuild
+    from semidec.families import MatrixCarrier, _scalar_unit_indices
+    from semidec.monoid import quotient_by_central_units
+
+    t3 = fam("T", 3, "3")
+    scalars = _scalar_unit_indices(t3, z3)
+    diagonal = [e for e in greens(t3).idempotents if all(v in (0, 1) for v in np.diag(t3.elements[e]))]
+    tabled = [maximal_subgroup(t3, e) for e in diagonal] + [quotient_by_central_units(t3, scalars)[0]]
+    request.getfixturevalue("lowered_bound")
+    base = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(z3, 3))
+    untabled = [maximal_subgroup(base, e) for e in diagonal] + [quotient_by_central_units(base, scalars)[0]]
+    assert base._table is None and max(len(m) for m in tabled) > 64
+    for old, new in zip(tabled, untabled):
+        assert (new._table is None) == (len(new) > 64), new.label
+        assert new.elements == old.elements and np.array_equal(new.table_array(), old.table_array()), new.label
+    unit_group = tabled[diagonal.index(t3.identity)]
+    for old in (unit_group, tabled[-1]):  # the unit group and the quotient, each from its descriptor
+        new = rebuild(old.descriptor())
+        assert new._table is None and new.elements == old.elements, old.label
 
 
 def test_census_mismatch_survives_optimize():
