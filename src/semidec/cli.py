@@ -44,7 +44,6 @@ import sys
 import numpy as np
 
 from semidec.carriers import rebuild
-from semidec.decomp import field_pipeline, ring_pipeline
 from semidec.errors import (InvalidCertificate, InvalidMonoid, InvalidReport, InvalidSpec, SemidecError,
                              UnsupportedFormat)
 from semidec.families import FAMILY_KINDS, FamilySpec, build_family
@@ -120,6 +119,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from semidec.decomp import field_pipeline, ring_pipeline  # the only command that runs a pipeline
+
     ring = parse_ring_spec(args.ring)
     if args.pipeline == "field":
         plan = field_pipeline(args.n, ring, limit=args.limit)

@@ -16,6 +16,11 @@ with C^i the constants monoid on k^i points, G_i the affine scaling group,
 D the field's unit group and U the two-element semilattice, giving group
 length n-1.  Each replacement (augmentation, group-with-zero, the
 innermost product assembly) is certified by its own verified witness.
+
+The census half (``verify_census``) needs only the family and monoid
+layers.  The witness, carrier and wreath layers are imported inside the
+functions that call them, so importing this module, or running the
+census, loads none of them.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from itertools import combinations
 
 import numpy as np
 
-from semidec.carriers import ProductCarrier, close_descriptor
 from semidec.errors import (CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, InvalidSpec,
                             PipelineCheckFailed)
 from semidec.families import (
@@ -56,20 +60,6 @@ from semidec.monoid import (
     multiplicative,
 )
 from semidec.semiring import SemiringTable, units
-from semidec.witness import (
-    DivisionWitness,
-    absorb,
-    augmentation,
-    compose,
-    group_with_zero,
-    identity_witness,
-    lift_left,
-    lift_right,
-    mapped_witness,
-    product_witness,
-    times_to_wreath,
-)
-from semidec.wreath import WreathContext
 
 
 def _require(ok: bool, check: str) -> None:
@@ -107,6 +97,10 @@ def induction_step(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     generating set of T_n with their splits; verification confirms they
     generate a homomorphism, and closure exactly |T_n| makes it injective.
     """
+    from semidec.carriers import ProductCarrier
+    from semidec.witness import mapped_witness
+    from semidec.wreath import WreathContext
+
     _require_degree(n, "induction_step")
     m = n - 1
     t_n = family("T", n, ring, limit)
@@ -199,6 +193,9 @@ def _traced_left(mid: Monoid, top: Monoid, base: Monoid, label: str) -> Monoid:
     lists those rows, so build and rebuild are one call with one element
     order.
     """
+    from semidec.carriers import close_descriptor
+    from semidec.wreath import WreathContext
+
     ctx = WreathContext(top, base)
     gens = dict.fromkeys(mid.elements[x][0] for x in [mid.identity] + generating_set(mid))
     rows = np.array([ctx.to_row(v) for v in gens], dtype=ROW).reshape(len(gens), ctx.width)
@@ -208,6 +205,8 @@ def _traced_left(mid: Monoid, top: Monoid, base: Monoid, label: str) -> Monoid:
 def _then(run: DivisionWitness, make, steps: list[DivisionWitness], limit: int) -> DivisionWitness:
     """One pipeline step: the witness ``make`` builds on ``run``'s image,
     appended to ``steps``, then composed after ``run``."""
+    from semidec.witness import compose
+
     w = make(run.image_submonoid())
     steps.append(w)
     return compose(run, w, limit)
@@ -215,6 +214,8 @@ def _then(run: DivisionWitness, make, steps: list[DivisionWitness], limit: int) 
 
 def _chain_witness(n: int, ring: SemiringTable, limit: int,
                    steps_out: list[DivisionWitness]) -> tuple[DivisionWitness, _ChainLevel]:
+    from semidec.witness import absorb, identity_witness, lift_left, product_witness
+
     t_1 = family("T", 1, ring, limit)
     if n == 2:
         w_lem = induction_step(2, ring, limit)
@@ -246,6 +247,8 @@ def _push_scalar(prod: Monoid, info: _ChainLevel, t_1: Monoid,
                  limit: int, steps_out: list[DivisionWitness]) -> tuple[DivisionWitness, _ChainLevel]:
     """Witness (B x T_1) div (top wr (base x T_1) ...), absorbing the scalar
     factor through every wreath level down to the scalar-product leaf."""
+    from semidec.witness import absorb, lift_left
+
     w_abs = absorb(info.top, info.base, t_1, source=prod, limit=limit)
     steps_out.append(w_abs)
     new_base = direct_product(info.base, t_1, limit)
@@ -308,6 +311,8 @@ def ring_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> De
 
 
 def _regroup(source: Monoid, value_map, target, label: str, limit: int) -> DivisionWitness:
+    from semidec.witness import mapped_witness
+
     return mapped_witness(source, value_map, target,
                           steps=[{"kind": "regroup", "label": label}], label=label, limit=limit)
 
@@ -353,6 +358,10 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     end to end into one verified witness.  All replacement witnesses are
     verified; the ring composite certifies the chain they refine.
     """
+    from semidec.carriers import ProductCarrier
+    from semidec.witness import (absorb, augmentation, compose, group_with_zero, identity_witness, lift_left,
+                                 lift_right, product_witness, times_to_wreath)
+
     if not ring.is_field:
         raise FieldRequired(f"{ring.label} is not a field")
     _require_degree(n, "pipeline")
@@ -489,6 +498,8 @@ def _inner_kabsorb(ring: SemiringTable, w_aug: DivisionWitness, star_1: Monoid,
     Combines the degree-1 augmentation with an absorb of the unit factor
     into the wreath base, on sources restricted to the traced parts.
     """
+    from semidec.witness import absorb, compose, identity_witness, product_witness
+
     as_1 = family("AS", 1, ring, limit)
     const_k = constants_monoid(ring.size)
     w_left = product_witness(w_aug, identity_witness(units_n, limit),

@@ -496,6 +496,38 @@ def _components(graph: np.ndarray) -> list[int]:
     return comp
 
 
+def _squares(right: np.ndarray, identity: int) -> np.ndarray:
+    """``x * x`` for every element ``x``, from the right Cayley graph alone.
+
+    The word tracing of Froidure and Pin, as in ``cayley_table``: a
+    breadth-first tree of ``right`` from the identity spells each element
+    as a word in the generators, and ``x * x`` is ``x`` followed along its
+    own word.  Words are padded at the end with a column that fixes every
+    element, so each letter position is one gather over all elements, and
+    no product is made.  Every element is reached because the generators
+    of ``right`` generate the monoid with its identity.
+    """
+    n, g = right.shape
+    graph = np.hstack([right, np.arange(n)[:, None]])  # column g fixes every element
+    seen = np.zeros(n, dtype=bool)
+    seen[identity] = True
+    frontier, letters = np.array([identity]), []  # letters[d][x]: letter d of x's word, else g
+    while len(frontier):
+        reached, first = np.unique(graph[frontier, :g], return_index=True)
+        fresh = ~seen[reached]
+        reached, first = reached[fresh], first[fresh]
+        seen[reached] = True
+        for column in letters:  # a word is its parent's word plus one letter
+            column[reached] = column[frontier[first // g]]
+        letters.append(np.full(n, g))
+        letters[-1][reached] = first % g
+        frontier = reached
+    squares = np.arange(n)
+    for column in letters:
+        squares = graph[squares, column]
+    return squares
+
+
 def greens(m: Monoid) -> GreensReport:
     """L/R/J/H partitions from the Cayley graphs, plus regularity.
 
@@ -509,7 +541,8 @@ def greens(m: Monoid) -> GreensReport:
     one pass over its K classes in completion order.  Class ids are
     numbered by first occurrence.  Computed once per monoid and kept on
     it, like its table.  An element is regular iff its J-class holds an
-    idempotent.
+    idempotent.  The idempotents are read off the table's diagonal, or
+    without a table traced along the right graph by ``_squares``.
     """
     if m._greens is not None:
         return m._greens
@@ -530,7 +563,8 @@ def greens(m: Monoid) -> GreensReport:
     ideals: dict[int, frozenset] = {}
     for j in dict(sorted(zip(comp, j_ids))).values():
         ideals[j] = frozenset({j}.union(*(ideals[d] for d in below[j] if d != j)))
-    idempotents = tuple(x for x in range(n) if m.mul(x, x) == x)
+    squares = m._table[everything, everything] if m._table is not None else _squares(right, m.identity)
+    idempotents = tuple(np.flatnonzero(squares == everything).tolist())
     j_has_idem = {j_ids[e] for e in idempotents}
     m._greens = GreensReport(tuple(l_ids), tuple(r_ids), tuple(j_ids), tuple(_partition_ids(zip(l_ids, r_ids))),
                              tuple(j in j_has_idem for j in j_ids), idempotents,

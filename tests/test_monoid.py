@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semidec.families
 import semidec.monoid
+from conftest import _ring
 from oracles import (_element_profiles, greens_by_rows, greens_j_classes, is_regular, isomorphic, mul_entries,
                      table_monoid)
 from semidec.errors import InvalidMonoid, NotCentral, NotIdempotent, SizeLimitExceeded
@@ -519,8 +521,9 @@ def _growing_cells(m, gens) -> int:
 
 def test_untabled_greens_reads_graphs_not_a_table(fam, z2, monkeypatch):
     # past the bound, greens multiplies the generating set's growing
-    # closure (no ranking), the right and left Cayley graphs (N g cells
-    # each) and the N squares x x, and never an N x N block
+    # closure (no ranking) and the right and left Cayley graphs (N g cells
+    # each), and never an N x N block; the squares x x are traced along the
+    # right graph with no product
     t3 = fam("T", 3, "2")
     n = len(t3)
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
@@ -534,10 +537,25 @@ def test_untabled_greens_reads_graphs_not_a_table(fam, z2, monkeypatch):
 
     monkeypatch.setattr(Monoid, "_carrier_products", counted)
     rep = greens(m)
-    assert sum(r * c for r, c in blocks) == _growing_cells(m, gens) + 2 * n * len(gens) + n
+    assert sum(r * c for r, c in blocks) == _growing_cells(m, gens) + 2 * n * len(gens)
     assert (n, n) not in blocks
     assert m._table is None
     assert rep == greens(t3)
+
+
+@pytest.mark.parametrize("kind,n,spec", [("T", 4, "2"), ("UT", 3, "3"), ("PT", 3, "3")])
+def test_untabled_idempotents_match_a_square_scan_and_the_table(fam, monkeypatch, kind, n, spec):
+    # without a table greens traces each square along the right Cayley
+    # graph; with one it reads the diagonal
+    tabled = fam(kind, n, spec)
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+    monkeypatch.setattr(semidec.families, "_FAMILIES", {})
+    m = semidec.families.family(kind, n, _ring(spec))
+    assert m._table is None and m.elements == tabled.elements
+    found = greens(m).idempotents
+    assert found == tuple(x for x in range(len(m)) if m.mul(x, x) == x)
+    assert found == greens(tabled).idempotents
+    assert m._table is None
 
 
 def test_a_recorded_list_that_does_not_generate_is_completed(fam, z2, monkeypatch):
