@@ -43,7 +43,6 @@ import sys
 
 import numpy as np
 
-from semidec.carriers import rebuild
 from semidec.errors import (InvalidCertificate, InvalidMonoid, InvalidReport, InvalidSpec, SemidecError,
                              UnsupportedFormat)
 from semidec.families import FAMILY_KINDS, FamilySpec, build_family
@@ -51,7 +50,6 @@ from semidec.monoid import DEFAULT_LIMIT, Monoid, depth_report, dot_j_order, gre
 from semidec.monoid import from_json as monoid_from_json
 from semidec.monoid import to_json as monoid_to_json
 from semidec.semiring import parse_ring_spec
-from semidec.witness import document_from_json, document_to_json, search_division, verify, witness_from_json
 
 
 def _dump(payload, path: str | None):
@@ -120,6 +118,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_decompose(args) -> int:
     from semidec.decomp import field_pipeline, ring_pipeline  # the only command that runs a pipeline
+    from semidec.witness import document_to_json
 
     ring = parse_ring_spec(args.ring)
     if args.pipeline == "field":
@@ -139,6 +138,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from semidec.witness import document_from_json, verify, witness_from_json
+
     table, bundle = document_from_json(_load(args.cert))
     for i, obj in enumerate(bundle):
         try:
@@ -156,6 +157,8 @@ def cmd_verify(args) -> int:
 
 def _require_rebuilds(m: Monoid) -> None:
     """Raise ``InvalidMonoid`` unless ``m``'s provenance rebuilds to ``m``, as ``verify`` rebuilds it."""
+    from semidec.carriers import rebuild
+
     try:
         rebuilt = rebuild(m.descriptor())
     except (LookupError, TypeError, ValueError, OverflowError, RecursionError, SemidecError) as exc:
@@ -165,6 +168,8 @@ def _require_rebuilds(m: Monoid) -> None:
 
 
 def cmd_search(args) -> int:
+    from semidec.witness import document_to_json, search_division
+
     source = monoid_from_json(_load(args.source))
     target = monoid_from_json(_load(args.target))
     if args.out:  # a certificate names its monoids by provenance

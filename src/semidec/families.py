@@ -10,7 +10,7 @@ the same element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from semidec.errors import (
     DimensionTooSmall,
     FieldRequired,
     InvalidSpec,
-    NotClosed,
     SizeLimitExceeded,
 )
 from semidec.monoid import (
+    _BLOCK_CELLS,
     DEFAULT_LIMIT,
     ROW,
     TABLE,
@@ -30,7 +30,6 @@ from semidec.monoid import (
     maximal_subgroup,
     product_value,
     quotient_by_central_units,
-    within_table_bound,
 )
 from semidec.semiring import SemiringTable, units
 
@@ -120,8 +119,8 @@ def _semiring_dot(add: np.ndarray, mul: np.ndarray, zero: int, rows, mats) -> np
     over ``mul[rows[..., k], mats[..., k, c]]``: the order of a per-pair
     product, so every semiring table gets the same entries.  It is the
     package's one sum of products:
-    matrix products (``MatrixCarrier``, ``triangular_table``), affine maps
-    (``affine_tables``), the splitting step's ``X v``
+    matrix products (``MatrixCarrier``, whose closures build the matrix
+    family tables), affine maps (``affine_tables``), the splitting step's ``X v``
     (``decomp.induction_step``) and, through ``T*_n``'s products, the
     scaling-group embedding check all run on it.
     """
@@ -146,7 +145,7 @@ class MatrixCarrier:
         self._mul = np.array(ring.mul, dtype=ROW)
 
     def to_row(self, value) -> tuple:
-        row = tuple(x for entries in value for x in entries)
+        row = tuple(chain.from_iterable(value))
         if len(row) != self.width:
             raise ValueError(f"{value!r} is not a {self.n}x{self.n} matrix")
         return row
@@ -184,89 +183,16 @@ def _matrix_elements(kind: str, n: int, ring: SemiringTable) -> list[tuple]:
     return out
 
 
-_BLOCK_CELLS = 8192  # products per block of table rows; bounds the kernel's working memory
-
-
-def _code_lookup(ent: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed-radix codes of the entry patterns ``ent`` (an ``(m, n, n)`` array).
-
-    Returns ``(digits, position)``.  A code sums ``digits[i, j, v]`` over
-    the entries ``v`` at every ``(i, j)``: the rank of ``v`` among the
-    values the patterns have at ``(i, j)``, times the position's weight,
-    whose radices are the numbers of those values (below the diagonal
-    only the ring's zero, which every triangular pattern has there, so
-    its digit is 0).  The codes of the patterns are thus the integers
-    below ``len(position) - 1``, the product of the radices: ``m`` for
-    every matrix family, whose patterns are all combinations of their
-    position values.  A value no pattern has at a position counts
-    ``len(position) - 1``, so a code that large belongs to no pattern.
-    ``position[code]`` is the index of the pattern with that code, -1 for
-    none; its last slot stands for every code at or past
-    ``len(position) - 1``.
-    """
-    m, n = len(ent), ent.shape[1]
-    cells = np.arange(n)[:, None], np.arange(n)
-    present = np.zeros((n, n, size), dtype=bool)
-    present[(*cells, ent)] = True
-    radix = present.sum(axis=2)
-    weights = np.cumprod(np.concatenate(([1], radix.ravel()[:-1])), dtype=np.int64).reshape(n, n)
-    space = int(np.prod(radix))
-    if space > max(m * m, _BLOCK_CELLS):  # never larger than the table it serves, past one block
-        raise SizeLimitExceeded(max(m * m, _BLOCK_CELLS), f"product codes of {m} entry patterns")
-    digits = np.where(present, (present.cumsum(axis=2) - 1) * weights[:, :, None], space)
-    position = np.full(space + 1, -1, dtype=np.int32)
-    position[digits[(*cells, ent)].sum(axis=(1, 2))] = np.arange(m, dtype=np.int32)
-    return digits, position
-
-
-def triangular_table(ring: SemiringTable, elements: list[tuple], what: str = "") -> np.ndarray:
-    """Multiplication table, a ``TABLE`` array, of distinct upper triangular entry patterns.
-
-    Entry (i, j) of a product is ``_semiring_dot``'s fold, as in
-    ``MatrixCarrier``.  Row i of a product depends only on row i of its left
-    factor, so the fold runs once per distinct row and right factor.  A product is
-    then the sum of its rows' codes (see ``_code_lookup``), looked up in a
-    dense code-to-index array with one slot per code, in fixed-size blocks
-    of table rows.  Raises ``NotClosed`` at the first product, in
-    row-major order, that is not in ``elements``, and ``SizeLimitExceeded``
-    for patterns whose code space exceeds both their table and one block.
-    """
-    size, m, n = ring.size, len(elements), len(elements[0])
-    ent = np.array(elements, dtype=np.int64)
-    add, mul = np.array(ring.add, dtype=np.int64), np.array(ring.mul, dtype=np.int64)
-    digits, position = _code_lookup(ent, size)
-    outside = len(position) - 1
-    row_codes, row_ids = [], []
-    for i in range(n):
-        rows, ids = np.unique(ent[:, i, :], axis=0, return_inverse=True)
-        acc = _semiring_dot(add, mul, ring.zero, rows[:, None, :], ent[None])  # acc[r, b] = row r times b
-        row_codes.append(digits[i, np.arange(n), acc].sum(axis=2))
-        row_ids.append(ids.ravel())
-    table = np.empty((m, m), dtype=TABLE)
-    step = max(1, _BLOCK_CELLS // m)
-    for start in range(0, m, step):
-        block = slice(start, start + step)
-        prod = sum(row_codes[i][row_ids[i][block]] for i in range(n))
-        found = position[np.minimum(prod, outside)]
-        if (found < 0).any():
-            a, b = (int(x) for x in np.argwhere(found < 0)[0])
-            raise NotClosed.product(what, start + a, b, elements)
-        table[block] = found
-    return table
-
-
 def _matrix_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid:
     count_positions = n * (n + 1) // 2
     if ring.size ** count_positions > limit:
         raise SizeLimitExceeded(limit, f"{kind}_{n}({ring.label}) enumeration")
     elements = _matrix_elements(kind, n, ring)
     spec = FamilySpec(kind, n, ring)
-    # past the table bound, products go through the carrier's ``mul_rows``
-    table = triangular_table(ring, elements, spec.label()) if within_table_bound(len(elements)) else None
     # these generate: M = C_n...C_1, C_j = I with M's column j = (I with m_jj at jj) prod_(i<j) (I + m_ij E_ij)
     gens = np.flatnonzero(np.count_nonzero(np.array(elements) != identity_entries(ring, n), axis=(1, 2)) == 1)
     return Monoid(elements, identity_entries(ring, n), carrier=MatrixCarrier(ring, n),
-                  table=table, label=spec.label(), provenance=spec.descriptor(), generators=gens.tolist())
+                  label=spec.label(), provenance=spec.descriptor(), generators=gens.tolist())
 
 
 # -- affine families ----------------------------------------------------------
@@ -317,9 +243,21 @@ def _affine_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
         tables = affine_tables(ring, mats[q // len(pts)], pts[q % len(pts)])
         seen.update(dict.fromkeys(map(tuple, tables.tolist())))
     elements = list(seen)
+    # v -> v X + c is v -> v X, then the shift by c, a sum of shifts along
+    # one coordinate: so the maps (X, 0) of matrices that generate, and (I, c)
+    # of those shifts, generate.  The matrices one entry from the identity
+    # generate T_n(R) and, over a field, M_n(R); AS takes every scaling, and
+    # A over another semiring every matrix.
+    away = np.count_nonzero(mats != identity_entries(ring, n), axis=(1, 2))
+    linear = np.flatnonzero((away <= 1) | (kind == "AS") | (kind == "A" and not ring.is_field))
+    shifts = np.flatnonzero(np.count_nonzero(pts != ring.zero, axis=1) <= 1)
+    q = np.concatenate([linear * len(pts) + point_codes(ring, np.full(n, ring.zero)),
+                        np.flatnonzero(away == 0) * len(pts) + shifts])
+    index = dict(zip(elements, range(len(elements))))
+    gens = [index[t] for t in map(tuple, affine_tables(ring, mats[q // len(pts)], pts[q % len(pts)]).tolist())]
     spec = FamilySpec(kind, n, ring)
     return Monoid(elements, tuple(range(len(pts))), carrier=TransformationCarrier(len(pts)), label=spec.label(),
-                  provenance=spec.descriptor())
+                  provenance=spec.descriptor(), generators=gens)
 
 
 # -- simple families ----------------------------------------------------------

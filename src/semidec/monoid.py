@@ -5,7 +5,8 @@ in a deterministic canonical order, an identity index, and a total product.
 Multiplication tables are uint16 index arrays, materialized up to a size
 bound (``TABLE_BOUND``, below 2**16); larger monoids multiply through their
 carrier's ``mul_rows`` in blocks of rows.  Monoids derived from others
-(closures, products) take their tables from tables, not value products.
+(closures, products) take their tables from tables, not value products,
+and a table built through a carrier is the ``cayley_table`` of a closure.
 Closures run on fixed-width int rows: every carrier (a Monoid, whose row is
 one index column, a wreath context, a product carrier, transformation
 tables) converts values with ``to_row``/``from_row`` and multiplies blocks
@@ -71,14 +72,16 @@ class Monoid:
 
     A monoid multiplies either by gathering from its table or through its
     ``carrier`` (``width``, ``to_row`` and ``mul_rows`` over the element
-    values) in blocks of rows, mapped back to indices by row bytes.  Given
-    a carrier and no table, a monoid within ``TABLE_BOUND`` elements builds
-    its table that way; past the bound ``products``, ``mul`` and
-    ``table_array`` multiply through the carrier when asked, with no memo.
-    Tables hold ``TABLE`` (uint16) indices, so a given table for more than
-    2**16 elements raises ``SizeLimitExceeded`` before it is converted;
-    ``mul_rows`` hands indices on as ``ROW`` rows.  ``generators``, set by a
-    constructor that knows them, are indices that generate it with its identity.
+    values) in blocks of rows, mapped back to indices by row bytes.
+    ``generators``, set by a constructor that knows them, are indices that
+    generate it with its identity.  Given a carrier and no table, a monoid
+    within ``TABLE_BOUND`` elements builds its table as closures do
+    (``_build_table``); past the bound ``products`` and ``mul`` multiply
+    through the carrier when asked, with no memo, and only ``table_array``
+    builds the table.  Tables hold ``TABLE`` (uint16) indices, so a table
+    for more than 2**16 elements, given or built, raises
+    ``SizeLimitExceeded`` before it is converted or multiplied;
+    ``mul_rows`` hands indices on as ``ROW`` rows.
     """
 
     def __init__(
@@ -115,9 +118,27 @@ class Monoid:
         self._spot_check()
 
     def _build_table(self):
-        """The whole table through the carrier: one block product over every row."""
-        everything = np.arange(len(self.elements))
-        return self._carrier_products(everything, everything)
+        """The table read off the right Cayley graph of a closure, as closures read theirs.
+
+        The identity and the generators (``generators`` when a constructor
+        recorded them, else ``generating_set``) close through
+        ``index_closure``, N g carrier products, and ``cayley_table`` traces
+        every other product; the closure's element indices label it back in
+        element order.  A closure that misses elements raises
+        ``InvalidMonoid``, so no table comes from part of a monoid.  The row
+        lookup is dropped: only the table-less product path reads it.
+        """
+        n = len(self.elements)
+        check_table_order(n, self.label)
+        gens = [self.identity, *(self.generators or generating_set(self))]
+        found, edges, right = index_closure(self, gens, f"table of {self.label or 'a monoid'}")
+        if len(found) < n:
+            raise InvalidMonoid(self.label, f"its generators reach {len(found)} of {n} elements")
+        at = np.asarray(found, dtype=TABLE)  # at[k]: the element at closure position k
+        position = np.empty(n, dtype=np.intp)
+        position[at] = np.arange(n)
+        self._rows = None
+        return cayley_table(edges, at[right[position]], at)
 
     def _carrier_products(self, rows, cols) -> np.ndarray:
         """Product indices ``rows[i] * cols[j]`` through the carrier's ``mul_rows``.
@@ -338,24 +359,28 @@ def close_rows(gens: np.ndarray, mul_rows, limit: int, what: str, key_width: int
     return store if n == len(store) else store[:n].copy(), edges, graph
 
 
-def cayley_table(edges, right) -> np.ndarray:
+def cayley_table(edges, right, labels=None) -> np.ndarray:
     """Multiplication table of a closure from its right Cayley graph.
 
     The word-tracing multiplication of Froidure and Pin: a generator's
     column is its column of ``right``, and the column of ``y = p * g`` is
     ``right[table[:, p], g]``, since ``x y = (x p) g``.  Parents precede
     their children, so the columns fill in discovery order with one gather
-    each and no carrier products.  The table is a ``TABLE`` array stored
+    each and no carrier products.  With ``labels``, closure element ``k``
+    is row and column ``labels[k]``, and ``right``'s rows and entries are
+    in those labels too.  The table is a ``TABLE`` array stored
     column-major, so each column is contiguous and no transposed copy is made.
     """
     n = len(edges)
+    labels = range(n) if labels is None else labels.tolist()
+    columns = np.ascontiguousarray(right.T)  # columns[g]: right's column of generator g
     table = np.empty((n, n), dtype=TABLE, order="F")
     for y, edge in enumerate(edges):
         if edge is None:
-            table[:, y] = right[:, y]
+            table[:, labels[y]] = columns[y]
         else:
             parent, g = edge
-            table[:, y] = right[table[:, parent], g]
+            table[:, labels[y]] = columns[g].take(table[:, labels[parent]])
     return table
 
 

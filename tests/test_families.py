@@ -313,19 +313,16 @@ def test_affine_elements_match_the_oracle_enumeration(ring_name, n):
         assert m.identity_value == tuple(range(ring.size**n))
 
 
-@pytest.mark.parametrize("build", ["kernel", "monoid"])
+@pytest.mark.parametrize("build", ["monoid"])  # a carrier-built table is the one table of unchecked elements
 def test_table_of_non_closed_elements_names_the_pair(build, z3):
     from semidec.errors import NotClosed
-    from semidec.families import MatrixCarrier, triangular_table
+    from semidec.families import MatrixCarrier
     from semidec.monoid import Monoid
 
     elements = list(family("T", 2, z3).elements)
     dropped = elements.pop(5)
     with pytest.raises(NotClosed) as err:
-        if build == "kernel":
-            triangular_table(z3, elements, "T_2(Z_3) minus one")
-        else:
-            Monoid(elements, identity_entries(z3, 2), carrier=MatrixCarrier(z3, 2))
+        Monoid(elements, identity_entries(z3, 2), carrier=MatrixCarrier(z3, 2))
     i, j = err.value.pair
     assert mul_entries(z3, elements[i], elements[j]) == dropped
     # the first missing product in row-major order, as a per-pair loop meets it
@@ -335,43 +332,51 @@ def test_table_of_non_closed_elements_names_the_pair(build, z3):
     )
 
 
-@pytest.mark.parametrize("kind,p", [("T", 7), ("T*", 7), ("UT", 61), ("UT*", 61)])
-def test_product_code_lookup_has_one_slot_per_element(kind, p):
-    # the dense code-to-index array is sized by the element count, not by
-    # |R| ** positions: UT_2(Z_61) has 244 elements and 61 ** 3 codes in base |R|
-    import numpy as np
-
-    from semidec.families import _code_lookup, _matrix_elements
-    from semidec.semiring import make_prime_field
-
-    ring = make_prime_field(p, bound=p)
-    elements = _matrix_elements(kind, 2, ring)
-    _, position = _code_lookup(np.array(elements), ring.size)
-    assert len(position) == len(elements) + 1
-    assert sorted(position[:-1].tolist()) == list(range(len(elements)))
-
-
-def test_table_refuses_patterns_with_a_sparse_code_space():
-    # 23 patterns with 23 ** 3 codes: more than their table and one block
-    from semidec.families import triangular_table
-    from semidec.semiring import make_prime_field
-
-    ring = make_prime_field(23, bound=23)
-    with pytest.raises(SizeLimitExceeded):
-        triangular_table(ring, [((a, a), (0, a)) for a in range(23)])
-
-
 def test_carrier_built_tables_match_value_products(fam):
-    # a family given a carrier and no table builds it by block products;
+    # a family given a carrier and no table traces it along a closure;
     # literal tables stand for the per-pair products they replace
     from oracles import compose_tables, value_product_table
 
-    for m in (fam("A", 2, "2"), fam("AT", 2, "3")):
+    for m in (fam("A", 2, "2"), fam("AT", 2, "3"), fam("AS", 2, "5")):
         assert m.table_array().tolist() == value_product_table(m.elements, compose_tables), m.label
     assert u1().table_array().tolist() == value_product_table(u1().elements, lambda a, b: a | b)
     constants = constants_monoid(3)
     assert constants.table_array().tolist() == value_product_table(
         constants.elements, lambda a, b: b if b[0] == 0 else a)  # a constant on the right wins
+
+
+@pytest.mark.parametrize("kind,n,spec,untabled", [("AS", 2, "3", False), ("AS", 2, "5", False),
+                                                   ("A", 2, "2", True)])
+def test_carrier_built_tables_trace_a_closure_not_every_pair(monkeypatch, kind, n, spec, untabled):
+    # a table built through a carrier closes the identity and the recorded
+    # generators, N g product cells, and traces every other product along
+    # the closure's right Cayley graph: far below one product per pair.
+    # Untabled, the family builds the same table when table_array asks
+    import semidec.families
+    import semidec.monoid
+    from conftest import _ring
+    from oracles import compose_tables, value_product_table
+    from semidec.families import TransformationCarrier
+
+    cells = []
+
+    class Counted(TransformationCarrier):
+        def mul_rows(self, x, y):
+            cells.append(len(x) * len(y))
+            return super().mul_rows(x, y)
+
+    monkeypatch.setattr(semidec.families, "_FAMILIES", {})
+    monkeypatch.setattr(semidec.families, "TransformationCarrier", Counted)
+    with monkeypatch.context() as patch:
+        if untabled:
+            patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+        m = family(kind, n, _ring(spec))
+    if untabled:
+        assert m._table is None
+        cells.clear()
+    table = m.table_array()
+    assert sum(cells) == len(m) * len({m.identity, *m.generators}) and 3 * sum(cells) < len(m) ** 2
+    assert table.tolist() == value_product_table(m.elements, compose_tables), m.label
 
 
 @pytest.mark.parametrize("n,spec", [(2, "3"), (3, "2")])

@@ -445,13 +445,19 @@ def test_untabled_monoid_multiplies_a_block_at_a_time(fam, z3, monkeypatch, cell
     assert len(carrier.blocks) == blocks(1, n) + blocks(n, 1) + 2 * blocks(4, 4) + blocks(16, 4) + blocks(4, 16)
     for call, count in [(lambda: m.products(range(n), range(n)), blocks(n, n)),
                         (lambda: m.products([3], range(n)), blocks(1, n)),
-                        (lambda: m.mul(5, 7), 1),
-                        (lambda: m.table_array(), blocks(n, n))]:
+                        (lambda: m.mul(5, 7), 1)]:
         carrier.blocks.clear()
         call()
         assert len(carrier.blocks) == count
         assert all(rows * cols <= max(1, per_block) for rows, cols in carrier.blocks)
+    # table_array traces the table along the closure of the identity and a
+    # generating set: the set's growing closure, then N (g + 1) cells
+    gens = generating_set(m)
+    cells = _growing_cells(m, gens) + n * (len(gens) + 1)
+    carrier.blocks.clear()
     assert m.table_array().tolist() == t2.table_array().tolist()
+    assert sum(rows * cols for rows, cols in carrier.blocks) == cells < n * n
+    assert all(rows * cols <= max(1, per_block) for rows, cols in carrier.blocks)
 
 
 def test_group_and_aperiodic_read_the_greens_report(fam):
@@ -571,6 +577,31 @@ def test_a_recorded_list_that_does_not_generate_is_completed(fam, z2, monkeypatc
     assert m._table is None and gens[0] == x and len(gens) > 1
     assert set(index_closure(m, gens, "test")[0]) | {m.identity} == set(range(len(m)))
     assert greens(m) == greens(t3)
+
+
+def test_a_recorded_list_that_does_not_generate_is_refused_within_the_bound(fam, z2):
+    # within the bound the table is traced along the recorded list's
+    # closure, so a list that misses elements builds no partial table
+    from semidec.monoid import index_closure
+
+    t3 = fam("T", 3, "2")
+    x = next(x for x in range(len(t3)) if x != t3.identity)
+    reach = len(index_closure(t3, [t3.identity, x], "test")[0])
+    assert reach < len(t3)
+    with pytest.raises(InvalidMonoid, match=rf"copy: its generators reach {reach} of {len(t3)} elements"):
+        Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(z2, 3), generators=[x], label="copy")
+
+
+def test_table_past_the_index_dtype_is_refused_before_any_product():
+    # a table_array past 2**16 elements raises as a given table does, and
+    # multiplies nothing first
+    from oracles import CyclicCarrier
+
+    size = int(np.iinfo(semidec.monoid.TABLE).max) + 2
+    m = Monoid(range(size), 0, carrier=CyclicCarrier(size), label="Z_65537")
+    m._carrier = None  # any product would fail
+    with pytest.raises(SizeLimitExceeded, match="Z_65537 \\(65537 elements\\)"):
+        m.table_array()
 
 
 def test_generating_set_grows_one_closure(fam, monkeypatch):

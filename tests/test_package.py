@@ -50,6 +50,14 @@ def test_verify_loads_no_pipeline(ring_plan, tmp_path):
     assert "semidec.witness" in loaded and "semidec.decomp" not in loaded
 
 
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_family_loads_no_witness_layer(tmp_path, optimize):
+    loaded = _loaded(["-m", "semidec.cli", "family", "--kind", "T", "--n", "2", "--ring", "zp:3",
+                      "--out", str(tmp_path / "t2.json")], optimize)
+    assert "semidec.families" in loaded
+    assert not loaded & {"semidec.witness", "semidec.carriers", "semidec.wreath"}
+
+
 def test_every_public_name_resolves_to_its_defining_module():
     for name, module in semidec._MODULE_OF.items():
         namespace: dict = {}
