@@ -4,9 +4,11 @@ A Monoid is an immutable list of opaque element values (nested int tuples)
 in a deterministic canonical order, an identity index, and a total product.
 Multiplication tables are uint16 index arrays, materialized up to a size
 bound (``TABLE_BOUND``, below 2**16); larger monoids multiply through their
-carrier's ``mul_rows`` in blocks of rows.  Monoids derived from others
-(closures, products) take their tables from tables, not value products,
-and a table built through a carrier is the ``cayley_table`` of a closure.
+carrier's ``mul_rows`` in blocks of rows.  Derived monoids (H-classes,
+central quotients, direct products) give the constructor a carrier and
+generators, never a table, so it alone decides whether they get one; a
+closure becomes a monoid through ``closure_monoid`` alone; and every table
+built through a carrier is the ``cayley_table`` of a closure.
 Closures run on fixed-width int rows: every carrier (a Monoid, whose row is
 one index column, a wreath context, a product carrier, transformation
 tables) converts values with ``to_row``/``from_row`` and multiplies blocks
@@ -17,7 +19,7 @@ on indices against that product.  Green's relations read only the right
 and left Cayley graphs over a generating set, and so does
 ``multiplicative``, the one check that an index map is a morphism, so
 they need no table and are computed the same way on either side of the
-bound.  H-classes and central quotients multiply through their base.
+bound.
 """
 
 from __future__ import annotations
@@ -397,18 +399,29 @@ def close_generators(
     the identity row ``identity``: the fields of a ``"close"`` descriptor.
 
     The carrier's ``mul_rows`` on frontier blocks makes the only carrier
-    products, and the closure rows are decoded once, into the elements.
-    The table is the closure's ``cayley_table``; past ``TABLE_BOUND``
-    elements the monoid has none and multiplies through the carrier's
-    ``mul_rows`` in blocks instead.  An identity the closure never produces
-    is appended at the end once it fixes itself and every generator on
-    both sides, checked by two one-row ``mul_rows`` blocks of ``2g + 1``
-    products; otherwise ``InvalidMonoid``.
+    products; ``closure_monoid`` turns the closure into the monoid.
     """
     gens = np.asarray(gens, dtype=ROW).reshape(-1, carrier.width)
     if not len(gens):
         raise ValueError("need at least one generator")
     rows, edges, right = close_rows(gens, carrier.mul_rows, limit, f"closure of {label or 'generators'}")
+    return closure_monoid(carrier, rows, edges, right, identity, limit, label,
+                          provenance or {"kind": "close", "generators": gens.tolist()})
+
+
+def closure_monoid(carrier, rows, edges, right, identity, limit: int = DEFAULT_LIMIT, label: str = "",
+                   provenance: dict | None = None) -> Monoid:
+    """The monoid of a ``close_rows`` closure ``(rows, edges, right)`` of
+    ``carrier`` rows, with the identity row ``identity``.
+
+    The rows are decoded once, into the elements, in closure order, and the
+    closure's generators, elements ``0..g-1``, are the monoid's.  An
+    identity the closure never produces is appended at the end once it
+    fixes itself and every generator on both sides, checked by two one-row
+    ``mul_rows`` blocks of ``2g + 1`` products; otherwise ``InvalidMonoid``.
+    The table is the closure's ``cayley_table``; past ``TABLE_BOUND``
+    elements the monoid has none and multiplies through the carrier.
+    """
     e = np.asarray(identity, dtype=ROW).reshape(1, carrier.width)
     identity_value = carrier.from_row(e[0].tolist())
     elements = [carrier.from_row(row) for row in rows.tolist()]
@@ -428,8 +441,7 @@ def close_generators(
         if size < len(elements):  # the appended identity's row and column
             table = np.pad(table, (0, 1))
             table[size] = table[:, size] = np.arange(size + 1)
-    prov = provenance or {"kind": "close", "generators": gens.tolist()}
-    return Monoid(elements, identity_value, carrier=carrier, table=table, label=label, provenance=prov,
+    return Monoid(elements, identity_value, carrier=carrier, table=table, label=label, provenance=provenance,
                   generators=range(right.shape[1]))
 
 
@@ -600,28 +612,14 @@ def greens(m: Monoid) -> GreensReport:
 def maximal_subgroup(m: Monoid, e: int) -> Monoid:
     """The H-class of an idempotent ``e`` as a group with identity ``e``,
     read off ``greens``.  It multiplies through ``m`` as its carrier, a
-    member's row being its index in ``m``; within ``TABLE_BOUND`` its table
-    is the class's block of ``m``'s products, and a product outside the
-    class raises ``NotClosed``."""
+    member's row being its index in ``m``, and records no generators, so
+    its table is built by scanning the class through ``m``; a product
+    outside the class raises ``NotClosed``."""
     if m.mul(e, e) != e:
         raise NotIdempotent(f"element {e} is not idempotent")
     h = greens(m).h
-    members = [x for x in range(len(m)) if h[x] == h[e]]
-    label = f"H({m.label}, {e})"
-    values = [m.elements[x] for x in members]
-    table = None
-    if within_table_bound(len(members)):
-        inside = np.zeros(len(m), dtype=bool)
-        inside[members] = True
-        position = np.zeros(len(m), dtype=TABLE)
-        position[members] = np.arange(len(members))
-        block = m.products(members, members)
-        outside = np.argwhere(~inside[block])
-        if len(outside):
-            a, b = (int(x) for x in outside[0])
-            raise NotClosed.product(label, a, b, values)
-        table = position[block]
-    return Monoid(values, m.elements[e], carrier=m, table=table, label=label,
+    values = [m.elements[x] for x in range(len(m)) if h[x] == h[e]]
+    return Monoid(values, m.elements[e], carrier=m, label=f"H({m.label}, {e})",
                   provenance={"kind": "h_class_group", "base": m.descriptor(), "idempotent": value_json(m.elements[e])})
 
 
@@ -702,10 +700,9 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
     Quotient element values are the sorted index tuples of the orbits, in
     first-seen order of the base monoid.  The quotient multiplies through a
     carrier of representatives: an orbit's row is its first member, and
-    rows multiply in the base, then go to their orbit's first member.
-    Within ``TABLE_BOUND`` orbits its table is the projection of the
-    representatives' products; past it the projections of
-    ``generating_set(m)`` are its generators.
+    rows multiply in the base, then go to their orbit's first member.  Its
+    generators are the projections of ``m.generators``, else of
+    ``generating_set(m)``, so a table costs one closure of base products.
     """
     zset = set(z)
     e = m.identity
@@ -735,42 +732,29 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
         for y in members:
             orbit_of[y] = oid
     projection = [orbit_of[x] for x in range(len(m))]
-    reps = [orbit[0] for orbit in orbits]
     label = f"{m.label}/central" if m.label else "quotient"
-    table, gens = None, ()
-    if within_table_bound(len(reps)):
-        table = np.asarray(projection, dtype=TABLE)[m.products(reps, reps)]
-    else:
-        gens = dict.fromkeys(projection[g] for g in generating_set(m))
-    leader = np.asarray(reps, dtype=ROW)[projection]  # leader[x]: the first member of x's orbit
+    gens = dict.fromkeys(projection[g] for g in (m.generators or generating_set(m)))
+    leader = np.asarray([orbit[0] for orbit in orbits], dtype=ROW)[projection]  # leader[x]: x's orbit's first member
     carrier = SimpleNamespace(width=1, to_row=lambda orbit: (orbit[0],),
                               mul_rows=lambda x, y: leader[m.products(x[:, 0], y[:, 0])][:, :, None])
-    quotient = Monoid(orbits, orbits[orbit_of[e]], carrier=carrier, table=table, label=label, generators=gens,
+    quotient = Monoid(orbits, orbits[orbit_of[e]], carrier=carrier, label=label, generators=gens,
                       provenance={"kind": "quotient_central", "base": m.descriptor(),
                                   "subgroup": [value_json(m.elements[a]) for a in sorted(zset)]})
     return quotient, projection
 
 
 def direct_product(a: Monoid, b: Monoid, limit: int = DEFAULT_LIMIT) -> Monoid:
-    """``a x b`` in row-major order; its table broadcasts the factors' tables,
-    ``ta[x1, x2] * |b| + tb[y1, y2]``, up to ``TABLE_BOUND`` elements.  Past it the product
-    carrier multiplies, and the generators are ``gens(a) x {e_b}`` and ``{e_a} x gens(b)``.
+    """``a x b`` in row-major order, multiplied by the product carrier, with
+    generators ``gens(a) x {e_b}`` and ``{e_a} x gens(b)`` (``generating_set``).
     More than ``limit`` elements raise ``SizeLimitExceeded`` before any is listed."""
     from semidec.carriers import ProductCarrier
 
     if len(a) * len(b) > limit:
         raise SizeLimitExceeded(limit, f"direct product of {a.label} and {b.label} ({len(a) * len(b)} elements)")
     elements = [(x, y) for x in a.elements for y in b.elements]
-    table, gens = None, ()
-    if within_table_bound(len(elements)):
-        # exact in TABLE arithmetic: every entry and partial sum is below
-        # len(elements) <= TABLE_BOUND < 2**16
-        ta, tb = a.table_array(), b.table_array()
-        table = (ta[:, None, :, None] * len(b) + tb[None, :, None, :]).reshape(len(elements), -1)
-    else:
-        gens = [x * len(b) + b.identity for x in generating_set(a)]
-        gens += [a.identity * len(b) + y for y in generating_set(b)]
-    return Monoid(elements, (a.identity_value, b.identity_value), carrier=ProductCarrier(a, b), table=table,
+    gens = [x * len(b) + b.identity for x in generating_set(a)]
+    gens += [a.identity * len(b) + y for y in generating_set(b)]
+    return Monoid(elements, (a.identity_value, b.identity_value), carrier=ProductCarrier(a, b),
                   label=f"({a.label} x {b.label})", generators=gens,
                   provenance={"kind": "product", "left": a.descriptor(), "right": b.descriptor()})
 

@@ -32,8 +32,8 @@ from semidec.errors import (
     SizeLimitExceeded,
     WitnessError,
 )
-from semidec.monoid import (DEFAULT_LIMIT, ROW, Monoid, cayley_table, close_rows, direct_product, generating_set,
-                            index_closure, within_table_bound)
+from semidec.monoid import (DEFAULT_LIMIT, ROW, Monoid, close_rows, closure_monoid, direct_product, generating_set,
+                            index_closure)
 from semidec.semiring import SemiringTable, units
 from semidec.wreath import WreathContext, constant_table
 
@@ -78,15 +78,14 @@ class DivisionWitness:
     def image_submonoid(self) -> Monoid:
         """The closure's target elements as a restricted monoid.
 
-        Its elements are the closure's target rows, decoded, in closure
-        order, so an element's index is its closure position
-        (``preimages``); a rebuild from the "close" descriptor, which lists
-        the pairs' target rows, keeps that order.  The closure is keyed by
-        target row, so the table is the ``cayley_table`` of ``verify``'s
-        graph, with no target products; past ``TABLE_BOUND`` elements the
-        monoid multiplies through the target's ``mul_rows`` in blocks
-        instead.  The identity is the left identity of the generators, read off the
-        graph's rows: a two-sided identity is the only one, and the
+        The closure's target rows become the monoid through
+        ``closure_monoid``, as ``close_generators`` closures do, so an
+        element's index is its closure position (``preimages``); a rebuild
+        from the "close" descriptor, which lists the pairs' target rows,
+        keeps that order.  The closure is keyed by target row, so the table
+        is the ``cayley_table`` of ``verify``'s graph, with no target
+        products.  The identity is the left identity of the generators, read
+        off the graph's rows: a two-sided identity is the only one, and the
         ``Monoid`` check that it is two-sided on every element decides
         whether there is one (there is when the witness pairs the
         identities, as the pipelines do).  Built once, dropping the graph,
@@ -96,18 +95,16 @@ class DivisionWitness:
         if self._image is not None:
             return self._image
         width = self.target.width
-        values = [self.target.from_row(row) for row in self._rows[:, :width].tolist()]
+        rows = self._rows[:, :width]
         edges, right = self._graph
         found = np.flatnonzero((right == np.arange(right.shape[1])).all(axis=1))
         if not len(found):
             raise WitnessError("closure has no two-sided identity; cannot form a base monoid")
-        table = cayley_table(edges, right) if within_table_bound(len(values)) else None
         label = f"im({self.label})"
         try:
-            self._image = Monoid(values, values[found[0]], carrier=self.target, table=table, label=label,
-                                 provenance=close_descriptor(self.target, self.pairs[:, :width],
-                                                             self._rows[found[0], :width], label),
-                                 generators=range(right.shape[1]))
+            self._image = closure_monoid(self.target, rows, edges, right, rows[found[0]], label=label,
+                                         provenance=close_descriptor(self.target, self.pairs[:, :width],
+                                                                     rows[found[0]], label))
         except InvalidMonoid as exc:
             raise WitnessError(f"closure has no two-sided identity; cannot form a base monoid: {exc}") from exc
         self._graph = None

@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
-from semidec.monoid import DEFAULT_LIMIT, TABLE_BOUND, Monoid, product_value
+from semidec.monoid import DEFAULT_LIMIT, TABLE_BOUND, Monoid, generating_set, product_value
 
 
 class WreathContext:
@@ -85,16 +85,25 @@ def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
     Its elements are the index pairs ``(f, a)``: ``f`` runs over every
     table of top indices in ``product`` order, and ``a`` over the base
     indices.  The monoid multiplies through ``ctx.mul_rows`` in blocks,
-    as any monoid over a carrier does.
+    as any monoid over a carrier does.  Its generators are the point
+    functions (a top generator ``x`` at one base point, the top identity
+    elsewhere, base part the base identity), for each ``x`` in
+    ``generating_set(top)`` and each point, then the identity table with
+    each base generator: products of point functions give every table, and
+    the base part then every base index.
     """
-    top = ctx.top
-    b = len(ctx.base)
+    top, base = ctx.top, ctx.base
+    b = len(base)
     total = len(top) ** b * b
     if total > limit:
         raise SizeLimitExceeded(limit, f"wreath enumeration of {ctx.label} ({total} elements)")
     elements = [(f, a) for f in product(range(len(top)), repeat=b) for a in range(b)]
-    return Monoid(elements, ctx.identity_value, carrier=ctx, label=ctx.label,
-                  provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": ctx.base.descriptor()})
+    place = [len(top) ** (b - 1 - s) * b for s in range(b)]  # place[s]: index step of one top index at point s
+    unit = top.identity * sum(place)  # index of (identity table, 0)
+    gens = [unit + (x - top.identity) * place[s] + base.identity for x in generating_set(top) for s in range(b)]
+    gens += [unit + y for y in generating_set(base)]
+    return Monoid(elements, ctx.identity_value, carrier=ctx, label=ctx.label, generators=gens,
+                  provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": base.descriptor()})
 
 
 def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]:

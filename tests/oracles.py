@@ -7,7 +7,10 @@ ideal comparison and by one ideal mask per row and column of the table
 target closures by plain dict and set loops, the Froidure-Pin closure one
 product at a time, the greedy generating set by exact row-image ranking
 (``greedy_generating_set``), matrix and carrier tables by one product per pair
-(``table_monoid`` builds a monoid from such a table), the group and
+(``table_monoid`` builds a monoid from such a table), the tables of
+direct products, H-classes and central quotients read off the factors'
+or the base's table (``product_table``, ``class_table``,
+``projection_table``), the group and
 aperiodic predicates by inverses and powers, wreath products on decoded
 values, spans by enumerating all linear combinations.  ``CyclicCarrier``
 is a carrier for cyclic groups too large for a per-pair table.  The
@@ -401,6 +404,41 @@ def every_element_pairing(monkeypatch):
         return [x for x in range(len(m)) if x != m.identity]
 
     monkeypatch.setattr(semidec.witness, "generating_set", every_other_element)
+
+
+# -- derived tables from their factors' or base's table --------------------------
+
+
+def product_table(a: Monoid, b: Monoid) -> np.ndarray:
+    """The table of ``a x b`` in row-major order, broadcast from the
+    factors' tables: ``(x1, y1) (x2, y2)`` is ``ta[x1, x2] * |b| + tb[y1, y2]``."""
+    ta, tb = a.table_array().astype(np.intp), b.table_array().astype(np.intp)
+    return (ta[:, None, :, None] * len(b) + tb[None, :, None, :]).reshape(len(a) * len(b), -1)
+
+
+def class_table(m: Monoid, members: list[int]) -> np.ndarray:
+    """The block of ``m``'s table on ``members``, relabelled by position in
+    ``members``; a product outside them raises ``ValueError``."""
+    position = np.full(len(m), -1)
+    position[members] = np.arange(len(members))
+    block = position[m.table_array()[np.ix_(members, members)]]
+    if (block < 0).any():
+        raise ValueError("the class is not closed under products")
+    return block
+
+
+def projection_table(m: Monoid, z: list[int]) -> np.ndarray:
+    """The table of ``m``'s quotient by the central units ``z``, the orbits
+    ``xZ`` numbered in first-seen order: the orbit of the product of two
+    orbits' least members."""
+    table = m.table_array()
+    projection = np.full(len(m), -1)
+    reps: list[int] = []
+    for x in range(len(m)):
+        if projection[x] < 0:
+            projection[table[x, z]] = len(reps)
+            reps.append(int(table[x, z].min()))
+    return projection[table[np.ix_(reps, reps)]]
 
 
 # -- isomorphism search, used only by tests -------------------------------------

@@ -313,14 +313,17 @@ def test_image_submonoid_records_its_generator_positions(monkeypatch, z2):
             assert set(generating_set(untabled)) <= set(range(g)), w.label
 
 
-def test_direct_product_past_the_bound_records_its_factors_generators(monkeypatch):
+def test_direct_product_records_its_factors_generators(monkeypatch):
+    # the same list on both sides of the bound; past it the generating set reads it
     a, b = cached_family("T", 2, "2"), cached_family("T", 2, "3")
-    assert direct_product(a, b).generators == []  # within the bound the table ranks
+    expected = ([x * len(b) + b.identity for x in generating_set(a)]
+                + [a.identity * len(b) + y for y in generating_set(b)])
+    tabled = direct_product(a, b)
+    assert tabled._table is not None and tabled.generators == expected
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 100)
     p = direct_product(a, b)
     assert p._table is None and len(p) == 216
-    assert p.generators == ([x * len(b) + b.identity for x in generating_set(a)]
-                            + [a.identity * len(b) + y for y in generating_set(b)])
+    assert p.generators == expected
     assert set(index_closure(p, p.generators, "test")[0]) | {p.identity} == set(range(len(p)))
     assert generating_set(p) == p.generators
 

@@ -274,6 +274,82 @@ def test_h_class_table_outside_the_class_raises(fam):
     assert m.mul(members[a], members[b]) not in members
 
 
+def _derived(case) -> list:
+    """``(build, table)`` for each derived monoid of ``case``: ``build()``
+    makes it from factors or a base built here, and ``table`` is its table
+    read off theirs by the oracle."""
+    from conftest import cached_family
+    from oracles import class_table, product_table, projection_table
+    from semidec.families import _scalar_unit_indices
+
+    kind, *spec = case
+    if kind == "product":
+        a, b = (u1() if f == "U1" else cached_family(*f) for f in spec)
+        return [(lambda: direct_product(a, b), product_table(a, b))]
+    base = cached_family(*spec)
+    if kind == "h_class":
+        h = greens(base).h
+        classes = {e: [x for x in range(len(base)) if h[x] == h[e]] for e in greens(base).idempotents}
+        return [(lambda e=e: maximal_subgroup(base, e), class_table(base, members)) for e, members in classes.items()]
+    z = _scalar_unit_indices(base, _ring(spec[2]))
+    return [(lambda: quotient_by_central_units(base, z)[0], projection_table(base, z))]
+
+
+@pytest.mark.parametrize("case", [
+    ("product", ("T", 2, "3"), ("T", 1, "3")),
+    ("product", ("T", 3, "2"), "U1"),
+    ("h_class", "T", 3, "2"),
+    ("h_class", "UT", 3, "3"),
+    ("quotient", "T", 3, "3"),  # PT_3(Z_3)
+    ("quotient", "T*", 2, "5"),  # PT*_2(Z_5)
+], ids=["T_2(Z_3) x T_1(Z_3)", "T_3(Z_2) x U_1", "H-classes of T_3(Z_2)", "H-classes of UT_3(Z_3)",
+        "PT_3(Z_3)", "PT*_2(Z_5)"])
+def test_derived_tables_through_the_carrier_match_the_oracle(case, monkeypatch):
+    # products, H-classes and central quotients give a carrier and
+    # generators, and the constructor builds the table along a closure; it
+    # equals the table read off the factors' or base's table, and the
+    # generators they record do not depend on whether there is a table
+    for build, expected in _derived(case):
+        m = build()
+        assert m._table is not None and m.table_array().tolist() == expected.tolist(), m.label
+        with monkeypatch.context() as patch:
+            patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
+            untabled = build()
+        assert untabled._table is None and untabled.elements == m.elements, m.label
+        assert untabled.generators == m.generators, m.label
+
+
+def test_derived_tables_cost_a_closure_not_every_pair(fam, z3, monkeypatch):
+    # T_3(Z_3) (729 elements) past a bound of 400 has no table; its
+    # projective quotient (365 orbits) and its group of units (216 elements)
+    # get one, traced along a closure of base products, not one per pair
+    # (365**2 = 133,225 and 216**2 = 46,656)
+    from oracles import class_table, projection_table
+    from semidec.families import _scalar_unit_indices
+
+    tabled = fam("T", 3, "3")
+    scalars = _scalar_unit_indices(tabled, z3)
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 400)
+    t3 = Monoid(tabled.elements, tabled.identity_value, carrier=MatrixCarrier(z3, 3), generators=tabled.generators)
+    assert t3._table is None
+    greens(t3)
+    cells = []
+
+    def counted(self, x, y, original=MatrixCarrier.mul_rows):
+        cells.append(len(x) * len(y))
+        return original(self, x, y)
+
+    monkeypatch.setattr(MatrixCarrier, "mul_rows", counted)
+    q, _ = quotient_by_central_units(t3, scalars)
+    assert len(q) == 365 and q._table is not None and sum(cells) < 20_000
+    assert q.table_array().tolist() == projection_table(tabled, scalars).tolist()
+    cells.clear()
+    units = maximal_subgroup(t3, t3.identity)
+    assert len(units) == 216 and units._table is not None and sum(cells) < 20_000
+    members = [tabled.index[v] for v in units.elements]
+    assert units.table_array().tolist() == class_table(tabled, members).tolist()
+
+
 def test_direct_product_counts():
     p = direct_product(u1(), u1())
     assert len(p) == 4

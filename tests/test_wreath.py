@@ -124,6 +124,33 @@ def test_wreath_past_table_bound_multiplies_by_value(monkeypatch):
         value_product_table(w.elements, ctx.mul_value)
 
 
+def test_wreath_table_is_traced_along_point_functions(fam, monkeypatch):
+    # the enumeration records each top generator at one base point, then the
+    # identity table with each base generator; they generate, so the table
+    # is one closure of N (g + 1) context cells, not one product per pair
+    from semidec.monoid import generating_set
+
+    rng = random.Random(0x9E7)
+    for top, base in ((fam("T", 1, "3"), fam("T", 1, "3")), (fam("T", 1, "2"), fam("T", 2, "2"))):
+        ctx, cells = WreathContext(top, base), []
+
+        def counted(x, y, original=ctx.mul_rows):
+            cells.append(len(x) * len(y))
+            return original(x, y)
+
+        monkeypatch.setattr(ctx, "mul_rows", counted)
+        w = enumerate_wreath(ctx)
+        e, b = top.identity, len(base)
+        points = [(tuple(x if t == s else e for t in range(b)), base.identity)
+                  for x in generating_set(top) for s in range(b)]
+        assert [w.elements[g] for g in w.generators] == points + [((e,) * b, y) for y in generating_set(base)]
+        assert w._table is not None and sum(cells) == len(w) * (len(w.generators) + 1)
+        for _ in range(500):
+            x, y = rng.randrange(len(w)), rng.randrange(len(w))
+            product = wreath_value_product(ctx, wreath_decode(ctx, w.elements[x]), wreath_decode(ctx, w.elements[y]))
+            assert wreath_decode(ctx, w.elements[w.mul(x, y)]) == product
+
+
 def test_wreath_table_matches_sampled_value_products(fam):
     t1 = fam("T", 1, "2")
     ctx = WreathContext(fam("AS", 1, "2"), direct_product(t1, t1))
