@@ -2,13 +2,13 @@
 
 A carrier is anything a division witness can multiply target values in:
 an enumerated Monoid, a direct product of carriers, or a WreathContext,
-whose top and base are both enumerated Monoids with tables.  All three
+whose top and base are both enumerated Monoids.  All three
 expose identity_value / label / descriptor(), and the row interface of the
 closure kernel: ``width``, ``to_row`` / ``from_row`` between a value and a
 fixed-width int row, and ``mul_rows``, which multiplies every row of one
 block by every row of another; ``mul_value`` is a one-row ``mul_rows``,
 except on a Monoid, which multiplies as its ``mul_rows`` does, by its table
-or its own carrier.
+or along its right Cayley graph.
 Descriptors are plain dicts from which an equivalent carrier is rebuilt
 in a fresh process, which is what makes certificates re-checkable from
 their serialized form.  This module alone knows the descriptor kinds and

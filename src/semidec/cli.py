@@ -7,9 +7,10 @@ export (render a report in another format).  Exit codes: 0 success,
 1 verification failure or negative search, 2 usage error (a ring, family
 or degree that names nothing to build, a ring file that is not a
 semiring, a field-only command over a non-field, an unknown ``analyze``
-report name), a monoid file whose
-table is not a monoid or, for ``search --out``, whose provenance does not
-rebuild it, a malformed monoid file or certificate, a report that
+report name), a monoid file whose table is not a monoid, whose
+provenance, past the table bound where it has no table, does not rebuild
+to its elements and identity, or, for ``search --out``, does not rebuild
+it, a malformed monoid file or certificate, a report that
 ``export --format text`` or ``dot`` cannot render (not an object, ill-typed
 ``terms``, or a ``depth`` whose classes do not match its class count), an
 input file that is not UTF-8 JSON or nests past the recursion limit, or
@@ -48,6 +49,7 @@ from semidec.errors import (InvalidCertificate, InvalidMonoid, InvalidReport, In
 from semidec.families import FAMILY_KINDS, FamilySpec, build_family
 from semidec.monoid import DEFAULT_LIMIT, Monoid, depth_report, dot_j_order, greens
 from semidec.monoid import from_json as monoid_from_json
+from semidec.monoid import rebuilt as monoid_rebuilt
 from semidec.monoid import to_json as monoid_to_json
 from semidec.semiring import parse_ring_spec
 
@@ -157,12 +159,7 @@ def cmd_verify(args) -> int:
 
 def _require_rebuilds(m: Monoid) -> None:
     """Raise ``InvalidMonoid`` unless ``m``'s provenance rebuilds to ``m``, as ``verify`` rebuilds it."""
-    from semidec.carriers import rebuild
-
-    try:
-        rebuilt = rebuild(m.descriptor())
-    except (LookupError, TypeError, ValueError, OverflowError, RecursionError, SemidecError) as exc:
-        raise InvalidMonoid(m.label, f"provenance does not rebuild: {type(exc).__name__}: {exc}") from None
+    rebuilt = monoid_rebuilt(m.descriptor(), m.label)
     if rebuilt.elements != m.elements or not np.array_equal(rebuilt.table_array(), m.table_array()):
         raise InvalidMonoid(m.label, "provenance rebuilds to another monoid")
 

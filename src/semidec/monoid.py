@@ -1,14 +1,16 @@
 """Generic finite-monoid engine.
 
 A Monoid is an immutable list of opaque element values (nested int tuples)
-in a deterministic canonical order, an identity index, and a total product.
-Multiplication tables are uint16 index arrays, materialized up to a size
-bound (``TABLE_BOUND``, below 2**16); larger monoids multiply through their
-carrier's ``mul_rows`` in blocks of rows.  Derived monoids (H-classes,
-central quotients, direct products) give the constructor a carrier and
-generators, never a table, so it alone decides whether they get one; a
-closure becomes a monoid through ``closure_monoid`` alone; and every table
-built through a carrier is the ``cayley_table`` of a closure.
+in a deterministic canonical order, an identity index, and one product,
+``Monoid.mul_indices``: a gather from a uint16 index table up to a size
+bound (``TABLE_BOUND``, below 2**16), past it the word-tracing product of
+Froidure and Pin along the monoid's right Cayley graph.  A monoid given a
+carrier builds that graph once, by closing its identity and generators
+through the carrier; a closure becomes a monoid through ``closure_monoid``,
+which hands over the graph ``close_rows`` built.  Derived monoids
+(H-classes, central quotients, direct products) give the constructor a
+carrier and generators, never a table, so it alone decides whether they
+get one, and a monoid's size decides only that, never how it multiplies.
 Closures run on fixed-width int rows: every carrier (a Monoid, whose row is
 one index column, a wreath context, a product carrier, transformation
 tables) converts values with ``to_row``/``from_row`` and multiplies blocks
@@ -18,8 +20,7 @@ quotients, products, the isomorphism check of an explicit index map) work
 on indices against that product.  Green's relations read only the right
 and left Cayley graphs over a generating set, and so does
 ``multiplicative``, the one check that an index map is a morphism, so
-they need no table and are computed the same way on either side of the
-bound.
+they are computed the same way on either side of the bound.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import random
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from operator import ne
 from types import SimpleNamespace
 
@@ -39,6 +41,7 @@ from semidec.errors import (
     NotClosed,
     NotFunctional,
     NotIdempotent,
+    SemidecError,
     SizeLimitExceeded,
 )
 from semidec.keys import value_from_json, value_json
@@ -49,7 +52,7 @@ _SPOT_SIDE = 4  # the spot check tries every triple of three seeded sets of this
 ROW = np.int32  # dtype of carrier rows
 TABLE = np.uint16  # dtype of Cayley tables: every index below TABLE_BOUND < 2**16 fits
 _TABLE_ORDER = int(np.iinfo(TABLE).max) + 1  # most elements a TABLE can index
-_BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows``, carrier products and the ``generating_set`` row sorts; bounds their working memory
+_BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows`` and the ``generating_set`` row sorts; bounds their working memory
 
 
 def check_table_order(size: int, what: str) -> None:
@@ -70,20 +73,17 @@ def check_table_bound(size: int, what: str) -> None:
 
 
 class Monoid:
-    """A finite monoid: element values, an identity, and one way to multiply.
-
-    A monoid multiplies either by gathering from its table or through its
-    ``carrier`` (``width``, ``to_row`` and ``mul_rows`` over the element
-    values) in blocks of rows, mapped back to indices by row bytes.
-    ``generators``, set by a constructor that knows them, are indices that
-    generate it with its identity.  Given a carrier and no table, a monoid
-    within ``TABLE_BOUND`` elements builds its table as closures do
-    (``_build_table``); past the bound ``products`` and ``mul`` multiply
-    through the carrier when asked, with no memo, and only ``table_array``
-    builds the table.  Tables hold ``TABLE`` (uint16) indices, so a table
-    for more than 2**16 elements, given or built, raises
-    ``SizeLimitExceeded`` before it is converted or multiplied;
-    ``mul_rows`` hands indices on as ``ROW`` rows.
+    """A finite monoid: element values, an identity, and one product,
+    ``mul_indices``.  Given a ``carrier`` (``width``, ``to_row``, ``from_row``
+    and ``mul_rows`` over the element values) and no table, it closes its
+    identity and generators through the carrier once (``_close``) and keeps
+    the table read off the closure within ``TABLE_BOUND`` elements
+    (``_build_table``), else the graph and the closure tree.  ``generators``,
+    set by a constructor that knows them, are indices that generate it with
+    its identity; a monoid given none records those it finds.  Tables hold
+    ``TABLE`` (uint16) indices, so a table for more than 2**16 elements,
+    given or built, raises ``SizeLimitExceeded`` before it is converted or
+    multiplied; ``mul_rows`` hands indices on as ``ROW`` rows.
     """
 
     def __init__(
@@ -96,6 +96,18 @@ class Monoid:
         provenance: dict | None = None,
         generators=(),
     ):
+        self._start(elements, identity_value, label, provenance, generators)
+        if table is not None:
+            check_table_order(len(self.elements), label)
+            self._table = np.asarray(table, dtype=TABLE)
+        elif carrier is None:
+            raise ValueError("need a multiplication table or carrier")
+        else:
+            self._multiply_along(*self._close(carrier))
+        self._spot_check(carrier)
+
+    def _start(self, elements, identity_value, label, provenance, generators):
+        """The element bookkeeping of the constructor and of ``closure_monoid``."""
         self.elements = list(elements)
         self.generators = list(generators)
         self.index = {v: i for i, v in enumerate(self.elements)}
@@ -106,95 +118,116 @@ class Monoid:
         self.identity = self.index[identity_value]
         self.label = label
         self.provenance = provenance or {"kind": "opaque"}
-        self._carrier = carrier
-        self._rows = None  # the elements' carrier rows and their row-bytes lookup, built on first use
         self._table = None
+        self._graph = None  # past TABLE_BOUND: (right Cayley graph with a fixing last column, tree parents, letters)
         self._greens = None
-        if table is not None:
-            check_table_order(len(self.elements), label)
-            self._table = np.asarray(table, dtype=TABLE)
-        elif carrier is None:
-            raise ValueError("need a multiplication table or carrier")
-        elif within_table_bound(len(self.elements)):
-            self._table = self._build_table()
-        self._spot_check()
 
-    def _build_table(self):
-        """The table read off the right Cayley graph of a closure, as closures read theirs.
+    def _close(self, carrier):
+        """``close_rows`` of the identity and the generators' carrier rows:
+        ``(edges, right, at)``, ``at[k]`` the element at closure position
+        ``k``.  A row that decodes (``from_row``) to no element raises
+        ``NotClosed`` naming its factors, unless the closure outgrows
+        ``DEFAULT_LIMIT`` rows first.  Recorded generators that miss
+        elements raise ``InvalidMonoid``; without any, the elements not yet
+        reached join in index order, closing again each time, and are kept."""
+        n, gens = len(self.elements), list(self.generators)
+        while True:
+            rows = np.array([carrier.to_row(self.elements[x]) for x in [self.identity, *gens]], dtype=ROW)
+            closed, edges, right = close_rows(rows.reshape(-1, carrier.width), carrier.mul_rows,
+                                              max(n, DEFAULT_LIMIT), f"closure of {self.label or 'a monoid'}")
+            at = [self.index.get(v) for v in map(carrier.from_row, closed.tolist())]
+            if None in at:
+                parent, g = edges[at.index(None)]
+                raise NotClosed.product(self.label, at[parent], at[g], self.elements)
+            missing = np.flatnonzero(np.bincount(at, minlength=n) == 0)
+            if not len(missing):
+                self.generators = gens
+                return edges, right, np.array(at)
+            if self.generators:
+                raise InvalidMonoid(self.label, f"its generators reach {n - len(missing)} of {n} elements")
+            gens.append(int(missing[0]))
 
-        The identity and the generators (``generators`` when a constructor
-        recorded them, else ``generating_set``) close through
-        ``index_closure``, N g carrier products, and ``cayley_table`` traces
-        every other product; the closure's element indices label it back in
-        element order.  A closure that misses elements raises
-        ``InvalidMonoid``, so no table comes from part of a monoid.  The row
-        lookup is dropped: only the table-less product path reads it.
-        """
-        n = len(self.elements)
-        check_table_order(n, self.label)
-        gens = [self.identity, *(self.generators or generating_set(self))]
-        found, edges, right = index_closure(self, gens, f"table of {self.label or 'a monoid'}")
-        if len(found) < n:
-            raise InvalidMonoid(self.label, f"its generators reach {len(found)} of {n} elements")
-        at = np.asarray(found, dtype=TABLE)  # at[k]: the element at closure position k
-        position = np.empty(n, dtype=np.intp)
-        position[at] = np.arange(n)
-        self._rows = None
-        return cayley_table(edges, at[right[position]], at)
+    def _multiply_along(self, edges, right, at):
+        """Take the product of a ``close_rows`` closure ``(edges, right)``
+        whose position ``k`` is element ``at[k]``: the table within
+        ``TABLE_BOUND``, else the graph, with a column ``g`` that fixes every
+        element, and the closure tree of each element's parent and last
+        letter, whose root ``n`` has the letter ``g``.  The one element
+        ``at`` may miss is an identity the closure never produced: it fixes
+        every generator and hangs from the root with the empty word."""
+        n, g = len(self.elements), right.shape[1]
+        graph = np.empty((n, g + 1), dtype=ROW)
+        graph[at, :g] = at[right]
+        graph[:, g] = np.arange(n)
+        if len(at) < n:
+            graph[self.identity, :g] = at[:g]
+        if within_table_bound(n):
+            self._table = self._build_table(edges, graph, at)
+            return
+        tree = np.array([(-1, k) if edge is None else edge for k, edge in enumerate(edges)], dtype=np.intp)
+        parent, letter = np.full(n + 1, n, dtype=ROW), np.full(n + 1, g, dtype=np.min_scalar_type(g))
+        parent[at] = np.where(tree[:, 0] < 0, n, at[tree[:, 0]])
+        letter[at] = tree[:, 1]
+        self._graph = graph, parent, letter
 
-    def _carrier_products(self, rows, cols) -> np.ndarray:
-        """Product indices ``rows[i] * cols[j]`` through the carrier's ``mul_rows``.
+    def _build_table(self, edges, graph, at):
+        """The closure's table, column-major: a generator's column is its
+        column of the graph, and that of ``y = p * g`` is ``graph[table[:, p],
+        g]``, since ``x y = (x p) g``; parents precede their children, so
+        each column is one gather, and an identity outside the closure fixes
+        every element."""
+        n, labels = len(self.elements), at.tolist()
+        columns = np.ascontiguousarray(graph.T)  # columns[g]: the graph's column of generator g
+        table = np.empty((n, n), dtype=TABLE, order="F")
+        table[:, self.identity] = columns[-1]
+        for y, edge in enumerate(edges):
+            if edge is None:
+                table[:, labels[y]] = columns[y]
+            else:
+                parent, g = edge
+                table[:, labels[y]] = columns[g].take(table[:, labels[parent]])
+        return table
 
-        Each block holds at most ``_BLOCK_CELLS`` row entries: whole rows of
-        the result when they fit, else one row cut into column chunks.
-        The product rows map back to indices by one row-bytes lookup, as in
-        ``_merge``; the first product, in row-major order, that is not an
-        element raises ``NotClosed``.  The indices are ``TABLE`` when they
-        fit, else ``ROW``.
-        """
-        if self._rows is None:
-            carrier = self._carrier
-            values = np.array([carrier.to_row(v) for v in self.elements], dtype=ROW)
-            values = values.reshape(len(self.elements), carrier.width)
-            self._rows = values, dict(zip(_row_bytes(values), range(len(values))))
-        values, lookup = self._rows
-        rows, cols = np.asarray(rows, dtype=np.intp).ravel(), np.asarray(cols, dtype=np.intp).ravel()
-        cells = max(1, _BLOCK_CELLS // values.shape[1])  # products per block
-        span = max(1, min(len(cols), cells))  # columns per block
-        step = max(1, cells // span)  # rows per block
-        out = np.empty((len(rows), len(cols)), dtype=TABLE if len(values) <= _TABLE_ORDER else ROW)
-        for r in range(0, len(rows), step):
-            x = values[rows[r : r + step]]
-            for c in range(0, len(cols), span):
-                block = self._carrier.mul_rows(x, values[cols[c : c + span]])
-                found = list(map(lookup.get, _row_bytes(block.reshape(-1, values.shape[1]))))
-                if None in found:
-                    p, q = divmod(found.index(None), block.shape[1])
-                    raise NotClosed.product(self.label, int(rows[r + p]), int(cols[c + q]), self.elements)
-                out[r : r + step, c : c + span] = np.fromiter(found, out.dtype, len(found)).reshape(block.shape[:2])
-        return out
-
-    def _spot_check(self):
-        """The identity on both sides of every element, then associativity on
-        the ``_SPOT_SIDE ** 3`` triples of three seeded sets, one ``products``
-        call for each side of each law."""
+    def _spot_check(self, carrier):
+        """The identity on both sides of every element; then, over three
+        seeded sets of ``_SPOT_SIDE`` elements, associativity on every
+        triple, and, given a carrier, each ``a_i b_i`` of the first two sets
+        against its ``mul_rows``, since traced products meet the carrier
+        only along the generators: one that is no element raises
+        ``NotClosed``, one that is another element ``InvalidMonoid``."""
         n = len(self.elements)
         e = self.identity
         everything = np.arange(n)
-        bad = np.flatnonzero((self.products([e], everything)[0] != everything)
-                             | (self.products(everything, [e])[:, 0] != everything))
+        if self._graph is None:
+            fixed = self._table[e] == everything
+        else:  # e x = (e p) l = p l = x down the tree once e fixes each generator
+            graph, parent, letter = self._graph
+            fixed = (parent[:n] != n) | (graph[e, letter[:n]] == everything)
+        bad = np.flatnonzero(~fixed | (self.mul_indices(everything, e) != everything))
         if len(bad):
             raise InvalidMonoid(self.label, f"identity is not two-sided at element {bad[0]}")
         k = _SPOT_SIDE
         draws = np.frombuffer(random.Random(0x5EED).randbytes(12 * k), dtype=np.uint32) % n
         a, b, c = draws.reshape(3, k).astype(np.intp)
         # left[i, j, l] = (a_i b_j) c_l and right[i, j, l] = a_i (b_j c_l)
-        left = self.products(self.products(a, b).ravel(), c).reshape(k, k, k)
+        ab = self.products(a, b)
+        left = self.products(ab.ravel(), c).reshape(k, k, k)
         right = self.products(a, self.products(b, c).ravel()).reshape(k, k, k)
         bad = np.argwhere(left != right)
         if len(bad):
             i, j, l = bad[0].tolist()
             raise InvalidMonoid(self.label, f"product not associative at {(int(a[i]), int(b[j]), int(c[l]))}")
+        if carrier is None:
+            return
+        rows = np.array([carrier.to_row(self.elements[x]) for x in [*a, *b, *ab.diagonal()]], dtype=ROW)
+        rows = rows.reshape(3 * k, -1)
+        through = carrier.mul_rows(rows[:k], rows[k : 2 * k])[np.arange(k), np.arange(k)]  # a_i b_i
+        bad = np.flatnonzero((through != rows[2 * k :]).any(axis=1))
+        if len(bad):
+            x, y = int(a[bad[0]]), int(b[bad[0]])
+            if carrier.from_row(through[bad[0]].tolist()) not in self.index:
+                raise NotClosed.product(self.label, x, y, self.elements)
+            raise InvalidMonoid(self.label, f"the product of elements {x} and {y} is not its carrier's")
 
     def __len__(self):
         return len(self.elements)
@@ -202,10 +235,26 @@ class Monoid:
     def __repr__(self):
         return f"Monoid({self.label or 'anonymous'}, order {len(self)})"
 
-    def mul(self, i: int, j: int) -> int:
+    def mul_indices(self, x, y) -> np.ndarray:
+        """Elementwise products ``x * y`` of broadcastable index arrays: a
+        gather from the table, or ``x`` traced along ``y``'s word, read up
+        the tree a level at a time for the whole block, then followed down
+        the graph a gather per letter.  An index past the elements raises
+        ``IndexError`` either way."""
         if self._table is not None:
-            return int(self._table[i, j])
-        return int(self._carrier_products([i], [j])[0, 0])
+            return self._table[x, y]
+        graph, parent, letter = self._graph
+        x, y = np.broadcast_arrays(graph[x, -1], graph[y, -1])
+        path = []
+        while (y != len(graph)).any():
+            path.append(letter[y])
+            y = parent[y]
+        for letters in reversed(path):
+            x = graph[x, letters]
+        return x
+
+    def mul(self, i: int, j: int) -> int:
+        return int(self.mul_indices(i, j))
 
     def mul_value(self, a, b):
         """Product of two element values; anything else raises ``KeyError``."""
@@ -231,16 +280,16 @@ class Monoid:
         return self.products(x[:, 0], y[:, 0]).astype(ROW)[:, :, None]
 
     def products(self, rows, cols) -> np.ndarray:
-        """Block of product indices ``rows[i] * cols[j]``, sliced from the table
-        if there is one, else multiplied through the carrier."""
-        if self._table is not None:
-            return self._table[np.asarray(rows)[:, None], cols]
-        return self._carrier_products(rows, cols)
+        """Block of product indices ``rows[i] * cols[j]``."""
+        return self.mul_indices(np.asarray(rows)[:, None], cols)
 
     def table_array(self) -> np.ndarray:
-        if self._table is None:
-            self._table = self._build_table()
-        return self._table
+        """The table; past ``TABLE_BOUND`` every product traced, built on each call and not kept."""
+        if self._table is not None:
+            return self._table
+        check_table_order(len(self), self.label)
+        everything = np.arange(len(self))
+        return self.products(everything, everything).astype(TABLE)
 
     def descriptor(self) -> dict:
         return self.provenance
@@ -361,31 +410,6 @@ def close_rows(gens: np.ndarray, mul_rows, limit: int, what: str, key_width: int
     return store if n == len(store) else store[:n].copy(), edges, graph
 
 
-def cayley_table(edges, right, labels=None) -> np.ndarray:
-    """Multiplication table of a closure from its right Cayley graph.
-
-    The word-tracing multiplication of Froidure and Pin: a generator's
-    column is its column of ``right``, and the column of ``y = p * g`` is
-    ``right[table[:, p], g]``, since ``x y = (x p) g``.  Parents precede
-    their children, so the columns fill in discovery order with one gather
-    each and no carrier products.  With ``labels``, closure element ``k``
-    is row and column ``labels[k]``, and ``right``'s rows and entries are
-    in those labels too.  The table is a ``TABLE`` array stored
-    column-major, so each column is contiguous and no transposed copy is made.
-    """
-    n = len(edges)
-    labels = range(n) if labels is None else labels.tolist()
-    columns = np.ascontiguousarray(right.T)  # columns[g]: right's column of generator g
-    table = np.empty((n, n), dtype=TABLE, order="F")
-    for y, edge in enumerate(edges):
-        if edge is None:
-            table[:, labels[y]] = columns[y]
-        else:
-            parent, g = edge
-            table[:, labels[y]] = columns[g].take(table[:, labels[parent]])
-    return table
-
-
 def close_generators(
     gens,
     carrier,
@@ -398,7 +422,7 @@ def close_generators(
     (``width``, ``from_row``, ``mul_rows``), in ``close_rows`` order, with
     the identity row ``identity``: the fields of a ``"close"`` descriptor.
 
-    The carrier's ``mul_rows`` on frontier blocks makes the only carrier
+    The carrier's ``mul_rows`` on frontier blocks makes the carrier
     products; ``closure_monoid`` turns the closure into the monoid.
     """
     gens = np.asarray(gens, dtype=ROW).reshape(-1, carrier.width)
@@ -412,20 +436,17 @@ def close_generators(
 def closure_monoid(carrier, rows, edges, right, identity, limit: int = DEFAULT_LIMIT, label: str = "",
                    provenance: dict | None = None) -> Monoid:
     """The monoid of a ``close_rows`` closure ``(rows, edges, right)`` of
-    ``carrier`` rows, with the identity row ``identity``.
-
-    The rows are decoded once, into the elements, in closure order, and the
-    closure's generators, elements ``0..g-1``, are the monoid's.  An
-    identity the closure never produces is appended at the end once it
-    fixes itself and every generator on both sides, checked by two one-row
-    ``mul_rows`` blocks of ``2g + 1`` products; otherwise ``InvalidMonoid``.
-    The table is the closure's ``cayley_table``; past ``TABLE_BOUND``
-    elements the monoid has none and multiplies through the carrier.
-    """
+    ``carrier`` rows, with the identity row ``identity``: the rows decode
+    once, into the elements in closure order, the closure's generators
+    (elements ``0..g-1``) are the monoid's, and its graph is the monoid's
+    product, so no carrier product is made again but the spot check's
+    sample.  An identity the closure never produces is appended at the end
+    once it fixes itself and every generator on both sides, checked by two
+    one-row ``mul_rows`` blocks of ``2g + 1`` products; otherwise
+    ``InvalidMonoid``."""
     e = np.asarray(identity, dtype=ROW).reshape(1, carrier.width)
     identity_value = carrier.from_row(e[0].tolist())
     elements = [carrier.from_row(row) for row in rows.tolist()]
-    size = len(elements)
     if not (rows == e).all(axis=1).any():
         distinct = rows[: right.shape[1]]
         fixed = np.concatenate([e, distinct])
@@ -435,14 +456,11 @@ def closure_monoid(carrier, rows, edges, right, identity, limit: int = DEFAULT_L
         elements.append(identity_value)
         if len(elements) > limit:
             raise SizeLimitExceeded(limit, "closure plus identity")
-    table = None
-    if within_table_bound(len(elements)):
-        table = cayley_table(edges, right)
-        if size < len(elements):  # the appended identity's row and column
-            table = np.pad(table, (0, 1))
-            table[size] = table[:, size] = np.arange(size + 1)
-    return Monoid(elements, identity_value, carrier=carrier, table=table, label=label, provenance=provenance,
-                  generators=range(right.shape[1]))
+    m = Monoid.__new__(Monoid)  # the constructor would close the generators again
+    m._start(elements, identity_value, label, provenance, range(right.shape[1]))
+    m._multiply_along(edges, right, np.arange(len(rows)))
+    m._spot_check(carrier)
+    return m
 
 
 def check_associativity(m: Monoid) -> None:
@@ -533,38 +551,6 @@ def _components(graph: np.ndarray) -> list[int]:
     return comp
 
 
-def _squares(right: np.ndarray, identity: int) -> np.ndarray:
-    """``x * x`` for every element ``x``, from the right Cayley graph alone.
-
-    The word tracing of Froidure and Pin, as in ``cayley_table``: a
-    breadth-first tree of ``right`` from the identity spells each element
-    as a word in the generators, and ``x * x`` is ``x`` followed along its
-    own word.  Words are padded at the end with a column that fixes every
-    element, so each letter position is one gather over all elements, and
-    no product is made.  Every element is reached because the generators
-    of ``right`` generate the monoid with its identity.
-    """
-    n, g = right.shape
-    graph = np.hstack([right, np.arange(n)[:, None]])  # column g fixes every element
-    seen = np.zeros(n, dtype=bool)
-    seen[identity] = True
-    frontier, letters = np.array([identity]), []  # letters[d][x]: letter d of x's word, else g
-    while len(frontier):
-        reached, first = np.unique(graph[frontier, :g], return_index=True)
-        fresh = ~seen[reached]
-        reached, first = reached[fresh], first[fresh]
-        seen[reached] = True
-        for column in letters:  # a word is its parent's word plus one letter
-            column[reached] = column[frontier[first // g]]
-        letters.append(np.full(n, g))
-        letters[-1][reached] = first % g
-        frontier = reached
-    squares = np.arange(n)
-    for column in letters:
-        squares = graph[squares, column]
-    return squares
-
-
 def greens(m: Monoid) -> GreensReport:
     """L/R/J/H partitions from the Cayley graphs, plus regularity.
 
@@ -578,8 +564,7 @@ def greens(m: Monoid) -> GreensReport:
     one pass over its K classes in completion order.  Class ids are
     numbered by first occurrence.  Computed once per monoid and kept on
     it, like its table.  An element is regular iff its J-class holds an
-    idempotent.  The idempotents are read off the table's diagonal, or
-    without a table traced along the right graph by ``_squares``.
+    idempotent; the idempotents are the fixed points of ``x -> x x``.
     """
     if m._greens is not None:
         return m._greens
@@ -600,8 +585,7 @@ def greens(m: Monoid) -> GreensReport:
     ideals: dict[int, frozenset] = {}
     for j in dict(sorted(zip(comp, j_ids))).values():
         ideals[j] = frozenset({j}.union(*(ideals[d] for d in below[j] if d != j)))
-    squares = m._table[everything, everything] if m._table is not None else _squares(right, m.identity)
-    idempotents = tuple(np.flatnonzero(squares == everything).tolist())
+    idempotents = tuple(np.flatnonzero(m.mul_indices(everything, everything) == everything).tolist())
     j_has_idem = {j_ids[e] for e in idempotents}
     m._greens = GreensReport(tuple(l_ids), tuple(r_ids), tuple(j_ids), tuple(_partition_ids(zip(l_ids, r_ids))),
                              tuple(j in j_has_idem for j in j_ids), idempotents,
@@ -611,10 +595,9 @@ def greens(m: Monoid) -> GreensReport:
 
 def maximal_subgroup(m: Monoid, e: int) -> Monoid:
     """The H-class of an idempotent ``e`` as a group with identity ``e``,
-    read off ``greens``.  It multiplies through ``m`` as its carrier, a
-    member's row being its index in ``m``, and records no generators, so
-    its table is built by scanning the class through ``m``; a product
-    outside the class raises ``NotClosed``."""
+    read off ``greens``, closed through ``m`` as its carrier (a member's row
+    is its index in ``m``) from the generators the constructor's scan
+    finds; a product outside the class raises ``NotClosed``."""
     if m.mul(e, e) != e:
         raise NotIdempotent(f"element {e} is not idempotent")
     h = greens(m).h
@@ -736,6 +719,7 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
     gens = dict.fromkeys(projection[g] for g in (m.generators or generating_set(m)))
     leader = np.asarray([orbit[0] for orbit in orbits], dtype=ROW)[projection]  # leader[x]: x's orbit's first member
     carrier = SimpleNamespace(width=1, to_row=lambda orbit: (orbit[0],),
+                              from_row=lambda row: orbits[projection[row[0]]],
                               mul_rows=lambda x, y: leader[m.products(x[:, 0], y[:, 0])][:, :, None])
     quotient = Monoid(orbits, orbits[orbit_of[e]], carrier=carrier, label=label, generators=gens,
                       provenance={"kind": "quotient_central", "base": m.descriptor(),
@@ -775,11 +759,11 @@ def generating_set(m: Monoid) -> list[int]:
     the closure so far times it, then each new element times every generator,
     until no product is new.  With a table, the order is by image size (the
     distinct entries of a row, one sort per row), largest first, then index;
-    without, it is ``m.generators``, then every index, so the only products
-    are the closure's and a recorded list that does not generate is completed."""
+    without, it is ``m.generators``, which the constructor has checked
+    generate, so the only products are the closure's."""
     n = len(m)
     if m._table is None:
-        order = [*m.generators, *range(n)]
+        order = m.generators
     else:
         everything, step = np.arange(n), max(1, _BLOCK_CELLS // n)
         blocks = (np.sort(m.products(everything[s : s + step], everything), axis=1) for s in range(0, n, step))
@@ -849,6 +833,17 @@ def to_json(m: Monoid) -> dict:
     return out
 
 
+def rebuilt(provenance, label: str) -> Monoid:
+    """The monoid ``provenance`` names, rebuilt as ``verify`` rebuilds
+    descriptors; one that does not rebuild raises ``InvalidMonoid``."""
+    from semidec.carriers import rebuild  # carriers imports this module
+
+    try:
+        return rebuild(provenance)
+    except (LookupError, TypeError, ValueError, OverflowError, RecursionError, SemidecError) as exc:
+        raise InvalidMonoid(label, f"provenance does not rebuild: {type(exc).__name__}: {exc}") from None
+
+
 def from_json(obj) -> Monoid:
     """Rebuild a monoid from its JSON form, checking the untrusted file in full.
 
@@ -856,6 +851,9 @@ def from_json(obj) -> Monoid:
     the ``value_json`` encoding, whose ``identity`` is an element index,
     and whose table is a square array of element indices with that
     identity on both sides, and associative; otherwise ``InvalidMonoid``.
+    Past ``TABLE_BOUND``, where ``to_json`` writes no table, a file without
+    one is rebuilt from its ``provenance`` instead, and must list the
+    rebuilt monoid's elements and identity.
     """
     if not isinstance(obj, dict):
         raise InvalidMonoid("", "monoid file is not a JSON object")
@@ -873,6 +871,12 @@ def from_json(obj) -> Monoid:
         raise InvalidMonoid(label, "element values are not distinct")
     if not isinstance(e, int) or isinstance(e, bool) or not 0 <= e < n:
         raise InvalidMonoid(label, f"identity index {e!r} out of range 0..{n - 1}")
+    if "table" not in obj and not within_table_bound(n):
+        m = rebuilt(obj.get("provenance"), label)
+        differs = [f"element {k}" for k, (x, y) in enumerate(zip_longest(m.elements, elements)) if x != y]
+        if differs or m.identity != e:
+            raise InvalidMonoid(label, f"provenance rebuilds {(differs + ['the identity'])[0]} unlike the file")
+        return m
     try:
         table = np.array(obj.get("table"))
     except ValueError:  # ragged rows

@@ -82,9 +82,10 @@ class DivisionWitness:
         ``closure_monoid``, as ``close_generators`` closures do, so an
         element's index is its closure position (``preimages``); a rebuild
         from the "close" descriptor, which lists the pairs' target rows,
-        keeps that order.  The closure is keyed by target row, so the table
-        is the ``cayley_table`` of ``verify``'s graph, with no target
-        products.  The identity is the left identity of the generators, read
+        keeps that order.  The closure is keyed by target row, so the
+        monoid multiplies along ``verify``'s graph, a table within the bound
+        and a trace past it, with no target products but the spot check's
+        sample.  The identity is the left identity of the generators, read
         off the graph's rows: a two-sided identity is the only one, and the
         ``Monoid`` check that it is two-sided on every element decides
         whether there is one (there is when the witness pairs the

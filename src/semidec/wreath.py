@@ -1,16 +1,15 @@
 """Wreath products with lazy multiplication over enumerated bases.
 
-Both sides of ``top wr base`` are enumerated monoids with tables.  An
-element is a pair ``(f, a)`` of indices: ``f`` is a dense tuple of top
-indices indexed by the base monoid's canonical order, and ``a`` is a base
-index; in JSON it is ``[[f_0, ..., f_{|B|-1}], a]``.  The product shifts
-the right table's argument by the left base part, one gather on the two
-tables:
+Both sides of ``top wr base`` are enumerated monoids, with or without
+tables.  An element is a pair ``(f, a)`` of indices: ``f`` is a dense
+tuple of top indices indexed by the base monoid's canonical order, and
+``a`` is a base index; in JSON it is ``[[f_0, ..., f_{|B|-1}], a]``.  The
+product shifts the right table's argument by the left base part:
 
     (f, a) (g, b) = (t -> f[t] * g[t a],  a b)
 
 In a closure the value is the int row ``[f_0, ..., f_{|B|-1}, a]``, and a
-block of rows times a block of rows is one such gather.
+block of rows times a block of rows is one ``Monoid.mul_indices`` a side.
 
 Full enumeration is guarded; the pipelines instead multiply inside wreath
 products over *restricted* bases (sub-monoids holding just the traced
@@ -25,22 +24,17 @@ from itertools import product
 import numpy as np
 
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
-from semidec.monoid import DEFAULT_LIMIT, TABLE_BOUND, Monoid, generating_set, product_value
+from semidec.monoid import DEFAULT_LIMIT, Monoid, generating_set, product_value
 
 
 class WreathContext:
-    """Multiplication context for top wr base.
-
-    ``top`` and ``base`` must be Monoids with tables: one past ``TABLE_BOUND``
-    with none raises ``SizeLimitExceeded``, anything else ``ContextMismatch``.
-    """
+    """Multiplication context for top wr base; ``top`` and ``base`` must be
+    Monoids, else ``ContextMismatch``."""
 
     def __init__(self, top: Monoid, base: Monoid):
         for side, m in (("top", top), ("base", base)):
             if not isinstance(m, Monoid):
                 raise ContextMismatch(f"wreath {side} {m.label} is not a monoid")
-            if m._table is None:
-                raise SizeLimitExceeded(TABLE_BOUND, f"wreath {side} {m.label} ({len(m)} elements) has no table")
         self.top = top
         self.base = base
         self.label = f"({top.label} wr {base.label})"
@@ -63,13 +57,14 @@ class WreathContext:
 
     def mul_rows(self, x, y) -> np.ndarray:
         """Products of every row of ``x`` with every row of ``y``, ``out[i, j]
-        = x[i] * y[j]``: one gather ``top[f, g[base[:, a]]]`` for the whole block."""
-        base, b = self.base._table, len(self.base)
+        = x[i] * y[j]``: ``f[t] * g[t a]`` for the whole block at once, each
+        side multiplying by its own ``mul_indices``."""
+        base, b = self.base, len(self.base)
         a = x[:, b]
-        shifted = y[:, :b][:, base[:, a].T]  # shifted[j, i, t] = g_j[t a_i]
+        shifted = y[:, :b][:, base.products(np.arange(b), a).T]  # shifted[j, i, t] = g_j[t a_i]
         out = np.empty((len(x), len(y), b + 1), dtype=x.dtype)
-        out[:, :, :b] = self.top._table[x[:, None, :b], shifted.transpose(1, 0, 2)]
-        out[:, :, b] = base[a[:, None], y[:, b]]
+        out[:, :, :b] = self.top.mul_indices(x[:, None, :b], shifted.transpose(1, 0, 2))
+        out[:, :, b] = base.products(a, y[:, b])
         return out
 
     def mul_value(self, x, y):

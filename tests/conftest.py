@@ -121,6 +121,20 @@ def fam():
     return cached_family
 
 
+@pytest.fixture
+def lowered_bound(request, monkeypatch):
+    """``TABLE_BOUND`` at 64, or at the bound a test passes by parametrising
+    this fixture indirectly, and an empty family cache, so every monoid past
+    it is built untabled for the test; returns the bound."""
+    import semidec.families
+    import semidec.monoid
+
+    bound = getattr(request, "param", 64)
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", bound)
+    monkeypatch.setattr(semidec.families, "_FAMILIES", {})
+    return bound
+
+
 @lru_cache(maxsize=None)
 def cached_ring_plan(n: int, ring_spec: str):
     from semidec.decomp import ring_pipeline

@@ -7,12 +7,13 @@ random transformation monoids for the checks to run on.  The library
 computes each answer one way; the second ways live here.
 """
 
+import numpy as np
 from hypothesis import strategies as st
 
 from oracles import (ElementaryOp, classify, columns, elementary_matrix, isomorphic_by_table, matrix,
                      multiplicative_by_table, rows, span_membership)
 from semidec.families import MatrixCarrier, constants_monoid, identity_entries, transformation_closure
-from semidec.monoid import (greens, is_aperiodic, is_group, isomorphic, maximal_subgroup, multiplicative,
+from semidec.monoid import (ROW, greens, is_aperiodic, is_group, isomorphic, maximal_subgroup, multiplicative,
                             quotient_by_central_units)
 
 
@@ -179,3 +180,38 @@ def multiplicativity_two_ways(m, n, f) -> int:
     that differ from the whole-table checks on the index map ``f``."""
     return (int(multiplicative(m, n, f) != multiplicative_by_table(m, n, f))
             + int(isomorphic(m, n, f) != isomorphic_by_table(m, n, f)))
+
+
+class OrbitCarrier:
+    """The orbits of a matrix monoid's elements under a central subgroup as
+    a carrier: an orbit's row is its first member's matrix row, and a block
+    of rows multiplies as matrices, each product then going to its orbit's
+    first member."""
+
+    def __init__(self, base, matrices, projection, orbits):
+        self.base, self.matrices, self.projection, self.orbits = base, matrices, projection, orbits
+        self.width = matrices.width
+
+    def to_row(self, orbit) -> tuple:
+        return self.matrices.to_row(self.base.elements[orbit[0]])
+
+    def from_row(self, row):
+        return self.orbits[self.projection[self.base.index[self.matrices.from_row(row)]]]
+
+    def mul_rows(self, x, y):
+        products = self.matrices.mul_rows(x, y)
+        leaders = [self.to_row(self.from_row(row)) for row in products.reshape(-1, self.width).tolist()]
+        return np.array(leaders, dtype=products.dtype).reshape(products.shape)
+
+
+def traced_products_off_the_carrier(m, carrier, xs, ys) -> int:
+    """How many products ``xs[i] * ys[j]`` of a table-less monoid, traced
+    along its right Cayley graph, differ from ``carrier.mul_rows`` on the
+    factors' carrier rows."""
+
+    def encoded(indices):
+        return np.array([carrier.to_row(m.elements[i]) for i in indices], dtype=ROW).reshape(len(indices), -1)
+
+    through = carrier.mul_rows(encoded(xs), encoded(ys))
+    traced = encoded(m.products(xs, ys).ravel()).reshape(through.shape)
+    return int((through != traced).any(axis=2).sum())

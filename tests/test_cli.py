@@ -1172,3 +1172,24 @@ def test_optimized_round_trip_is_byte_identical(tmp_path):
         assert proc.returncode == 0, proc.stderr
         count = len(json.loads(outputs[True][1])["certificates"]) + 1
         assert proc.stdout.count(": verified closure=") == count, ring
+
+
+@pytest.mark.parametrize("lowered_bound", [8], indirect=True)
+def test_a_file_past_the_bound_is_rebuilt_from_its_provenance(tmp_path, capsys, lowered_bound):
+    # past the bound family --out writes no table, so analyze rebuilds the
+    # file from its provenance: the report is the tabled file's, and a file
+    # whose elements are not the rebuilt monoid's is refused
+    tabled, untabled = tmp_path / "tabled.json", tmp_path / "untabled.json"
+    family = ["family", "--kind", "T", "--n", "3", "--ring", "zp:2", "--out"]
+    assert run_cli([*family, str(tabled)]).returncode == 0  # a fresh process, at the default bound
+    assert run([*family, str(untabled)], capsys)[0] == 0
+    payload = json.loads(untabled.read_text())
+    assert "table" in json.loads(tabled.read_text()) and "table" not in payload and payload["size"] == 64
+    expected = run_cli(["analyze", str(tabled)])
+    assert expected.returncode == 0, expected.stderr
+    assert run(["analyze", str(untabled)], capsys) == (0, expected.stdout, "")
+    payload["elements"][5], payload["elements"][6] = payload["elements"][6], payload["elements"][5]
+    untabled.write_text(json.dumps(payload))
+    code, stdout, stderr = run(["analyze", str(untabled)], capsys)
+    assert code == 2 and stdout == ""
+    assert stderr == "error: InvalidMonoid: T_3(Z_2): provenance rebuilds element 5 unlike the file\n"

@@ -361,15 +361,17 @@ def test_close_generators_evaluates_only_the_closure_products():
             calls.append(len(x) * len(y))  # products in the block
             return super().mul_rows(x, y)
 
-    # a 3-cycle: closure 3 elements, the identity among them
+    # a 3-cycle: closure 3 elements, the identity among them; then the
+    # spot check's sample of carrier products
+    sample = semidec.monoid._SPOT_SIDE ** 2
     m = close_generators([(1, 2, 0)], Counted(3), (0, 1, 2))
-    assert len(m) == 3 and sum(calls) == 3 * 1
+    assert len(m) == 3 and sum(calls) == 3 * 1 + sample
     assert m.table_array().tolist() == value_product_table(m.elements, compose_tables)
     # two constants: the identity is appended after 2g + 1 checked products
     calls.clear()
     m = close_generators([(0, 0, 0), (1, 1, 1)], Counted(3), (0, 1, 2))
     assert m.elements[-1] == (0, 1, 2) and m.identity == 2
-    assert sum(calls) == 2 * 2 + 2 * 2 + 1
+    assert sum(calls) == 2 * 2 + 2 * 2 + 1 + sample
     assert m.table_array().tolist() == value_product_table(m.elements, compose_tables)
 
 
@@ -679,3 +681,42 @@ def test_pipelines_past_the_table_bound_certify_as_within_it(monkeypatch, pipeli
     table, bundle = document_from_json(json.loads(json.dumps(document_to_json(plan.witnesses, plan.composite))))
     composite = verify(witness_from_json(bundle[-1], table))
     assert composite.verified and composite.closure_size == plan.composite.closure_size
+
+
+@pytest.mark.parametrize("pipeline,n,spec,lowered_bound", [("ring", 3, "2", 2), ("field", 2, "3", 4)],
+                         ids=["ring 3 Z_2", "field 2 Z_3"], indirect=["lowered_bound"])
+def test_pipelines_with_untabled_wreath_sides_certify_as_tabled(monkeypatch, pipeline, n, spec, lowered_bound):
+    # with the bound lowered every wreath context has a side without a
+    # table, which multiplies by tracing: the plan summary is byte-identical
+    # to the default bound's, each certificate differs only in its pairs
+    # (generating sets are ranked only with a table), as many of them
+    # closing to the same sizes, and the document verifies from JSON alone
+    from conftest import read_document, run_python
+
+    contexts = []
+    original = WreathContext.__init__
+
+    def recorded(self, top, base):
+        original(self, top, base)
+        contexts.append(self)
+
+    monkeypatch.setattr(WreathContext, "__init__", recorded)
+    plan = {"field": field_pipeline, "ring": ring_pipeline}[pipeline](n, _ring(spec))
+    assert contexts and all(ctx.top._table is None or ctx.base._table is None for ctx in contexts)
+    document = json.loads(json.dumps(document_to_json(plan.witnesses, plan.composite)))
+    script = ("import json\nfrom semidec.decomp import field_pipeline, ring_pipeline\n"
+              "from semidec.semiring import make_prime_field\nfrom semidec.witness import document_to_json\n"
+              f"plan = {pipeline}_pipeline({n}, make_prime_field({spec}))\n"
+              "print(json.dumps([plan.summary(), document_to_json(plan.witnesses, plan.composite),"
+              " [w.closure_size for w in plan.witnesses]]))\n")
+    proc = run_python(["-c", script])  # a fresh process, at the default bound
+    assert proc.returncode == 0, proc.stderr
+    summary, tabled, sizes = json.loads(proc.stdout)
+    assert json.dumps(plan.summary(), sort_keys=True) == json.dumps(summary, sort_keys=True)
+    assert document["steps"] == tabled["steps"] and [w.closure_size for w in plan.witnesses] == sizes
+    certificates = document["certificates"] + [document["composite"]]
+    expected = tabled["certificates"] + [tabled["composite"]]
+    assert [dict(c, pairs=len(c["pairs"])) for c in certificates] == [dict(c, pairs=len(c["pairs"])) for c in expected]
+    witnesses = read_document(document)
+    assert all(verify(w).verified for w in witnesses)
+    assert [w.closure_size for w in witnesses[:-1]] == sizes

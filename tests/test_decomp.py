@@ -339,17 +339,6 @@ def test_census_reaches_z13():
     }
 
 
-@pytest.fixture
-def lowered_bound(monkeypatch):
-    """``TABLE_BOUND`` at 64 and an empty family cache, so families, H-classes
-    and quotients past 64 elements are built untabled for this test."""
-    import semidec.families
-    import semidec.monoid
-
-    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 64)
-    monkeypatch.setattr(semidec.families, "_FAMILIES", {})
-
-
 def test_census_past_a_lowered_table_bound_is_unchanged(z3, request):
     # the H-classes and quotients of the census multiply through their base,
     # and the restriction maps are checked along the star families' generators

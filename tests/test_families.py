@@ -348,10 +348,11 @@ def test_carrier_built_tables_match_value_products(fam):
 @pytest.mark.parametrize("kind,n,spec,untabled", [("AS", 2, "3", False), ("AS", 2, "5", False),
                                                    ("A", 2, "2", True)])
 def test_carrier_built_tables_trace_a_closure_not_every_pair(monkeypatch, kind, n, spec, untabled):
-    # a table built through a carrier closes the identity and the recorded
-    # generators, N g product cells, and traces every other product along
-    # the closure's right Cayley graph: far below one product per pair.
-    # Untabled, the family builds the same table when table_array asks
+    # a monoid built through a carrier closes the identity and the recorded
+    # generators, N g product cells, plus the spot check's sample, and
+    # traces every other product along the closure's right Cayley graph:
+    # far below one product per pair.  Untabled, table_array traces the
+    # same table with no carrier product
     import semidec.families
     import semidec.monoid
     from conftest import _ring
@@ -371,11 +372,11 @@ def test_carrier_built_tables_trace_a_closure_not_every_pair(monkeypatch, kind, 
         if untabled:
             patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
         m = family(kind, n, _ring(spec))
-    if untabled:
-        assert m._table is None
-        cells.clear()
+    closure = len(m) * len({m.identity, *m.generators})
+    assert sum(cells) == closure + semidec.monoid._SPOT_SIDE ** 2 and 3 * sum(cells) < len(m) ** 2
+    cells.clear()
     table = m.table_array()
-    assert sum(cells) == len(m) * len({m.identity, *m.generators}) and 3 * sum(cells) < len(m) ** 2
+    assert (m._table is None) == untabled and cells == []
     assert table.tolist() == value_product_table(m.elements, compose_tables), m.label
 
 

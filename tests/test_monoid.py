@@ -487,53 +487,20 @@ class CountedMatrices(MatrixCarrier):
 
 
 def test_oracle_mode_without_table(z2, monkeypatch):
+    # past the bound only construction multiplies through the carrier: the
+    # closure (N g cells) and the spot check's sample; mul, products,
+    # table_array and greens trace along the right Cayley graph
     gen = ((1, 1), (0, 1))
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 1)
     carrier = CountedMatrices(z2, 2)
     m = close_generators([carrier.to_row(gen)], carrier, carrier.to_row(identity_entries(z2, 2)))
-    assert m._table is None
+    assert m._table is None and len(m) == 2
+    assert sum(rows * cols for rows, cols in carrier.blocks) == len(m) * 1 + semidec.monoid._SPOT_SIDE ** 2
     carrier.blocks.clear()
     assert m.mul(0, 0) == m.index[identity_entries(z2, 2)]
-    assert m.mul(0, 0) == m.index[identity_entries(z2, 2)]
-    assert carrier.blocks == [(1, 1), (1, 1)]  # one one-cell block per product, and no memo
-
-
-@pytest.mark.parametrize("cells", [1 << 16, 64], ids=["one block", "column chunks"])
-def test_untabled_monoid_multiplies_a_block_at_a_time(fam, z3, monkeypatch, cells):
-    # past the table bound products, mul, table_array and the constructor's
-    # spot check each multiply through the carrier's mul_rows in blocks of
-    # at most _BLOCK_CELLS row entries, never once per pair
-    t2 = fam("T", 2, "3")
-    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 0)
-    monkeypatch.setattr(semidec.monoid, "_BLOCK_CELLS", cells)
-    carrier = CountedMatrices(z3, 2)
-    n, per_block = len(t2), cells // carrier.width  # 27 elements, products per block
-
-    def blocks(rows, cols):
-        """Block count of ``rows x cols`` products: whole rows, or one row in column chunks."""
-        if cols <= per_block:
-            return -(-rows // (per_block // cols))
-        return rows * -(-cols // per_block)
-
-    m = Monoid(t2.elements, t2.identity_value, carrier=carrier)
-    assert m._table is None
-    # the identity's row and column, then (a b) c and a (b c) over three seeded 4-element sets
-    assert len(carrier.blocks) == blocks(1, n) + blocks(n, 1) + 2 * blocks(4, 4) + blocks(16, 4) + blocks(4, 16)
-    for call, count in [(lambda: m.products(range(n), range(n)), blocks(n, n)),
-                        (lambda: m.products([3], range(n)), blocks(1, n)),
-                        (lambda: m.mul(5, 7), 1)]:
-        carrier.blocks.clear()
-        call()
-        assert len(carrier.blocks) == count
-        assert all(rows * cols <= max(1, per_block) for rows, cols in carrier.blocks)
-    # table_array traces the table along the closure of the identity and a
-    # generating set: the set's growing closure, then N (g + 1) cells
-    gens = generating_set(m)
-    cells = _growing_cells(m, gens) + n * (len(gens) + 1)
-    carrier.blocks.clear()
-    assert m.table_array().tolist() == t2.table_array().tolist()
-    assert sum(rows * cols for rows, cols in carrier.blocks) == cells < n * n
-    assert all(rows * cols <= max(1, per_block) for rows, cols in carrier.blocks)
+    assert m.products(range(2), range(2)).tolist() == m.table_array().tolist() == [[1, 0], [0, 1]]
+    assert greens(m).idempotents == (1,)
+    assert carrier.blocks == [] and m._table is None
 
 
 def test_group_and_aperiodic_read_the_greens_report(fam):
@@ -602,25 +569,23 @@ def _growing_cells(m, gens) -> int:
 
 
 def test_untabled_greens_reads_graphs_not_a_table(fam, z2, monkeypatch):
-    # past the bound, greens multiplies the generating set's growing
-    # closure (no ranking) and the right and left Cayley graphs (N g cells
-    # each), and never an N x N block; the squares x x are traced along the
-    # right graph with no product
+    # past the bound the constructor closes the identity and the generators
+    # through the carrier, N g cells plus the spot check's sample; greens,
+    # its squares and multiplicative trace along the right Cayley graph and
+    # make no carrier product
+    from semidec.monoid import multiplicative
+
     t3 = fam("T", 3, "2")
     n = len(t3)
     monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
-    m = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(z2, 3))
-    gens = generating_set(m)
-    blocks = []
-
-    def counted(self, rows, cols, original=Monoid._carrier_products):
-        blocks.append((len(rows), len(cols)))
-        return original(self, rows, cols)
-
-    monkeypatch.setattr(Monoid, "_carrier_products", counted)
+    carrier = CountedMatrices(z2, 3)
+    m = Monoid(t3.elements, t3.identity_value, carrier=carrier, generators=t3.generators)
+    cells = sum(rows * cols for rows, cols in carrier.blocks)
+    assert cells == n * len({m.identity, *m.generators}) + semidec.monoid._SPOT_SIDE ** 2
+    carrier.blocks.clear()
     rep = greens(m)
-    assert sum(r * c for r, c in blocks) == _growing_cells(m, gens) + 2 * n * len(gens)
-    assert (n, n) not in blocks
+    assert multiplicative(m, t3, range(n)) and multiplicative(t3, m, range(n))
+    assert carrier.blocks == []
     assert m._table is None
     assert rep == greens(t3)
 
@@ -640,19 +605,17 @@ def test_untabled_idempotents_match_a_square_scan_and_the_table(fam, monkeypatch
     assert m._table is None
 
 
-def test_a_recorded_list_that_does_not_generate_is_completed(fam, z2, monkeypatch):
-    # a table-less monoid scans its recorded generators, then every index, so
-    # a list that does not generate costs generators, never a partial set
+def test_a_recorded_list_that_does_not_generate_is_refused_past_the_bound(fam, z2, monkeypatch):
+    # past the bound as within it the constructor closes the recorded list,
+    # so a list that misses elements is refused, never completed
     from semidec.monoid import index_closure
 
     t3 = fam("T", 3, "2")
-    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
     x = next(x for x in range(len(t3)) if x != t3.identity)
-    m = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(z2, 3), generators=[x])
-    gens = generating_set(m)
-    assert m._table is None and gens[0] == x and len(gens) > 1
-    assert set(index_closure(m, gens, "test")[0]) | {m.identity} == set(range(len(m)))
-    assert greens(m) == greens(t3)
+    reach = len(index_closure(t3, [t3.identity, x], "test")[0])
+    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
+    with pytest.raises(InvalidMonoid, match=rf"copy: its generators reach {reach} of {len(t3)} elements"):
+        Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(z2, 3), generators=[x], label="copy")
 
 
 def test_a_recorded_list_that_does_not_generate_is_refused_within_the_bound(fam, z2):
@@ -863,3 +826,43 @@ def test_mutated_monoid_file_is_read_or_refused(data):
     except InvalidMonoid:
         return
     assert len(m.elements) == len(payload["elements"]) and m.table_array().shape == (len(m), len(m))
+
+
+class _OffGenerators:
+    """Z_7 under addition along the generators 0 and 1, but ``x * y = x + y
+    + 1`` when ``x`` is not 0 and ``y`` is neither: not associative, yet its
+    right Cayley graph over {0, 1} is that of Z_7, so only products through
+    the carrier show it."""
+
+    width = 1
+
+    def to_row(self, value) -> tuple:
+        return (value,)
+
+    def from_row(self, row):
+        return row[0]
+
+    def mul_rows(self, x, y):
+        a, b = x[:, None, 0], y[None, :, 0]
+        return ((a + b + ((a != 0) & (b > 1))) % 7)[:, :, None].astype(x.dtype)
+
+
+@pytest.mark.parametrize("lowered_bound", [semidec.monoid.TABLE_BOUND, 0], ids=["within", "past"], indirect=True)
+def test_spot_check_multiplies_through_the_carrier(lowered_bound):
+    # traced products are read off a graph of carrier products by the
+    # generators, so the spot check samples other pairs through the carrier:
+    # on either side of the bound a carrier that is not associative, an
+    # identity that is not two-sided and a product outside the elements are
+    # refused
+    from oracles import CyclicCarrier
+    from semidec.errors import NotClosed
+
+    with pytest.raises(InvalidMonoid, match="the product of elements .* is not its carrier's"):
+        Monoid(range(7), 0, carrier=_OffGenerators(), label="off")
+    assert len(Monoid(range(7), 0, carrier=CyclicCarrier(7))) == 7
+    with pytest.raises(InvalidMonoid, match="identity is not two-sided"):
+        Monoid(range(7), 1, carrier=CyclicCarrier(7))
+    f = (1, 2, 2)  # f f = (2, 2, 2)
+    with pytest.raises(NotClosed, match=r"the product of elements 1 and 1 \(\(1, 2, 2\) \* \(1, 2, 2\)\)") as err:
+        Monoid([(0, 1, 2), f], (0, 1, 2), carrier=TransformationCarrier(3))
+    assert err.value.pair == (1, 1)

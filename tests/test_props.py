@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import semidec.monoid
@@ -18,7 +18,9 @@ from propchecks import (
     projection_not_homomorphic,
     projective_quotient_respects_structure,
     regularity_three_ways,
+    OrbitCarrier,
     small_monoids,
+    traced_products_off_the_carrier,
 )
 from semidec.monoid import Monoid, isomorphic, multiplicative, quotient_by_central_units
 
@@ -104,3 +106,60 @@ def test_multiplicative_along_generators_matches_the_table(data):
     for _, target, f in cases:
         assert multiplicative(untabled, target, f) == multiplicative_by_table(m, target, f)
     assert untabled._table is None
+
+
+def _untabled_case(name: str):
+    """``(monoid, carrier)``: a table-less monoid, built past the lowered
+    bound, and a carrier that multiplies its element values."""
+    from conftest import _ring, cached_family
+    from semidec.carriers import ProductCarrier
+    from semidec.decomp import induction_step
+    from oracles import table_monoid
+    from semidec.families import MatrixCarrier, TransformationCarrier
+    from semidec.monoid import direct_product, greens, maximal_subgroup
+    from semidec.wreath import WreathContext, enumerate_wreath
+
+    z2, z3 = _ring("2"), _ring("3")
+    if name in ("T_3(Z_3)", "UT_3(Z_3)"):
+        return cached_family(name[:-7], 3, "3"), MatrixCarrier(z3, 3)
+    if name == "AS_2(Z_3)":
+        return cached_family("AS", 2, "3"), TransformationCarrier(9)
+    if name == "PT_3(Z_3)":
+        base = cached_family("T", 3, "3")
+        scalars = [base.identity, base.index[((2, 0, 0), (0, 2, 0), (0, 0, 2))]]
+        m, projection = quotient_by_central_units(base, scalars)
+        return m, OrbitCarrier(base, MatrixCarrier(z3, 3), projection, m.elements)
+    if name == "H-class of T_3(Z_2)":
+        base = cached_family("T", 3, "2")
+        e = max(greens(base).idempotents, key=lambda e: greens(base).h.count(greens(base).h[e]))
+        return maximal_subgroup(base, e), MatrixCarrier(z2, 3)
+    if name == "T_2(Z_2) x T_2(Z_3)":
+        a, b = cached_family("T", 2, "2"), cached_family("T", 2, "3")
+        return direct_product(a, b), ProductCarrier(a, b)
+    if name == "Z_3 wr C_3":  # sides with given tables, which no bound removes
+        ctx = WreathContext(table_monoid(range(3), 0, lambda a, b: (a + b) % 3, "Z_3"),
+                            table_monoid(range(3), 0, max, "C_3"))
+        return enumerate_wreath(ctx), ctx
+    w = induction_step(3, z2)
+    return w.image_submonoid(), w.target
+
+
+UNTABLED = ["T_3(Z_3)", "UT_3(Z_3)", "AS_2(Z_3)", "PT_3(Z_3)", "H-class of T_3(Z_2)", "T_2(Z_2) x T_2(Z_3)",
+            "Z_3 wr C_3", "induction image"]
+
+
+@pytest.mark.parametrize("lowered_bound", [0], indirect=True)
+@pytest.mark.parametrize("name", UNTABLED)
+def test_traced_products_match_the_carrier(lowered_bound, name):
+    # past the bound every monoid multiplies along its right Cayley graph;
+    # sampled blocks of those traced products equal the carrier's products
+    m, carrier = _untabled_case(name)
+    assert m._table is None and len(m) > 1, m.label
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def check(data):
+        indices = st.lists(st.integers(0, len(m) - 1), min_size=1, max_size=8)
+        assert traced_products_off_the_carrier(m, carrier, data.draw(indices), data.draw(indices)) == 0
+
+    check()

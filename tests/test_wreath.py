@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from semidec.carriers import ProductCarrier
@@ -71,31 +72,44 @@ def test_mul_context_mismatch():
 
 
 def test_sides_must_be_monoids_with_tables(fam, monkeypatch):
+    # a side that is no monoid is refused; a side without a table multiplies
+    # by tracing, block for block as its tabled copy does, a cyclic base past
+    # TABLE_BOUND too
     t1 = fam("T", 1, "2")
     for top in (WreathContext(u1(), t1), ProductCarrier(t1, u1())):
         with pytest.raises(ContextMismatch, match="wreath top"):
             WreathContext(top, t1)
+    as1 = fam("AS", 1, "3")
     with monkeypatch.context() as patch:
         patch.setattr(semidec.monoid, "TABLE_BOUND", 0)
-        untabled = Monoid([0, 1], 0, carrier=u1(), label="U")
-    with pytest.raises(SizeLimitExceeded, match=r"wreath top U \(2 elements\)"):
-        WreathContext(untabled, t1)
-    with pytest.raises(SizeLimitExceeded, match=r"wreath base U \(2 elements\)"):
-        WreathContext(t1, untabled)
+        top, base = (Monoid(m.elements, m.identity_value, carrier=m, label=m.label) for m in (as1, t1))
+    assert top._table is None and base._table is None
+    rows = np.array([(*f, a) for f, a in wreath_elements(WreathContext(as1, t1))], dtype=np.int32)
+    tabled = WreathContext(as1, t1).mul_rows(rows, rows)
+    for ctx in (WreathContext(top, t1), WreathContext(as1, base), WreathContext(top, base)):
+        assert np.array_equal(ctx.mul_rows(rows, rows), tabled), ctx.label
     order = TABLE_BOUND + 1
     cyclic = Monoid(range(order), 0, carrier=CyclicCarrier(order), label="Z_4097")
     assert cyclic._table is None
-    with pytest.raises(SizeLimitExceeded, match=r"wreath base Z_4097 \(4097 elements\)"):
-        WreathContext(u1(), cyclic)
+    rng = np.random.default_rng(0xC7C)
+    x, y = (np.column_stack([rng.integers(0, 2, (5, order)), rng.integers(0, order, 5)]).astype(np.int32)
+            for _ in range(2))
+    out = WreathContext(u1(), cyclic).mul_rows(x, y)
+    shift = (np.arange(order) + x[:, -1:]) % order  # shift[i, t] = t a_i
+    assert np.array_equal(out[:, :, :-1], x[:, None, :-1] | y[:, shift].transpose(1, 0, 2))  # U_1 is {0, 1} under or
+    assert np.array_equal(out[:, :, -1], (x[:, -1:] + y[:, -1]) % order)
 
 
 def test_field_pipeline_past_the_table_bound_is_a_size_limit():
-    # over Z_7 the first lift's traced image has 12,390 elements, past
-    # TABLE_BOUND, so it cannot be the top of a wreath context
+    # over Z_7 the first lift's traced image (12,390 elements, past
+    # TABLE_BOUND) is a wreath top that multiplies by tracing; the next wall
+    # is the direct product of that image with the 36 units of
+    # T*_1(Z_7)^2 that _inner_kabsorb needs, past DEFAULT_LIMIT
     from semidec.decomp import field_pipeline
     from semidec.semiring import make_prime_field
 
-    with pytest.raises(SizeLimitExceeded, match=r"wreath top im\(.*\) \(12390 elements\)"):
+    with pytest.raises(SizeLimitExceeded, match=r"direct product of im\(.*\) and \(T\*_1\(Z_7\) x T\*_1\(Z_7\)\) "
+                                                r"\(446040 elements\)"):
         field_pipeline(2, make_prime_field(7))
 
 
@@ -127,7 +141,8 @@ def test_wreath_past_table_bound_multiplies_by_value(monkeypatch):
 def test_wreath_table_is_traced_along_point_functions(fam, monkeypatch):
     # the enumeration records each top generator at one base point, then the
     # identity table with each base generator; they generate, so the table
-    # is one closure of N (g + 1) context cells, not one product per pair
+    # is one closure of N (g + 1) context cells, not one product per pair,
+    # with the spot check's sample of context products
     from semidec.monoid import generating_set
 
     rng = random.Random(0x9E7)
@@ -144,7 +159,8 @@ def test_wreath_table_is_traced_along_point_functions(fam, monkeypatch):
         points = [(tuple(x if t == s else e for t in range(b)), base.identity)
                   for x in generating_set(top) for s in range(b)]
         assert [w.elements[g] for g in w.generators] == points + [((e,) * b, y) for y in generating_set(base)]
-        assert w._table is not None and sum(cells) == len(w) * (len(w.generators) + 1)
+        assert w._table is not None
+        assert sum(cells) == len(w) * (len(w.generators) + 1) + semidec.monoid._SPOT_SIDE ** 2  # and the spot check
         for _ in range(500):
             x, y = rng.randrange(len(w)), rng.randrange(len(w))
             product = wreath_value_product(ctx, wreath_decode(ctx, w.elements[x]), wreath_decode(ctx, w.elements[y]))
