@@ -52,7 +52,7 @@ _SPOT_SIDE = 4  # the spot check tries every triple of three seeded sets of this
 ROW = np.int32  # dtype of carrier rows
 TABLE = np.uint16  # dtype of Cayley tables: every index below TABLE_BOUND < 2**16 fits
 _TABLE_ORDER = int(np.iinfo(TABLE).max) + 1  # most elements a TABLE can index
-_BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows`` and the ``generating_set`` row sorts; bounds their working memory
+_BLOCK_CELLS = 1 << 16  # cells per block in ``close_rows`` and the ``generating_set`` candidate rows; bounds their working memory
 
 
 def check_table_order(size: int, what: str) -> None:
@@ -684,8 +684,8 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
     first-seen order of the base monoid.  The quotient multiplies through a
     carrier of representatives: an orbit's row is its first member, and
     rows multiply in the base, then go to their orbit's first member.  Its
-    generators are the projections of ``m.generators``, else of
-    ``generating_set(m)``, so a table costs one closure of base products.
+    generators are the projections of ``generating_set(m)``, so a table
+    costs one closure of base products.
     """
     zset = set(z)
     e = m.identity
@@ -716,7 +716,7 @@ def quotient_by_central_units(m: Monoid, z: list[int]) -> tuple[Monoid, list[int
             orbit_of[y] = oid
     projection = [orbit_of[x] for x in range(len(m))]
     label = f"{m.label}/central" if m.label else "quotient"
-    gens = dict.fromkeys(projection[g] for g in (m.generators or generating_set(m)))
+    gens = dict.fromkeys(projection[g] for g in generating_set(m))
     leader = np.asarray([orbit[0] for orbit in orbits], dtype=ROW)[projection]  # leader[x]: x's orbit's first member
     carrier = SimpleNamespace(width=1, to_row=lambda orbit: (orbit[0],),
                               from_row=lambda row: orbits[projection[row[0]]],
@@ -755,20 +755,20 @@ def index_closure(m: Monoid, gens, what: str):
 def generating_set(m: Monoid) -> list[int]:
     """Greedy generating set of ``m`` with its identity (Froidure and Pin, 1997).
 
-    Scans elements in one order, adding each one the closure so far misses:
-    the closure so far times it, then each new element times every generator,
-    until no product is new.  With a table, the order is by image size (the
-    distinct entries of a row, one sort per row), largest first, then index;
-    without, it is ``m.generators``, which the constructor has checked
-    generate, so the only products are the closure's."""
+    The candidates are ``m.generators``, which the constructor has checked
+    generate, or every index of a monoid that records none.  They are
+    ranked by image size (the distinct entries of their rows of
+    ``products``, one sort per row), largest first, stably, g N products
+    read the same way with or without a table; the scan adds each one the
+    closure so far misses: the closure so far times it, then each new
+    element times every generator, until no product is new."""
     n = len(m)
-    if m._table is None:
-        order = m.generators
-    else:
-        everything, step = np.arange(n), max(1, _BLOCK_CELLS // n)
-        blocks = (np.sort(m.products(everything[s : s + step], everything), axis=1) for s in range(0, n, step))
-        sizes = np.concatenate([np.count_nonzero(np.diff(b, axis=1), axis=1) for b in blocks])
-        order = np.argsort(-sizes, kind="stable").tolist()
+    candidates = np.array(m.generators or range(n), dtype=np.intp)
+    everything, step = np.arange(n), max(1, _BLOCK_CELLS // n)
+    blocks = (np.sort(m.products(candidates[s : s + step], everything), axis=1)
+              for s in range(0, len(candidates), step))
+    sizes = np.concatenate([np.count_nonzero(np.diff(b, axis=1), axis=1) for b in blocks])
+    order = candidates[np.argsort(-sizes, kind="stable")].tolist()
     gens: list[int] = []
     members = [m.identity]  # the closure so far, with the identity
     inside = np.zeros(n, dtype=bool)

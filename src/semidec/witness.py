@@ -195,21 +195,15 @@ def times_to_wreath(a: Monoid, b: Monoid, source: Monoid | None = None,
     )
 
 
-def absorb(top, b: Monoid, c: Monoid, source: Monoid | None = None,
-           limit: int = DEFAULT_LIMIT) -> DivisionWitness:
+def absorb(top, b: Monoid, c: Monoid, source: Monoid, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """(top wr B) x C embeds in top wr (B x C).
 
     The embedded table ignores the C coordinate of its argument, and base
-    indices of B x C are row-major.  ``source`` may be a restricted monoid of
-    ((table, b), c) values; by default the full product is enumerated under
-    the limit.
+    indices of B x C are row-major.  ``source`` is a monoid of ((table, b),
+    c) values: the full product, or one restricted to the traced elements.
     """
-    from semidec.wreath import enumerate_wreath
-
     base = direct_product(b, c, limit)
     ctx = WreathContext(top, base)
-    if source is None:
-        source = direct_product(enumerate_wreath(WreathContext(top, b), limit), c, limit)
     csize = len(c)
 
     def embed(value):
@@ -226,21 +220,17 @@ def absorb(top, b: Monoid, c: Monoid, source: Monoid | None = None,
     )
 
 
-def lift_left(w: DivisionWitness, top, source: Monoid | None = None,
-              limit: int = DEFAULT_LIMIT) -> DivisionWitness:
+def lift_left(w: DivisionWitness, top, source: Monoid, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """From A div B derive (top wr A) div (top wr B).
 
+    ``source`` is a monoid of top wr A values, in full or restricted.
     Lifted tables are constant on the fibers of the verified map B' -> A, so
     they are built as g-compose-phi over the restricted base B'; the
     restriction step records the formal inclusion into top wr B.
     """
     _require_verified(w)
-    from semidec.wreath import enumerate_wreath
-
     sub = w.image_submonoid()
     ctx = WreathContext(top, sub)
-    if source is None:
-        source = enumerate_wreath(WreathContext(top, w.source), limit)
     phi = w._rows[:, w.target.width].tolist()  # base index -> source index of w
     preim = w.preimages().tolist()  # source index of w -> base index
 
@@ -258,23 +248,20 @@ def lift_left(w: DivisionWitness, top, source: Monoid | None = None,
                           label=f"lift_left({w.label})", limit=limit)
 
 
-def lift_right(w: DivisionWitness, base: Monoid, source: Monoid | None = None,
-               source_top: Monoid | None = None, limit: int = DEFAULT_LIMIT) -> DivisionWitness:
+def lift_right(w: DivisionWitness, base: Monoid, source: Monoid, source_top: Monoid | None = None,
+               limit: int = DEFAULT_LIMIT) -> DivisionWitness:
     """From A div B derive (A wr C) div (B' wr C), B' the traced image of w in B.
 
+    ``source`` is a monoid of A wr C values, in full or restricted.
     Preimages apply pointwise.  The source's tables hold indices of
     ``source_top``, by default ``w.source``; another order of A's elements
     may be named there.  B' wr C is a subsemigroup of B wr C; the
     restriction step records the top's inclusion.
     """
     _require_verified(w)
-    from semidec.wreath import enumerate_wreath
-
     sub = w.image_submonoid()
     ctx = WreathContext(sub, base)
     source_top = source_top or w.source
-    if source is None:
-        source = enumerate_wreath(WreathContext(source_top, base), limit)
     first = w.preimages()
     preim = [int(first[w.source.index[v]]) for v in source_top.elements]  # source top index -> top index
 

@@ -23,7 +23,7 @@ from itertools import product
 
 import numpy as np
 
-from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
+from semidec.errors import ContextMismatch, SizeLimitExceeded
 from semidec.monoid import DEFAULT_LIMIT, Monoid, generating_set, product_value
 
 
@@ -99,33 +99,6 @@ def enumerate_wreath(ctx: WreathContext, limit: int = DEFAULT_LIMIT) -> Monoid:
     gens += [unit + y for y in generating_set(base)]
     return Monoid(elements, ctx.identity_value, carrier=ctx, label=ctx.label, generators=gens,
                   provenance={"kind": "wreath_enum", "top": top.descriptor(), "base": base.descriptor()})
-
-
-def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]:
-    """Context over a sub-monoid of the base, plus the formal restriction step.
-
-    Sound because mapping (f, b) to (f restricted to the sub-base, b), for b
-    in the sub-base and indices read in the sub-base's order, is a surjective
-    homomorphism from a subsemigroup of the full product onto the restricted
-    product.
-    """
-    base = ctx.base
-    for v in sub.elements:
-        if v not in base.index:
-            raise NotClosed(f"{v!r} is not an element of the base")
-    for a in sub.elements:
-        for b in sub.elements:
-            if base.mul_value(a, b) not in sub.index:
-                raise NotClosed("sub-base is not closed under multiplication")
-            if sub.mul_value(a, b) != base.mul_value(a, b):
-                raise NotClosed("sub-base multiplication disagrees with the base")
-    step = {
-        "kind": "restrict_base",
-        "top": ctx.top.descriptor(),
-        "base_from": base.descriptor(),
-        "base_to": sub.descriptor(),
-    }
-    return WreathContext(ctx.top, sub), step
 
 
 def constant_table(ctx: WreathContext, top_index: int) -> tuple:

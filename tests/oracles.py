@@ -12,7 +12,8 @@ direct products, H-classes and central quotients read off the factors'
 or the base's table (``product_table``, ``class_table``,
 ``projection_table``), the group and
 aperiodic predicates by inverses and powers, wreath products on decoded
-values, spans by enumerating all linear combinations.  ``CyclicCarrier``
+values, the restriction of a wreath base to a sub-monoid checked pair by
+pair (``restrict_base``), spans by enumerating all linear combinations.  ``CyclicCarrier``
 is a carrier for cyclic groups too large for a per-pair table.  The
 triangular-matrix helpers below (explicit
 matrices, row and column operations, block decomposition) and the
@@ -38,10 +39,11 @@ from itertools import product
 
 import numpy as np
 
-from semidec.errors import DimensionMismatch, DimensionTooSmall, SemidecError, SizeLimitExceeded
+from semidec.errors import DimensionMismatch, DimensionTooSmall, NotClosed, SemidecError, SizeLimitExceeded
 from semidec.families import identity_entries
 from semidec.monoid import DepthReport, GreensReport, Monoid, generating_set, index_closure
 from semidec.semiring import SemiringTable
+from semidec.wreath import WreathContext
 
 
 def compose_tables(f, g):
@@ -279,14 +281,15 @@ def _image_sizes(table) -> list[int]:
 
 
 def greedy_generating_set(m: Monoid) -> list[int]:
-    """The greedy generating set by exact ranking: elements by the number of
-    distinct entries of their table row, largest first, then by index, each
-    added when the closure of the identity and the generators so far, redone
-    by ``scan_closure``, misses it."""
+    """The greedy generating set by exact ranking: the recorded generators,
+    or every element of a monoid that records none, by the number of
+    distinct entries of their table row, largest first, then in that order,
+    each added when the closure of the identity and the generators so far,
+    redone by ``scan_closure``, misses it."""
     sizes = _image_sizes(m.table_array())
     gens: list[int] = []
     closure = {m.identity}
-    for x in sorted(range(len(m)), key=lambda x: (-sizes[x], x)):
+    for x in sorted(m.generators or range(len(m)), key=lambda x: -sizes[x]):
         if x not in closure:
             gens.append(x)
             closure = set(scan_closure(gens, m.mul)[0]) | {m.identity}
@@ -364,6 +367,35 @@ def wreath_value_product(ctx, x, y):
     a = base.index[fbase]
     out = top.table_array()[f, g[base.table_array()[:, a]]]
     return (tuple(top.elements[k] for k in out), base.elements[base.mul(a, base.index[gbase])])
+
+
+def restrict_base(ctx: WreathContext, sub: Monoid) -> tuple[WreathContext, dict]:
+    """Context over a sub-monoid of the base, plus the formal restriction step.
+
+    Sound because mapping (f, b) to (f restricted to the sub-base, b), for b
+    in the sub-base and indices read in the sub-base's order, is a surjective
+    homomorphism from a subsemigroup of the full product onto the restricted
+    product.  Every pair of sub-base values is multiplied in both monoids;
+    a value outside the base, a product outside the sub-base or one the two
+    disagree on raises ``NotClosed``.
+    """
+    base = ctx.base
+    for v in sub.elements:
+        if v not in base.index:
+            raise NotClosed(f"{v!r} is not an element of the base")
+    for a in sub.elements:
+        for b in sub.elements:
+            if base.mul_value(a, b) not in sub.index:
+                raise NotClosed("sub-base is not closed under multiplication")
+            if sub.mul_value(a, b) != base.mul_value(a, b):
+                raise NotClosed("sub-base multiplication disagrees with the base")
+    step = {
+        "kind": "restrict_base",
+        "top": ctx.top.descriptor(),
+        "base_from": base.descriptor(),
+        "base_to": sub.descriptor(),
+    }
+    return WreathContext(ctx.top, sub), step
 
 
 def span_membership(ring, vectors, target):

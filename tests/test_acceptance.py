@@ -34,6 +34,7 @@ from semidec.witness import (
     times_to_wreath,
     verify,
 )
+from semidec.wreath import WreathContext, enumerate_wreath
 
 
 def _report(criterion: str, detail: str):
@@ -149,18 +150,20 @@ def test_criterion_6_combinator_soundness():
     z2, z3 = make_prime_field(2), make_prime_field(3)
     c2 = transformation_closure([(1, 0)], label="C_2")
     semilattice = u1()
+    wreath = enumerate_wreath(WreathContext(semilattice, semilattice))
+    projection = search_division(semilattice, direct_product(c2, semilattice))
     checks = [
         times_to_wreath(semilattice, semilattice),
         times_to_wreath(c2, semilattice),
         times_to_wreath(cached_family("AS*", 1, "3"), c2),
         interchange(semilattice, semilattice, semilattice, semilattice),
         interchange(c2, semilattice, semilattice, semilattice),
-        absorb(semilattice, semilattice, semilattice),
+        absorb(semilattice, semilattice, semilattice, source=direct_product(wreath, semilattice)),
         augmentation(cached_family("AS*", 1, "3")),
         group_with_zero(z3),
         group_with_zero(z2),
-        lift_left(search_division(semilattice, direct_product(c2, semilattice)), semilattice),
-        lift_right(search_division(semilattice, direct_product(c2, semilattice)), semilattice),
+        lift_left(projection, semilattice, source=wreath),
+        lift_right(projection, semilattice, source=wreath),
     ]
     assert all(w.verified for w in checks)
     aug = augmentation(cached_family("AS*", 1, "2"))

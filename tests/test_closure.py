@@ -314,7 +314,8 @@ def test_image_submonoid_records_its_generator_positions(monkeypatch, z2):
 
 
 def test_direct_product_records_its_factors_generators(monkeypatch):
-    # the same list on both sides of the bound; past it the generating set reads it
+    # the same list on both sides of the bound, and the generating set is
+    # the same greedy subset of it on both sides
     a, b = cached_family("T", 2, "2"), cached_family("T", 2, "3")
     expected = ([x * len(b) + b.identity for x in generating_set(a)]
                 + [a.identity * len(b) + y for y in generating_set(b)])
@@ -325,7 +326,8 @@ def test_direct_product_records_its_factors_generators(monkeypatch):
     assert p._table is None and len(p) == 216
     assert p.generators == expected
     assert set(index_closure(p, p.generators, "test")[0]) | {p.identity} == set(range(len(p)))
-    assert generating_set(p) == p.generators
+    gens = generating_set(p)
+    assert gens == generating_set(tabled) == greedy_generating_set(p) and set(gens) <= set(expected)
 
 
 def _zero_semigroup_with_identity(left: bool) -> Monoid:
@@ -597,8 +599,13 @@ def test_generating_set_builds_no_table(monkeypatch):
 
 
 def _largest_field_image():
-    """The largest witness source of the degree-3 field plan over Z_3: a traced image of 2,688 elements."""
-    return max((w.source for w in cached_field_plan(3, "3").witnesses), key=len)
+    """The largest witness source of the degree-3 field plan over Z_3: a
+    traced image of 2,688 elements; past the table bound, the same monoid
+    closed again through itself, with its recorded generators."""
+    image = max((w.source for w in cached_field_plan(3, "3").witnesses), key=len)
+    if semidec.monoid.within_table_bound(len(image)):
+        return image
+    return Monoid(image.elements, image.identity_value, carrier=image, label=image.label, generators=image.generators)
 
 
 RANKED = {
@@ -612,44 +619,25 @@ RANKED = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(RANKED))
-def test_generating_set_matches_exact_ranking(name):
-    # within TABLE_BOUND the ranking reads every column, so it is the exact
-    # row-image ranking of the reference greedy
-    m = RANKED[name]()
+@pytest.fixture(scope="module")
+def ranked_tabled():
+    """Each ``RANKED`` monoid at the default bound, built before any test lowers it."""
+    return {name: make() for name, make in RANKED.items()}
+
+
+@pytest.mark.parametrize("name,lowered_bound", [(name, 0) for name in sorted(RANKED)], ids=sorted(RANKED),
+                         indirect=["lowered_bound"])
+def test_generating_set_matches_exact_ranking(name, ranked_tabled, lowered_bound):
+    # the ranking reads every candidate's row of products, so it is the
+    # exact row-image ranking of the reference greedy, and the same list
+    # once the bound is lowered and the monoid is rebuilt without a table
+    # (U_1 is given its table, so it keeps one)
+    m = ranked_tabled[name]
     assert name != "field image" or len(m) >= 2000
-    assert generating_set(m) == greedy_generating_set(m)
-
-
-def test_generating_set_past_the_bound_multiplies_only_its_closure(monkeypatch):
-    # with TABLE_BOUND 8, T_3(Z_2) (64 elements) has no table, so nothing is
-    # ranked: the scan reads the recorded generators, then every index, and
-    # the only products are the growing closure's cells
-    from semidec.families import MatrixCarrier
-
-    t3 = cached_family("T", 3, "2")
-    monkeypatch.setattr(semidec.monoid, "TABLE_BOUND", 8)
-    for recorded in ([], t3.generators):
-        m = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(_ring("2"), 3), label="T_3(Z_2)",
-                   generators=recorded)
-        assert len(m) == 64 and m._table is None
-        cells = []
-
-        def counted(self, rows, cols, original=Monoid.products):
-            cells.append(len(rows) * len(cols))
-            return original(self, rows, cols)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Monoid, "products", counted)
-            gens = generating_set(m)
-        assert m._table is None
-        assert set(gens) <= set(recorded or range(len(m)))
-        sizes = [1]  # the closures of the generator prefixes, with the identity
-        for k in range(1, len(gens) + 1):
-            sizes.append(len(set(scan_closure(gens[:k], m.mul)[0]) | {m.identity}))
-        assert sizes[-1] == len(m)
-        closure = sum(sizes[k - 1] + (sizes[k] - sizes[k - 1]) * k for k in range(1, len(gens) + 1))
-        assert sum(cells) == closure
+    untabled = RANKED[name]()
+    assert m._table is not None and (untabled._table is None or name == "U_1")
+    assert untabled.elements == m.elements and untabled.generators == m.generators
+    assert generating_set(m) == greedy_generating_set(m) == generating_set(untabled) == greedy_generating_set(untabled)
 
 
 @pytest.mark.parametrize("pipeline,n,spec", [("field", 2, "2"), ("field", 3, "2"), ("ring", 2, "3")])
@@ -687,10 +675,9 @@ def test_pipelines_past_the_table_bound_certify_as_within_it(monkeypatch, pipeli
                          ids=["ring 3 Z_2", "field 2 Z_3"], indirect=["lowered_bound"])
 def test_pipelines_with_untabled_wreath_sides_certify_as_tabled(monkeypatch, pipeline, n, spec, lowered_bound):
     # with the bound lowered every wreath context has a side without a
-    # table, which multiplies by tracing: the plan summary is byte-identical
-    # to the default bound's, each certificate differs only in its pairs
-    # (generating sets are ranked only with a table), as many of them
-    # closing to the same sizes, and the document verifies from JSON alone
+    # table, which multiplies by tracing: the plan summary and the whole
+    # document are byte-identical to the default bound's, closing to the
+    # same sizes, and the document verifies from JSON alone
     from conftest import read_document, run_python
 
     contexts = []
@@ -713,10 +700,8 @@ def test_pipelines_with_untabled_wreath_sides_certify_as_tabled(monkeypatch, pip
     assert proc.returncode == 0, proc.stderr
     summary, tabled, sizes = json.loads(proc.stdout)
     assert json.dumps(plan.summary(), sort_keys=True) == json.dumps(summary, sort_keys=True)
-    assert document["steps"] == tabled["steps"] and [w.closure_size for w in plan.witnesses] == sizes
-    certificates = document["certificates"] + [document["composite"]]
-    expected = tabled["certificates"] + [tabled["composite"]]
-    assert [dict(c, pairs=len(c["pairs"])) for c in certificates] == [dict(c, pairs=len(c["pairs"])) for c in expected]
+    assert json.dumps(document, sort_keys=True) == json.dumps(tabled, sort_keys=True)
+    assert [w.closure_size for w in plan.witnesses] == sizes
     witnesses = read_document(document)
     assert all(verify(w).verified for w in witnesses)
     assert [w.closure_size for w in witnesses[:-1]] == sizes

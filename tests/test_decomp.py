@@ -207,12 +207,12 @@ PINNED_DOCUMENTS = {
         [(8, 4), (8, 4), (64, 7), (64, 7), (64, 7), (64, 7), (16, 5), (64, 7), (6, 4), (20, 8), (160, 7), (2, 2),
          (8, 4), (8, 4), (8, 4), (6, 3), (6, 3), (6, 3), (16, 5), (32, 6), (32, 6), (48, 6), (48, 6), (48, 6),
          (48, 6), (64, 7)],
-        "3a7d07ba73586cee6bf75ef019b8cd0076a8cba341877da9dc06313e40a56798",
+        "ceb2306eb4785a86f7b81a68591171527f86c57fd521269de4818c2c6237fd5d",
     ),
     ("field", 2, "3"): (
         [(27, 6), (27, 6), (114, 9), (126, 6), (4, 3), (16, 5), (16, 5), (16, 5), (168, 6), (456, 8), (168, 6),
          (96, 7), (144, 8), (144, 8), (672, 8), (672, 8), (672, 8), (672, 8), (27, 6)],
-        "0694230b936cba5f04f9db6c5b3b2cad727a61b0aa7051a21e87140aa66203df",
+        "745f8cbf8638b7f01b5e2ffc787cd0a2eb69fb8e5ee4bfe8324300a87546ccf5",
     ),
     ("ring", 2, "bool"): (
         [(8, 4), (8, 4), (8, 4)],

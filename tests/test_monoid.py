@@ -643,13 +643,19 @@ def test_table_past_the_index_dtype_is_refused_before_any_product():
         m.table_array()
 
 
-def test_generating_set_grows_one_closure(fam, monkeypatch):
-    # the ranking reads len(m)**2 product cells; then adding generator k
-    # multiplies the closure so far by it, then each new element by all k
-    # generators: no closure is rebuilt from scratch
+@pytest.mark.parametrize("lowered_bound", [semidec.monoid.TABLE_BOUND, 8], ids=["within", "past"], indirect=True)
+def test_generating_set_grows_one_closure(fam, z2, monkeypatch, lowered_bound):
+    # the ranking reads len(m) product cells per candidate, the recorded
+    # generators (found by the constructor when none are given); then adding
+    # generator k multiplies the closure so far by it, then each new element
+    # by all k generators: no closure is rebuilt from scratch, with a table
+    # or past the bound
     from oracles import scan_closure
 
-    for m in (fam("T", 3, "2"), fam("T", 2, "3"), fam("AS", 2, "2")):
+    t3 = fam("T", 3, "2")
+    found = Monoid(t3.elements, t3.identity_value, carrier=MatrixCarrier(z2, 3), label="T_3(Z_2) found")
+    for m in (t3, found, fam("T", 2, "3"), fam("AS", 2, "2")):
+        assert (m._table is None) == (len(m) > lowered_bound), m.label
         cells = []
 
         def counted(self, rows, cols, original=Monoid.products):
@@ -659,8 +665,9 @@ def test_generating_set_grows_one_closure(fam, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(Monoid, "products", counted)
             gens = generating_set(m)
+        assert m.generators and set(gens) <= set(m.generators), m.label
         growing = _growing_cells(m, gens)
-        assert sum(cells) == len(m) ** 2 + growing, m.label
+        assert sum(cells) == len(m.generators) * len(m) + growing, m.label
         reclosing = sum(len(scan_closure(gens[:k], m.mul)[0]) * k for k in range(1, len(gens) + 1))
         assert growing < reclosing, m.label
 

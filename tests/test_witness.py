@@ -84,8 +84,8 @@ def test_compose_requires_verified(fam):
 UNVERIFIED_USES = {
     "preimage_table": lambda w, t1, u: w.preimages(),
     "image_submonoid": lambda w, t1, u: w.image_submonoid(),
-    "lift_left": lambda w, t1, u: lift_left(w, u),
-    "lift_right": lambda w, t1, u: lift_right(w, u),
+    "lift_left": lambda w, t1, u: lift_left(w, u, source=enumerate_wreath(WreathContext(u, w.source))),
+    "lift_right": lambda w, t1, u: lift_right(w, u, source=enumerate_wreath(WreathContext(w.source, u))),
     "product_witness": lambda w, t1, u: product_witness(identity_witness(t1), w),
 }  # compose: test_compose_requires_verified
 
@@ -145,11 +145,12 @@ def test_interchange_counts(c2):
 
 
 def test_absorb_examples(fam):
-    w = absorb(u1(), u1(), u1())
+    full = direct_product(enumerate_wreath(WreathContext(u1(), u1())), u1())
+    w = absorb(u1(), u1(), u1(), source=full)
     # the embedding covers the whole 2^2 * 2 * 2 element product
     assert w.verified and w.closure_size == 16
     trivial = table_monoid([(0,)], (0,), lambda a, b: (0,), label="1")
-    w = absorb(u1(), u1(), trivial)
+    w = absorb(u1(), u1(), trivial, source=direct_product(enumerate_wreath(WreathContext(u1(), u1())), trivial))
     assert w.verified and w.closure_size == 8
 
 
@@ -165,25 +166,25 @@ def test_absorb_pipeline_step(fam, z2):
 
 def test_lift_left_examples(fam, c2):
     wb = identity_witness(u1())
-    w = lift_left(wb, u1())
+    w = lift_left(wb, u1(), source=enumerate_wreath(WreathContext(u1(), wb.source)))
     assert w.verified and w.closure_size == 8
     proj = search_division(u1(), direct_product(c2, u1()))
     assert proj is not None
-    w = lift_left(proj, u1())
+    w = lift_left(proj, u1(), source=enumerate_wreath(WreathContext(u1(), proj.source)))
     assert w.verified
     trivial = table_monoid([(0,)], (0,), lambda a, b: (0,), label="1")
-    w = lift_left(identity_witness(trivial), c2)
+    w = lift_left(identity_witness(trivial), c2, source=enumerate_wreath(WreathContext(c2, trivial)))
     assert w.verified and w.closure_size == len(c2)
 
 
 def test_lift_right_examples(c2):
-    w = lift_right(identity_witness(u1()), u1())
+    w = lift_right(identity_witness(u1()), u1(), source=enumerate_wreath(WreathContext(u1(), u1())))
     assert w.verified
     proj = search_division(u1(), direct_product(c2, u1()))
-    w = lift_right(proj, u1())
+    w = lift_right(proj, u1(), source=enumerate_wreath(WreathContext(proj.source, u1())))
     assert w.verified
     trivial = table_monoid([(0,)], (0,), lambda a, b: (0,), label="1")
-    w = lift_right(proj, trivial)
+    w = lift_right(proj, trivial, source=enumerate_wreath(WreathContext(proj.source, trivial)))
     assert w.verified and w.closure_size >= 2
 
 

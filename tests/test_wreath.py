@@ -8,14 +8,10 @@ from semidec.carriers import ProductCarrier
 from semidec.errors import ContextMismatch, NotClosed, SizeLimitExceeded
 from semidec.families import family, transformation_closure, u1
 import semidec.monoid
-from oracles import CyclicCarrier, table_monoid, value_product_table, wreath_decode, wreath_value_product
+from oracles import (CyclicCarrier, restrict_base, table_monoid, value_product_table, wreath_decode,
+                     wreath_value_product)
 from semidec.monoid import TABLE_BOUND, Monoid, direct_product, is_aperiodic, is_group
-from semidec.wreath import (
-    WreathContext,
-    constant_table,
-    enumerate_wreath,
-    restrict_base,
-)
+from semidec.wreath import WreathContext, constant_table, enumerate_wreath
 
 
 def wreath_elements(ctx):
