@@ -176,7 +176,8 @@ class Descriptors:
     object of a kind in ``CHILDREN``, its children are ints (not bools)
     naming earlier entries, it equals no earlier entry, and it expands to
     at most ``DEFAULT_LIMIT`` nested descriptors, so that a small document
-    cannot name an exponentially large one.  Each step entry is an object
+    cannot name an exponentially large one, and its ``label``, if any, is a
+    string of printable characters.  Each step entry is an object
     with a string ``kind``, its ``restrict``, if any, is an object, its
     descriptor fields are ints (not bools) naming descriptor entries, and
     it equals no earlier step entry.  A table that breaks a rule raises
@@ -217,6 +218,9 @@ class Descriptors:
                     size += sizes[self._check(entry[field], i)]
             if size > DEFAULT_LIMIT:
                 raise ValueError(f"descriptor {i} expands to more than {DEFAULT_LIMIT} nested descriptors")
+            label = entry.get("label", "")
+            if not (isinstance(label, str) and label.isprintable()):
+                raise ValueError(f"descriptor {i} has a label that is not a string of printable characters")
             sizes.append(size)
             first = self._keys.setdefault(json.dumps(entry, sort_keys=True), i)
             if first != i:
@@ -268,6 +272,10 @@ class Descriptors:
             build = build_carrier if self.entries[i]["kind"] in _CARRIER_KINDS else build_monoid
             built = self._built[i] = build(self, i)
         return built
+
+    def entry(self, ref) -> dict:
+        """Entry ``ref`` as the table holds it, its children indices."""
+        return self.entries[self._check(ref)]
 
     def monoid(self, ref) -> Monoid:
         m = self.carrier(ref)

@@ -25,9 +25,14 @@ step once in the ``steps`` table.  A certificate's ``source`` and
 the descriptor table, and a certificate's ``steps`` are indices into the
 step table.  A pair is one int list, the target value's carrier row
 followed by the source element's index, and a ``"close"`` descriptor's
-generators and identity are rows of its carrier.  ``verify`` reads only
-that shape; a bundle of an earlier version, with nested descriptors,
-nested-value pairs or no step table, is a malformed certificate, and so
+generators and identity are rows of its carrier.  A certificate whose
+pairs' target rows are the generators of a ``"close"`` entry over its
+target names that entry as ``image`` and lists only the pairs' source
+indices, as ``sources``, unless its source is a family.  A certificate
+or descriptor ``label`` is a string of printable characters, so a
+printed label is one line.  ``verify`` reads only that shape; a bundle
+of an earlier version, with nested descriptors, nested-value pairs or
+no step table, is a malformed certificate, and so
 is a descriptor table with an entry of unknown kind, a child reference
 to no earlier entry, a repeated entry or an entry that expands past
 100,000 nested descriptors, and a step table with an entry that is not

@@ -7,8 +7,10 @@ is the graph of a function from a subsemigroup of the target onto the
 source.  A relation that contains the generators, is
 closed under products, and is functional is exactly a homomorphism graph,
 so nothing else needs checking.  Certificates store only the generator
-pairs plus construction provenance; verification always recomputes the
-closure, so a serialized witness is independently re-checkable.
+pairs, or the source indices of pairs whose target rows a ``"close"``
+descriptor of the document lists, plus construction provenance;
+verification always recomputes the closure, so a serialized witness is
+independently re-checkable.
 """
 
 from __future__ import annotations
@@ -436,24 +438,37 @@ def search_division(source: Monoid, target: Monoid, target_limit: int = 12) -> D
 def witness_to_json(w: DivisionWitness, table: Descriptors) -> dict:
     """The certificate of ``w``, its descriptors and steps interned into ``table``.
 
-    Each pair is one flat int list, a row of ``w.pairs`` as ``verify``
-    closes it: the target row followed by the source element's index.
-    ``source`` and ``target`` are descriptor indices, and ``steps`` lists
-    the step index of each step of ``w``, in order.
+    ``source`` is a descriptor index, and ``steps`` lists the step index of
+    each step of ``w``, in order.  The pairs take one of two forms.  When
+    ``table`` already holds a ``"close"`` entry over ``w``'s target whose
+    ``generators`` are the target rows of ``w.pairs``, row for row (the
+    first such entry; ``image_submonoid`` writes one from exactly these
+    rows), and the source is not a family, the certificate names that entry
+    as ``image`` and lists the source index of each pair as ``sources``.
+    Otherwise ``target`` is the target's descriptor index and each pair is
+    one flat int list, a row of ``w.pairs`` as ``verify`` closes it: the
+    target row followed by the source element's index.  A certificate whose
+    source is a family, such as the induction step ``T_n split at degree
+    n-1``, keeps its pairs, so that it reads on its own.
     """
     verdict = {"status": w.status}
     if w.closure_size is not None:
         verdict["closure_size"] = w.closure_size
     if w.failure is not None:
         verdict["failure"] = w.failure
-    return {
-        "label": w.label,
-        "source": table.intern(w.source.descriptor()),
-        "target": table.intern(w.target.descriptor()),
-        "pairs": w.pairs.tolist(),
-        "steps": [table.intern_step(step) for step in w.steps],
-        "verdict": verdict,
-    }
+    source, target = table.intern(w.source.descriptor()), table.intern(w.target.descriptor())
+    cert = {"label": w.label, "source": source, "steps": [table.intern_step(step) for step in w.steps],
+            "verdict": verdict}
+    image = None
+    if table.entries[source]["kind"] != "family":
+        rows = w.pairs[:, :w.target.width].tolist()
+        image = next((d for d, entry in enumerate(table.entries) if entry["kind"] == "close"
+                      and entry["carrier"] == target and entry["generators"] == rows), None)
+    if image is None:
+        cert.update(target=target, pairs=w.pairs.tolist())
+    else:
+        cert.update(image=image, sources=w.pairs[:, -1].tolist())
+    return cert
 
 
 def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
@@ -461,11 +476,22 @@ def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
     the document's descriptor and step tables, and each entry is rebuilt
     once per table.
 
-    The pairs are ``carrier_rows`` of the target, each followed by a
-    source index, checked in one block and kept as that block: a pair that is not a target row followed
-    by a source element's index raises ``InvalidCertificate`` naming it as
-    ``pair k``, and so does a pair of nested values as earlier versions
-    wrote.  Each step is an index into the step table, and the witness
+    A certificate states its pairs in exactly one of two forms: a
+    ``target`` descriptor and its ``pairs``, or an ``image``, the index of a
+    ``"close"`` entry, and its ``sources``, one int per generator of that
+    entry.  The image form's target is the entry's carrier and its pairs
+    are the entry's generator rows, each followed by its source index; the
+    entry's own monoid is not rebuilt for it.  Either way the pairs are
+    ``carrier_rows`` of the target, each followed by a source index,
+    checked in one block and kept as that block: a pair that is not a
+    target row followed by a source element's index raises
+    ``InvalidCertificate`` naming it as ``pair k``, and so does a pair of
+    nested values as earlier versions wrote.  A certificate with both
+    forms, or with neither, an ``image`` that names no ``"close"`` entry, or
+    ``sources`` that are not one int per generator raises
+    ``InvalidCertificate``, and so does a ``label`` that is not a string
+    of printable characters (a newline could forge a line of ``verify``'s
+    output).  Each step is an index into the step table, and the witness
     holds that entry's nested ``table.step`` view.  Anything else
     malformed, including a reference that names no entry (a step object
     written inline is one) or a descriptor that rebuilds to no monoid,
@@ -473,11 +499,26 @@ def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
     ``quotient_central`` by a subgroup that is not central, raises
     ``InvalidCertificate`` too; ``SizeLimitExceeded`` passes through.
     """
+    if not isinstance(obj, dict):
+        raise InvalidCertificate("not an object")
+    label = obj.get("label", "")
+    if not (isinstance(label, str) and label.isprintable()):
+        raise InvalidCertificate(f"label {label!r:.80} is not a string of printable characters")
+    image = "image" in obj or "sources" in obj
+    if image == ("target" in obj or "pairs" in obj):
+        raise InvalidCertificate("states both an image and a target" if image else
+                                 "states neither a target nor an image")
     try:
         source = table.monoid(obj["source"])
-        target = table.carrier(obj["target"])
+        if image:
+            entry = table.entry(obj["image"])
+            if entry["kind"] != "close":
+                raise ValueError(f"image {obj['image']} names a {entry['kind']} entry, not a close")
+            target = table.carrier(entry["carrier"])
+        else:
+            target = table.carrier(obj["target"])
         steps = [table.step(ref) for ref in obj.get("steps", [])]
-        pairs = obj["pairs"]
+        pairs = _image_pairs(entry, obj["sources"]) if image else obj["pairs"]
     except (KeyError, IndexError, TypeError, ValueError, OverflowError, RecursionError, ContextMismatch,
             InvalidMonoid, InvalidSpec, NotCentral, NotIdempotent) as exc:
         raise InvalidCertificate(f"{type(exc).__name__}: {exc}") from None
@@ -485,14 +526,39 @@ def witness_from_json(obj: dict, table: Descriptors) -> DivisionWitness:
         pairs = carrier_rows(target, pairs, "pair", source)
     except ValueError as exc:
         raise InvalidCertificate(str(exc)) from None
-    return DivisionWitness(source, target, pairs, steps=steps, label=obj.get("label", ""))
+    return DivisionWitness(source, target, pairs, steps=steps, label=label)
+
+
+def _image_pairs(entry: dict, sources) -> list:
+    """The pair rows of an image-form certificate: each generator row of
+    the ``"close"`` entry followed by its source index, for
+    ``carrier_rows`` to check."""
+    gens = entry["generators"]
+    if not (isinstance(sources, list) and all(type(s) is int for s in sources)):
+        raise ValueError("sources is not a list of ints")
+    if not isinstance(gens, list):
+        raise ValueError("its image has no list of generators")
+    if len(sources) != len(gens):
+        raise ValueError(f"{len(sources)} sources for the {len(gens)} generators of its image")
+    return [row + [s] if type(row) is list else row for row, s in zip(gens, sources)]
 
 
 def document_to_json(certificates: list[DivisionWitness], composite: DivisionWitness | None = None) -> dict:
     """The certificate document ``{"descriptors", "steps", "certificates"}``,
     plus ``"composite"`` when given: every descriptor and every step stated
-    once, in its table."""
+    once, in its table.
+
+    Every certificate's source, target and steps are interned first, in
+    certificate order, and only then is each certificate written, so a
+    certificate takes the image form of ``witness_to_json`` whenever any
+    certificate or step of the document names its image, before it or
+    after it."""
     table = Descriptors()
+    for w in [*certificates, *([composite] if composite is not None else [])]:
+        table.intern(w.source.descriptor())
+        table.intern(w.target.descriptor())
+        for step in w.steps:
+            table.intern_step(step)
     document = {"certificates": [witness_to_json(w, table) for w in certificates]}
     if composite is not None:
         document["composite"] = witness_to_json(composite, table)

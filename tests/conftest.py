@@ -74,7 +74,8 @@ def expand_descriptor(entries: list, ref: int) -> dict:
 
 def expand_document(document: dict) -> list[dict]:
     """The certificates of a document, the composite last, with their
-    descriptors and steps written out nested, as they were before the tables."""
+    descriptors and steps written out nested, as they were before the tables,
+    and each certificate that names its image as its target and pairs."""
     entries = document["descriptors"]
 
     def expand_step(ref):
@@ -84,10 +85,18 @@ def expand_document(document: dict) -> list[dict]:
             out["restrict"] = {k: expand_descriptor(entries, v) for k, v in step["restrict"].items()}
         return out
 
+    def pairs_form(cert):
+        if "image" not in cert:
+            return cert
+        image = entries[cert["image"]]
+        out = {k: v for k, v in cert.items() if k not in ("image", "sources")}
+        return dict(out, target=image["carrier"],
+                    pairs=[row + [s] for row, s in zip(image["generators"], cert["sources"], strict=True)])
+
     certificates = document["certificates"] + ([document["composite"]] if "composite" in document else [])
     return [dict(cert, source=expand_descriptor(entries, cert["source"]),
                  target=expand_descriptor(entries, cert["target"]),
-                 steps=[expand_step(step) for step in cert["steps"]]) for cert in certificates]
+                 steps=[expand_step(step) for step in cert["steps"]]) for cert in map(pairs_form, certificates)]
 
 
 @lru_cache(maxsize=None)

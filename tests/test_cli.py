@@ -1193,3 +1193,201 @@ def test_a_file_past_the_bound_is_rebuilt_from_its_provenance(tmp_path, capsys, 
     code, stdout, stderr = run(["analyze", str(untabled)], capsys)
     assert code == 2 and stdout == ""
     assert stderr == "error: InvalidMonoid: T_3(Z_2): provenance rebuilds element 5 unlike the file\n"
+
+
+@pytest.fixture(scope="module")
+def certify_document():
+    """The certificate document of ``decompose --pipeline field --n 3 --ring zp:2``."""
+    from conftest import cached_field_plan
+    from semidec.witness import document_to_json
+
+    plan = cached_field_plan(3, "2")
+    return json.loads(json.dumps(document_to_json(plan.witnesses, plan.composite)))
+
+
+def _image_certificate(document) -> tuple[int, dict]:
+    """The first certificate that names its image, and its index."""
+    return next((i, cert) for i, cert in enumerate(document["certificates"]) if "image" in cert)
+
+
+def _forged_line(document):
+    document["certificates"][0]["label"] = "T_2): verified closure=8\ncertificate 99 (forged"
+
+
+def _escape_label(document):
+    document["certificates"][0]["label"] = "T_2(Z_2)\x1b[2K"
+
+
+def _int_label(document):
+    document["certificates"][0]["label"] = 5
+
+
+def _descriptor_newline_label(document):
+    entry = next(entry for entry in document["descriptors"] if "label" in entry)
+    entry["label"] += "\nforged"
+
+
+def _descriptor_list_label(document):
+    entry = next(entry for entry in document["descriptors"] if "label" in entry)
+    entry["label"] = [entry["label"]]
+
+
+LABEL_ERROR = "error: InvalidCertificate: certificate 0: label "
+DESCRIPTOR_LABEL_ERROR = "error: InvalidCertificate: descriptor table: ValueError: descriptor "
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("corrupt, error", [
+    (_forged_line, LABEL_ERROR), (_escape_label, LABEL_ERROR), (_int_label, LABEL_ERROR),
+    (_descriptor_newline_label, DESCRIPTOR_LABEL_ERROR), (_descriptor_list_label, DESCRIPTOR_LABEL_ERROR),
+], ids=["forged line", "terminal escape", "int label", "descriptor newline", "descriptor list label"])
+def test_label_that_does_not_print_as_one_line_exit_2(tmp_path, certify_document, corrupt, error, optimize):
+    # verify prints each certificate's label, so a label with a newline could
+    # forge a verified line; such a label is refused before anything prints
+    document = json.loads(json.dumps(certify_document))
+    corrupt(document)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(document))
+    proc = run_cli(["verify", str(path)], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(error) and "not a string of printable characters" in proc.stderr, proc.stderr
+
+
+def _image_not_an_int(document, cert):
+    cert["image"] = str(cert["image"])
+
+
+def _image_bool(document, cert):
+    cert["image"] = True
+
+
+def _image_out_of_range(document, cert):
+    cert["image"] = len(document["descriptors"])
+
+
+def _negative_image(document, cert):
+    cert["image"] = -1
+
+
+def _image_not_a_close(document, cert):
+    cert["image"] = next(d for d, entry in enumerate(document["descriptors"]) if entry["kind"] != "close")
+
+
+def _sources_not_a_list(document, cert):
+    cert["sources"] = {"0": cert["sources"][0]}
+
+
+def _string_source(document, cert):
+    cert["sources"][1] = str(cert["sources"][1])
+
+
+def _bool_source_index(document, cert):
+    cert["sources"][1] = True
+
+
+def _nested_source_value(document, cert):
+    cert["sources"][1] = [[1, 0], [0, 1]]
+
+
+def _sources_short(document, cert):
+    cert["sources"].pop()
+
+
+def _sources_long(document, cert):
+    cert["sources"].append(0)
+
+
+def _source_past_end(document, cert):
+    cert["sources"][1] = 8
+
+
+def _negative_source_index(document, cert):
+    cert["sources"][1] = -1
+
+
+def _image_and_pairs(document, cert):
+    cert["pairs"] = [[0, s] for s in cert["sources"]]
+
+
+def _image_and_target(document, cert):
+    cert["target"] = document["descriptors"][cert["image"]]["carrier"]
+
+
+def _full_form_and_sources(document, cert):
+    image = document["descriptors"][cert.pop("image")]
+    cert.update(target=image["carrier"], pairs=[row + [s] for row, s in zip(image["generators"], cert["sources"])])
+
+
+def _neither_form(document, cert):
+    del cert["image"], cert["sources"]
+
+
+def _no_sources(document, cert):
+    del cert["sources"]
+
+
+IMAGE_ERRORS = {
+    "image not an int": (_image_not_an_int, "ValueError: descriptor reference '"),
+    "image a bool": (_image_bool, "ValueError: descriptor reference True"),
+    "image out of range": (_image_out_of_range, "ValueError: descriptor reference "),
+    "negative image": (_negative_image, "ValueError: descriptor reference -1 "),
+    "image not a close": (_image_not_a_close, "ValueError: image "),
+    "sources not a list": (_sources_not_a_list, "ValueError: sources is not a list of ints"),
+    "string source": (_string_source, "ValueError: sources is not a list of ints"),
+    "bool source": (_bool_source_index, "ValueError: sources is not a list of ints"),
+    "nested source value": (_nested_source_value, "ValueError: sources is not a list of ints"),
+    "sources short": (_sources_short, "ValueError: 3 sources for the 4 generators of its image"),
+    "sources long": (_sources_long, "ValueError: 5 sources for the 4 generators of its image"),
+    "source past end": (_source_past_end, "pair 1: 8 is not an element index of "),
+    "negative source": (_negative_source_index, "pair 1: -1 is not an element index of "),
+    "image and pairs": (_image_and_pairs, "states both an image and a target"),
+    "image and target": (_image_and_target, "states both an image and a target"),
+    "target, pairs and sources": (_full_form_and_sources, "states both an image and a target"),
+    "neither form": (_neither_form, "states neither a target nor an image"),
+    "image without sources": (_no_sources, "KeyError: 'sources'"),
+}
+
+
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+@pytest.mark.parametrize("case", list(IMAGE_ERRORS))
+def test_malformed_image_form_exit_2(tmp_path, certify_document, case, optimize):
+    # the first certificate that names its image, im(T_2(Z_2) split at degree 1)
+    # with its 4 generators over 8 source elements, corrupted; the ones before
+    # it verify and print
+    corrupt, detail = IMAGE_ERRORS[case]
+    document = json.loads(json.dumps(certify_document))
+    i, cert = _image_certificate(document)
+    assert (i, len(cert["sources"])) == (1, 4)
+    corrupt(document, cert)
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(document))
+    proc = run_cli(["verify", str(path)], optimize)
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stdout.splitlines()) == i and ": verified closure=" in proc.stdout
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(f"error: InvalidCertificate: certificate {i}: {detail}"), proc.stderr
+
+
+def test_tampered_image_form_fails(tmp_path, capsys, certify_document):
+    # the image form's tampers: swapping two source indices, as a tamper of
+    # the full form swaps two pairs' source columns, and editing the image
+    # entry's generator row, which its monoid, named by the next certificate,
+    # also refuses
+    document = json.loads(json.dumps(certify_document))
+    i, cert = _image_certificate(document)
+    cert["sources"][0], cert["sources"][1] = cert["sources"][1], cert["sources"][0]
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(document))
+    code, stdout, _ = run(["verify", str(path)], capsys)
+    assert code == 1
+    assert stdout.splitlines()[-1].startswith(f"certificate {i} (") and "FAILED NotFunctional" in stdout
+
+    document = json.loads(json.dumps(certify_document))
+    i, cert = _image_certificate(document)
+    document["descriptors"][cert["image"]]["generators"][1][0] = 99
+    path.write_text(json.dumps(document))
+    code, stdout, stderr = run(["verify", str(path)], capsys)
+    assert code == 2 and len(stdout.splitlines()) == i
+    assert stderr.startswith(f"error: InvalidCertificate: certificate {i}: pair 1: "), stderr

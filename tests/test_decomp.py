@@ -1,12 +1,14 @@
 import hashlib
 import json
+import random
 import re
 
 import numpy as np
 import pytest
 
 import semidec.decomp as decomp
-from conftest import _ring, cached_field_plan, cached_ring_plan, expand_document, read_document, run_cli, run_python
+from conftest import (_ring, cached_field_plan, cached_ring_plan, certificate_document, expand_document, read_document,
+                      run_cli, run_python)
 from semidec.carriers import CHILDREN, STEP_FIELDS
 from semidec.decomp import (
     check_scaling_group_embedding,
@@ -193,32 +195,42 @@ def test_document_states_each_descriptor_once(pipeline, n, spec):
     certificates = document["certificates"] + ([document["composite"]] if "composite" in document else [])
     referenced = set()
     for cert in certificates:
-        assert all(points_below(ref, len(entries)) for ref in (cert["source"], cert["target"])), cert["label"]
+        target = cert["target"] if "target" in cert else entries[cert["image"]]["carrier"]
+        assert all(points_below(ref, len(entries)) for ref in (cert["source"], target)), cert["label"]
         assert all(points_below(ref, len(steps)) for ref in cert["steps"]), cert["label"]
         referenced.update(cert["steps"])
     assert referenced == set(range(len(steps)))
 
 
-# (closure size, pair count) of each certificate, the composite last, and the
-# sha256 of the compact sorted-key document: a change that keeps every proof
-# keeps these, and one that reorders, drops or alters a certificate does not
+# (closure size, pair count) of each certificate, the composite last, the
+# sha256 of the compact sorted-key document, and that of its descriptor and
+# step tables: a change that keeps every proof keeps the first and the last,
+# and one that reorders, drops or alters a certificate does not.  The tables
+# hash as they did when every certificate stated its target and pairs.
 PINNED_DOCUMENTS = {
     ("field", 3, "2"): (
         [(8, 4), (8, 4), (64, 7), (64, 7), (64, 7), (64, 7), (16, 5), (64, 7), (6, 4), (20, 8), (160, 7), (2, 2),
          (8, 4), (8, 4), (8, 4), (6, 3), (6, 3), (6, 3), (16, 5), (32, 6), (32, 6), (48, 6), (48, 6), (48, 6),
          (48, 6), (64, 7)],
-        "ceb2306eb4785a86f7b81a68591171527f86c57fd521269de4818c2c6237fd5d",
+        "480b975d03e86ee1f2ce50d71b8fb99401ff1fa210065e8fa3ac914e5d77e67a",
+        "fc848e70efb71feb031acf9731cb0e8461e3c0f574a8125011fed0ce6dbf69a5",
     ),
     ("field", 2, "3"): (
         [(27, 6), (27, 6), (114, 9), (126, 6), (4, 3), (16, 5), (16, 5), (16, 5), (168, 6), (456, 8), (168, 6),
          (96, 7), (144, 8), (144, 8), (672, 8), (672, 8), (672, 8), (672, 8), (27, 6)],
-        "745f8cbf8638b7f01b5e2ffc787cd0a2eb69fb8e5ee4bfe8324300a87546ccf5",
+        "31750f87b4e09420a0d6c561db13bc020b2e306c163ddda6f1e6159d11ab96f7",
+        "5d6e1aabe3cd7b13b9196336f9cc414cc04037e115294644dad2dd4929f263a8",
     ),
     ("ring", 2, "bool"): (
         [(8, 4), (8, 4), (8, 4)],
         "fa47863d9fb16701360f0eb7acb30cc3370ffb060c97f7ad8544c793c054b101",
+        "76824821ce86b121ebc4df55ca7e5252667cea0e8ce26d27b74c12297808a5b1",
     ),
 }
+
+
+def _sha256(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("pipeline, n, spec", list(PINNED_DOCUMENTS),
@@ -226,10 +238,10 @@ PINNED_DOCUMENTS = {
 def test_pipeline_certificates_are_pinned(pipeline, n, spec):
     plan = (cached_field_plan if pipeline == "field" else cached_ring_plan)(n, spec)
     document = document_to_json(plan.witnesses, plan.composite)
-    shapes = [(cert["verdict"]["closure_size"], len(cert["pairs"]))
+    shapes = [(cert["verdict"]["closure_size"], len(cert["pairs"] if "pairs" in cert else cert["sources"]))
               for cert in document["certificates"] + [document["composite"]]]
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    assert (shapes, hashlib.sha256(blob.encode()).hexdigest()) == PINNED_DOCUMENTS[pipeline, n, spec]
+    tables = _sha256([document["descriptors"], document["steps"]])
+    assert (shapes, _sha256(document), tables) == PINNED_DOCUMENTS[pipeline, n, spec]
 
 
 @pytest.mark.parametrize("pipeline, n, spec", GATE_PIPELINES, ids=GATE_IDS)
@@ -250,6 +262,43 @@ def test_expanded_document_is_the_in_memory_witnesses(pipeline, n, spec):
         verify(r)
     composite = restored.pop() if "composite" in document else None
     assert json.loads(json.dumps(document_to_json(restored, composite))) == document
+
+
+# the sha256 of the field n=3 zp:2 document with every certificate stating its
+# target and pairs, as documents were written before certificates named their images
+FULL_FORM_SHA256 = "ceb2306eb4785a86f7b81a68591171527f86c57fd521269de4818c2c6237fd5d"
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_images_do_not_depend_on_certificate_order(tmp_path, capsys, seed):
+    # the benchmark's recheck shuffles a bundle's certificates by a seed; an
+    # image names a descriptor entry, not a certificate, so every certificate
+    # still verifies with its stored closure size.  Written out in the full
+    # form, the document is the one earlier versions wrote, and it verifies
+    # with the same output.
+    from semidec.cli import main
+
+    _, document = _gate_document("field", 3, "2")
+    shuffled = json.loads(json.dumps(document))
+    random.Random(seed).shuffle(shuffled["certificates"])
+    certificates = shuffled["certificates"] + [shuffled["composite"]]
+    assert [c["label"] for c in certificates] != [c["label"] for c in document["certificates"]]
+    assert any("image" in c for c in certificates)
+    for cert, w in zip(certificates, read_document(shuffled), strict=True):
+        assert verify(w).closure_size == cert["verdict"]["closure_size"], w.label
+
+    full = certificate_document(*expand_document(document))
+    *written, composite = full["certificates"]
+    full.update(certificates=written, composite=composite)
+    assert not any("image" in c for c in written + [composite])
+    assert _sha256(full) == FULL_FORM_SHA256
+    outputs = []
+    for name, payload in (("image.json", document), ("full.json", full)):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        assert main(["verify", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].count(": verified closure=") == 26
 
 
 def test_depth_analysis_comparisons(fam):
