@@ -38,7 +38,6 @@ _MODULE_OF = {
     "induction_step": "decomp",
     "ring_pipeline": "decomp",
     "field_pipeline": "decomp",
-    "depth_analysis": "decomp",
     "verify_census": "decomp",
 }
 

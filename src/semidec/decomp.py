@@ -16,6 +16,9 @@ with C^i the constants monoid on k^i points, G_i the affine scaling group,
 D the field's unit group and U the two-element semilattice, giving group
 length n-1.  Each replacement (augmentation, group-with-zero, the
 innermost product assembly) is certified by its own verified witness.
+The field pipeline reuses what the chain holds: its degree-n split, the
+traced left monoid it lifts into at the top level, and every product
+that a chain step has already built.
 
 The census half (``verify_census``) needs only the family and monoid
 layers.  The witness, carrier and wreath layers are imported inside the
@@ -212,8 +215,12 @@ def _then(run: DivisionWitness, make, steps: list[DivisionWitness], limit: int) 
     return compose(run, w, limit)
 
 
-def _chain_witness(n: int, ring: SemiringTable, limit: int,
-                   steps_out: list[DivisionWitness]) -> tuple[DivisionWitness, _ChainLevel]:
+def _chain_witness(n: int, ring: SemiringTable, limit: int, steps_out: list[DivisionWitness]
+                   ) -> tuple[DivisionWitness, _ChainLevel, DivisionWitness, Monoid | None]:
+    """The chain's composite witness and carrier shape, with its degree-n
+    split and the traced left monoid of that split's image, which the
+    chain lifts into for n >= 3 and is None at n = 2.  Each absorb's base
+    B x T_1 is the object the next step builds on."""
     from semidec.witness import absorb, identity_witness, lift_left, product_witness
 
     t_1 = family("T", 1, ring, limit)
@@ -222,25 +229,23 @@ def _chain_witness(n: int, ring: SemiringTable, limit: int,
         steps_out.append(w_lem)
         as_1 = family("AS", 1, ring, limit)
         w = _then(w_lem, lambda mid: absorb(as_1, t_1, t_1, source=mid, limit=limit), steps_out, limit)
-        return w, _ChainLevel(as_1, direct_product(t_1, t_1, limit), None)
+        return w, _ChainLevel(as_1, steps_out[-1].target.base, None), w_lem, None
 
-    w_prev, info_prev = _chain_witness(n - 1, ring, limit, steps_out)
+    w_prev, info_prev, _, _ = _chain_witness(n - 1, ring, limit, steps_out)
     as_top = family("AS", n - 1, ring, limit)
     w_lem = induction_step(n, ring, limit)
     steps_out.append(w_lem)
-
-    def lift_split(mid):
-        left_monoid = _traced_left(mid, as_top, family("T", n - 1, ring, limit), f"traced left of {mid.label}")
-        w_lift = lift_left(w_prev, as_top, source=left_monoid, limit=limit)
-        steps_out.append(w_lift)
-        return product_witness(w_lift, identity_witness(t_1, limit), source=mid, limit=limit)
-
-    w_run = _then(w_lem, lift_split, steps_out, limit)
+    mid = w_lem.image_submonoid()
+    left = _traced_left(mid, as_top, family("T", n - 1, ring, limit), f"traced left of {mid.label}")
+    w_lift = lift_left(w_prev, as_top, source=left, limit=limit)
+    steps_out.append(w_lift)
+    w_run = _then(w_lem, lambda mid: product_witness(w_lift, identity_witness(t_1, limit), source=mid, limit=limit),
+                  steps_out, limit)
     sub_base = w_prev.image_submonoid()
     w_run = _then(w_run, lambda mid: absorb(as_top, sub_base, t_1, source=mid, limit=limit), steps_out, limit)
-    w_push, pushed = _push_scalar(direct_product(sub_base, t_1, limit), info_prev, t_1, limit, steps_out)
+    w_push, pushed = _push_scalar(steps_out[-1].target.base, info_prev, t_1, limit, steps_out)
     w_run = _then(w_run, lambda mid: lift_left(w_push, as_top, source=mid, limit=limit), steps_out, limit)
-    return w_run, _ChainLevel(as_top, w_push.image_submonoid(), pushed)
+    return w_run, _ChainLevel(as_top, w_push.image_submonoid(), pushed), w_lem, left
 
 
 def _push_scalar(prod: Monoid, info: _ChainLevel, t_1: Monoid,
@@ -251,7 +256,7 @@ def _push_scalar(prod: Monoid, info: _ChainLevel, t_1: Monoid,
 
     w_abs = absorb(info.top, info.base, t_1, source=prod, limit=limit)
     steps_out.append(w_abs)
-    new_base = direct_product(info.base, t_1, limit)
+    new_base = w_abs.target.base
     if info.inner is None:
         return w_abs, _ChainLevel(info.top, new_base, None)
     w_inner, inner_info = _push_scalar(new_base, info.inner, t_1, limit, steps_out)
@@ -281,33 +286,37 @@ def ring_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> De
     steps that push each trailing scalar factor to the innermost level;
     the composite witness covers all of T_n.
     """
+    return _ring_plan(n, ring, limit)[0]
+
+
+def _ring_plan(n: int, ring: SemiringTable, limit: int
+               ) -> tuple[DecompositionPlan, DivisionWitness, Monoid | None]:
+    """``ring_pipeline``'s plan, with the chain's degree-n split and its
+    traced left monoid (None at n = 2), which the field pipeline refines.
+    The ``T_1^n`` term is the chain's leaf base."""
     _require_degree(n, "pipeline")
     steps: list[DivisionWitness] = []
-    composite, _info = _chain_witness(n, ring, limit, steps)
-    t_1 = family("T", 1, ring, limit)
-    terms: list[Term] = []
-    skeleton: list[str] = []
-    for i in range(n - 1, 0, -1):
-        as_i = family("AS", i, ring, limit)
-        terms.append(Term(as_i.label, _tag(as_i), len(as_i), as_i.descriptor()))
-        skeleton.append(as_i.label)
-    scalars = _fold_product([t_1] * n, limit)
-    name = f"{t_1.label}^{n}"
-    terms.append(Term(name, _tag(scalars), len(scalars), scalars.descriptor()))
-    skeleton.append(name)
+    composite, level, split, left = _chain_witness(n, ring, limit, steps)
     _require(composite.verified and composite.closure_size == len(family("T", n, ring, limit)),
              "ring_pipeline: composite closure is all of T_n")
-    return DecompositionPlan(
+    while level.inner is not None:
+        level = level.inner
+    terms = [Term(m.label, _tag(m), len(m), m.descriptor())
+             for m in (family("AS", i, ring, limit) for i in range(n - 1, 0, -1))]
+    scalars = level.base
+    terms.append(Term(f"{family('T', 1, ring, limit).label}^{n}", _tag(scalars), len(scalars), scalars.descriptor()))
+    plan = DecompositionPlan(
         pipeline="ring",
         n=n,
         ring_label=ring.label,
         terms=terms,
         group_length=None,
-        skeleton=skeleton,
+        skeleton=[t.name for t in terms],
         witnesses=steps,
         composite=composite,
         notes=["terms of the semiring chain are generally mixed; no alternating form is claimed"],
     )
+    return plan, split, left
 
 
 def _regroup(source: Monoid, value_map, target, label: str, limit: int) -> DivisionWitness:
@@ -356,7 +365,9 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     unit group (augmentation), each scalar factor divides units x U_1, and
     the innermost product assembles into [AS*_1 x D^n] wr U_1^n, composed
     end to end into one verified witness.  All replacement witnesses are
-    verified; the ring composite certifies the chain they refine.
+    verified; the ring composite certifies the chain they refine.  The
+    top-level replacement lifts on the chain's own degree-n split and
+    traced left monoid.
     """
     from semidec.carriers import ProductCarrier
     from semidec.witness import (absorb, augmentation, compose, group_with_zero, identity_witness, lift_left,
@@ -364,8 +375,7 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
 
     if not ring.is_field:
         raise FieldRequired(f"{ring.label} is not a field")
-    _require_degree(n, "pipeline")
-    ring_plan = ring_pipeline(n, ring, limit)
+    ring_plan, w_lem, left_monoid = _ring_plan(n, ring, limit)
     steps = list(ring_plan.witnesses)
     notes = [
         "composite certifies the inductive chain; the displayed innermost product term "
@@ -373,28 +383,26 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
         "differ at the innermost level)",
     ]
 
-    t_1 = family("T", 1, ring, limit)
     t_1s = family("T*", 1, ring, limit)
     semilattice = u1()
 
     # scaling-monoid replacements: AS_i divides constants(k^i) wr AS*_i
-    aug_witnesses: dict[int, DivisionWitness] = {}
-    for i in range(1, n):
+    aug_witnesses = [augmentation(family("AS*", i, ring, limit), limit) for i in range(1, n)]
+    for i, w_aug in enumerate(aug_witnesses, 1):
         as_i = family("AS", i, ring, limit)
-        w_aug = augmentation(family("AS*", i, ring, limit), limit)
         _require(set(w_aug.source.elements) == set(as_i.elements),
                  f"augmentation: {as_i.label} is its unit group plus constants")
-        aug_witnesses[i] = w_aug
-        steps.append(w_aug)
+    steps += aug_witnesses
 
     # lift the top-level replacement into its chain position, on the traced
-    # part of the ring chain's degree-n split
-    split = [{"kind": "induction_step", "n": n, "ring": ring.descriptor()}]
-    w_lem = next(w for w in ring_plan.witnesses if w.steps == split)
+    # left monoid of the chain's degree-n split, which the chain itself
+    # lifts into from degree 3 on
     t_prev = family("T", n - 1, ring, limit)
     as_top = family("AS", n - 1, ring, limit)
-    left_monoid = _traced_left(w_lem.image_submonoid(), as_top, t_prev, "traced top level")
-    w_top_lift = lift_right(aug_witnesses[n - 1], t_prev, source=left_monoid, source_top=as_top, limit=limit)
+    if left_monoid is None:
+        mid = w_lem.image_submonoid()
+        left_monoid = _traced_left(mid, as_top, t_prev, f"traced left of {mid.label}")
+    w_top_lift = lift_right(aug_witnesses[-1], t_prev, source=left_monoid, source_top=as_top, limit=limit)
     steps.append(w_top_lift)
 
     # scalar factors: T_1^n divides D^n x U_1^n via the group-with-zero split
@@ -421,19 +429,27 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
                                                    f"regroup (DxU)^{n} as D^{n} x U^{n}", limit), steps, limit)
     steps.append(w_scalars)
 
-    # innermost assembly: AS_1 x T_1^n div constants(k) wr [(AS*_1 x D^n) wr U_1^n]
+    # innermost assembly: AS_1 x T_1^n div constants(k) wr [(AS*_1 x D^n) wr U_1^n].
+    # First AS_1 x D^n div constants(k) wr (AS*_1 x D^n): the degree-1
+    # augmentation, then the unit factor absorbed into the wreath base, on
+    # sources restricted to the traced parts
     as_1 = family("AS", 1, ring, limit)
-    star_1 = family("AS*", 1, ring, limit)
-    const_k = constants_monoid(ring.size)
-    inner_group = direct_product(star_1, units_n, limit)
-    w_core = _inner_kabsorb(ring, aug_witnesses[1], star_1, units_n, limit, steps)
+    w_aug = aug_witnesses[0]
+    const_k = w_aug.target.top
+    w_left = product_witness(w_aug, identity_witness(units_n, limit), source=direct_product(as_1, units_n, limit),
+                             limit=limit)
+    steps.append(w_left)
+    w_abs = absorb(const_k, family("AS*", 1, ring, limit), units_n,
+                   source=direct_product(w_aug.image_submonoid(), units_n, limit), limit=limit)
+    steps.append(w_abs)
+    w_core = compose(w_left, w_abs, limit)
+    steps.append(w_core)
+    inner_group = w_abs.target.base
     w_t2w = times_to_wreath(inner_group, u1_n, limit=limit)
     steps.append(w_t2w)
 
-    scalars_n = _fold_product([t_1] * n, limit)
-    inner_source = direct_product(as_1, scalars_n, limit)
     w_s1 = product_witness(identity_witness(as_1, limit), w_scalars,
-                           source=inner_source, limit=limit)
+                           source=direct_product(as_1, w_fold.source, limit), limit=limit)
     steps.append(w_s1)
 
     def shuffle(value):
@@ -490,62 +506,7 @@ def field_pipeline(n: int, ring: SemiringTable, limit: int = DEFAULT_LIMIT) -> D
     )
 
 
-def _inner_kabsorb(ring: SemiringTable, w_aug: DivisionWitness, star_1: Monoid,
-                   units_n: Monoid, limit: int,
-                   steps: list[DivisionWitness]) -> DivisionWitness:
-    """AS_1 x D^n div constants(k) wr (AS*_1 x D^n).
-
-    Combines the degree-1 augmentation with an absorb of the unit factor
-    into the wreath base, on sources restricted to the traced parts.
-    """
-    from semidec.witness import absorb, compose, identity_witness, product_witness
-
-    as_1 = family("AS", 1, ring, limit)
-    const_k = constants_monoid(ring.size)
-    w_left = product_witness(w_aug, identity_witness(units_n, limit),
-                             source=direct_product(as_1, units_n, limit), limit=limit)
-    steps.append(w_left)
-    aug_image = w_aug.image_submonoid()
-    absorb_source = direct_product(aug_image, units_n, limit)
-    w_abs = absorb(const_k, star_1, units_n, source=absorb_source, limit=limit)
-    steps.append(w_abs)
-    w_core = compose(w_left, w_abs, limit)
-    steps.append(w_core)
-    return w_core
-
-
-# -- depth analysis and census -------------------------------------------------
-
-
-def depth_analysis(m: Monoid, limit: int = DEFAULT_LIMIT) -> dict:
-    """Depth report plus the per-depth group terms of the depth decomposition,
-    and, for field families whose T_n has at most 1000 elements, a comparison
-    with the certified group length."""
-    rep = depth_report(m)
-    out: dict = {"depth_report": rep, "k_terms": []}
-    for depth, class_ids in enumerate(rep.k_terms):
-        orders = [rep.subgroup_orders[c] for c in class_ids]
-        out["k_terms"].append({
-            "depth": depth,
-            "classes": list(class_ids),
-            "subgroup_orders": orders,
-            "product_order": math.prod(orders),
-        })
-    prov = m.descriptor()
-    out["comparison"] = None
-    if prov.get("kind") == "family" and prov.get("family") in ("T", "UT", "PT"):
-        n = prov["n"]
-        from semidec.carriers import build_ring
-
-        ring = build_ring(prov["ring"])
-        if ring.is_field and n >= 2 and ring.size ** (n * (n + 1) // 2) <= 1000:
-            plan = field_pipeline(n, ring, limit)
-            out["comparison"] = {
-                "depth_decomposition_group_length": rep.depth,
-                "pipeline_group_length": plan.group_length,
-                "depth_suboptimal": rep.depth > plan.group_length,
-            }
-    return out
+# -- census -------------------------------------------------------------------
 
 
 _CENSUS_STARS = {"T": "T*", "UT": "UT*", "PT": "PT*"}

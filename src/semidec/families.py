@@ -183,9 +183,14 @@ def _matrix_elements(kind: str, n: int, ring: SemiringTable) -> list[tuple]:
     return out
 
 
+def _power_past(base: int, exponent: int, limit: int) -> bool:
+    """``base ** exponent > limit``, decided without forming a power far past
+    ``limit``: for ``base >= 2`` every exponent above ``limit.bit_length()`` gives one."""
+    return (base >= 2 and exponent > limit.bit_length()) or base**exponent > limit
+
+
 def _matrix_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid:
-    count_positions = n * (n + 1) // 2
-    if ring.size ** count_positions > limit:
+    if _power_past(ring.size, n * (n + 1) // 2, limit):
         raise SizeLimitExceeded(limit, f"{kind}_{n}({ring.label}) enumeration")
     elements = _matrix_elements(kind, n, ring)
     spec = FamilySpec(kind, n, ring)
@@ -228,12 +233,7 @@ def _affine_monoid(kind: str, n: int, ring: SemiringTable, limit: int) -> Monoid
     lexicographic.  Presentations are evaluated by ``affine_tables`` in
     blocks of at most ``_BLOCK_CELLS`` image entries (one presentation at
     least), so memory stays bounded however many there are."""
-    pattern_count = {
-        "AS": ring.size ** (n + 1),
-        "AT": ring.size ** (n * (n + 1) // 2 + n),
-        "A": ring.size ** (n * n + n),
-    }[kind]
-    if pattern_count > limit or ring.size**n > limit:
+    if _power_past(ring.size, {"AS": n + 1, "AT": n * (n + 1) // 2 + n, "A": n * n + n}[kind], limit):
         raise SizeLimitExceeded(limit, f"{kind}_{n}({ring.label}) enumeration")
     mats, pts = affine_matrices(kind, n, ring), point_grid(ring, n)
     count, step = len(mats) * len(pts), max(1, _BLOCK_CELLS // (len(pts) * n))
@@ -363,7 +363,7 @@ def _build(spec: FamilySpec, limit: int) -> Monoid:
     if kind == "U1":
         return u1()
     if kind == "Xtilde":
-        if ring.size**n > limit:
+        if _power_past(ring.size, n, limit):
             raise SizeLimitExceeded(limit, "point set enumeration")
         return constants_monoid(ring.size**n, label=spec.label(), provenance=spec.descriptor())
     if kind in ("T", "UT", "T*", "UT*"):

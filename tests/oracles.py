@@ -32,8 +32,11 @@ makes certificates pair every source element, not a generating set.
 pair rows, ``pair_values`` and ``closure_pairs`` decode a witness's pair
 rows and closure rows back into such pairs, and ``preimage_table`` gives
 each source element's first closure pair's target value.
+``depth_analysis`` sets a family's depth decomposition beside the field
+pipeline's group length, for the tests that compare the two.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -41,7 +44,8 @@ import numpy as np
 
 from semidec.errors import DimensionMismatch, DimensionTooSmall, NotClosed, SemidecError, SizeLimitExceeded
 from semidec.families import identity_entries
-from semidec.monoid import DepthReport, GreensReport, Monoid, generating_set, index_closure
+from semidec.monoid import (DEFAULT_LIMIT, DepthReport, GreensReport, Monoid, depth_report, generating_set,
+                            index_closure)
 from semidec.semiring import SemiringTable
 from semidec.wreath import WreathContext
 
@@ -858,3 +862,35 @@ def affine_elements(kind: str, dim: int, ring: SemiringTable) -> list[tuple[int,
     permutations among them, its unit group."""
     tables = dict.fromkeys(transformation_of_affine(f) for f in affine_presentations(kind.rstrip("*"), dim, ring))
     return [t for t in tables if not kind.endswith("*") or len(set(t)) == len(t)]
+
+
+def depth_analysis(m: Monoid, limit: int = DEFAULT_LIMIT) -> dict:
+    """Depth report plus the per-depth group terms of the depth decomposition,
+    and, for field families whose T_n has at most 1000 elements, a comparison
+    with the certified group length."""
+    from semidec.carriers import build_ring
+    from semidec.decomp import field_pipeline
+
+    rep = depth_report(m)
+    out: dict = {"depth_report": rep, "k_terms": []}
+    for depth, class_ids in enumerate(rep.k_terms):
+        orders = [rep.subgroup_orders[c] for c in class_ids]
+        out["k_terms"].append({
+            "depth": depth,
+            "classes": list(class_ids),
+            "subgroup_orders": orders,
+            "product_order": math.prod(orders),
+        })
+    prov = m.descriptor()
+    out["comparison"] = None
+    if prov.get("kind") == "family" and prov.get("family") in ("T", "UT", "PT"):
+        n = prov["n"]
+        ring = build_ring(prov["ring"])
+        if ring.is_field and n >= 2 and ring.size ** (n * (n + 1) // 2) <= 1000:
+            plan = field_pipeline(n, ring, limit)
+            out["comparison"] = {
+                "depth_decomposition_group_length": rep.depth,
+                "pipeline_group_length": plan.group_length,
+                "depth_suboptimal": rep.depth > plan.group_length,
+            }
+    return out

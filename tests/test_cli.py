@@ -1255,6 +1255,22 @@ def test_label_that_does_not_print_as_one_line_exit_2(tmp_path, certify_document
     assert proc.stderr.startswith(error) and "not a string of printable characters" in proc.stderr, proc.stderr
 
 
+@pytest.mark.parametrize("optimize", [False, True], ids=["plain", "optimized"])
+def test_huge_family_degree_exits_1_without_a_traceback(tmp_path, certify_document, optimize):
+    # a family of degree 10 ** 6 is refused by its size bound, which is
+    # decided without forming ring.size ** (n (n + 1) / 2)
+    document = json.loads(json.dumps(certify_document))
+    assert document["descriptors"][0]["kind"] == "family"
+    document["descriptors"][0]["n"] = 10**6
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(document))
+    start = time.monotonic()
+    proc = run_cli(["verify", str(path)], optimize)
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 1 and proc.stdout == "", proc.stderr
+    assert proc.stderr.startswith("error: SizeLimitExceeded: ") and len(proc.stderr.splitlines()) == 1, proc.stderr
+
+
 def _image_not_an_int(document, cert):
     cert["image"] = str(cert["image"])
 

@@ -245,7 +245,9 @@ def test_derived_tables_match_value_products(field_plan, n):
             if kind == "product" or (kind == "close" and m.label.startswith("traced ")):
                 derived[id(m)] = m
     labels = [m.label for m in derived.values()]
-    assert sum(label.startswith("traced ") for label in labels) == n - 1, labels
+    # one traced left monoid per chain level of degree 3 or more, and at
+    # n = 2 the one that the field pipeline's top-level lift needs
+    assert sum(label.startswith("traced ") for label in labels) == max(n - 2, 1), labels
     assert any(m.descriptor()["kind"] == "product" for m in derived.values())
     for m in derived.values():
         expected = value_product_table(m.elements, _carrier_of(m).mul_value)

@@ -9,13 +9,9 @@ import pytest
 import semidec.decomp as decomp
 from conftest import (_ring, cached_field_plan, cached_ring_plan, certificate_document, expand_document, read_document,
                       run_cli, run_python)
+from oracles import depth_analysis
 from semidec.carriers import CHILDREN, STEP_FIELDS
-from semidec.decomp import (
-    check_scaling_group_embedding,
-    depth_analysis,
-    induction_step,
-    verify_census,
-)
+from semidec.decomp import check_scaling_group_embedding, induction_step, verify_census
 from semidec.errors import (CensusMismatch, DimensionMismatch, DimensionTooSmall, FieldRequired, InvalidSpec,
                             PipelineCheckFailed)
 from semidec.families import family
@@ -169,15 +165,23 @@ def _gate_document(pipeline, n, spec):
 
 @pytest.mark.parametrize("pipeline, n, spec", GATE_PIPELINES, ids=GATE_IDS)
 def test_document_states_each_descriptor_once(pipeline, n, spec):
-    # no two entries of either table are equal, no entry holds a descriptor
-    # written out, every child points to an earlier entry, every step
-    # entry's descriptor field into the table, every certificate into both
-    # tables, and every step entry is referenced
-    _, document = _gate_document(pipeline, n, spec)
+    # no two entries of either table are equal, nor two descriptor entries
+    # but for their labels, no entry holds a descriptor written out, every
+    # child points to an earlier entry, every step entry's descriptor field
+    # into the table, every certificate into both tables, and every step
+    # entry is referenced.  From degree 3 on, the field pipeline lifts its
+    # top-level replacement on the chain's own traced left monoid.
+    witnesses, document = _gate_document(pipeline, n, spec)
     entries, steps = document["descriptors"], document["steps"]
     for table in (entries, steps):
         keys = [json.dumps(entry, sort_keys=True) for entry in table]
         assert len(set(keys)) == len(keys)
+    unlabelled = [json.dumps({k: v for k, v in entry.items() if k != "label"}, sort_keys=True) for entry in entries]
+    assert len(set(unlabelled)) == len(unlabelled)
+    if pipeline == "field" and n >= 3:
+        (top_lift,) = [w for w in witnesses if w.label.startswith("lift_right(")]
+        (chain_lift,) = [w for w in witnesses if w.label.startswith(f"lift_left(T_{n - 1}(")]
+        assert top_lift.source is chain_lift.source
 
     def points_below(ref, bound):
         return type(ref) is int and 0 <= ref < bound
@@ -212,14 +216,14 @@ PINNED_DOCUMENTS = {
         [(8, 4), (8, 4), (64, 7), (64, 7), (64, 7), (64, 7), (16, 5), (64, 7), (6, 4), (20, 8), (160, 7), (2, 2),
          (8, 4), (8, 4), (8, 4), (6, 3), (6, 3), (6, 3), (16, 5), (32, 6), (32, 6), (48, 6), (48, 6), (48, 6),
          (48, 6), (64, 7)],
-        "480b975d03e86ee1f2ce50d71b8fb99401ff1fa210065e8fa3ac914e5d77e67a",
-        "fc848e70efb71feb031acf9731cb0e8461e3c0f574a8125011fed0ce6dbf69a5",
+        "6dd49be379410f6beff8b988b69d3eceb4e01966d676bb2b63210ce3355b0a7c",
+        "ca121a1194cae0d7bcf04834129135e9ca1ab4f08dcbceab8f6aef37683d74a2",
     ),
     ("field", 2, "3"): (
         [(27, 6), (27, 6), (114, 9), (126, 6), (4, 3), (16, 5), (16, 5), (16, 5), (168, 6), (456, 8), (168, 6),
          (96, 7), (144, 8), (144, 8), (672, 8), (672, 8), (672, 8), (672, 8), (27, 6)],
-        "31750f87b4e09420a0d6c561db13bc020b2e306c163ddda6f1e6159d11ab96f7",
-        "5d6e1aabe3cd7b13b9196336f9cc414cc04037e115294644dad2dd4929f263a8",
+        "2017b4fc98dfd62466bd81a50d21ec723a1b389a5a33f5f3f94e47d2911491bb",
+        "51fbed5f55d62a21736f65fe265ebc5e029e5792c5cf38815ddfce7ff4d9b1bc",
     ),
     ("ring", 2, "bool"): (
         [(8, 4), (8, 4), (8, 4)],
@@ -266,7 +270,7 @@ def test_expanded_document_is_the_in_memory_witnesses(pipeline, n, spec):
 
 # the sha256 of the field n=3 zp:2 document with every certificate stating its
 # target and pairs, as documents were written before certificates named their images
-FULL_FORM_SHA256 = "ceb2306eb4785a86f7b81a68591171527f86c57fd521269de4818c2c6237fd5d"
+FULL_FORM_SHA256 = "3c54a8752a83d13ba992ef325c381012e7e49077319a1d580ea4450c5da7adb0"
 
 
 @pytest.mark.parametrize("seed", [1, 2])

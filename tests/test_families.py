@@ -85,6 +85,16 @@ def test_family_limit(z3):
         build_family(FamilySpec("T", 3, z3), limit=100)
 
 
+@pytest.mark.parametrize("kind", ["T", "AS", "A", "Xtilde"])
+def test_huge_degree_is_refused_before_any_power(kind):
+    # 2 ** (n (n + 1) / 2) at n = 10 ** 6 has 5 * 10 ** 11 bits: the bound is
+    # decided without forming it
+    from semidec.carriers import rebuild
+
+    with pytest.raises(SizeLimitExceeded):
+        rebuild({"kind": "family", "family": kind, "n": 10**6, "ring": {"builtin": "zp", "p": 2}})
+
+
 def test_unit_group_past_the_table_bound_builds_without_a_table():
     # A_2(Z_5) has 15,625 elements and no table; its Green's relations come
     # from its Cayley graphs, and its unit group, an H-class of 12,000

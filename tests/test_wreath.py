@@ -100,7 +100,7 @@ def test_field_pipeline_past_the_table_bound_is_a_size_limit():
     # over Z_7 the first lift's traced image (12,390 elements, past
     # TABLE_BOUND) is a wreath top that multiplies by tracing; the next wall
     # is the direct product of that image with the 36 units of
-    # T*_1(Z_7)^2 that _inner_kabsorb needs, past DEFAULT_LIMIT
+    # T*_1(Z_7)^2 that the innermost assembly needs, past DEFAULT_LIMIT
     from semidec.decomp import field_pipeline
     from semidec.semiring import make_prime_field
 
